@@ -173,14 +173,14 @@ class Engine:
     def __init__(self, registry: ResourceRegistry, store: ContentStore, executor_factory=None):
         self.registry = registry
         self.store = store
-        self._executor_factory = executor_factory or self._simulated_executor
+        self._executor_factory = executor_factory  # a bound-method default makes a cycle
 
-    def _simulated_executor(self, seed, fault_plan):
+    def _executor(self, seed, fault_plan):
+        if self._executor_factory is not None:
+            return self._executor_factory(seed, fault_plan)
         from .simgrid import SimulatedExecutor
 
-        return SimulatedExecutor(
-            self.registry, self.store, seed=seed, fault_plan=fault_plan
-        )
+        return SimulatedExecutor(self.registry, self.store, seed=seed, fault_plan=fault_plan)
 
     # -- planning ------------------------------------------------------------
 
@@ -213,7 +213,7 @@ class Engine:
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> RunRecord:
         run_id = run_id or self._next_run_id()
-        executor = self._executor_factory(plan.seed, tuple(fault_plan))
+        executor = self._executor(plan.seed, tuple(fault_plan))
         return _Execution(self, plan, run_id, executor, replay=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> RunRecord:
@@ -228,7 +228,7 @@ class Engine:
         if status == COMPLETED:
             raise NothingToResume(f"run {run_id} already completed")
         plan = self._plan_from_manifest(manifest)
-        executor = self._executor_factory(plan.seed, tuple(fault_plan))
+        executor = self._executor(plan.seed, tuple(fault_plan))
         return _Execution(self, plan, run_id, executor, replay=replay).drive()
 
     def _plan_from_manifest(self, manifest) -> ExecutionPlan:

@@ -13,12 +13,20 @@ Index records, one per line:
     ckpt <run> <activity> <seq> <hash>
     rollback <run> <activity>
     status <run> <status>
+
+A ContentStore parses the index once, on first use, then only the complete
+lines appended since its last read, catching up before every decision so
+that appends by other stores and processes count. An append holds the thread
+lock and an exclusive flock on index.log from the catch-up that decides it
+through to the write.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,89 +131,86 @@ class ContentStore:
         self.index_path = self.root / "index.log"
         self.capacity_bytes = capacity_bytes
         self.blob_dir.mkdir(parents=True, exist_ok=True)
-        if not self.index_path.exists():
-            self.index_path.write_text("", encoding="utf-8")
+        open(self.index_path, "ab").close()
         self._lock = threading.Lock()
+        self._offset = self._lines = 0  # bytes and lines of the index indexed so far
+        self._next_seq: dict[tuple[str, str], int] = {}
+        self._keys: set[str] = set()  # put and ckpt lines
+        self._by_run: dict[str, list[str]] = {}  # each run's lines, runs first-seen first
 
     # -- index plumbing ----------------------------------------------------
 
-    def _append(self, *tokens):
-        line = " ".join(str(t) for t in tokens)
-        with open(self.index_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
     def index_lines(self) -> list[str]:
-        return self.index_path.read_text(encoding="utf-8").splitlines()
+        """The complete lines appended to the index since the last catch-up."""
+        with open(self.index_path, "rb") as fh:
+            fh.seek(self._offset)
+            return [raw[:-1].decode("utf-8") for raw in fh if raw.endswith(b"\n")]
 
-    def _records(self):
-        for lineno, line in enumerate(self.index_lines(), start=1):
-            tokens = line.split(" ")
-            if tokens[0] == "put" or tokens[0] == "ckpt":
-                if len(tokens) != 5:
-                    raise IntegrityError(f"index line {lineno} malformed: {line!r}")
-                yield tokens[0], tokens[1], tokens[2], int(tokens[3]), tokens[4]
-            elif tokens[0] == "rollback":
-                if len(tokens) != 3:
-                    raise IntegrityError(f"index line {lineno} malformed: {line!r}")
-                yield "rollback", tokens[1], tokens[2]
-            elif tokens[0] == "status":
-                if len(tokens) != 3 or tokens[2] not in _RUN_STATUSES:
-                    raise IntegrityError(f"index line {lineno} malformed: {line!r}")
-                yield "status", tokens[1], tokens[2]
-            else:
-                raise IntegrityError(f"index line {lineno}: unknown record {tokens[0]!r}")
+    def _catch_up(self):
+        """Index the lines appended since the last call; callers hold _lock.
+
+        A malformed line stops indexing, so every later call raises for it."""
+        lines = self.index_lines()
+        done = 0
+        try:
+            for line in lines:
+                kind, *fields = line.split(" ")
+                if len(fields) == 4 and kind in ("put", "ckpt") and fields[2].isdecimal():
+                    self._keys.add(line)
+                    seq, pair = int(fields[2]), (fields[0], fields[1])
+                    if seq >= self._next_seq.get(pair, 0):
+                        self._next_seq[pair] = seq + 1
+                elif len(fields) != 2 or not (
+                    kind == "rollback" or kind == "status" and fields[1] in _RUN_STATUSES
+                ):
+                    raise IntegrityError(f"index line {self._lines + done + 1} malformed: {line!r}")
+                self._by_run.setdefault(fields[0], []).append(line)
+                done += 1
+        finally:
+            self._lines += done
+            self._offset += sum(len(line.encode("utf-8")) + 1 for line in lines[:done])
+
+    @contextmanager
+    def _appending(self):
+        """Caught-up index and a writer for it, both locks held throughout."""
+        with self._lock, open(self.index_path, "ab") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            self._catch_up()
+            yield lambda *tokens: fh.write((" ".join(map(str, tokens)) + "\n").encode("utf-8"))
+
+    def _known(self, key: ResultKey) -> bool:
+        tail = f" {key.run_id} {key.activity_id} {key.sequence} {key.hash}"
+        return "put" + tail in self._keys or "ckpt" + tail in self._keys
 
     # -- core operations ----------------------------------------------------
 
     def put(self, ds: Dataset, run_id: str, activity_id: str) -> ResultKey:
         blob = canonical_serialize(ds)
-        with self._lock:
+        with self._appending() as append:
+            path = self.blob_dir / ds.id
             if self.capacity_bytes is not None:
                 used = sum(p.stat().st_size for p in self.blob_dir.iterdir())
-                path = self.blob_dir / ds.id
                 extra = 0 if path.exists() else len(blob)
                 if used + extra > self.capacity_bytes:
                     raise StorageFull(
                         f"store over capacity: {used + extra} > {self.capacity_bytes} bytes"
                     )
-            path = self.blob_dir / ds.id
             if not path.exists():
                 tmp = path.with_name(path.name + ".tmp")
                 tmp.write_bytes(blob)
                 tmp.rename(path)
-            seq = self._next_sequence(run_id, activity_id)
-            self._append("put", run_id, activity_id, seq, ds.id)
+            seq = self._next_seq.get((run_id, activity_id), 0)
+            append("put", run_id, activity_id, seq, ds.id)
         return ResultKey(ds.id, run_id, activity_id, seq)
 
-    def _next_sequence(self, run_id: str, activity_id: str) -> int:
-        seq = 0
-        for rec in self._records():
-            if rec[0] == "put" and rec[1] == run_id and rec[2] == activity_id:
-                seq = max(seq, rec[3] + 1)
-            elif rec[0] == "ckpt" and rec[1] == run_id and rec[2] == activity_id:
-                seq = max(seq, rec[3] + 1)
-        return seq
-
-    def _known(self, key: ResultKey) -> bool:
-        for rec in self._records():
-            if rec[0] in ("put", "ckpt") and rec[1:] == (
-                key.run_id,
-                key.activity_id,
-                key.sequence,
-                key.hash,
-            ):
-                return True
-        return False
-
     def get(self, key: ResultKey) -> Dataset:
-        if not self._known(key):
-            raise UnknownKey(f"no such key: {key}")
+        with self._lock:
+            self._catch_up()
+            if not self._known(key):
+                raise UnknownKey(f"no such key: {key}")
         return self._read_blob(key.hash)
 
     def get_by_hash(self, hash: str) -> Dataset:
-        path = self.blob_dir / hash
-        if not path.exists():
-            raise UnknownKey(f"no blob for hash {hash}")
         return self._read_blob(hash)
 
     def _read_blob(self, hash: str) -> Dataset:
@@ -222,53 +227,53 @@ class ContentStore:
             raise IntegrityError(f"blob {hash} unparseable: {exc}") from None
 
     def checkpoint(self, run_id: str, activity_id: str, key: ResultKey) -> RunState:
-        with self._lock:
+        with self._appending() as append:
             if not self._known(key):
                 raise UnknownKey(f"cannot checkpoint unknown key: {key}")
-            self._append("ckpt", run_id, activity_id, key.sequence, key.hash)
+            append("ckpt", run_id, activity_id, key.sequence, key.hash)
         return self.run_state(run_id)
 
     def rollback(self, run_id: str, to_activity_id: str) -> RunState:
-        with self._lock:
-            state = self._run_state_unlocked(run_id)
+        with self._appending() as append:
+            state = self._run_state(run_id)
             if not any(name == to_activity_id for name, _ in state.checkpoints):
                 raise UnknownCheckpoint(
                     f"run {run_id} has no committed checkpoint for {to_activity_id}"
                 )
-            self._append("rollback", run_id, to_activity_id)
+            append("rollback", run_id, to_activity_id)
         return self.run_state(run_id)
 
     def set_status(self, run_id: str, status: str):
         if status not in _RUN_STATUSES:
             raise StorageError(f"unknown run status: {status}")
-        self._run_state_unlocked(run_id)
-        self._append("status", run_id, status)
+        with self._appending() as append:
+            self._run_state(run_id)
+            append("status", run_id, status)
 
     # -- views ---------------------------------------------------------------
 
     def run_state(self, run_id: str) -> RunState:
-        return self._run_state_unlocked(run_id)
+        with self._lock:
+            self._catch_up()
+            return self._run_state(run_id)
 
-    def _run_state_unlocked(self, run_id: str) -> RunState:
+    def _run_state(self, run_id: str) -> RunState:
         committed: list[tuple[str, ResultKey]] = []
         status = ACTIVE
-        seen = False
-        for rec in self._records():
-            if rec[1] != run_id:
-                continue
-            seen = True
-            if rec[0] == "ckpt":
-                committed.append((rec[2], ResultKey(rec[4], run_id, rec[2], rec[3])))
+        if run_id not in self._by_run:
+            raise UnknownRun(f"unknown run: {run_id}")
+        for line in self._by_run[run_id]:
+            kind, _, *rec = line.split(" ")
+            if kind == "ckpt":
+                committed.append((rec[0], ResultKey(rec[2], run_id, rec[0], int(rec[1]))))
                 if status == ROLLED_BACK:
                     status = ACTIVE
-            elif rec[0] == "rollback":
-                cut = max(i for i, (name, _) in enumerate(committed) if name == rec[2])
+            elif kind == "rollback":
+                cut = max(i for i, (name, _) in enumerate(committed) if name == rec[0])
                 committed = committed[: cut + 1]
                 status = ROLLED_BACK
-            elif rec[0] == "status":
-                status = rec[2]
-        if not seen:
-            raise UnknownRun(f"unknown run: {run_id}")
+            elif kind == "status":
+                status = rec[0]
         return RunState(run_id, tuple(committed), status)
 
     def checkpoints(self, run_id: str) -> tuple[tuple[str, ResultKey], ...]:
@@ -276,24 +281,16 @@ class ContentStore:
 
     def keys(self, run_id: str) -> list[ResultKey]:
         """Every key ever put for the run, truncated history included."""
-        out = []
-        seen = False
-        for rec in self._records():
-            if rec[0] == "put" and rec[1] == run_id:
-                out.append(ResultKey(rec[4], run_id, rec[2], rec[3]))
-                seen = True
-            elif rec[0] != "put" and len(rec) > 1 and rec[1] == run_id:
-                seen = True
-        if not seen:
-            raise UnknownRun(f"unknown run: {run_id}")
-        return out
+        with self._lock:
+            self._catch_up()
+            self._run_state(run_id)
+            puts = [line.split(" ") for line in self._by_run[run_id] if line.startswith("put ")]
+        return [ResultKey(hash, run_id, activity, int(seq)) for _, _, activity, seq, hash in puts]
 
     def runs(self) -> list[str]:
-        seen: list[str] = []
-        for rec in self._records():
-            if rec[1] not in seen:
-                seen.append(rec[1])
-        return seen
+        with self._lock:
+            self._catch_up()
+            return list(self._by_run)
 
     def audit(self) -> list[str]:
         """Re-hash every blob; returns the list of corrupted hashes."""

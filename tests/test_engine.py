@@ -1,6 +1,8 @@
 """Planning, token-game execution, resume, and provenance."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -204,6 +206,17 @@ class TestExecution:
         assert order == ["lattice", "cbmc", "gcmc", "md", "analysis"]
         ticks = [e.finished_tick for e in record.entries]
         assert ticks == sorted(ticks)
+
+    def test_engine_and_store_die_without_the_cycle_collector(self, tmp_path):
+        gc.disable()
+        try:
+            engine = make_engine(tmp_path)
+            engine.execute(engine.plan(fork_graph(), ADA))
+            refs = weakref.ref(engine), weakref.ref(engine.store)
+            del engine
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_trace_covers_lifecycle(self, tmp_path):
         engine = make_engine(tmp_path)

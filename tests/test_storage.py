@@ -1,11 +1,15 @@
 """Content store: puts, integrity, checkpoints, rollback, append-only audit."""
 
+import multiprocessing
+import random
+
 import pytest
 
 from gridflow.quantities import Dataset, Observable, get_unit
 from gridflow.storage import (
     ACTIVE,
     COMPLETED,
+    FAILED_RUN,
     ROLLED_BACK,
     ContentStore,
     IntegrityError,
@@ -177,3 +181,123 @@ class TestAppendOnly:
         again = ContentStore(store.root)
         assert again.run_state("r1").checkpoints == (("a", k),)
         assert again.get(k).get("x").magnitude == 1.0
+
+
+def full_scan_state(index_text, run_id):
+    """Replay of the whole index for one run: the reference for run_state."""
+    committed, status = [], ACTIVE
+    for line in index_text.splitlines():
+        kind, run, *rest = line.split(" ")
+        if run != run_id:
+            continue
+        if kind == "ckpt":
+            committed.append((rest[0], ResultKey(rest[2], run, rest[0], int(rest[1]))))
+            if status == ROLLED_BACK:
+                status = ACTIVE
+        elif kind == "rollback":
+            cut = max(i for i, (name, _) in enumerate(committed) if name == rest[0])
+            committed = committed[: cut + 1]
+            status = ROLLED_BACK
+        elif kind == "status":
+            status = rest[0]
+    return tuple(committed), status
+
+
+def _put_worker(root, start, count, out):
+    store = ContentStore(root)
+    start.wait(timeout=60)
+    out.put([store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(count)])
+
+
+class TestSharedIndex:
+    def test_half_written_line_is_not_consumed(self, store):
+        ka = store.put(ds("x", 1.0), "r1", "a")
+        store.checkpoint("r1", "a", ka)
+        kb = store.put(ds("x", 2.0), "r1", "b")
+        before = store.run_state("r1")
+        record = f"ckpt r1 b {kb.sequence} {kb.hash}\n".encode()
+        with open(store.index_path, "ab") as fh:
+            fh.write(record[:9])
+        assert store.run_state("r1") == before
+        with open(store.index_path, "ab") as fh:
+            fh.write(record[9:])
+        assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
+
+    def test_two_stores_on_one_root_see_each_other(self, store):
+        other = ContentStore(store.root)
+        k0 = store.put(ds("x", 1.0), "r1", "a")
+        assert other.run_state("r1").checkpoints == ()
+        store.checkpoint("r1", "a", k0)
+        k1 = other.put(ds("x", 2.0), "r1", "a")
+        assert k1.sequence == k0.sequence + 1
+        assert other.run_state("r1").checkpoints == (("a", k0),)
+        other.checkpoint("r1", "a", k1)
+        assert store.put(ds("x", 3.0), "r1", "a").sequence == k1.sequence + 1
+        assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
+        assert other.runs() == store.runs() == ["r1"]
+
+    def test_interleaved_stores_match_a_full_scan(self, store):
+        rng = random.Random(5)
+        stores = [store, ContentStore(store.root)]
+        for _ in range(300):
+            s, run, activity = rng.choice(stores), rng.choice("xyz"), rng.choice("abc")
+            op = rng.random()
+            if op < 0.6:
+                key = s.put(ds("v", float(rng.randrange(4))), run, activity)
+                if rng.random() < 0.7:
+                    s.checkpoint(run, activity, key)
+            elif run in s.runs():
+                names = [name for name, _ in s.run_state(run).checkpoints]
+                if op < 0.75 and names:
+                    s.rollback(run, rng.choice(names))
+                else:
+                    s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)))
+        text = store.index_path.read_text(encoding="utf-8")
+        first_seen = list(dict.fromkeys(line.split(" ")[1] for line in text.splitlines()))
+        for s in stores:
+            assert s.runs() == first_seen
+            for run in first_seen:
+                state = s.run_state(run)
+                assert (state.checkpoints, state.status) == full_scan_state(text, run)
+
+    def test_processes_allocate_distinct_sequences(self, store):
+        ctx = multiprocessing.get_context("spawn")
+        start, out = ctx.Barrier(4), ctx.Queue()
+        workers = [
+            ctx.Process(target=_put_worker, args=(store.root, start, 25, out))
+            for _ in range(4)
+        ]
+        for w in workers:
+            w.start()
+        sequences = []
+        for _ in workers:
+            sequences.extend(out.get(timeout=60))
+        for w in workers:
+            w.join(timeout=30)
+            assert not w.is_alive() and w.exitcode == 0
+        assert sorted(sequences) == list(range(100))
+        assert [k.sequence for k in store.keys("r1")] == sorted(sequences)
+
+    def test_each_index_line_read_once(self, store, monkeypatch):
+        read = []
+        index_lines = store.index_lines
+
+        def counting():
+            lines = index_lines()
+            read.extend(lines)
+            return lines
+
+        monkeypatch.setattr(store, "index_lines", counting)
+        for i in range(200):
+            key = store.put(ds("x", float(i)), "r1", f"a{i % 7}")
+            store.checkpoint("r1", key.activity_id, key)
+        assert read == store.index_path.read_text(encoding="utf-8").splitlines()
+        assert len(read) == 400
+
+    def test_malformed_line_raises_with_its_number_every_time(self, store):
+        store.put(ds("x", 1.0), "r1", "a")
+        with open(store.index_path, "ab") as fh:
+            fh.write(b"put r1 a\n")
+        for _ in range(2):
+            with pytest.raises(IntegrityError, match="index line 2 malformed"):
+                store.run_state("r1")
