@@ -587,27 +587,7 @@ def emit_dsl(g: WorkflowGraph) -> str:
 
 
 def _declaration_order(g: WorkflowGraph) -> list[str]:
-    full = nx.DiGraph()
-    full.add_nodes_from(n.id for n in g.nodes)
-    full.add_edges_from(g.edges)
-    start = g.start().id
-    reachable = set(nx.descendants(full, start)) | {start}
-    fwd = nx.DiGraph()
-    fwd.add_nodes_from(reachable)
-    fwd.add_edges_from(e for e in g.forward_edges() if e[0] in reachable and e[1] in reachable)
-    order = [
-        i
-        for i in nx.lexicographical_topological_sort(fwd)
-        if g.node(i).kind in (ACTIVITY, FORK, JOIN, DECISION)
-    ]
-    order.extend(
-        sorted(
-            n.id
-            for n in g.nodes
-            if n.id not in reachable and n.kind in (ACTIVITY, FORK, JOIN, DECISION)
-        )
-    )
-    return order
+    return [i for i in g.forward_order() if g.node(i).kind in (ACTIVITY, FORK, JOIN, DECISION)]
 
 
 def _emit_activity(g: WorkflowGraph, node: Node) -> list[str]:
@@ -697,14 +677,8 @@ def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
     if not report.sound:
         raise UnsoundWorkflow(report)
 
-    succ = {n.id: sorted(v for _, v in g.out_edges(n.id)) for n in g.nodes}
-    fwd_in_count = {
-        n.id: sum(1 for e in g.in_edges(n.id) if not g.is_back_edge(e)) for n in g.nodes
-    }
-    by_id = {n.id: n for n in g.nodes}
-    back_in: dict[str, list[str]] = {}
-    for u, v in g.back_edges:
-        back_in.setdefault(v, []).append(u)
+    def loop_sources(node_id: str) -> list[str]:
+        return [u for u, v in g.in_edges(node_id) if g.is_back_edge((u, v))]
 
     def walk(node_id: str, stop_at: str | None = None, skip_loop_at: str | None = None):
         """Plan for the region from node_id until stop_at, a final, or a join.
@@ -717,16 +691,16 @@ def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
         while True:
             if current == stop_at:
                 return _seq(items), current
-            node = by_id[current]
+            node = g.node(current)
             if node.kind in (FINAL, JOIN):
                 return _seq(items), current
-            if current in back_in and current != skip_loop_at:
+            if loop_sources(current) and current != skip_loop_at:
                 loop, after = reduce_loop(current)
                 items.append(loop)
                 current = after
             elif node.kind == ACTIVITY:
                 items.append(Run(current))
-                current = succ[current][0]
+                current = g.out_edges(current)[0][1]
             elif node.kind == FORK:
                 par, after = reduce_fork(current)
                 items.append(par)
@@ -740,9 +714,9 @@ def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
     def reduce_fork(fork_id: str):
         branches = []
         join_id = None
-        for target in succ[fork_id]:
+        for target in sorted(v for _, v in g.out_edges(fork_id)):
             plan, stopped = walk(target)
-            if stopped == _CHOICE_END or by_id[stopped].kind != JOIN:
+            if stopped == _CHOICE_END or g.node(stopped).kind != JOIN:
                 raise NotSeriesParallel(
                     f"fork {fork_id}: branch via {target} does not end at a join"
                 )
@@ -753,17 +727,17 @@ def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
                     f"fork {fork_id}: branches end at different joins {join_id} and {stopped}"
                 )
             branches.append(plan)
-        if fwd_in_count[join_id] != len(branches):
+        if len(g.in_edges(join_id)) != len(branches):
             raise NotSeriesParallel(
                 f"join {join_id} also gathers tokens from outside fork {fork_id}"
             )
-        return ParMap(tuple(branches), join_id), succ[join_id][0]
+        return ParMap(tuple(branches), join_id), g.out_edges(join_id)[0][1]
 
     def reduce_choice(node: Node):
         # forward decision: nested Choice, every branch runs to its own end
         def branch_plan(target):
             plan, stopped = walk(target)
-            if stopped != _CHOICE_END and by_id[stopped].kind != FINAL:
+            if stopped != _CHOICE_END and g.node(stopped).kind != FINAL:
                 raise NotSeriesParallel(
                     f"decision {node.id}: branch via {target} stops at {stopped}"
                 )
@@ -775,10 +749,10 @@ def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
         return result
 
     def reduce_loop(header: str):
-        sources = back_in[header]
+        sources = loop_sources(header)
         if len(sources) != 1:
             raise NotSeriesParallel(f"{header} is re-entered by more than one back edge")
-        decider = by_id[sources[0]]
+        decider = g.node(sources[0])
         if decider.kind != DECISION:
             raise NotSeriesParallel(
                 f"cycle into {header} is closed by {decider.id}, not by a decision"
@@ -799,8 +773,8 @@ def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
             )
         return Loop(decider.id, repeat_guard, body, max_iterations), exit_target
 
-    plan, stopped = walk(succ[g.start().id][0])
-    if stopped != _CHOICE_END and by_id[stopped].kind != FINAL:
+    plan, stopped = walk(g.out_edges(g.start().id)[0][1])
+    if stopped != _CHOICE_END and g.node(stopped).kind != FINAL:
         raise NotSeriesParallel(f"workflow tail stops at {stopped}")
     return plan
 
@@ -892,23 +866,18 @@ def plan_text(plan, indent: int = 0) -> str:
 def activity_precedence(g: WorkflowGraph) -> set[tuple[str, str]]:
     """Direct precedence: a -> b when a forward path joins them with no
     activity in between."""
-    fwd = nx.DiGraph()
-    fwd.add_nodes_from(n.id for n in g.nodes)
-    fwd.add_edges_from(g.forward_edges())
-    activities = set(topological_activities(g))
     pairs = set()
-    for a in activities:
-        frontier = [v for _, v in fwd.out_edges(a)]
-        seen = set(frontier)
+    for a in (n.id for n in g.activities()):
+        frontier, seen = [a], set()
         while frontier:
-            node = frontier.pop()
-            if node in activities:
-                pairs.add((a, node))
-                continue
-            for _, nxt in fwd.out_edges(node):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+            for u, v in g.out_edges(frontier.pop()):
+                if g.is_back_edge((u, v)) or v in seen:
+                    continue
+                seen.add(v)
+                if g.node(v).kind == ACTIVITY:
+                    pairs.add((a, v))
+                else:
+                    frontier.append(v)
     return pairs
 
 

@@ -17,6 +17,7 @@ under <store root>/runs/ next to, but outside, the append-only blob index.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import re
@@ -33,6 +34,7 @@ from .resources import (
     JobRequest,
     MissingInput,
     ResourceRegistry,
+    _freeze_params,
     render_launch,
 )
 from .storage import ACTIVE, COMPLETED, FAILED_RUN, ContentStore, UnknownRun
@@ -152,12 +154,6 @@ class ProvenanceRecord:
     ledger: tuple[tuple[str, str], ...]  # (citation, origin)
 
 
-def _freeze(params) -> tuple[tuple[str, str], ...]:
-    if hasattr(params, "items"):
-        params = params.items()
-    return tuple(sorted((str(k), str(v)) for k, v in params))
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -206,13 +202,13 @@ class Engine:
                 hits = open_hits
             bindings.append((node.id, hits[0]))
         return ExecutionPlan(
-            graph, tuple(bindings), _freeze(params), user, max_iterations, seed
+            graph, tuple(bindings), _freeze_params(params), user, max_iterations, seed
         )
 
     # -- execution -----------------------------------------------------------
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> RunRecord:
-        run_id = run_id or self._next_run_id()
+        run_id = run_id or self._claim_run_id()
         executor = self._executor(plan.seed, tuple(fault_plan))
         return _Execution(self, plan, run_id, executor, replay=()).drive()
 
@@ -364,15 +360,20 @@ class Engine:
         tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         tmp.rename(path)
 
-    def _next_run_id(self) -> str:
+    def _claim_run_id(self) -> str:
+        """The next free run id, claimed by creating its manifest exclusively."""
+        self._runs_dir.mkdir(parents=True, exist_ok=True)
         highest = 0
-        names = [p.stem for p in self._runs_dir.glob("run-*.json")] if self._runs_dir.exists() else []
-        names.extend(self.store.runs())
-        for name in names:
+        for name in [p.stem for p in self._runs_dir.glob("run-*.json")] + self.store.runs():
             m = re.fullmatch(r"run-(\d+)", name)
             if m:
                 highest = max(highest, int(m.group(1)))
-        return f"run-{highest + 1:04d}"
+        while True:
+            highest += 1
+            run_id = f"run-{highest:04d}"
+            with contextlib.suppress(FileExistsError):
+                open(self._manifest_path(run_id), "x").close()
+                return run_id
 
     def runs(self) -> list[str]:
         if not self._runs_dir.exists():
@@ -519,7 +520,7 @@ class _Execution:
                     continue
             for node in controls:
                 if node.kind == JOIN:
-                    waits = [e for e in self.g.in_edges(node.id) if not self.g.is_back_edge(e)]
+                    waits = self.g.in_edges(node.id)  # never a back edge into a join
                     if waits and all(self.tokens.get(e, 0) for e in waits):
                         for edge in waits:
                             self.tokens[edge] -= 1

@@ -18,15 +18,22 @@ Token semantics during verification and execution:
   Final     consumes any token that reaches it
 
 `verify` plays this token game exhaustively over all static decision-outcome
-assignments (small graphs) and combines it with structural rules; the verdict
-`sound` means zero findings.
+assignments and combines it with structural rules; the verdict `sound` means
+zero findings. A graph with too many decisions for the game gets a
+TooManyDecisions finding instead.
+
+Each graph derives its structure (node lookup, in- and out-edges, the nodes
+reachable from start, the forward topological order) once, on first use.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -61,7 +68,6 @@ __all__ = [
     "GuardEvaluationError",
     "build_graph",
     "verify",
-    "binding_requirements",
     "topological_activities",
 ]
 
@@ -98,7 +104,7 @@ _GUARD_OPS = {
 }
 
 # decision-count ceiling for the exhaustive token game; beyond it only the
-# structural rules run and the report says so
+# structural rules run, and the report carries a TooManyDecisions finding
 EXHAUSTIVE_DECISION_LIMIT = 12
 
 STRUCTURAL_ONLY = "structural-only"
@@ -110,6 +116,7 @@ JOIN_DEADLOCK = "JoinDeadlock"
 UNBALANCED_FORK_JOIN = "UnbalancedForkJoin"
 UNBOUND_OBJECT_FLOW = "UnboundObjectFlow"
 UNGUARDED_CYCLE = "UnguardedCycle"
+TOO_MANY_DECISIONS = "TooManyDecisions"
 
 
 class StructuralError(UserError):
@@ -202,6 +209,14 @@ class Node:
         return dict(self.params)
 
 
+class _Structure(NamedTuple):
+    by_id: dict[str, Node]
+    in_edges: dict[str, tuple[tuple[str, str], ...]]
+    out_edges: dict[str, tuple[tuple[str, str], ...]]
+    reachable: frozenset[str]
+    order: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class WorkflowGraph:
     name: str
@@ -211,14 +226,54 @@ class WorkflowGraph:
     source_refs: tuple[str, ...] = ()
     back_edges: frozenset[tuple[str, str]] = frozenset()
 
+    @cached_property
+    def _structure(self) -> _Structure:
+        outs = {n.id: () for n in self.nodes}
+        ins = dict(outs)
+        for e in self.edges:
+            outs[e[0]] += (e,)
+            ins[e[1]] += (e,)
+
+        reachable = set()
+        frontier = [n.id for n in self.nodes if n.kind == START][:1]
+        while frontier:
+            node_id = frontier.pop()
+            if node_id not in reachable:
+                reachable.add(node_id)
+                frontier.extend(v for _, v in outs[node_id])
+
+        # Kahn's algorithm on the reachable forward edges, smallest id first;
+        # a forward cycle keeps its members and what follows them out
+        waiting = dict.fromkeys(reachable, 0)
+        for u, v in self.edges:
+            if u in reachable and (u, v) not in self.back_edges:
+                waiting[v] += 1
+        ready = sorted(i for i, count in waiting.items() if count == 0)  # a heap
+        order = []
+        while ready:
+            order.append(heapq.heappop(ready))
+            for u, v in outs[order[-1]]:
+                if (u, v) not in self.back_edges:
+                    waiting[v] -= 1
+                    if waiting[v] == 0:
+                        heapq.heappush(ready, v)
+        order.extend(sorted(n.id for n in self.nodes if n.id not in reachable))
+        by_id = {n.id: n for n in self.nodes}
+        return _Structure(by_id, ins, outs, frozenset(reachable), tuple(order))
+
     def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._structure.by_id[node_id]
 
     def has_node(self, node_id: str) -> bool:
-        return any(n.id == node_id for n in self.nodes)
+        return node_id in self._structure.by_id
+
+    def reachable(self) -> frozenset[str]:
+        """Ids of the nodes a path from start reaches, start included."""
+        return self._structure.reachable
+
+    def forward_order(self) -> tuple[str, ...]:
+        """Ids in forward-edge topological order, ties by id; unreachable last, sorted."""
+        return self._structure.order
 
     def start(self) -> Node:
         return next(n for n in self.nodes if n.kind == START)
@@ -230,10 +285,10 @@ class WorkflowGraph:
         return tuple(n for n in self.nodes if n.kind == ACTIVITY)
 
     def out_edges(self, node_id: str) -> tuple[tuple[str, str], ...]:
-        return tuple(e for e in self.edges if e[0] == node_id)
+        return self._structure.out_edges.get(node_id, ())
 
     def in_edges(self, node_id: str) -> tuple[tuple[str, str], ...]:
-        return tuple(e for e in self.edges if e[1] == node_id)
+        return self._structure.in_edges.get(node_id, ())
 
     def forward_edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(e for e in self.edges if e not in self.back_edges)
@@ -264,14 +319,11 @@ def _dominates(idom: dict, v: str, u: str) -> bool:
         node = parent
 
 
-def _classify_back_edges(nodes, edges) -> frozenset[tuple[str, str]]:
-    starts = [n.id for n in nodes if n.kind == START]
-    if len(starts) != 1:
-        return frozenset()
+def _classify_back_edges(nodes, edges, start_id: str) -> frozenset[tuple[str, str]]:
     g = nx.DiGraph()
     g.add_nodes_from(n.id for n in nodes)
     g.add_edges_from(edges)
-    idom = nx.immediate_dominators(g, starts[0])
+    idom = nx.immediate_dominators(g, start_id)
     return frozenset((u, v) for u, v in edges if v in idom and u in idom and _dominates(idom, v, u))
 
 
@@ -283,15 +335,15 @@ def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> Workflow
     violations: list[str] = []
 
     ids = [n.id for n in nodes]
-    by_id = {n.id: n for n in nodes}
-    if len(set(ids)) != len(ids):
+    known = set(ids)
+    if len(known) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         violations.append(f"DuplicateNode: {', '.join(dupes)}")
 
     if len(set(edges)) != len(edges):
         violations.append("DuplicateEdge: repeated control edge")
     for u, v in edges:
-        if u not in by_id or v not in by_id:
+        if u not in known or v not in known:
             violations.append(f"DanglingEdge: {u} -> {v}")
 
     starts = [n for n in nodes if n.kind == START]
@@ -305,30 +357,25 @@ def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> Workflow
     if violations:
         raise StructuralError(violations)
 
-    back = _classify_back_edges(nodes, edges)
-    forward = [e for e in edges if e not in back]
+    back = _classify_back_edges(nodes, edges, starts[0].id)
+    g = WorkflowGraph(name, nodes, edges, flows, tuple(source_refs), back)
 
     # in-degree rules see forward edges only (a back-edge is an extra
     # exclusive input); out-degree rules see every edge, because a node's
     # emission arity is its real branch count: a loop decision's back-edge
     # is one of its >= 2 branches
-    fwd_in = {n.id: 0 for n in nodes}
-    out_all = {n.id: 0 for n in nodes}
-    for u, v in edges:
-        out_all[u] += 1
-        if (u, v) not in back:
-            fwd_in[v] += 1
-
     for n in nodes:
         min_in, max_in, min_out, max_out = _DEGREE_RULES[n.kind]
-        if fwd_in[n.id] < min_in or (max_in is not None and fwd_in[n.id] > max_in):
-            violations.append(f"BadDegree: {n.id} ({n.kind}) has {fwd_in[n.id]} incoming")
-        if out_all[n.id] < min_out or (max_out is not None and out_all[n.id] > max_out):
-            violations.append(f"BadDegree: {n.id} ({n.kind}) has {out_all[n.id]} outgoing")
+        fwd_in = sum(1 for e in g.in_edges(n.id) if not g.is_back_edge(e))
+        out_all = len(g.out_edges(n.id))
+        if fwd_in < min_in or (max_in is not None and fwd_in > max_in):
+            violations.append(f"BadDegree: {n.id} ({n.kind}) has {fwd_in} incoming")
+        if out_all < min_out or (max_out is not None and out_all > max_out):
+            violations.append(f"BadDegree: {n.id} ({n.kind}) has {out_all} outgoing")
 
-    for u, v in back:
-        if by_id[v].kind in (START, FINAL, JOIN):
-            violations.append(f"BadBackEdge: {u} -> {v} targets a {by_id[v].kind} node")
+    for u, v in g.back_edges:
+        if g.node(v).kind in (START, FINAL, JOIN):
+            violations.append(f"BadBackEdge: {u} -> {v} targets a {g.node(v).kind} node")
 
     for n in nodes:
         if n.kind == ACTIVITY and n.binding is None:
@@ -337,7 +384,7 @@ def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> Workflow
             targets = [t for _, t in n.cases]
             if n.else_target is not None:
                 targets.append(n.else_target)
-            out_targets = sorted(v for u, v in edges if u == n.id)
+            out_targets = sorted(v for _, v in g.out_edges(n.id))
             if n.else_target is None:
                 violations.append(f"DecisionRouting: {n.id} has no else branch")
             elif sorted(targets) != out_targets or len(targets) != len(set(targets)):
@@ -345,29 +392,21 @@ def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> Workflow
 
     for p, c, _spec in flows:
         for end in (p, c):
-            if end not in by_id or by_id[end].kind != ACTIVITY:
+            if not g.has_node(end) or g.node(end).kind != ACTIVITY:
                 violations.append(f"ObjectFlowEndpoint: {p} -> {c} must link activities")
 
     # a reachable cycle with no dominating entry cannot be classified as a
-    # loop; the forward edges of the reachable region must form a DAG for
-    # topological passes to work (unreachable islands are verify findings,
-    # not build errors, so they are exempt)
-    full = nx.DiGraph()
-    full.add_nodes_from(by_id)
-    full.add_edges_from(edges)
-    start_id = starts[0].id
-    reachable = set(nx.descendants(full, start_id)) | {start_id}
-    fwd_graph = nx.DiGraph()
-    fwd_graph.add_nodes_from(reachable)
-    fwd_graph.add_edges_from((u, v) for u, v in forward if u in reachable and v in reachable)
-    if not nx.is_directed_acyclic_graph(fwd_graph):
-        cycle = nx.find_cycle(fwd_graph)
-        members = "->".join(u for u, _ in cycle)
+    # loop, and it keeps its members out of the forward order; unreachable
+    # islands are verify findings, not build errors, so they are exempt
+    if len(g.forward_order()) < len(nodes):
+        reachable = g.reachable()
+        fwd_graph = nx.DiGraph(e for e in g.forward_edges() if e[0] in reachable)
+        members = "->".join(u for u, _ in nx.find_cycle(fwd_graph))
         violations.append(f"IrreducibleCycle: {members} has no single entry point")
 
     if violations:
         raise StructuralError(sorted(violations))
-    return WorkflowGraph(name, nodes, edges, flows, tuple(source_refs), back)
+    return g
 
 
 @dataclass(frozen=True)
@@ -398,8 +437,7 @@ def _structural_findings(g: WorkflowGraph) -> list[Finding]:
     digraph = nx.DiGraph()
     digraph.add_nodes_from(n.id for n in g.nodes)
     digraph.add_edges_from(g.edges)
-    start = g.start().id
-    reachable = set(nx.descendants(digraph, start)) | {start}
+    reachable = g.reachable()
     findings = []
 
     for n in g.nodes:
@@ -442,12 +480,8 @@ class _TokenGame:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.back_list = sorted(g.back_edges)
         self.back_pos = {e: i for i, e in enumerate(self.back_list)}
-        self.by_id = {n.id: n for n in g.nodes}
+        self.by_id = g._structure.by_id
         self.joins = [n.id for n in g.nodes if n.kind == JOIN]
-        self.fwd_in = {
-            n.id: [self.edge_index[e] for e in g.in_edges(n.id) if not g.is_back_edge(e)]
-            for n in g.nodes
-        }
         self.all_in = {n.id: [self.edge_index[e] for e in g.in_edges(n.id)] for n in g.nodes}
         self.out = {n.id: [self.edge_index[e] for e in g.out_edges(n.id)] for n in g.nodes}
 
@@ -462,8 +496,8 @@ class _TokenGame:
         for node_id, node in self.by_id.items():
             if node.kind == START:
                 continue
-            if node.kind == JOIN:
-                inputs = self.fwd_in[node_id]
+            if node.kind == JOIN:  # build_graph refuses a back edge into a join
+                inputs = self.all_in[node_id]
                 if inputs and all(marking[i] > 0 for i in inputs):
                     yield node_id, tuple(inputs)
             else:
@@ -538,7 +572,8 @@ class _TokenGame:
 
 
 def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
-    """Pure check: structural rules always, token game when small enough."""
+    """Pure check: structural rules always, the token game when it fits under
+    EXHAUSTIVE_DECISION_LIMIT; a graph over the limit is never called sound."""
     findings = set(_structural_findings(g))
     decisions = sum(1 for n in g.nodes if n.kind == DECISION)
     if decisions <= EXHAUSTIVE_DECISION_LIMIT:
@@ -549,6 +584,8 @@ def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
             findings |= assignment_findings
     else:
         mode = STRUCTURAL_ONLY
+        detail = f"{decisions} decisions exceed the exhaustive limit of {EXHAUSTIVE_DECISION_LIMIT}"
+        findings.add(Finding(TOO_MANY_DECISIONS, g.name, detail + "; token game not run"))
     ordered = tuple(sorted(findings, key=lambda f: (f.kind, f.subject, f.detail)))
     return VerificationReport(g.name, mode, ordered)
 
@@ -559,22 +596,4 @@ def topological_activities(g: WorkflowGraph) -> tuple[str, ...]:
     Unreachable activities (possible only in graphs verify will flag) come
     last, sorted by id, so the result is still total and deterministic.
     """
-    full = nx.DiGraph()
-    full.add_nodes_from(n.id for n in g.nodes)
-    full.add_edges_from(g.edges)
-    start = g.start().id
-    reachable = set(nx.descendants(full, start)) | {start}
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(reachable)
-    digraph.add_edges_from(e for e in g.forward_edges() if e[0] in reachable and e[1] in reachable)
-    order = [i for i in nx.lexicographical_topological_sort(digraph) if g.node(i).kind == ACTIVITY]
-    order.extend(sorted(n.id for n in g.activities() if n.id not in reachable))
-    return tuple(order)
-
-
-def binding_requirements(g: WorkflowGraph) -> list[tuple[str, BindingRequirement]]:
-    out = []
-    for activity_id in topological_activities(g):
-        node = g.node(activity_id)
-        out.append((activity_id, node.binding.requirement(activity_id)))
-    return out
+    return tuple(i for i in g.forward_order() if g.node(i).kind == ACTIVITY)

@@ -49,7 +49,6 @@ __all__ = [
     "FAILED",
     "WITHDRAWN",
     "TERMINAL_STATES",
-    "valid_transition",
 ]
 
 
@@ -96,17 +95,7 @@ FAILED = "failed"
 WITHDRAWN = "withdrawn"
 TERMINAL_STATES = frozenset({SUCCEEDED, FAILED, WITHDRAWN})
 
-_TRANSITIONS = {
-    QUEUED: {RUNNING, WITHDRAWN},
-    RUNNING: {SUCCEEDED, FAILED, WITHDRAWN},
-    SUCCEEDED: set(),
-    FAILED: set(),
-    WITHDRAWN: set(),
-}
-
-
-def valid_transition(a: str, b: str) -> bool:
-    return b in _TRANSITIONS[a]
+_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
 
 
 @dataclass(frozen=True)
@@ -264,7 +253,7 @@ class JobStatus:
     reason: str | None = None
 
     def __post_init__(self):
-        if self.state not in _TRANSITIONS:
+        if self.state not in _STATES:
             raise RuntimeFailure(f"unknown job state: {self.state!r}")
 
     @property

@@ -18,7 +18,8 @@ A ContentStore parses the index once, on first use, then only the complete
 lines appended since its last read, catching up before every decision so
 that appends by other stores and processes count. An append holds the thread
 lock and an exclusive flock on index.log from the catch-up that decides it
-through to the write.
+through to the write. Under that flock an unterminated last line can only be
+the torn tail of a writer that died mid-line, so the append cuts it off first.
 """
 
 from __future__ import annotations
@@ -176,6 +177,7 @@ class ContentStore:
         with self._lock, open(self.index_path, "ab") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             self._catch_up()
+            fh.truncate(self._offset)  # drop a torn tail
             yield lambda *tokens: fh.write((" ".join(map(str, tokens)) + "\n").encode("utf-8"))
 
     def _known(self, key: ResultKey) -> bool:

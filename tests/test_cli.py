@@ -13,6 +13,7 @@ from gridflow.simgrid import (
     parse_lattice_native,
     standard_registry,
 )
+from test_corpus import CORPUS
 from test_model import join_deadlock_graph
 
 CASE_KW = dict(cells=6, walkers=3, steps=12)
@@ -90,6 +91,15 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["sound"] is False
         assert "JoinDeadlock" in {f["kind"] for f in payload["findings"]}
+
+    def test_graph_over_the_decision_limit_is_refused(self, run):
+        path = CORPUS / "unsound" / "decision_limit_deadlock.flow"
+        code, out, _ = run("verify", path)
+        assert code == 1
+        assert out.startswith("TooManyDecisions(decision-limit-deadlock): 13 decisions")
+        code, out, err = run("submit", path, "--user", "ada")
+        assert (code, out) == (1, "")
+        assert "TooManyDecisions" in err
 
     def test_construction_violations_reported(self, run, tmp_path):
         path = tmp_path / "dangling.flow"

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import multiprocessing
 import weakref
 
 import pytest
@@ -109,6 +110,13 @@ workflow "converge" {
 """
 
 
+def _submit_worker(root, start, count, out):
+    engine = Engine(standard_registry(), ContentStore(root))
+    plan = engine.plan(parse(DIAMOND), ADA)
+    start.wait(timeout=60)
+    out.put([engine.execute(plan).run_id for _ in range(count)])
+
+
 class TestPlanning:
     def test_binds_case_study_to_expected_pool(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -126,6 +134,13 @@ class TestPlanning:
 
         with pytest.raises(UnsoundWorkflow):
             make_engine(tmp_path).plan(unreachable_graph(), ADA)
+
+    def test_graph_over_the_decision_limit_is_refused(self, tmp_path):
+        from test_corpus import CORPUS
+
+        text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
+        with pytest.raises(UnsoundWorkflow, match="TooManyDecisions"):
+            make_engine(tmp_path).plan(parse(text), ADA)
 
     def test_no_resource(self, tmp_path):
         nodes = [
@@ -217,6 +232,25 @@ class TestExecution:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+    def test_processes_claim_distinct_run_ids(self, tmp_path):
+        root = tmp_path / "store"
+        ContentStore(root)
+        ctx = multiprocessing.get_context("spawn")
+        start, out = ctx.Barrier(4), ctx.Queue()
+        workers = [
+            ctx.Process(target=_submit_worker, args=(root, start, 3, out)) for _ in range(4)
+        ]
+        for w in workers:
+            w.start()
+        run_ids = []
+        for _ in workers:
+            run_ids.extend(out.get(timeout=60))
+        for w in workers:
+            w.join(timeout=30)
+            assert not w.is_alive() and w.exitcode == 0
+        assert len(set(run_ids)) == len(run_ids) == 12
+        assert Engine(standard_registry(), ContentStore(root)).runs() == sorted(run_ids)
 
     def test_trace_covers_lifecycle(self, tmp_path):
         engine = make_engine(tmp_path)

@@ -4,8 +4,13 @@ The verify tests cross-check every small graph against the brute-force
 token simulator in tokenoracle, which shares no code with the verifier.
 """
 
+import dataclasses
+from pathlib import Path
+
+import networkx as nx
 import pytest
 
+from gridflow.dsl import _declaration_order, parse
 from gridflow.model import (
     ACTIVITY,
     DECISION,
@@ -17,13 +22,13 @@ from gridflow.model import (
     PINNED_BOTH,
     PINNED_PROGRAM,
     START,
+    STRUCTURAL_ONLY,
     Binding,
     Guard,
     GuardEvaluationError,
     Node,
     StructuralError,
     WorkflowGraph,
-    binding_requirements,
     build_graph,
     topological_activities,
     verify,
@@ -33,6 +38,7 @@ from tokenoracle import brute_force_findings
 
 from gridflow.resources import BindingRequirement
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ONE = get_unit("dimensionless")
 K = get_unit("K")
 
@@ -334,6 +340,23 @@ class TestBuildErrors:
         with pytest.raises(StructuralError, match="MissingBinding"):
             build_graph("w", nodes, [("start", "a"), ("a", "end")])
 
+    def test_forward_cycle_without_single_entry(self):
+        # j1 and j2 each enter from d, so neither dominates the other and
+        # neither edge between them is a back edge
+        nodes = [
+            Node("start", START),
+            Node("d", DECISION, cases=((guard("x"), "j1"), (guard("y"), "j2")), else_target="end"),
+            Node("j1", JOIN),
+            Node("j2", JOIN),
+            Node("end", FINAL),
+        ]
+        edges = [
+            ("start", "d"), ("d", "j1"), ("d", "j2"), ("d", "end"), ("j1", "j2"), ("j2", "j1"),
+        ]
+        with pytest.raises(StructuralError) as exc:
+            build_graph("irreducible", nodes, edges)
+        assert exc.value.violations == ["IrreducibleCycle: j1->j2 has no single entry point"]
+
     def test_object_flow_must_link_activities(self):
         from gridflow.quantities import ExtractionSpec
 
@@ -421,6 +444,16 @@ class TestVerify:
         assert before <= after
         assert "UnguardedCycle" in after
 
+    def test_too_many_decisions_is_never_sound(self):
+        text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
+        report = verify(parse(text))
+        assert report.mode == STRUCTURAL_ONLY
+        assert not report.sound
+        assert [f.text() for f in report.findings] == [
+            "TooManyDecisions(decision-limit-deadlock): 13 decisions exceed the "
+            "exhaustive limit of 12; token game not run"
+        ]
+
     def test_join_deadlock_names_the_join(self):
         report = verify(join_deadlock_graph())
         assert any(f.kind == "JoinDeadlock" and f.subject == "j" for f in report.findings)
@@ -453,12 +486,6 @@ class TestGuards:
 
 
 class TestBindingRequirements:
-    def test_one_requirement_per_activity_in_topo_order(self):
-        g = fork_join_graph()
-        reqs = binding_requirements(g)
-        assert [r[0] for r in reqs] == ["a", "b", "c"]
-        assert all(isinstance(r[1], BindingRequirement) for r in reqs)
-
     def test_variants_map_to_requirements(self):
         nodes = [
             Node("start", START),
@@ -468,7 +495,9 @@ class TestBindingRequirements:
             Node("end", FINAL),
         ]
         edges = [("start", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "end")]
-        reqs = dict(binding_requirements(build_graph("w", nodes, edges)))
+        g = build_graph("w", nodes, edges)
+        reqs = {n.id: n.binding.requirement(n.id) for n in g.activities()}
+        assert all(isinstance(r, BindingRequirement) for r in reqs.values())
         assert reqs["p1"].actuator == "gulp@c1" and reqs["p1"].program == "gulp"
         assert reqs["p2"].program == "dlpoly" and reqs["p2"].actuator is None
         assert reqs["p3"].capabilities == {"analysis"}
@@ -484,3 +513,63 @@ class TestBindingRequirements:
     def test_topological_activities_ties_by_id(self):
         g = fork_join_graph()
         assert topological_activities(g) == ("a", "b", "c")
+
+
+def reference_order(g):
+    """The forward order as every pass used to rebuild it: the lexicographic
+    topological order of the reachable forward subgraph, then the unreachable
+    ids sorted."""
+    full = nx.DiGraph()
+    full.add_nodes_from(n.id for n in g.nodes)
+    full.add_edges_from(g.edges)
+    start = g.start().id
+    reachable = set(nx.descendants(full, start)) | {start}
+    fwd = nx.DiGraph()
+    fwd.add_nodes_from(reachable)
+    fwd.add_edges_from(e for e in g.forward_edges() if e[0] in reachable and e[1] in reachable)
+    order = list(nx.lexicographical_topological_sort(fwd))
+    return order + sorted(n.id for n in g.nodes if n.id not in reachable)
+
+
+def corpus_builders():
+    for path in sorted(CORPUS.glob("*/*.flow")):
+        text = path.read_text(encoding="utf-8")
+        try:
+            parse(text)
+        except StructuralError:
+            continue
+        yield path.name, lambda text=text: parse(text)
+
+
+INDEXED = [(b.__name__, b) for b in SOUND_GRAPHS + list(UNSOUND_GRAPHS)] + list(corpus_builders())
+
+
+class TestDerivedStructure:
+    @pytest.mark.parametrize("builder", [b for _, b in INDEXED], ids=[n for n, _ in INDEXED])
+    def test_orders_match_the_networkx_reference(self, builder):
+        g = builder()
+        order = reference_order(g)
+        assert topological_activities(g) == tuple(i for i in order if g.node(i).kind == ACTIVITY)
+        assert _declaration_order(g) == [
+            i for i in order if g.node(i).kind in (ACTIVITY, FORK, JOIN, DECISION)
+        ]
+
+    @pytest.mark.parametrize("builder", [b for _, b in INDEXED], ids=[n for n, _ in INDEXED])
+    def test_edge_lists_match_declaration_order_scans(self, builder):
+        g = builder()
+        for n in g.nodes:
+            assert g.out_edges(n.id) == tuple(e for e in g.edges if e[0] == n.id)
+            assert g.in_edges(n.id) == tuple(e for e in g.edges if e[1] == n.id)
+
+    def test_unreachable_ids_come_last_sorted(self):
+        g = unreachable_graph()
+        assert g.reachable() == {"start", "a", "end"}
+        assert g.forward_order() == ("start", "a", "end", "d", "x")
+
+    def test_structure_is_derived_once_and_outside_equality(self):
+        g = fork_join_graph()
+        assert g._structure is g._structure
+        assert "_structure" not in {f.name for f in dataclasses.fields(g)}
+        twin = dataclasses.replace(g)
+        assert "_structure" not in vars(twin)
+        assert g == twin and hash(g) == hash(twin)

@@ -19,7 +19,6 @@ from gridflow.resources import (
     UnknownResource,
     parse_descriptor_xml,
     render_launch,
-    valid_transition,
 )
 
 
@@ -170,20 +169,6 @@ class TestRenderLaunch:
         req = JobRequest.build("r", "a", "r1", inputs={"conf": "h" * 64})
         plan = render_launch(t, req, "/w; rm -rf /")
         assert plan.command == "echo /w; rm -rf //conf.dat"
-
-
-class TestTransitions:
-    def test_legal_paths(self):
-        assert valid_transition("queued", "running")
-        assert valid_transition("running", "succeeded")
-        assert valid_transition("running", "failed")
-        assert valid_transition("queued", "withdrawn")
-        assert valid_transition("running", "withdrawn")
-
-    def test_illegal_paths(self):
-        assert not valid_transition("queued", "succeeded")
-        assert not valid_transition("succeeded", "failed")
-        assert not valid_transition("withdrawn", "running")
 
 
 DESCRIPTOR_XML = """\

@@ -294,6 +294,16 @@ class TestSharedIndex:
         assert read == store.index_path.read_text(encoding="utf-8").splitlines()
         assert len(read) == 400
 
+    def test_torn_tail_is_cut_before_the_next_append(self, store):
+        # a writer that died mid-line under the lock leaves a fragment
+        with open(store.index_path, "ab") as fh:
+            fh.write(b"put r1 lat")
+        key = store.put(ds("x", 1.0), "r1", "a")
+        reopened = ContentStore(store.root)
+        assert reopened.run_state("r1").checkpoints == ()
+        assert reopened.get(key) == ds("x", 1.0)
+        assert store.index_path.read_text(encoding="utf-8") == f"put r1 a 0 {key.hash}\n"
+
     def test_malformed_line_raises_with_its_number_every_time(self, store):
         store.put(ds("x", 1.0), "r1", "a")
         with open(store.index_path, "ab") as fh:
