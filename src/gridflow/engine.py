@@ -158,9 +158,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def workflow_hash(graph: WorkflowGraph) -> str:
-    """Digest of the canonical workflow text, stable across formatting."""
-    return hashlib.sha256(emit_dsl(graph).encode("utf-8")).hexdigest()
+def workflow_hash(text: str) -> str:
+    """Digest of a graph's canonical text (emit_dsl), stable across formatting."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class Engine:
@@ -418,6 +418,7 @@ class _Execution:
         self.engine = engine
         self.plan = plan
         self.g = plan.graph
+        self.workflow_text = emit_dsl(self.g)
         self.run_id = run_id
         self.executor = executor
         self.replay = list(replay)  # ordered (activity id, ResultKey)
@@ -654,7 +655,8 @@ class _Execution:
 
     def _merge(self, activity, ds):
         before = self.blackboard
-        merged, clashes = merge_with([self.blackboard, ds])
+        # guards and the clash check read observables only, so no meta
+        merged, clashes = merge_with([self.blackboard, ds], meta=())
         for name in clashes:
             if before.get(name) != ds.get(name):
                 self.trace.append(("clash", activity, name))
@@ -667,8 +669,8 @@ class _Execution:
             {
                 "run_id": self.run_id,
                 "workflow_name": self.g.name,
-                "workflow_text": emit_dsl(self.g),
-                "workflow_hash": workflow_hash(self.g),
+                "workflow_text": self.workflow_text,
+                "workflow_hash": workflow_hash(self.workflow_text),
                 "seed": self.plan.seed,
                 "user": {"user": self.plan.user.user, "affiliation": self.plan.user.affiliation},
                 "params": [list(p) for p in self.plan.params],

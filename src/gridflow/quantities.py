@@ -5,7 +5,8 @@ named collection of observables, each carrying a unit from a fixed registry.
 Datasets serialize to a line-oriented UTF-8 text format whose byte layout is
 normative: content addressing (sha-256 of the canonical bytes) identifies
 stored results, so serialization must be deterministic and the parser must
-reject any non-canonical rendering.
+reject any non-canonical rendering. A dataset's id is computed once, and a
+parsed dataset takes its id from the bytes it was parsed from.
 
 Units are linear scalings of SI-coherent units over the 7 SI base dimensions.
 Energy-per-mole carries an explicit amount exponent of -1 so per-particle and
@@ -14,10 +15,11 @@ per-mole energies can never be silently conflated.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import UserError
 
@@ -290,8 +292,12 @@ class Dataset:
         for key, value in self.meta:
             if not _NAME_RE.match(key):
                 raise QuantityError(f"invalid meta key: {key!r}")
-            if value == "" or "\n" in value:
-                raise QuantityError(f"meta value for {key!r} must be non-empty, single line")
+            if value == "" or "\n" in value or value != value.rstrip():
+                raise QuantityError(f"meta {key!r}: value empty, multi-line or ends in whitespace")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise QuantityError(f"meta {key!r}: value is not valid UTF-8 text") from None
 
     @staticmethod
     def build(observables, meta=()) -> "Dataset":
@@ -319,8 +325,9 @@ class Dataset:
     def meta_dict(self) -> dict[str, str]:
         return dict(self.meta)
 
-    @property
+    @functools.cached_property
     def id(self) -> str:
+        """sha-256 of the canonical bytes; kept out of == and hash."""
         return dataset_id(self)
 
 
@@ -360,24 +367,24 @@ def project(ds: Dataset, spec: ExtractionSpec) -> Dataset:
 def merge(datasets, meta=None) -> Dataset:
     """Union of observables; a later dataset wins name clashes.
 
-    Returns the merged dataset and is deterministic in input order. Clashes
-    are reported to the optional `on_clash` callable via keyword use below.
+    Deterministic in input order. With `meta` None the result records its
+    inputs' ids under "derived-from". merge_with also returns the clashing
+    names, one entry per clash.
     """
     return merge_with(datasets, meta=meta)[0]
 
 
 def merge_with(datasets, meta=None):
+    datasets = list(datasets)
     by_name: dict[str, Observable] = {}
     clashes: list[str] = []
-    parents: list[str] = []
     for ds in datasets:
-        parents.append(ds.id)
         for obs in ds.observables:
             if obs.name in by_name:
                 clashes.append(obs.name)
             by_name[obs.name] = obs
     if meta is None:
-        meta = {"derived-from": ",".join(parents)} if parents else {}
+        meta = {"derived-from": ",".join(ds.id for ds in datasets)} if datasets else {}
     return Dataset.build(by_name.values(), meta=meta), clashes
 
 
@@ -398,6 +405,7 @@ def merge_with(datasets, meta=None):
 
 _HEADER = "dataset-v1"
 _TRAILER = "end"
+_NEGATIVE_ZERO = format_number(-0.0)
 
 
 def canonical_serialize(ds: Dataset) -> bytes:
@@ -472,6 +480,7 @@ class _Cursor:
 
 
 def canonical_deserialize(data: bytes) -> Dataset:
+    """Parse canonical bytes; as no other rendering parses, their sha-256 is the id."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -508,15 +517,19 @@ def canonical_deserialize(data: bytes) -> Dataset:
     if names != sorted(names):
         raise ParseError(0, "observables not in lexicographic order")
     try:
-        return Dataset(tuple(meta), tuple(observables))
+        ds = Dataset(tuple(meta), tuple(observables))
     except QuantityError as exc:
         raise ParseError(0, str(exc)) from None
+    vars(ds)["id"] = hashlib.sha256(data).hexdigest()
+    return ds
 
 
 def _parse_obs(payload: str, lineno: int) -> Observable:
     tokens = payload.split(" ")
     if "" in tokens:
         raise ParseError(lineno, "malformed spacing in obs line")
+    if _NEGATIVE_ZERO in tokens:  # _clean writes every zero as +0
+        raise ParseError(lineno, f"non-canonical number rendering: {_NEGATIVE_ZERO!r}")
     cur = _Cursor(tokens, lineno)
     name = cur.take("observable name")
     kind = cur.take("kind")

@@ -188,8 +188,9 @@ class ContentStore:
 
     def put(self, ds: Dataset, run_id: str, activity_id: str) -> ResultKey:
         blob = canonical_serialize(ds)
+        hash = hashlib.sha256(blob).hexdigest()  # ds.id, without serializing again
         with self._appending() as append:
-            path = self.blob_dir / ds.id
+            path = self.blob_dir / hash
             if self.capacity_bytes is not None:
                 used = sum(p.stat().st_size for p in self.blob_dir.iterdir())
                 extra = 0 if path.exists() else len(blob)
@@ -202,8 +203,8 @@ class ContentStore:
                 tmp.write_bytes(blob)
                 tmp.rename(path)
             seq = self._next_seq.get((run_id, activity_id), 0)
-            append("put", run_id, activity_id, seq, ds.id)
-        return ResultKey(ds.id, run_id, activity_id, seq)
+            append("put", run_id, activity_id, seq, hash)
+        return ResultKey(hash, run_id, activity_id, seq)
 
     def get(self, key: ResultKey) -> Dataset:
         with self._lock:
@@ -219,14 +220,13 @@ class ContentStore:
         path = self.blob_dir / hash
         if not path.exists():
             raise UnknownKey(f"no blob for hash {hash}")
-        blob = path.read_bytes()
-        actual = hashlib.sha256(blob).hexdigest()
-        if actual != hash:
-            raise IntegrityError(f"blob {hash} corrupted: bytes hash to {actual}")
         try:
-            return canonical_deserialize(blob)
+            ds = canonical_deserialize(path.read_bytes())
         except ParseError as exc:
             raise IntegrityError(f"blob {hash} unparseable: {exc}") from None
+        if ds.id != hash:  # the sha-256 of the bytes just parsed
+            raise IntegrityError(f"blob {hash} corrupted: bytes hash to {ds.id}")
+        return ds
 
     def checkpoint(self, run_id: str, activity_id: str, key: ResultKey) -> RunState:
         with self._appending() as append:

@@ -7,7 +7,9 @@ import weakref
 
 import pytest
 
-from gridflow.dsl import UnsoundWorkflow, parse
+from gridflow import engine as engine_module
+from gridflow import quantities, storage
+from gridflow.dsl import UnsoundWorkflow, emit_dsl, parse
 from gridflow.engine import (
     ActivityFailed,
     Engine,
@@ -267,7 +269,7 @@ class TestExecution:
         report = engine.report(record.run_id)
         scalars = report["results"]["analysis"]["scalars"]
         assert "diffusivity" in scalars and "diffusivity_se" in scalars
-        assert report["workflow_hash"] == workflow_hash(g)
+        assert report["workflow_hash"] == workflow_hash(emit_dsl(g))
 
     def test_overrides_only_touch_declared_params(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -432,6 +434,26 @@ class TestResume:
             return engine.report(run_id)["results"]["analysis"]["scalars"]["diffusivity"]
 
         assert final_d("run-hurt") == final_d("run-ref")
+
+    def test_each_put_serializes_once_and_each_run_emits_once(self, tmp_path, monkeypatch):
+        serialized, puts, emitted = [], [], []
+
+        def counting(fn, calls):
+            return lambda *args: calls.append(args) or fn(*args)
+
+        for module in (quantities, storage):
+            monkeypatch.setattr(module, "canonical_serialize",
+                                counting(module.canonical_serialize, serialized))
+        monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
+        monkeypatch.setattr(engine_module, "emit_dsl", counting(engine_module.emit_dsl, emitted))
+        engine, plan = self.build(tmp_path)
+        engine.execute(plan, run_id="run-ref")
+        with pytest.raises(ActivityFailed):
+            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+        engine.resume("run-hurt")
+        assert len(puts) == 11 + 7 + 6  # clean run, up to the fault, resume
+        assert len(serialized) == len(puts)
+        assert len(emitted) == 3
 
     def test_resume_completed_run_is_refused(self, tmp_path):
         engine, plan = self.build(tmp_path)

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from gridflow.quantities import Dataset, Observable, get_unit
+from gridflow import quantities
+from gridflow import storage as storage_module
+from gridflow.quantities import Dataset, Observable, dataset_id, get_unit
 from gridflow.storage import (
     ACTIVE,
     COMPLETED,
@@ -39,6 +41,20 @@ class TestPutGet:
         key = store.put(d, "r1", "a")
         assert store.get(key) == d
         assert key.hash == d.id
+
+    def test_put_serializes_once(self, store, monkeypatch):
+        calls = []
+        for module in (quantities, storage_module):
+            real = module.canonical_serialize
+            monkeypatch.setattr(module, "canonical_serialize",
+                                lambda d, real=real: calls.append(d) or real(d))
+        d = ds("x", 1.5)
+        key = store.put(d, "r1", "a")
+        assert len(calls) == 1
+        read = store.get(key)
+        store.put(read, "r1", "b")
+        assert len(calls) == 2
+        assert read.id == key.hash == dataset_id(d)
 
     def test_same_content_twice_distinct_sequences(self, store):
         d = ds("x", 1.5)
