@@ -6,8 +6,8 @@ variable, the `store` key of a config file, then ./gridflow-store.
 
 Exit codes are a contract: 0 success, 1 user error (syntax, unsound
 workflow, licensing, unknown ids), 2 runtime failure (a run that started
-and then failed), 3 internal error. Diagnostics go to stderr; artifacts
-and reports go to stdout.
+and then failed, a damaged store), 3 internal error. Diagnostics go to
+stderr; artifacts and reports go to stdout.
 """
 
 import argparse
@@ -326,6 +326,19 @@ def cmd_store_ls(args, cfg) -> int:
     return OK
 
 
+def cmd_store_audit(args, cfg) -> int:
+    store = _open_store(args, cfg)
+    bad, torn = store.audit(), store.torn_tail()
+    for digest in bad:
+        print(f"corrupt blob {digest}")
+    if torn:
+        print(f"torn index.log tail: {torn} bytes after the last newline")
+    if bad or torn:
+        return RUNTIME_ERROR
+    print("clean")
+    return OK
+
+
 def cmd_mock(args, cfg) -> int:
     params = dict(MOCK_DEFAULTS)
     params["seed"] = str(args.seed if args.seed is not None else 0)
@@ -426,6 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="list a run's committed checkpoints")
     q.add_argument("run_id", help="run to list")
     q.set_defaults(func=cmd_store_ls)
+    q = store_sub.add_parser("audit", parents=[common],
+                             help="re-hash every blob and check the index for a torn tail")
+    q.set_defaults(func=cmd_store_audit)
 
     p = sub.add_parser("mock", parents=[common],
                        help="print one simulated program's native output")

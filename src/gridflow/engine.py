@@ -3,9 +3,12 @@
 plan() binds every activity to the cheapest admissible resource and applies
 the license gate; execute() plays a token game over the graph, staging each
 activity's declared input projections through the store, deriving a per-job
-seed, and checkpointing every completed result. A failed activity aborts the
-run but keeps its committed checkpoints, so resume() can replay them in the
-original completion order and continue with live jobs from the frontier.
+seed, and checkpointing every completed result. Each projection is cut from
+the producer's latest result as the engine holds it (the completed dataset,
+or the checkpoint a resume read back), and each job reads its staged inputs
+back from the store. A failed activity aborts the run but keeps its committed
+checkpoints, so resume() can replay them in the original completion order and
+continue with live jobs from the frontier.
 
 Whole runs are reproducible: the job seed is a digest of the run seed, the
 activity, its firing number, and its staged input hashes, so a resumed or
@@ -351,7 +354,10 @@ class Engine:
         path = self._manifest_path(run_id)
         if not path.exists():
             raise UnknownRun(f"unknown run: {run_id}")
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        if not text.strip():  # claimed by a process that died before its first write
+            raise RuntimeFailure(f"run {run_id}: manifest is empty or unreadable")
+        return json.loads(text)
 
     def _write_manifest(self, data: dict):
         path = self._manifest_path(data["run_id"])
@@ -428,7 +434,7 @@ class _Execution:
         self.back_counts: dict[tuple[str, str], int] = {}
         self.firings: dict[str, int] = {}
         self.counters: dict[str, int] = {}
-        self.latest: dict[str, object] = {}  # activity -> ResultKey
+        self.latest: dict[str, Dataset] = {}  # activity -> its latest result
         self.blackboard = Dataset.build([])
         self.trace: list[tuple[str, ...]] = []
         self.entries: list[ActivityEntry] = []
@@ -552,8 +558,7 @@ class _Execution:
         self._consume_one(activity)
         firing = self.firings.get(activity, 0) + 1
         self.firings[activity] = firing
-        ds = self.engine.store.get(key)
-        self.latest[activity] = key
+        ds = self.latest[activity] = self.engine.store.get(key)
         self.counters[activity] = self.counters.get(activity, 0) + 1
         self.touched.add(activity)
         self.entries.append(
@@ -601,10 +606,10 @@ class _Execution:
             (f for f in self.g.object_flows if f[1] == activity), key=lambda f: f[0]
         )
         for producer, _, spec in flows:
-            key = self.latest.get(producer)
-            if key is None:
+            ds = self.latest.get(producer)
+            if ds is None:
                 continue
-            projection = project(self.engine.store.get(key), spec)
+            projection = project(ds, spec)
             pkey = self.engine.store.put(projection, self.run_id, f"{activity}.in")
             staged.append((producer, pkey.hash, set(projection.names)))
             self.trace.append(("staged", activity, producer, pkey.hash))
@@ -634,7 +639,7 @@ class _Execution:
             if status.state == SUCCEEDED:
                 key = self.engine.store.put(status.result, self.run_id, activity)
                 self.engine.store.checkpoint(self.run_id, activity, key)
-                self.latest[activity] = key
+                self.latest[activity] = status.result
                 self.counters[activity] = self.counters.get(activity, 0) + 1
                 self.entries.append(
                     ActivityEntry(activity, firing, self.bindings[activity],

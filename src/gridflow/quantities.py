@@ -6,7 +6,9 @@ Datasets serialize to a line-oriented UTF-8 text format whose byte layout is
 normative: content addressing (sha-256 of the canonical bytes) identifies
 stored results, so serialization must be deterministic and the parser must
 reject any non-canonical rendering. A dataset's id is computed once, and a
-parsed dataset takes its id from the bytes it was parsed from.
+parsed dataset takes its id from the bytes it was parsed from. The parser
+checks all numbers of an obs line together (parse, finiteness, rendering);
+it accepts the same bytes as a number-by-number check.
 
 Units are linear scalings of SI-coherent units over the 7 SI base dimensions.
 Energy-per-mole carries an explicit amount exponent of -1 so per-particle and
@@ -18,8 +20,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import UserError
 
@@ -168,17 +172,27 @@ def registered_units() -> tuple[Unit, ...]:
     return tuple(_REGISTRY.values())
 
 
+_FORMAT = "{:.16e}".format
+
+
 def format_number(x: float) -> str:
     """17-significant-digit scientific notation; the only accepted rendering."""
-    return f"{x:.16e}"
+    return _FORMAT(x)
 
 
-def _clean(x, context: str) -> float:
-    value = float(x)
-    if not math.isfinite(value):
-        raise QuantityError(f"{context}: non-finite value {value!r}")
-    # normalize -0.0 so equal datasets always serialize to identical bytes
-    return value + 0.0 if value != 0.0 else 0.0
+def _clean(values, context: str) -> tuple[float, ...]:
+    """Every value as a finite float, checked and converted in C-level passes."""
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise QuantityError(f"{context}: non-finite value {bad!r}")
+    # 0.0 + -0.0 is +0.0, so equal datasets always serialize to identical bytes
+    return tuple(map((0.0).__add__, values))
+
+
+def _rows(flat, width: int, count: int) -> tuple:
+    """`count` rows of `width` cells each, cut from a flat row-major sequence."""
+    return tuple(zip(*[iter(flat)] * width)) if width else ((),) * count
 
 
 @dataclass(frozen=True)
@@ -216,8 +230,8 @@ class Observable:
             raise QuantityError(f"{self.name}: vector3 requires exactly three values")
 
     def _check_series(self):
-        indices = [i for i, _ in self.values]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        indices = list(map(operator.itemgetter(0), self.values))
+        if any(map(operator.ge, indices, indices[1:])):
             raise QuantityError(f"{self.name}: series indices must strictly increase")
 
     def _check_table(self):
@@ -226,28 +240,33 @@ class Observable:
         for col in self.columns:
             if not _NAME_RE.match(col):
                 raise QuantityError(f"{self.name}: invalid column name {col!r}")
-        for row in self.values:
-            if len(row) != len(self.columns):
-                raise QuantityError(f"{self.name}: row width != column count")
+        if set(map(len, self.values)) - {len(self.columns)}:
+            raise QuantityError(f"{self.name}: row width != column count")
 
     @staticmethod
     def scalar(name: str, value: float, unit: Unit) -> "Observable":
-        return Observable(name, "scalar", unit, (_clean(value, name),))
+        return Observable(name, "scalar", unit, _clean((value,), name))
 
     @staticmethod
     def vector3(name: str, xyz, unit: Unit) -> "Observable":
         x, y, z = xyz
-        return Observable(name, "vector3", unit, tuple(_clean(v, name) for v in (x, y, z)))
+        return Observable(name, "vector3", unit, _clean((x, y, z), name))
 
     @staticmethod
     def series(name: str, pairs, unit: Unit) -> "Observable":
-        cleaned = tuple((_clean(i, name), _clean(v, name)) for i, v in pairs)
-        return Observable(name, "series", unit, cleaned)
+        pairs = list(pairs)
+        if set(map(len, pairs)) - {2}:
+            raise QuantityError(f"{name}: series entries must be (index, value) pairs")
+        flat = _clean(chain.from_iterable(pairs), name)
+        return Observable(name, "series", unit, _rows(flat, 2, len(pairs)))
 
     @staticmethod
     def table(name: str, columns, rows, unit: Unit) -> "Observable":
-        cleaned = tuple(tuple(_clean(c, name) for c in row) for row in rows)
-        return Observable(name, "table", unit, cleaned, tuple(columns))
+        rows, columns = list(rows), tuple(columns)
+        if set(map(len, rows)) - {len(columns)}:
+            raise QuantityError(f"{name}: row width != column count")
+        flat = _clean(chain.from_iterable(rows), name)
+        return Observable(name, "table", unit, _rows(flat, len(columns), len(rows)), columns)
 
     @property
     def magnitude(self) -> float:
@@ -337,6 +356,8 @@ def convert(q: Observable, target: Unit) -> Observable:
     Series indices are positional, not physical, so only the value component
     is rescaled; table cells all carry the observable's unit and rescale.
     """
+    if q.unit == target:
+        return q
     if q.unit.dimension != target.dimension:
         raise DimensionMismatch(
             f"{q.name}: cannot convert {q.unit.name} to {target.name}: dimensions differ"
@@ -419,64 +440,26 @@ def canonical_serialize(ds: Dataset) -> bytes:
 
 
 def _obs_payload(obs: Observable) -> str:
-    head = f"{obs.name} {obs.kind} {obs.unit.name}"
-    if obs.kind == "scalar":
-        return f"{head} {format_number(obs.values[0])}"
-    if obs.kind == "vector3":
-        return head + " " + " ".join(format_number(v) for v in obs.values)
+    head = [obs.name, obs.kind, obs.unit.name]
     if obs.kind == "series":
-        nums = [str(len(obs.values))]
-        for i, v in obs.values:
-            nums.append(format_number(i))
-            nums.append(format_number(v))
-        return head + " " + " ".join(nums)
-    cells = [str(len(obs.values)), str(len(obs.columns))]
-    cells.extend(obs.columns)
-    for row in obs.values:
-        cells.extend(format_number(c) for c in row)
-    return head + " " + " ".join(cells)
+        head.append(str(len(obs.values)))
+    elif obs.kind == "table":
+        head.extend((str(len(obs.values)), str(len(obs.columns)), *obs.columns))
+    flat = obs.values if obs.kind in ("scalar", "vector3") else chain.from_iterable(obs.values)
+    return " ".join(chain(head, map(_FORMAT, flat)))
 
 
 def dataset_id(ds: Dataset) -> str:
     return hashlib.sha256(canonical_serialize(ds)).hexdigest()
 
 
-class _Cursor:
-    """Strict token reader over one canonical line."""
-
-    def __init__(self, tokens: list[str], lineno: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
-
-    def take(self, what: str) -> str:
-        if self.pos >= len(self.tokens):
-            raise ParseError(self.lineno, f"expected {what}, line ended early")
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def take_number(self, what: str) -> float:
-        token = self.take(what)
-        try:
-            value = float(token)
-        except ValueError:
-            raise ParseError(self.lineno, f"bad number for {what}: {token!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(self.lineno, f"non-finite number for {what}: {token!r}")
-        if format_number(value) != token:
-            raise ParseError(self.lineno, f"non-canonical number rendering: {token!r}")
-        return value
-
-    def take_int(self, what: str) -> int:
-        token = self.take(what)
-        if not token.isdigit() or (token != "0" and token.startswith("0")):
-            raise ParseError(self.lineno, f"bad count for {what}: {token!r}")
-        return int(token)
-
-    def done(self):
-        if self.pos != len(self.tokens):
-            raise ParseError(self.lineno, "trailing tokens on line")
+def _count(tokens: list[str], pos: int, what: str, lineno: int) -> int:
+    if pos >= len(tokens):
+        raise ParseError(lineno, f"expected {what}, line ended early")
+    token = tokens[pos]
+    if not token.isdecimal() or (token != "0" and token.startswith("0")):
+        raise ParseError(lineno, f"bad count for {what}: {token!r}")
+    return int(token)
 
 
 def canonical_deserialize(data: bytes) -> Dataset:
@@ -530,33 +513,39 @@ def _parse_obs(payload: str, lineno: int) -> Observable:
         raise ParseError(lineno, "malformed spacing in obs line")
     if _NEGATIVE_ZERO in tokens:  # _clean writes every zero as +0
         raise ParseError(lineno, f"non-canonical number rendering: {_NEGATIVE_ZERO!r}")
-    cur = _Cursor(tokens, lineno)
-    name = cur.take("observable name")
-    kind = cur.take("kind")
+    if len(tokens) < 3:
+        raise ParseError(lineno, "expected name, kind and unit, line ended early")
+    name, kind, unit_name = tokens[:3]
     if kind not in KINDS:
         raise ParseError(lineno, f"unknown kind: {kind!r}")
-    unit_name = cur.take("unit")
     if unit_name not in _REGISTRY:
         raise ParseError(lineno, f"unknown unit: {unit_name!r}")
-    unit = _REGISTRY[unit_name]
+    # counts and column names first, so the numbers are the exact tail
+    start, count, shape, columns = 3, 1, None, ()
+    if kind == "vector3":
+        count = 3
+    elif kind == "series":
+        rows = _count(tokens, 3, "series length", lineno)
+        start, count, shape = 4, 2 * rows, (2, rows)
+    elif kind == "table":
+        rows = _count(tokens, 3, "row count", lineno)
+        width = _count(tokens, 4, "column count", lineno)
+        start, count, shape = 5 + width, rows * width, (width, rows)
+        columns = tuple(tokens[5:start])
+    if len(tokens) != start + count:
+        raise ParseError(lineno, f"expected {start + count} tokens, found {len(tokens)}")
+    # every number at once: a float, finite, and rendered as format_number would
     try:
-        if kind == "scalar":
-            obs = Observable.scalar(name, cur.take_number("value"), unit)
-        elif kind == "vector3":
-            obs = Observable.vector3(name, tuple(cur.take_number("component") for _ in range(3)), unit)
-        elif kind == "series":
-            count = cur.take_int("series length")
-            pairs = [(cur.take_number("index"), cur.take_number("value")) for _ in range(count)]
-            obs = Observable.series(name, pairs, unit)
-        else:
-            rows = cur.take_int("row count")
-            cols = cur.take_int("column count")
-            columns = [cur.take("column name") for _ in range(cols)]
-            data = [tuple(cur.take_number("cell") for _ in range(cols)) for _ in range(rows)]
-            obs = Observable.table(name, columns, data, unit)
+        values = tuple(map(float, islice(tokens, start, None)))
+    except ValueError:
+        raise ParseError(lineno, "bad number") from None
+    if not all(map(math.isfinite, values)) or not all(
+        map(operator.eq, map(_FORMAT, values), islice(tokens, start, None))
+    ):
+        raise ParseError(lineno, "non-canonical or non-finite number rendering")
+    if shape:
+        values = _rows(values, *shape)
+    try:
+        return Observable(name, kind, _REGISTRY[unit_name], values, columns)
     except QuantityError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(lineno, str(exc)) from None
-    cur.done()
-    return obs

@@ -188,7 +188,7 @@ class ContentStore:
 
     def put(self, ds: Dataset, run_id: str, activity_id: str) -> ResultKey:
         blob = canonical_serialize(ds)
-        hash = hashlib.sha256(blob).hexdigest()  # ds.id, without serializing again
+        hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
         with self._appending() as append:
             path = self.blob_dir / hash
             if self.capacity_bytes is not None:
@@ -304,6 +304,12 @@ class ContentStore:
             if actual != path.name:
                 bad.append(path.name)
         return bad
+
+    def torn_tail(self) -> int:
+        """Length of an unterminated last index line (a writer that died
+        mid-line); 0 when the index ends on a newline. Takes no lock."""
+        data = self.index_path.read_bytes()
+        return len(data) - data.rfind(b"\n") - 1
 
 
 class StorageService:

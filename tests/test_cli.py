@@ -279,6 +279,31 @@ class TestStoreLs:
         assert "unknown run" in err
 
 
+class TestStoreAudit:
+    def test_clean_store(self, run, case_file):
+        run("submit", case_file, "--user", "ada")
+        assert run("store", "audit") == (0, "clean\n", "")
+
+    def test_corrupt_blob(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada")
+        blob = sorted((tmp_path / "store" / "blobs").iterdir())[2]
+        data = bytearray(blob.read_bytes())
+        data[-5] ^= 1
+        blob.write_bytes(bytes(data))
+        code, out, _ = run("store", "audit")
+        assert (code, out) == (2, f"corrupt blob {blob.name}\n")
+
+    def test_torn_index_tail(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada")
+        index = tmp_path / "store" / "index.log"
+        before = index.read_bytes()
+        with open(index, "ab") as fh:
+            fh.write(b"put run-0001 lat")
+        code, out, _ = run("store", "audit")
+        assert (code, out) == (2, "torn index.log tail: 16 bytes after the last newline\n")
+        assert index.read_bytes() == before + b"put run-0001 lat"  # nothing repaired
+
+
 class TestRegister:
     def exotic_descriptor_xml(self):
         base = standard_registry().get("noop@sandbox-01")
@@ -409,6 +434,17 @@ class TestExitContract:
         code, _, err = run("report", run_id)
         assert code == 3
         assert "Traceback" in err
+
+    def test_empty_manifest_is_a_runtime_failure(self, run, case_file, tmp_path):
+        # a process killed between claiming a run id and its first manifest
+        # write leaves an empty manifest behind
+        _, out, _ = run("submit", case_file, "--user", "ada")
+        run_id = out.strip()
+        (tmp_path / "store" / "runs" / f"{run_id}.json").write_text("", encoding="utf-8")
+        for command in ("report", "resume"):
+            code, _, err = run(command, run_id)
+            assert code == 2
+            assert err.splitlines() == [f"error: run {run_id}: manifest is empty or unreadable"]
 
     def test_unknown_report_run(self, run):
         code, _, err = run("report", "run-7777")

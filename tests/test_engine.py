@@ -1,6 +1,7 @@
 """Planning, token-game execution, resume, and provenance."""
 
 import gc
+import hashlib
 import json
 import multiprocessing
 import weakref
@@ -454,6 +455,59 @@ class TestResume:
         assert len(puts) == 11 + 7 + 6  # clean run, up to the fault, resume
         assert len(serialized) == len(puts)
         assert len(emitted) == 3
+
+    def test_jobs_parse_their_staged_inputs_and_resume_each_checkpoint(self, tmp_path, monkeypatch):
+        # staging projects from the results the engine holds, so a parse is
+        # either a job reading a staged input back through get_by_hash or a
+        # resume reading a checkpoint it replays
+        events, serialized, puts = [], [], []
+        real_parse, real_by_hash = storage.canonical_deserialize, ContentStore.get_by_hash
+
+        def parse(data):
+            events.append(("parse", hashlib.sha256(data).hexdigest()))
+            return real_parse(data)
+
+        def by_hash(store, digest):
+            events.append(("get_by_hash", digest))
+            return real_by_hash(store, digest)
+
+        def counting(fn, calls):
+            return lambda *args: calls.append(args) or fn(*args)
+
+        def parsed():
+            """Hashes parsed under get_by_hash, and those parsed otherwise."""
+            via_hash, other, asked = [], [], None
+            for kind, digest in events:
+                if kind == "get_by_hash":
+                    asked = digest
+                else:
+                    (via_hash if digest == asked else other).append(digest)
+                    asked = None
+            del events[:]
+            return sorted(via_hash), other
+
+        monkeypatch.setattr(storage, "canonical_deserialize", parse)
+        monkeypatch.setattr(ContentStore, "get_by_hash", by_hash)
+        monkeypatch.setattr(storage, "canonical_serialize",
+                            counting(storage.canonical_serialize, serialized))
+        monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
+        engine, plan = self.build(tmp_path)
+
+        record = engine.execute(plan, run_id="run-ref")
+        staged = sorted(ev[3] for ev in record.trace if ev[0] == "staged")
+        assert len(staged) == 6
+        assert parsed() == (staged, [])
+
+        with pytest.raises(ActivityFailed):
+            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+        via_hash, other = parsed()
+        assert len(via_hash) == 2 and other == []  # cbmc's and gcmc's inputs
+        record = engine.resume("run-hurt")
+        replayed = [ev[2] for ev in record.trace if ev[0] == "replayed"]
+        staged = sorted(ev[3] for ev in record.trace if ev[0] == "staged")
+        assert len(replayed) == 3
+        assert parsed() == (staged, replayed)
+        assert len(serialized) == len(puts) == 11 + 7 + 6
 
     def test_resume_completed_run_is_refused(self, tmp_path):
         engine, plan = self.build(tmp_path)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -340,3 +341,122 @@ class TestCanonicalFormat:
     def test_format_number_is_17_sig_digits(self):
         assert format_number(1.0) == "1.0000000000000000e+00"
         assert format_number(-0.125) == "-1.2500000000000000e-01"
+
+
+def reference_number(token):
+    """The token-by-token rule the bulk parser must agree with."""
+    try:
+        value = float(token)
+    except ValueError:
+        return False
+    return math.isfinite(value) and format_number(value) == token and token != format_number(-0.0)
+
+
+def _mantissa(token, change):
+    mantissa, exponent = token.split("e")
+    return change(mantissa) + "e" + exponent
+
+
+NUMBER_MUTATIONS = {
+    "canonical": lambda t: format_number(float(t) * 3.0 + 0.5),
+    "exponent form": lambda t: "1e5",
+    "plus sign": lambda t: "+" + t,
+    "inf": lambda t: "inf",
+    "nan": lambda t: "nan",
+    "negative zero": lambda t: format_number(-0.0),
+    "underscore": lambda t: "1_0",
+    "digit too many": lambda t: _mantissa(t, lambda m: m + "0"),
+    "digit too few": lambda t: _mantissa(t, lambda m: m[:-1]),
+}
+
+
+class TestBulkParserAgainstReference:
+    """Mutations deep inside long obs lines: the bulk parser rejects, on the
+    mutated line, exactly what the per-token reference rejects."""
+
+    SERIES_LINE, TABLE_LINE = 3, 4
+
+    def blob(self):
+        rng = random.Random(11)
+        ds = Dataset.build(
+            [
+                Observable.series("s", [(float(i), rng.uniform(-5, 5)) for i in range(1000)], ONE),
+                Observable.table("t", ("a", "b", "c"),
+                                 [tuple(rng.uniform(-1e3, 1e3) for _ in "abc") for _ in range(500)], KJ),
+            ],
+            meta={"origin": "reference"},
+        )
+        return canonical_serialize(ds)
+
+    def mutate(self, blob, lineno, edit):
+        lines = blob.decode().split("\n")
+        tokens = lines[lineno - 1].split(" ")
+        edit(tokens)
+        lines[lineno - 1] = " ".join(tokens)
+        return "\n".join(lines).encode()
+
+    def assert_verdict(self, mutated, lineno, accepted):
+        if accepted:
+            assert canonical_serialize(canonical_deserialize(mutated)) == mutated
+        else:
+            with pytest.raises(ParseError) as err:
+                canonical_deserialize(mutated)
+            assert err.value.line == lineno
+
+    @pytest.mark.parametrize("mutation", sorted(NUMBER_MUTATIONS))
+    @pytest.mark.parametrize("target", ("series", "table"))
+    def test_one_number_mutated_deep_in_a_line(self, mutation, target):
+        rng = random.Random(f"{mutation}/{target}")
+        if target == "series":  # a value, not an index, so the order holds
+            lineno, pos = self.SERIES_LINE, 6 + 2 * rng.randrange(500, 1000)
+        else:
+            lineno, pos = self.TABLE_LINE, 9 + rng.randrange(1200, 1500)
+        seen = []
+
+        def edit(tokens):
+            tokens[pos] = NUMBER_MUTATIONS[mutation](tokens[pos])
+            seen.append(tokens[pos])
+
+        mutated = self.mutate(self.blob(), lineno, edit)
+        accepted = reference_number(seen[0])
+        assert accepted == (mutation == "canonical")
+        self.assert_verdict(mutated, lineno, accepted)
+
+    @pytest.mark.parametrize("lineno", (SERIES_LINE, TABLE_LINE))
+    @pytest.mark.parametrize("edit", ("extra", "missing"))
+    def test_one_token_too_many_or_too_few(self, lineno, edit):
+        pos = random.Random(lineno).randrange(600, 1400)
+
+        def change(tokens):
+            if edit == "extra":
+                tokens.insert(pos, format_number(1.5))
+            else:
+                del tokens[pos]
+
+        self.assert_verdict(self.mutate(self.blob(), lineno, change), lineno, False)
+
+    @pytest.mark.parametrize(
+        "obs, line",
+        [
+            (Observable.series("e", [], ONE), "obs e series dimensionless 0"),
+            (Observable.table("e", ("a", "b"), [], ONE), "obs e table dimensionless 0 2 a b"),
+            (Observable.table("e", (), [(), (), ()], ONE), "obs e table dimensionless 3 0"),
+            (Observable.table("e", (), [], ONE), "obs e table dimensionless 0 0"),
+        ],
+    )
+    def test_empty_shapes(self, obs, line):
+        blob = canonical_serialize(Dataset.build([obs]))
+        assert blob == f"dataset-v1\n{line}\nend\n".encode()
+        assert canonical_deserialize(blob) == Dataset.build([obs])
+        for extra in (format_number(0.0), "x"):
+            with pytest.raises(ParseError) as err:
+                canonical_deserialize(f"dataset-v1\n{line} {extra}\nend\n".encode())
+            assert err.value.line == 2
+
+    def test_bad_counts(self):
+        for line in ("obs e series dimensionless 1", "obs e table dimensionless 1 1 a",
+                     "obs e series dimensionless ²", "obs e table dimensionless 01 0",
+                     "obs e table dimensionless 1"):
+            with pytest.raises(ParseError) as err:
+                canonical_deserialize(f"dataset-v1\n{line}\nend\n".encode())
+            assert err.value.line == 2
