@@ -12,6 +12,7 @@ stderr; artifacts and reports go to stdout.
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -371,7 +372,11 @@ def _mock_native(name: str, params: dict) -> str:
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process. parse_args keeps no
+    state between calls, and an append option copies its default list
+    before it appends, so calls share no option values."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--store", metavar="DIR",
                         help="store directory (default: $GRIDFLOW_STORE or ./gridflow-store)")

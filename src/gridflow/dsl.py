@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .errors import IterationLimit, UserError
+from .errors import UserError
 from .model import (
     ACTIVITY,
     DECISION,
@@ -65,7 +65,6 @@ __all__ = [
     "to_functional_plan",
     "to_dot",
     "validate_job_xml",
-    "interpret_plan",
     "Run",
     "Seq",
     "ParMap",
@@ -75,7 +74,6 @@ __all__ = [
     "SemanticError",
     "UnsoundWorkflow",
     "NotSeriesParallel",
-    "IterationLimit",
 ]
 
 
@@ -785,53 +783,6 @@ def _seq(items):
     return Seq(tuple(items))
 
 
-def interpret_plan(plan, outcomes, max_iterations: int = 100) -> list[str]:
-    """Reference denotation: the activity sequence one run of the plan makes.
-
-    `outcomes` maps decision id to a bool or a sequence of bools consumed one
-    per evaluation. Loops exceeding their bound raise IterationLimit, exactly
-    like the engine.
-    """
-    cursors = {}
-
-    def outcome(decision: str) -> bool:
-        value = outcomes.get(decision)
-        if isinstance(value, bool):
-            return value
-        if value is None:
-            raise KeyError(f"no outcome scripted for decision {decision}")
-        i = cursors.get(decision, 0)
-        cursors[decision] = i + 1
-        if i >= len(value):
-            raise IndexError(f"decision {decision} evaluated more than scripted")
-        return value[i]
-
-    trace: list[str] = []
-
-    def run(node):
-        if isinstance(node, Run):
-            trace.append(node.activity)
-        elif isinstance(node, Seq):
-            for item in node.items:
-                run(item)
-        elif isinstance(node, ParMap):
-            for branch in node.branches:
-                run(branch)
-        elif isinstance(node, Choice):
-            run(node.then if outcome(node.decision) else node.orelse)
-        elif isinstance(node, Loop):
-            for iteration in range(node.max_iterations + 1):
-                run(node.body)
-                if not outcome(node.decision):
-                    return
-            raise IterationLimit(f"loop at {node.decision} exceeded {node.max_iterations}")
-        else:
-            raise TypeError(f"not a plan node: {node!r}")
-
-    run(plan)
-    return trace
-
-
 def plan_text(plan, indent: int = 0) -> str:
     """Stable, human-readable rendering used by `export --to plan`."""
     pad = "  " * indent
@@ -890,10 +841,10 @@ def job_dependencies(g: WorkflowGraph) -> dict[str, list[str]]:
     return {a: sorted(u for u, _ in reduced.in_edges(a)) for a in dag.nodes}
 
 
-def to_job_xml(g: WorkflowGraph, max_iterations: int = 100, force: bool = False) -> bytes:
+def to_job_xml(g: WorkflowGraph, max_iterations: int = 100) -> bytes:
     """Byte-deterministic job-sequence document for a sound graph."""
     report = verify(g, max_iterations)
-    if not report.sound and not force:
+    if not report.sound:
         raise UnsoundWorkflow(report)
 
     root = ET.Element("workflow", {"name": g.name})

@@ -27,7 +27,7 @@ class RuntimeFailure(GridflowError):
 class IterationLimit(RuntimeFailure):
     """A workflow cycle exceeded its allowed number of repetitions.
 
-    Raised both by the engine's token game and by the functional-plan
-    interpreter, so the two execution paths fail identically.
+    Raised by the engine's token game when a token crosses one back edge
+    more often than the run's max_iterations allow.
     """
 

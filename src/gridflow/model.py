@@ -17,10 +17,13 @@ Token semantics during verification and execution:
             one from each, emits one on its single out-edge
   Final     consumes any token that reaches it
 
-`verify` plays this token game exhaustively over all static decision-outcome
-assignments and combines it with structural rules; the verdict `sound` means
-zero findings. A graph with too many decisions for the game gets a
-TooManyDecisions finding instead.
+`verify` plays this token game exhaustively, in one search, and combines it
+with structural rules; the verdict `sound` means zero findings. A decision
+keeps one branch per game: the branch is fixed when the decision first fires
+and recorded in the search state, so the one search covers every static
+decision-outcome assignment. A graph with more than EXHAUSTIVE_DECISION_LIMIT
+decisions gets a TooManyDecisions finding instead; the search does not need
+that limit, but it is kept as a contract of `verify`.
 
 Each graph derives its structure (node lookup, in- and out-edges, the nodes
 reachable from start, the forward topological order) once, on first use.
@@ -29,7 +32,6 @@ reachable from start, the forward topological order) once, on first use.
 from __future__ import annotations
 
 import heapq
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -471,27 +473,28 @@ def _structural_findings(g: WorkflowGraph) -> list[Finding]:
 
 
 class _TokenGame:
-    """Exhaustive marking exploration under one static decision assignment."""
+    """Exhaustive exploration of (marking, decision assignment, loop counters).
+
+    Each decision takes one static branch per game, fixed the first time
+    the decision fires: an unassigned decision forks the search once per
+    out-edge and records its choice in the state, an assigned one takes its
+    recorded branch again. One search thus covers every static assignment.
+    """
 
     def __init__(self, g: WorkflowGraph, max_iterations: int):
         self.g = g
         self.max_iterations = max_iterations
         self.edges = list(g.edges)
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.back_list = sorted(g.back_edges)
-        self.back_pos = {e: i for i, e in enumerate(self.back_list)}
+        self.back_pos = {self.edge_index[e]: i for i, e in enumerate(sorted(g.back_edges))}
         self.by_id = g._structure.by_id
         self.joins = [n.id for n in g.nodes if n.kind == JOIN]
+        decisions = [n.id for n in g.nodes if n.kind == DECISION]
+        self.decision_pos = {d: i for i, d in enumerate(decisions)}
         self.all_in = {n.id: [self.edge_index[e] for e in g.in_edges(n.id)] for n in g.nodes}
         self.out = {n.id: [self.edge_index[e] for e in g.out_edges(n.id)] for n in g.nodes}
 
-    def assignments(self):
-        decisions = sorted(n.id for n in self.g.nodes if n.kind == DECISION)
-        choice_lists = [[self.edge_index[e] for e in sorted(self.g.out_edges(d))] for d in decisions]
-        for combo in itertools.product(*choice_lists):
-            yield dict(zip(decisions, combo))
-
-    def _enabled_moves(self, marking, assignment):
+    def _enabled_moves(self, marking):
         """Yield (node id, consumed edge indices) for every firable node."""
         for node_id, node in self.by_id.items():
             if node.kind == START:
@@ -505,35 +508,25 @@ class _TokenGame:
                     if marking[i] > 0:
                         yield node_id, (i,)
 
-    def _fire(self, marking, node_id, consumed, assignment):
-        node = self.by_id[node_id]
-        next_marking = list(marking)
-        for i in consumed:
-            next_marking[i] -= 1
-        if node.kind == FINAL:
-            emitted = []
-        elif node.kind == DECISION:
-            emitted = [assignment[node_id]]
-        else:
-            emitted = self.out[node_id]
-        for i in emitted:
-            next_marking[i] += 1
-        back_fired = [i for i in emitted if self.edges[i] in self.g.back_edges]
-        return tuple(next_marking), back_fired
+    def _branches(self, node_id, assignment):
+        """(emitted edge indices, assignment after) for each way node_id fires."""
+        pos = self.decision_pos.get(node_id)
+        if pos is None:  # a final has no out-edges, so it emits nothing
+            return ((self.out[node_id], assignment),)
+        if assignment[pos] is not None:
+            return (((assignment[pos],), assignment),)
+        return [((i,), assignment[:pos] + (i,) + assignment[pos + 1:]) for i in self.out[node_id]]
 
-    def explore(self, assignment):
-        """All reachable states; reports per-assignment findings and fired nodes."""
+    def explore(self):
+        """Findings over every reachable state of every static assignment."""
         start_edge = self.edge_index[self.g.out_edges(self.g.start().id)[0]]
         initial = tuple(1 if i == start_edge else 0 for i in range(len(self.edges)))
-        zero_counts = tuple(0 for _ in self.back_list)
-        stack = [(initial, zero_counts)]
-        seen = {(initial, zero_counts)}
-        findings: set[Finding] = set()
-        fired: set[str] = set()
+        state = (initial, (None,) * len(self.decision_pos), (0,) * len(self.back_pos))
+        stack, seen, findings = [state], {state}, set()
 
         while stack:
-            marking, counts = stack.pop()
-            moves = list(self._enabled_moves(marking, assignment))
+            marking, assignment, counts = stack.pop()
+            moves = list(self._enabled_moves(marking))
             if not moves:
                 for join in self.joins:
                     if any(marking[i] > 0 for i in self.all_in[join]):
@@ -542,33 +535,30 @@ class _TokenGame:
                         )
                 continue
             for node_id, consumed in moves:
-                next_marking, back_fired = self._fire(marking, node_id, consumed, assignment)
-                next_counts = list(counts)
-                over_budget = False
-                for i in back_fired:
-                    pos = self.back_pos[self.edges[i]]
-                    next_counts[pos] += 1
-                    if next_counts[pos] > self.max_iterations:
-                        over_budget = True
-                if over_budget:
-                    continue
-                flooded = [i for i, c in enumerate(next_marking) if c > 1]
-                if flooded:
-                    u, v = self.edges[flooded[0]]
-                    findings.add(
-                        Finding(
-                            UNBALANCED_FORK_JOIN,
-                            v,
-                            f"edge {u}->{v} accumulates more than one token",
-                        )
-                    )
-                    continue
-                fired.add(node_id)
-                state = (next_marking, tuple(next_counts))
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
-        return findings, fired
+                for emitted, next_assignment in self._branches(node_id, assignment):
+                    next_counts = list(counts)
+                    for i in emitted:
+                        if i in self.back_pos:
+                            next_counts[self.back_pos[i]] += 1
+                    if max(next_counts, default=0) > self.max_iterations:
+                        continue
+                    next_marking = list(marking)
+                    for i in consumed:
+                        next_marking[i] -= 1
+                    for i in emitted:
+                        next_marking[i] += 1
+                    # no stored marking holds 2 tokens, so only an emission floods
+                    flooded = [i for i in emitted if next_marking[i] > 1]
+                    if flooded:
+                        u, v = self.edges[flooded[0]]
+                        detail = f"edge {u}->{v} accumulates more than one token"
+                        findings.add(Finding(UNBALANCED_FORK_JOIN, v, detail))
+                        continue
+                    state = (tuple(next_marking), next_assignment, tuple(next_counts))
+                    if state not in seen:
+                        seen.add(state)
+                        stack.append(state)
+        return findings
 
 
 def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
@@ -578,10 +568,7 @@ def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
     decisions = sum(1 for n in g.nodes if n.kind == DECISION)
     if decisions <= EXHAUSTIVE_DECISION_LIMIT:
         mode = EXHAUSTIVE
-        game = _TokenGame(g, max_iterations)
-        for assignment in game.assignments():
-            assignment_findings, _fired = game.explore(assignment)
-            findings |= assignment_findings
+        findings |= _TokenGame(g, max_iterations).explore()
     else:
         mode = STRUCTURAL_ONLY
         detail = f"{decisions} decisions exceed the exhaustive limit of {EXHAUSTIVE_DECISION_LIMIT}"

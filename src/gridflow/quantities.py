@@ -457,7 +457,7 @@ def _count(tokens: list[str], pos: int, what: str, lineno: int) -> int:
     if pos >= len(tokens):
         raise ParseError(lineno, f"expected {what}, line ended early")
     token = tokens[pos]
-    if not token.isdecimal() or (token != "0" and token.startswith("0")):
+    if not (token.isascii() and token.isdecimal()) or (token != "0" and token.startswith("0")):
         raise ParseError(lineno, f"bad count for {what}: {token!r}")
     return int(token)
 

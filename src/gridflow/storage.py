@@ -32,28 +32,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import RuntimeFailure, UserError
-from .quantities import (
-    Dataset,
-    ParseError,
-    canonical_deserialize,
-    canonical_serialize,
-    merge,
-)
-from .resources import (
-    FAILED,
-    SUCCEEDED,
-    JobHandle,
-    JobRequest,
-    JobStatus,
-    UnknownJob,
-    UsageRecord,
-)
+from .quantities import Dataset, ParseError, canonical_deserialize, canonical_serialize
 
 __all__ = [
     "ResultKey",
     "RunState",
     "ContentStore",
-    "StorageService",
     "StorageError",
     "UnknownKey",
     "UnknownRun",
@@ -281,14 +265,6 @@ class ContentStore:
     def checkpoints(self, run_id: str) -> tuple[tuple[str, ResultKey], ...]:
         return self.run_state(run_id).checkpoints
 
-    def keys(self, run_id: str) -> list[ResultKey]:
-        """Every key ever put for the run, truncated history included."""
-        with self._lock:
-            self._catch_up()
-            self._run_state(run_id)
-            puts = [line.split(" ") for line in self._by_run[run_id] if line.startswith("put ")]
-        return [ResultKey(hash, run_id, activity, int(seq)) for _, _, activity, seq, hash in puts]
-
     def runs(self) -> list[str]:
         with self._lock:
             self._catch_up()
@@ -310,55 +286,3 @@ class ContentStore:
         mid-line); 0 when the index ends on a newline. Takes no lock."""
         data = self.index_path.read_bytes()
         return len(data) - data.rfind(b"\n") - 1
-
-
-class StorageService:
-    """The store behind the same submit/poll surface as compute services.
-
-    A storage job reads each input key, merges the datasets, and files the
-    result under the requesting run/activity. Jobs complete synchronously;
-    poll just reads back the recorded outcome.
-    """
-
-    resource_id = "storage-mediator"
-
-    def __init__(self, store: ContentStore):
-        self.store = store
-        self._statuses: dict[str, JobStatus] = {}
-        self._usage = UsageRecord(self.resource_id)
-        self._withdrawn = False
-        self._counter = 0
-
-    def submit(self, req: JobRequest) -> JobHandle:
-        from .resources import ResourceWithdrawn
-
-        if self._withdrawn:
-            raise ResourceWithdrawn(f"resource withdrawn: {self.resource_id}")
-        self._counter += 1
-        job_id = f"st-{self._counter}"
-        self._usage.started += 1
-        try:
-            inputs = []
-            for _slot, hash in req.inputs:
-                inputs.append(self.store.get_by_hash(hash))
-            merged = merge(inputs) if inputs else Dataset.build([])
-            key = self.store.put(merged, req.run_id, req.activity_id)
-            status = JobStatus(SUCCEEDED, result=key)
-            self._usage.succeeded += 1
-        except Exception as exc:  # noqa: BLE001 - reported via job status
-            status = JobStatus(FAILED, reason=str(exc))
-            self._usage.failed += 1
-        self._statuses[job_id] = status
-        return JobHandle(job_id, self.resource_id)
-
-    def poll(self, handle: JobHandle) -> JobStatus:
-        try:
-            return self._statuses[handle.job_id]
-        except KeyError:
-            raise UnknownJob(f"unknown job: {handle.job_id}") from None
-
-    def withdraw(self, resource_id: str | None = None):
-        self._withdrawn = True
-
-    def usage(self, resource_id: str | None = None) -> UsageRecord:
-        return self._usage

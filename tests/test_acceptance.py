@@ -21,10 +21,13 @@ import networkx as nx
 
 from gridflow.cli import run_cli
 from gridflow.dsl import (
+    Choice,
     NotSeriesParallel,
+    ParMap,
+    Run,
+    Seq,
     activity_precedence,
     emit_dsl,
-    interpret_plan,
     parse,
     to_functional_plan,
     to_job_xml,
@@ -109,6 +112,19 @@ def _parseable_corpus():
 
 def _completed(run):
     return [ev[1] for ev in run.trace if ev[0] == "completed"]
+
+
+def _plan_runs(plan, outcomes):
+    """The activities one run of a loop-free functional plan makes, each
+    Choice taking the branch `outcomes` names for its decision."""
+    if isinstance(plan, Run):
+        return [plan.activity]
+    if isinstance(plan, Choice):
+        return _plan_runs(plan.then if outcomes[plan.decision] else plan.orelse, outcomes)
+    if isinstance(plan, (Seq, ParMap)):
+        parts = plan.items if isinstance(plan, Seq) else plan.branches
+        return [activity for part in parts for activity in _plan_runs(part, outcomes)]
+    raise TypeError(f"not a loop-free plan node: {plan!r}")
 
 
 def _ok(number, detail):
@@ -285,9 +301,9 @@ def test_criterion_06_round_trips(tmp_path):
 
 def test_criterion_07_exports_agree_with_execution(tmp_path):
     """Job dependencies equal an independently computed transitive reduction
-    of activity precedence, and on series-parallel corpus graphs the plan
-    interpreter reproduces the engine's activity multiset, per guard
-    assignment where a decision is present."""
+    of activity precedence, and on series-parallel corpus graphs the plan's
+    activities are the engine's activity multiset, per guard assignment
+    where a decision is present."""
     for path in SOUND:
         g = parse(path.read_text(encoding="utf-8"))
         root = ET.fromstring(to_job_xml(g))
@@ -319,7 +335,7 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
         except NotSeriesParallel:
             assert path.name == "crossing.flow"
             continue
-        want = Counter(interpret_plan(plan, {}))
+        want = Counter(_plan_runs(plan, {}))
         run = eng.execute(eng.plan(g, user, seed=0))
         assert Counter(_completed(run)) == want, path.name
         compared += 1
@@ -328,7 +344,7 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
     g = parse((CORPUS / "sound" / "decision_diamond.flow").read_text(encoding="utf-8"))
     plan = to_functional_plan(g)
     for outcome, params in ((True, ()), (False, (("flag", "-2"),))):
-        want = Counter(interpret_plan(plan, {"route": outcome}))
+        want = Counter(_plan_runs(plan, {"route": outcome}))
         run = eng.execute(eng.plan(g, user, params=params, seed=0))
         assert Counter(_completed(run)) == want, outcome
     _ok(7, f"dependency reductions on {len(SOUND)} graphs, plan/engine multisets on {compared} + 2 guard assignments")

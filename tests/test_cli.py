@@ -426,6 +426,40 @@ class TestExitContract:
     def test_unknown_subcommand(self, run):
         assert run("bogus")[0] == 1
 
+    def test_calls_share_no_option_values(self, run, case_file):
+        # one process parses every call with the same argument tree
+        code, _, _ = run("submit", case_file, "--user", "ada",
+                         "--param", "cells=5", "--fail-at", "md:1")
+        assert code == 2
+        code, out, err = run("submit", case_file, "--user", "ada")
+        assert (code, err) == (0, "")
+        code, out, _ = run("report", out.strip(), "--json")
+        parameters = json.loads(out)["provenance"]["parameters"]
+        assert ["lattice.cells", "6"] in parameters
+        assert ["lattice.cells", "5"] not in parameters
+        assert run("submit", case_file, "--user", "ada", "--param")[0] == 1
+
+    def test_mock_calls_share_no_params(self, run):
+        plain = run("mock", "lattice")
+        changed = run("mock", "lattice", "--param", "cells=5")
+        assert plain[0] == changed[0] == 0 and plain[1] != changed[1]
+        assert run("mock", "lattice") == plain
+
+    def test_store_is_resolved_per_call(self, run, case_file, tmp_path, monkeypatch):
+        # --store on one call, then $GRIDFLOW_STORE, changed, on the next
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("submit", case_file, "--user", "ada", "--store", first)[0] == 0
+        assert first.is_dir() and not (tmp_path / "store").exists()
+        monkeypatch.setenv("GRIDFLOW_STORE", str(second))
+        code, out, _ = run("submit", case_file, "--user", "ada")
+        assert code == 0 and second.is_dir()
+        assert run("report", out.strip())[0] == 0
+
+    def test_help_leaves_the_parser_usable(self, run, case_file):
+        assert run("--help")[0] == 0
+        assert run("submit", "--help")[0] == 0
+        assert run("verify", case_file) == (0, "sound\n", "")
+
     def test_corrupt_manifest_is_internal(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada")
         run_id = out.strip()

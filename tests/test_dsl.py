@@ -8,7 +8,6 @@ import pytest
 from gridflow.dsl import (
     Choice,
     DslSyntaxError,
-    IterationLimit,
     Loop,
     NotSeriesParallel,
     ParMap,
@@ -17,7 +16,6 @@ from gridflow.dsl import (
     Seq,
     UnsoundWorkflow,
     emit_dsl,
-    interpret_plan,
     job_dependencies,
     parse,
     plan_text,
@@ -351,31 +349,6 @@ class TestFunctionalPlan:
         assert text == plan_text(to_functional_plan(parse(FORKED)))
 
 
-class TestInterpreter:
-    def test_sequence_trace(self):
-        plan = to_functional_plan(parse(STUDY))
-        assert interpret_plan(plan, {}) == ["build", "relax", "analyze"]
-
-    def test_parmap_runs_all_branches(self):
-        plan = to_functional_plan(parse(FORKED))
-        assert sorted(interpret_plan(plan, {})) == ["a", "b", "c"]
-
-    def test_choice_picks_branch(self):
-        plan = to_functional_plan(diamond_graph())
-        assert interpret_plan(plan, {"d": True}) == ["a"]
-        assert interpret_plan(plan, {"d": False}) == ["b"]
-
-    def test_loop_consumes_scripted_outcomes(self):
-        plan = to_functional_plan(parse(LOOPED))
-        trace = interpret_plan(plan, {"d": [True, True, False]})
-        assert trace == ["prep", "work", "work", "work"]
-
-    def test_loop_iteration_limit(self):
-        plan = to_functional_plan(parse(LOOPED), max_iterations=3)
-        with pytest.raises(IterationLimit):
-            interpret_plan(plan, {"d": True})
-
-
 class TestJobXml:
     def test_chain_dependencies(self):
         doc = ET.fromstring(to_job_xml(parse(STUDY)))
@@ -452,11 +425,9 @@ class TestJobXml:
         assert loop.get("max") == "100"
         assert "converged" in loop.get("guard")
 
-    def test_unsound_graph_refused_unless_forced(self):
-        g = unbalanced_graph()
+    def test_unsound_graph_refused(self):
         with pytest.raises(UnsoundWorkflow):
-            to_job_xml(g)
-        assert to_job_xml(g, force=True).startswith(b"<?xml")
+            to_job_xml(unbalanced_graph())
 
     def test_validator_accepts_own_output(self):
         assert validate_job_xml(to_job_xml(parse(STUDY))) == []

@@ -1,10 +1,13 @@
 """Graph construction invariants and the soundness verifier.
 
-The verify tests cross-check every small graph against the brute-force
-token simulator in tokenoracle, which shares no code with the verifier.
+The verify tests cross-check every small graph, and a seeded set of random
+ones, against the brute-force token simulator in tokenoracle, which shares
+no code with the verifier.
 """
 
 import dataclasses
+import functools
+import random
 from pathlib import Path
 
 import networkx as nx
@@ -15,6 +18,7 @@ from gridflow.model import (
     ACTIVITY,
     DECISION,
     EXHAUSTIVE,
+    EXHAUSTIVE_DECISION_LIMIT,
     FINAL,
     FORK,
     FREE,
@@ -29,6 +33,7 @@ from gridflow.model import (
     Node,
     StructuralError,
     WorkflowGraph,
+    _TokenGame,
     build_graph,
     topological_activities,
     verify,
@@ -416,6 +421,11 @@ class TestVerify:
         assert report.kinds() == oracle_kinds
         assert report.sound == (not oracle_kinds)
 
+    @pytest.mark.parametrize("budget", (0, 1, 2, 3, 100))
+    def test_agrees_with_oracle_on_random_graphs(self, budget):
+        for g in random_graphs():
+            assert verify(g, budget).kinds() == brute_force_findings(g, budget), g.edges
+
     def test_adding_unguarded_cycle_never_removes_findings(self):
         # monotonicity: new looping structure adds findings, never subtracts
         before = verify(fork_join_graph()).kinds()
@@ -457,6 +467,95 @@ class TestVerify:
     def test_join_deadlock_names_the_join(self):
         report = verify(join_deadlock_graph())
         assert any(f.kind == "JoinDeadlock" and f.subject == "j" for f in report.findings)
+
+    def test_random_graphs_cover_every_kind(self):
+        # the random differential test is only as strong as what it draws
+        graphs = random_graphs()
+        assert {n.kind for g in graphs for n in g.nodes} == {
+            START, ACTIVITY, DECISION, FORK, JOIN, FINAL
+        }
+        assert any(g.back_edges for g in graphs)
+        reports = [verify(g) for g in graphs]
+        assert any(r.sound for r in reports)
+        assert {"JoinDeadlock", "UnbalancedForkJoin"} <= set().union(*(r.kinds() for r in reports))
+
+    def test_decision_branch_is_fixed_when_it_first_fires(self):
+        game = _TokenGame(loop_graph(), 100)
+        first = game._branches("d", (None,))
+        assert sorted(game.edges[i] for (i,), _ in first) == [("d", "end"), ("d", "work")]
+        for (i,), assignment in first:
+            assert assignment == (i,)
+            assert game._branches("d", assignment) == (((i,), assignment),)
+            assert game._branches("work", assignment) == ((game.out["work"], assignment),)
+
+    def test_graph_at_the_decision_limit_gets_the_token_game(self):
+        # the corpus graph one decision over the limit, less its first loop
+        text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
+        lines = [line.replace("start -> w1;", "start -> w2;") for line in text.splitlines()
+                 if not line.lstrip().startswith(("activity w1 ", "decision c1 "))]
+        g = parse("\n".join(lines))
+        assert sum(1 for n in g.nodes if n.kind == DECISION) == EXHAUSTIVE_DECISION_LIMIT == 12
+        report = verify(g)
+        assert report.mode == EXHAUSTIVE
+        assert [f.text() for f in report.findings] == [
+            "JoinDeadlock(j): waits on an input that never arrives"
+        ]
+
+
+_IN_DEGREE = {ACTIVITY: 1, DECISION: 1, FORK: 1, JOIN: 2, FINAL: 1}
+_OUT_DEGREE = {START: 1, ACTIVITY: 1, DECISION: 2, FORK: 2, JOIN: 1, FINAL: 0}
+
+
+def random_graph(rng, size):
+    """A random graph of `size` nodes that build_graph accepts, or None.
+
+    Nodes are wired in index order: each takes its forward inputs from the
+    out-edges earlier nodes left open, and the last node, a final, takes
+    the rest. Some decisions get one more edge, back to an earlier node;
+    build_graph keeps the draw only if that edge closes a loop.
+    """
+    kinds = [START] + rng.choices((ACTIVITY, DECISION, FORK, JOIN, FINAL),
+                                  (3, 3, 2, 2, 1), k=size - 2) + [FINAL]
+    ids = [f"{kind[0]}{i}" for i, kind in enumerate(kinds)]
+    edges, open_slots = [], []
+    for i, kind in enumerate(kinds):
+        if i:
+            sources = sorted(set(open_slots))
+            want = len(open_slots) if i == size - 1 else _IN_DEGREE[kind]
+            if len(sources) < want:
+                return None
+            for source in rng.sample(sources, want):
+                open_slots.remove(source)
+                edges.append((source, ids[i]))
+        open_slots += [ids[i]] * _OUT_DEGREE[kind]
+        if kind == DECISION and i > 1 and rng.random() < 0.5:
+            edges.append((ids[i], ids[rng.randrange(1, i)]))
+    nodes = []
+    for node_id, kind in zip(ids, kinds):
+        if kind == ACTIVITY:
+            nodes.append(act(node_id))
+        elif kind == DECISION:
+            targets = [v for u, v in edges if u == node_id]
+            cases = tuple((guard(value=float(n)), t) for n, t in enumerate(targets[1:]))
+            nodes.append(Node(node_id, kind, cases=cases, else_target=targets[0]))
+        else:
+            nodes.append(Node(node_id, kind))
+    try:
+        return build_graph(f"random-{size}", nodes, edges)
+    except StructuralError:
+        return None
+
+
+@functools.cache
+def random_graphs(count=200, seed=6):
+    """`count` seeded random well-formed graphs of 4 to 9 nodes."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng, rng.randint(4, 9))
+        if g is not None:
+            graphs.append(g)
+    return tuple(graphs)
 
 
 class TestGuards:

@@ -456,7 +456,27 @@ class TestBulkParserAgainstReference:
     def test_bad_counts(self):
         for line in ("obs e series dimensionless 1", "obs e table dimensionless 1 1 a",
                      "obs e series dimensionless ²", "obs e table dimensionless 01 0",
-                     "obs e table dimensionless 1"):
+                     "obs e table dimensionless 1",
+                     # an Arabic-Indic one, valid but for the non-ASCII digit
+                     f"obs e series dimensionless \u0661 {format_number(0.0)} {format_number(1.0)}"):
             with pytest.raises(ParseError) as err:
                 canonical_deserialize(f"dataset-v1\n{line}\nend\n".encode())
             assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line, digit",
+        [
+            ("obs e series dimensionless {} {zero} {one}", "\uff11"),  # fullwidth one
+            ("obs e table dimensionless {} 1 a {zero}", "\u0967"),  # Devanagari one
+            ("obs e table dimensionless 1 {} a {zero}", "\u0661"),  # Arabic-Indic one
+        ],
+        ids=("series-length", "table-rows", "table-columns"),
+    )
+    def test_count_takes_ascii_digits_only(self, line, digit):
+        # int() reads any Unicode decimal digit; the parser must not, or two
+        # byte strings would parse to one dataset under two ids
+        numbers = {"zero": format_number(0.0), "one": format_number(1.0)}
+        canonical_deserialize(f"dataset-v1\n{line.format('1', **numbers)}\nend\n".encode())
+        with pytest.raises(ParseError) as err:
+            canonical_deserialize(f"dataset-v1\n{line.format(digit, **numbers)}\nend\n".encode())
+        assert err.value.line == 2

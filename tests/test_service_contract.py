@@ -1,31 +1,23 @@
-"""Compute and storage services answer the same submit/poll surface.
+"""Compute services answer one submit/poll surface.
 
-Callers hold a JobRequest and should not care whether it lands on a
-simulated calculator or on the storage mediator. These tests drive both
-through one harness and pin the shared contract; the deliberate
-divergence (what withdraw targets) gets its own cases.
+Callers hold a JobRequest and should not care which simulated calculator
+it lands on. These tests drive the simulated executor through one harness
+and pin the shared contract; withdraw, which targets one job, gets its own
+case.
 """
 
 import pytest
 
-from gridflow.quantities import Dataset, Observable, get_unit
 from gridflow.resources import (
     FAILED,
     SUCCEEDED,
     WITHDRAWN,
     JobHandle,
     JobRequest,
-    ResourceWithdrawn,
     UnknownJob,
 )
 from gridflow.simgrid import SimulatedExecutor, standard_registry
-from gridflow.storage import ContentStore, StorageService
-
-ONE = get_unit("dimensionless")
-
-
-def scalar_ds(name, value):
-    return Dataset.build([Observable.scalar(name, value, ONE)])
+from gridflow.storage import ContentStore
 
 
 class ComputeUnderTest:
@@ -57,37 +49,9 @@ class ComputeUnderTest:
         ]
 
 
-class StorageUnderTest:
-    """Storage mediator wrapped for the contract cases."""
-
-    resource_id = StorageService.resource_id
-
-    def __init__(self, tmp_path):
-        self.store = ContentStore(tmp_path / "store")
-        self.service = StorageService(self.store)
-
-    def good_request(self, n=0):
-        key = self.store.put(scalar_ds("v", float(n)), "run-c", "feed")
-        return JobRequest.build(
-            self.resource_id, f"merge{n}", "run-c", (("in", key.hash),), {}
-        )
-
-    def bad_request(self):
-        return JobRequest.build(
-            self.resource_id, "bad", "run-c", (("in", "0" * 64),), {}
-        )
-
-    def settle(self):
-        pass
-
-    def usage_records(self):
-        return [self.service.usage(self.resource_id)]
-
-
-@pytest.fixture(params=["compute", "storage"])
-def harness(request, tmp_path):
-    cls = ComputeUnderTest if request.param == "compute" else StorageUnderTest
-    return cls(tmp_path)
+@pytest.fixture(params=["compute"])
+def harness(tmp_path):
+    return ComputeUnderTest(tmp_path)
 
 
 class TestSharedSurface:
@@ -132,15 +96,6 @@ class TestSharedSurface:
 
 
 class TestWithdrawSemantics:
-    def test_storage_withdraw_is_resource_wide(self, tmp_path):
-        h = StorageUnderTest(tmp_path)
-        done = h.service.submit(h.good_request())
-        h.service.withdraw()
-        with pytest.raises(ResourceWithdrawn):
-            h.service.submit(h.good_request(1))
-        # earlier results stay readable
-        assert h.service.poll(done).state == SUCCEEDED
-
     def test_compute_withdraw_targets_one_job(self, tmp_path):
         h = ComputeUnderTest(tmp_path)
         victim = h.service.submit(h.good_request(0))
@@ -149,24 +104,3 @@ class TestWithdrawSemantics:
         h.settle()
         assert h.service.poll(survivor).state == SUCCEEDED
         assert h.service.poll(victim).state == WITHDRAWN
-
-
-class TestStorageJobs:
-    def test_merge_result_is_a_filed_key(self, tmp_path):
-        h = StorageUnderTest(tmp_path)
-        ka = h.store.put(scalar_ds("a", 1.0), "run-c", "left")
-        kb = h.store.put(scalar_ds("b", 2.0), "run-c", "right")
-        req = JobRequest.build(
-            h.resource_id, "merge", "run-c",
-            (("left", ka.hash), ("right", kb.hash)), {},
-        )
-        handle = h.service.submit(req)
-        key = h.service.poll(handle).result
-        assert h.store.get(key).names == ("a", "b")
-
-    def test_no_inputs_files_an_empty_dataset(self, tmp_path):
-        h = StorageUnderTest(tmp_path)
-        req = JobRequest.build(h.resource_id, "blank", "run-c", (), {})
-        handle = h.service.submit(req)
-        key = h.service.poll(handle).result
-        assert h.store.get(key).names == ()

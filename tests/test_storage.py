@@ -118,7 +118,6 @@ class TestCheckpoints:
                 kb = k
         store.rollback("r1", "a")
         assert store.get(kb).get("x").magnitude == 2.0
-        assert kb in store.keys("r1")
 
     def test_next_checkpoint_clears_rolled_back(self, store):
         ka = store.put(ds("x", 1.0), "r1", "a")
@@ -292,7 +291,9 @@ class TestSharedIndex:
             w.join(timeout=30)
             assert not w.is_alive() and w.exitcode == 0
         assert sorted(sequences) == list(range(100))
-        assert [k.sequence for k in store.keys("r1")] == sorted(sequences)
+        lines = store.index_path.read_text(encoding="utf-8").splitlines()
+        want = [["put", "r1", "a", str(n)] for n in range(100)]
+        assert [line.split(" ")[:4] for line in lines] == want
 
     def test_each_index_line_read_once(self, store, monkeypatch):
         read = []
