@@ -198,6 +198,7 @@ def cmd_verify(args, cfg) -> int:
         payload = {
             "workflow": report.workflow,
             "mode": report.mode,
+            "states": report.states,
             "sound": report.sound,
             "findings": [
                 {"kind": f.kind, "subject": f.subject, "detail": f.detail}

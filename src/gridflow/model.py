@@ -25,6 +25,9 @@ decision-outcome assignment. A graph with more than EXHAUSTIVE_DECISION_LIMIT
 decisions gets a TooManyDecisions finding instead; the search does not need
 that limit, but it is kept as a contract of `verify`.
 
+Branches that cannot interfere are not interleaved: an enabled move of a
+fire-once node (see _TokenGame) is expanded alone, and findings stay exact.
+
 Each graph derives its structure (node lookup, in- and out-edges, the nodes
 reachable from start, the forward topological order) once, on first use.
 """
@@ -426,6 +429,7 @@ class VerificationReport:
     workflow: str
     mode: str
     findings: tuple[Finding, ...]
+    states: int  # token-game states explored; 0 in structural-only mode
 
     @property
     def sound(self) -> bool:
@@ -479,6 +483,12 @@ class _TokenGame:
     the decision fires: an unassigned decision forks the search once per
     out-edge and records its choice in the state, an assigned one takes its
     recorded branch again. One search thus covers every static assignment.
+
+    A fire-once node (neither it nor a forward ancestor is a loop head)
+    fires at most once, and its move cannot be disabled, flood an edge or
+    emit on a back-edge; firing it first keeps every deadlock and flood
+    reachable. So a state with an enabled fire-once move expands only the
+    first one, and any other state expands every move.
     """
 
     def __init__(self, g: WorkflowGraph, max_iterations: int):
@@ -493,6 +503,12 @@ class _TokenGame:
         self.decision_pos = {d: i for i, d in enumerate(decisions)}
         self.all_in = {n.id: [self.edge_index[e] for e in g.in_edges(n.id)] for n in g.nodes}
         self.out = {n.id: [self.edge_index[e] for e in g.out_edges(n.id)] for n in g.nodes}
+        loop_heads = {v for _, v in g.back_edges}
+        self.fire_once = set()
+        for node_id in g.forward_order():
+            ins = g._structure.in_edges[node_id]
+            if node_id not in loop_heads and all(u in self.fire_once for u, _ in ins):
+                self.fire_once.add(node_id)
 
     def _enabled_moves(self, marking):
         """Yield (node id, consumed edge indices) for every firable node."""
@@ -518,7 +534,7 @@ class _TokenGame:
         return [((i,), assignment[:pos] + (i,) + assignment[pos + 1:]) for i in self.out[node_id]]
 
     def explore(self):
-        """Findings over every reachable state of every static assignment."""
+        """(findings, states explored) over every static assignment."""
         start_edge = self.edge_index[self.g.out_edges(self.g.start().id)[0]]
         initial = tuple(1 if i == start_edge else 0 for i in range(len(self.edges)))
         state = (initial, (None,) * len(self.decision_pos), (0,) * len(self.back_pos))
@@ -534,7 +550,8 @@ class _TokenGame:
                             Finding(JOIN_DEADLOCK, join, "waits on an input that never arrives")
                         )
                 continue
-            for node_id, consumed in moves:
+            once = next((m for m in moves if m[0] in self.fire_once), None)
+            for node_id, consumed in (once,) if once else moves:
                 for emitted, next_assignment in self._branches(node_id, assignment):
                     next_counts = list(counts)
                     for i in emitted:
@@ -558,7 +575,7 @@ class _TokenGame:
                     if state not in seen:
                         seen.add(state)
                         stack.append(state)
-        return findings
+        return findings, len(seen)
 
 
 def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
@@ -568,13 +585,14 @@ def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
     decisions = sum(1 for n in g.nodes if n.kind == DECISION)
     if decisions <= EXHAUSTIVE_DECISION_LIMIT:
         mode = EXHAUSTIVE
-        findings |= _TokenGame(g, max_iterations).explore()
+        game_findings, states = _TokenGame(g, max_iterations).explore()
+        findings |= game_findings
     else:
-        mode = STRUCTURAL_ONLY
+        mode, states = STRUCTURAL_ONLY, 0
         detail = f"{decisions} decisions exceed the exhaustive limit of {EXHAUSTIVE_DECISION_LIMIT}"
         findings.add(Finding(TOO_MANY_DECISIONS, g.name, detail + "; token game not run"))
     ordered = tuple(sorted(findings, key=lambda f: (f.kind, f.subject, f.detail)))
-    return VerificationReport(g.name, mode, ordered)
+    return VerificationReport(g.name, mode, ordered, states)
 
 
 def topological_activities(g: WorkflowGraph) -> tuple[str, ...]:

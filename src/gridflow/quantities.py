@@ -190,9 +190,9 @@ def _clean(values, context: str) -> tuple[float, ...]:
     return tuple(map((0.0).__add__, values))
 
 
-def _rows(flat, width: int, count: int) -> tuple:
-    """`count` rows of `width` cells each, cut from a flat row-major sequence."""
-    return tuple(zip(*[iter(flat)] * width)) if width else ((),) * count
+def _rows(flat, width: int) -> tuple:
+    """Rows of `width` cells each, cut from a flat row-major sequence."""
+    return tuple(zip(*[iter(flat)] * width))
 
 
 @dataclass(frozen=True)
@@ -240,6 +240,8 @@ class Observable:
         for col in self.columns:
             if not _NAME_RE.match(col):
                 raise QuantityError(f"{self.name}: invalid column name {col!r}")
+        if self.values and not self.columns:
+            raise QuantityError(f"{self.name}: a table without columns holds no rows")
         if set(map(len, self.values)) - {len(self.columns)}:
             raise QuantityError(f"{self.name}: row width != column count")
 
@@ -258,15 +260,17 @@ class Observable:
         if set(map(len, pairs)) - {2}:
             raise QuantityError(f"{name}: series entries must be (index, value) pairs")
         flat = _clean(chain.from_iterable(pairs), name)
-        return Observable(name, "series", unit, _rows(flat, 2, len(pairs)))
+        return Observable(name, "series", unit, _rows(flat, 2))
 
     @staticmethod
     def table(name: str, columns, rows, unit: Unit) -> "Observable":
         rows, columns = list(rows), tuple(columns)
+        if rows and not columns:
+            raise QuantityError(f"{name}: a table without columns holds no rows")
         if set(map(len, rows)) - {len(columns)}:
             raise QuantityError(f"{name}: row width != column count")
         flat = _clean(chain.from_iterable(rows), name)
-        return Observable(name, "table", unit, _rows(flat, len(columns), len(rows)), columns)
+        return Observable(name, "table", unit, _rows(flat, len(columns)), columns)
 
     @property
     def magnitude(self) -> float:
@@ -521,16 +525,18 @@ def _parse_obs(payload: str, lineno: int) -> Observable:
     if unit_name not in _REGISTRY:
         raise ParseError(lineno, f"unknown unit: {unit_name!r}")
     # counts and column names first, so the numbers are the exact tail
-    start, count, shape, columns = 3, 1, None, ()
+    start, count, width, columns = 3, 1, None, ()
     if kind == "vector3":
         count = 3
     elif kind == "series":
         rows = _count(tokens, 3, "series length", lineno)
-        start, count, shape = 4, 2 * rows, (2, rows)
+        start, count, width = 4, 2 * rows, 2
     elif kind == "table":
         rows = _count(tokens, 3, "row count", lineno)
         width = _count(tokens, 4, "column count", lineno)
-        start, count, shape = 5 + width, rows * width, (width, rows)
+        if rows and not width:
+            raise ParseError(lineno, "a table without columns holds no rows")
+        start, count = 5 + width, rows * width
         columns = tuple(tokens[5:start])
     if len(tokens) != start + count:
         raise ParseError(lineno, f"expected {start + count} tokens, found {len(tokens)}")
@@ -543,8 +549,8 @@ def _parse_obs(payload: str, lineno: int) -> Observable:
         map(operator.eq, map(_FORMAT, values), islice(tokens, start, None))
     ):
         raise ParseError(lineno, "non-canonical or non-finite number rendering")
-    if shape:
-        values = _rows(values, *shape)
+    if width is not None:
+        values = _rows(values, width)
     try:
         return Observable(name, kind, _REGISTRY[unit_name], values, columns)
     except QuantityError as exc:

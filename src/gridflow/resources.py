@@ -311,9 +311,6 @@ class ResourceRegistry:
         self.get(resource_id)
         self._withdrawn.add(resource_id)
 
-    def is_withdrawn(self, resource_id: str) -> bool:
-        return resource_id in self._withdrawn
-
     def check_submittable(self, resource_id: str):
         self.get(resource_id)
         if resource_id in self._withdrawn:

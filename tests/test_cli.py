@@ -83,6 +83,7 @@ class TestVerify:
         assert json.loads(out) == {
             "workflow": "helium-diffusion-study",
             "mode": "exhaustive",
+            "states": 7,
             "sound": True,
             "findings": [],
         }

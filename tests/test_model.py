@@ -227,6 +227,45 @@ def unbound_flow_graph():
     return build_graph("unbound_flow", nodes, edges, object_flows=[("a", "b", ExtractionSpec.of())])
 
 
+def wide_fork_graph(width=13):
+    names = [f"b{i}" for i in range(1, width + 1)]
+    nodes = [Node("start", START), Node("f", FORK), *map(act, names),
+             Node("j", JOIN), act("c"), Node("end", FINAL)]
+    edges = [("start", "f"), *(("f", b) for b in names), *((b, "j") for b in names),
+             ("j", "c"), ("c", "end")]
+    return build_graph("wide_fork", nodes, edges)
+
+
+def fork_into_loop_graph(variant):
+    """A fork feeding a fire-once branch (a) and a guarded loop (w, d) into a join.
+
+    "sound" joins the two; "deadlock" lets a decision on the fire-once branch
+    skip the join; "flood" forks the join's input inside the loop body, so a
+    second iteration fills it again.
+    """
+    loop_exit = "j" if variant != "flood" else "out"
+    nodes = [
+        Node("start", START),
+        Node("f", FORK),
+        act("a"),
+        act("w"),
+        Node("d", DECISION, cases=((guard("again", "==", 1.0), "w"),), else_target=loop_exit),
+        Node("j", JOIN),
+        Node("end", FINAL),
+    ]
+    edges = [("start", "f"), ("f", "a"), ("f", "w"), ("d", "w"), ("d", loop_exit), ("j", "end")]
+    if variant == "deadlock":
+        nodes += [Node("x", DECISION, cases=((guard(), "j"),), else_target="out"),
+                  Node("out", FINAL)]
+        edges += [("a", "x"), ("x", "j"), ("x", "out"), ("w", "d")]
+    elif variant == "flood":
+        nodes += [Node("g", FORK), Node("out", FINAL)]
+        edges += [("a", "j"), ("w", "g"), ("g", "d"), ("g", "j")]
+    else:
+        edges += [("a", "j"), ("w", "d")]
+    return build_graph(f"fork_into_loop_{variant}", nodes, edges)
+
+
 SOUND_GRAPHS = [chain_graph, fork_join_graph, diamond_graph, loop_graph, crossing_graph]
 UNSOUND_GRAPHS = {
     join_deadlock_graph: "JoinDeadlock",
@@ -467,6 +506,34 @@ class TestVerify:
     def test_join_deadlock_names_the_join(self):
         report = verify(join_deadlock_graph())
         assert any(f.kind == "JoinDeadlock" and f.subject == "j" for f in report.findings)
+
+    def test_wide_fork_explores_one_order_of_its_branches(self):
+        # every subset of finished branches would be 2^13 markings
+        g = wide_fork_graph(13)
+        report = verify(g)
+        assert report.sound and report.mode == EXHAUSTIVE
+        assert report.states <= 2 * len(g.nodes)
+
+    def test_structural_only_explores_no_states(self):
+        text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
+        assert verify(parse(text)).states == 0
+
+    def test_fire_once_stops_at_the_first_loop_head(self):
+        game = _TokenGame(fork_into_loop_graph("sound"), 100)
+        assert game.fire_once == {"start", "f", "a"}
+
+    @pytest.mark.parametrize(
+        "variant, kinds",
+        [("sound", set()), ("deadlock", {"JoinDeadlock"}),
+         ("flood", {"UnbalancedForkJoin"})],
+    )
+    @pytest.mark.parametrize("budget", (0, 1, 2, 3, 100))
+    def test_fork_into_loop_agrees_with_oracle(self, variant, kinds, budget):
+        g = fork_into_loop_graph(variant)
+        report = verify(g, budget)
+        assert report.kinds() == brute_force_findings(g, budget)
+        if budget == 100:
+            assert report.kinds() == kinds
 
     def test_random_graphs_cover_every_kind(self):
         # the random differential test is only as strong as what it draws

@@ -440,7 +440,6 @@ class TestBulkParserAgainstReference:
         [
             (Observable.series("e", [], ONE), "obs e series dimensionless 0"),
             (Observable.table("e", ("a", "b"), [], ONE), "obs e table dimensionless 0 2 a b"),
-            (Observable.table("e", (), [(), (), ()], ONE), "obs e table dimensionless 3 0"),
             (Observable.table("e", (), [], ONE), "obs e table dimensionless 0 0"),
         ],
     )
@@ -451,6 +450,18 @@ class TestBulkParserAgainstReference:
         for extra in (format_number(0.0), "x"):
             with pytest.raises(ParseError) as err:
                 canonical_deserialize(f"dataset-v1\n{line} {extra}\nend\n".encode())
+            assert err.value.line == 2
+
+    def test_table_without_columns_holds_no_rows(self):
+        with pytest.raises(QuantityError):
+            Observable.table("e", (), [(), (), ()], ONE)
+        with pytest.raises(QuantityError):
+            Observable("e", "table", ONE, ((), (), ()))
+        # refused from the counts alone: the second, a 51-byte blob, once
+        # built a million empty rows
+        for line in ("obs e table dimensionless 3 0", "obs t table dimensionless 1000000 0"):
+            with pytest.raises(ParseError) as err:
+                canonical_deserialize(f"dataset-v1\n{line}\nend\n".encode())
             assert err.value.line == 2
 
     def test_bad_counts(self):
