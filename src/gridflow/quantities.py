@@ -6,9 +6,9 @@ Datasets serialize to a line-oriented UTF-8 text format whose byte layout is
 normative: content addressing (sha-256 of the canonical bytes) identifies
 stored results, so serialization must be deterministic and the parser must
 reject any non-canonical rendering. A dataset's id is computed once, and a
-parsed dataset takes its id from the bytes it was parsed from. The parser
-checks all numbers of an obs line together (parse, finiteness, rendering);
-it accepts the same bytes as a number-by-number check.
+parsed dataset takes its id from the bytes it was parsed from. Each distinct
+number of an obs line is rendered, and parsed and checked, once; the parser
+accepts the same bytes as a number-by-number check.
 
 Units are linear scalings of SI-coherent units over the 7 SI base dimensions.
 Energy-per-mole carries an explicit amount exponent of -1 so per-particle and
@@ -23,7 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import UserError
 
@@ -444,13 +444,18 @@ def canonical_serialize(ds: Dataset) -> bytes:
 
 
 def _obs_payload(obs: Observable) -> str:
+    """One obs line, rendering each distinct number once, keyed by float
+    equality (0.0 == -0.0): sound as no Observable built by a factory or by
+    the parser holds -0.0, for _clean adds 0.0 and the parser refuses -0."""
     head = [obs.name, obs.kind, obs.unit.name]
     if obs.kind == "series":
         head.append(str(len(obs.values)))
     elif obs.kind == "table":
         head.extend((str(len(obs.values)), str(len(obs.columns)), *obs.columns))
-    flat = obs.values if obs.kind in ("scalar", "vector3") else chain.from_iterable(obs.values)
-    return " ".join(chain(head, map(_FORMAT, flat)))
+    flat = obs.values if obs.kind in ("scalar", "vector3") else tuple(chain.from_iterable(obs.values))
+    distinct = set(flat)
+    rendered = dict(zip(distinct, map(_FORMAT, distinct)))
+    return " ".join(chain(head, map(rendered.__getitem__, flat)))
 
 
 def dataset_id(ds: Dataset) -> str:
@@ -540,15 +545,18 @@ def _parse_obs(payload: str, lineno: int) -> Observable:
         columns = tuple(tokens[5:start])
     if len(tokens) != start + count:
         raise ParseError(lineno, f"expected {start + count} tokens, found {len(tokens)}")
-    # every number at once: a float, finite, and rendered as format_number would
+    # each distinct token once: a finite float that format_number renders back
+    numbers = tokens[start:]
+    distinct = set(numbers)
     try:
-        values = tuple(map(float, islice(tokens, start, None)))
+        parsed = dict(zip(distinct, map(float, distinct)))
     except ValueError:
         raise ParseError(lineno, "bad number") from None
-    if not all(map(math.isfinite, values)) or not all(
-        map(operator.eq, map(_FORMAT, values), islice(tokens, start, None))
+    if not all(map(math.isfinite, parsed.values())) or not all(
+        map(operator.eq, map(_FORMAT, parsed.values()), parsed)
     ):
         raise ParseError(lineno, "non-canonical or non-finite number rendering")
+    values = tuple(map(parsed.__getitem__, numbers))
     if width is not None:
         values = _rows(values, width)
     try:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -311,12 +312,24 @@ _COL = 12
 _TIMESTEP_PS = 1.0
 
 
+def _moves(rng: random.Random, n: int) -> np.ndarray:
+    """The next n results of rng.choice((-1, 1)), drawn in blocks (see md_native)."""
+    top = np.empty(0, dtype=np.uint32)
+    while len(top) < n:
+        k = 2 * (n - len(top)) + 64
+        words = np.frombuffer(rng.getrandbits(32 * k).to_bytes(4 * k, "little"), "<u4") >> 30
+        top = np.concatenate((top, words[words < 2]))
+    return top[:n].astype(np.int64) * 2 - 1
+
+
 def md_native(config: Dataset, params) -> str:
     """Symmetric +-1 walk; moves onto adsorbate sites are rejected.
 
     Positions are unwrapped (displacement accumulates without the periodic
-    fold), while the blocking test uses the folded coordinate.
-    """
+    fold), while the blocking test uses the folded coordinate. All walkers
+    step together. rng.choice((-1, 1)) keeps the top two bits of one MT19937
+    word and redraws values >= 2, and getrandbits(32 * k) returns the next k
+    words in order, so _moves draws the same moves in blocks."""
     steps = _int_param(params, "steps")
     if steps < 1:
         raise BadParams(f"steps must be >= 1, got {steps}")
@@ -326,15 +339,13 @@ def md_native(config: Dataset, params) -> str:
         raise BadParams("no helium walkers to propagate")
     theta = config.get("theta").magnitude if config.has("theta") else 0.0
 
-    rng = random.Random(_seed_param(params))
-    trail = [[p] for p in walkers]
-    current = list(walkers)
-    for _ in range(steps):
-        for w in range(len(current)):
-            move = rng.choice((-1, 1))
-            if (current[w] + move) % n_sites not in occupied:
-                current[w] += move
-            trail[w].append(current[w])
+    moves = _moves(random.Random(_seed_param(params)), steps * len(walkers)).reshape(steps, -1)
+    blocked = np.isin(np.arange(n_sites), list(occupied))
+    trail = np.empty((steps + 1, len(walkers) + 1), dtype=np.int64)
+    trail[:, 0], trail[0, 1:] = np.arange(steps + 1), walkers
+    for t in range(steps):
+        there = trail[t, 1:] + moves[t]
+        trail[t + 1, 1:] = np.where(blocked[there % n_sites], trail[t, 1:], there)
 
     header = [
         "MDRUN TRAJECTORY 1",
@@ -345,9 +356,7 @@ def md_native(config: Dataset, params) -> str:
     ]
     cols = ["T"] + [f"W{w}" for w in range(len(walkers))]
     lines = ["".join(f"{c:>{_COL}}" for c in cols)]
-    for t in range(steps + 1):
-        row = [t] + [trail[w][t] for w in range(len(walkers))]
-        lines.append("".join(f"{v:>{_COL}d}" for v in row))
+    lines.extend((f"%{_COL}d" * len(cols)) % tuple(row) for row in trail.tolist())
     return "\n".join(header + lines) + "\n"
 
 
@@ -356,31 +365,30 @@ def parse_md_native(text: str) -> Dataset:
     if not lines or lines[0] != "MDRUN TRAJECTORY 1":
         raise RuntimeFailure("trajectory output: bad banner")
     meta = {}
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
+    for body_at, line in enumerate(lines[1:], start=1):
         key = line[:9].strip()
-        if key in ("THETA", "TIMESTEP", "WALKERS", "STEPS"):
-            meta[key] = line[9:].split()[0]
-        else:
-            body_at = i
+        if key not in ("THETA", "TIMESTEP", "WALKERS", "STEPS"):
             break
-    walkers = int(meta["WALKERS"])
-    steps = int(meta["STEPS"])
-    width = walkers + 1
-    rows = []
-    for line in lines[body_at + 1 :]:
-        if not line.strip():
-            continue
-        cells = [line[i * _COL : (i + 1) * _COL] for i in range(width)]
-        rows.append(tuple(float(c) for c in cells))
-    if len(rows) != steps + 1:
-        raise RuntimeFailure(f"trajectory output: expected {steps + 1} rows, got {len(rows)}")
+        meta[key] = (line[9:].split() or [""])[0]
+    else:
+        raise RuntimeFailure("trajectory output: missing column header")
+    rows = [line for line in lines[body_at + 1 :] if line.strip()]
+    try:
+        walkers, steps = int(meta["WALKERS"]), int(meta["STEPS"])
+        timestep, theta = float(meta["TIMESTEP"]), float(meta["THETA"])
+        if len(rows) != steps + 1 or set(map(len, rows)) - {(walkers + 1) * _COL}:
+            raise RuntimeFailure(f"trajectory output: expected {steps + 1} rows of {walkers + 1} cells")
+        # fields sliced by position: each row is walkers + 1 cells of _COL ASCII bytes
+        cells = np.frombuffer("".join(rows).encode("ascii"), f"S{_COL}").astype(float)
+        cells = cells.reshape(len(rows), walkers + 1).tolist()
+    except (KeyError, ValueError) as exc:
+        raise RuntimeFailure(f"trajectory output: malformed text ({exc!r})") from None
     columns = ("t",) + tuple(f"w{w}" for w in range(walkers))
     return Dataset.build(
         [
-            Observable.table("trajectory", columns, rows, ONE),
-            Observable.scalar("timestep", float(meta["TIMESTEP"]), PS),
-            Observable.scalar("theta", float(meta["THETA"]), ONE),
+            Observable.table("trajectory", columns, cells, ONE),
+            Observable.scalar("timestep", timestep, PS),
+            Observable.scalar("theta", theta, ONE),
         ]
     )
 
@@ -394,26 +402,27 @@ def mock_md(config: Dataset, params) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Unwrapped walker positions, one row per walker, T+1 samples each."""
+    """Unwrapped walker positions, one row per walker, T+1 samples each,
+    held as one read-only int64 array built from any integer array-like."""
 
-    positions: tuple[tuple[int, ...], ...]
+    positions: np.ndarray
     timestep: float = 1.0  # picoseconds per step
     theta: float = 0.0
 
     def __post_init__(self):
         if len(self.positions) < 1:
             raise BadParams("trajectory needs at least one walker")
-        lengths = {len(p) for p in self.positions}
-        if len(lengths) != 1 or lengths == {1}:
+        if len({len(p) for p in self.positions}) != 1 or len(self.positions[0]) < 2:
             raise BadParams("every walker needs the same number of samples, at least 2")
         if not 0.0 <= self.theta <= 1.0:
             raise BadParams("theta must lie in [0, 1]")
-        for track in self.positions:
-            for a, b in zip(track, track[1:]):
-                if abs(b - a) > 1:
-                    raise BadParams("walkers may move at most one site per step")
+        tracks = np.array(self.positions, dtype=np.int64)
+        if (np.abs(np.diff(tracks)) > 1).any():
+            raise BadParams("walkers may move at most one site per step")
+        tracks.flags.writeable = False
+        object.__setattr__(self, "positions", tracks)
 
     @property
     def walkers(self) -> int:
@@ -421,22 +430,20 @@ class Trajectory:
 
     @property
     def steps(self) -> int:
-        return len(self.positions[0]) - 1
+        return self.positions.shape[1] - 1
 
     @staticmethod
     def from_dataset(ds: Dataset) -> "Trajectory":
         table = ds.get("trajectory")
-        ordered = sorted(table.values, key=lambda row: row[0])
-        positions = tuple(
-            tuple(int(row[w]) for row in ordered) for w in range(1, len(table.columns))
-        )
+        rows = np.fromiter(chain.from_iterable(table.values), float, len(table.values) * len(table.columns))
+        rows = rows.reshape(len(table.values), len(table.columns))
+        tracks = rows[np.argsort(rows[:, 0], kind="stable"), 1:].T
         timestep = ds.get("timestep").magnitude if ds.has("timestep") else 1.0
         theta = ds.get("theta").magnitude if ds.has("theta") else 0.0
-        return Trajectory(positions, timestep, theta)
+        return Trajectory(tracks, timestep, theta)
 
 
-def _msd_values(positions, cell_length: float) -> list[float]:
-    tracks = np.asarray(positions, dtype=float) * cell_length
+def _msd_values(tracks: np.ndarray) -> list[float]:
     deltas = tracks - tracks[:, :1]
     return list(np.mean(deltas * deltas, axis=0))
 
@@ -445,7 +452,7 @@ def msd(traj: Trajectory, cell_length: float = 1.0) -> Dataset:
     """Mean square displacement over walkers, in squared length units."""
     if traj.walkers < 2:
         raise BadParams("MSD needs at least 2 walkers to average over")
-    values = _msd_values(traj.positions, cell_length)
+    values = _msd_values(traj.positions * cell_length)
     return Dataset.build(
         [
             Observable.series("msd", [(float(t), v) for t, v in enumerate(values)], ANGSTROM2),
@@ -508,11 +515,11 @@ def diffusivity_with_se(
     groups = min(groups, traj.walkers)
     if groups < 2:
         raise BadParams("need at least 2 walker groups for a standard error")
-    overall, _ = _fit_second_half(_msd_values(traj.positions, cell_length))
+    tracks = traj.positions * cell_length
+    overall, _ = _fit_second_half(_msd_values(tracks))
     estimates = []
     for g in range(groups):
-        member_tracks = traj.positions[g::groups]
-        slope, _ = _fit_second_half(_msd_values(member_tracks, cell_length))
+        slope, _ = _fit_second_half(_msd_values(tracks[g::groups]))
         estimates.append(slope / (2.0 * dimensionality) / traj.timestep)
     d_value = overall / (2.0 * dimensionality) / traj.timestep
     se = float(np.std(estimates, ddof=1) / math.sqrt(groups))

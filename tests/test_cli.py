@@ -1,6 +1,7 @@
 """Exit codes, stream separation, and subcommand behavior of the CLI."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -367,6 +368,19 @@ class TestMock:
         code, out, _ = run("mock", "analysis", "--seed", 2)
         assert code == 0
         assert out.splitlines()[0] == "format = tsfit-kv"
+
+    # sha-256 of the output, recorded from the one-choice-at-a-time walk
+    @pytest.mark.parametrize(
+        "stage, digest",
+        [
+            ("md", "d6c0d852975b4feb7d47486e1b395ad18fced178645949938d705f86454c8efc"),
+            ("analysis", "750da017004a843c2acf897632c456e00996881addfa9350acc18aeb0e9787d8"),
+        ],
+    )
+    def test_blocked_study_output_is_pinned(self, run, stage, digest):
+        code, out, err = run("mock", stage, "--seed", 7, "--param", "theta=0.6")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_stage_params(self, run):
         code, _, err = run("mock", "lattice", "--param", "cells=1")

@@ -491,3 +491,83 @@ class TestBulkParserAgainstReference:
         with pytest.raises(ParseError) as err:
             canonical_deserialize(f"dataset-v1\n{line.format(digit, **numbers)}\nend\n".encode())
         assert err.value.line == 2
+
+
+def repeat_heavy():
+    """A trajectory-like table: 800 cells, 25 distinct values, -0.0 among the input."""
+    rows = [(float(t), t % 3 - 1.0, -0.0 * t, (t // 50) * 0.25) for t in range(200)]
+    return Dataset.build([Observable.table("trajectory", ("t", "w0", "w1", "w2"), rows, ONE)])
+
+
+def all_distinct():
+    """A 501-point series in which no number repeats."""
+    return Dataset.build(
+        [Observable.series("msd", [(float(i), i / 7 + 1 / 3) for i in range(501)], get_unit("angstrom^2"))]
+    )
+
+
+class TestDistinctValueCodec:
+    """Each distinct number of an obs line is rendered, and checked, once."""
+
+    # sha-256 and length of each blob, recorded from the number-by-number codec
+    @pytest.mark.parametrize(
+        "build, distinct, size, digest",
+        [
+            (repeat_heavy, 204, 18534, "2863398f47426e6944339ed4dac2cbc90be22086231c052c0c23d29a0b6e3cb5"),
+            (all_distinct, 1002, 23091, "79bf6fb3a8c622be67e364dae123373add350a5ff12b29a8336d7ce1c483d7f3"),
+        ],
+        ids=("repeat-heavy", "all-distinct"),
+    )
+    def test_round_trip_is_pinned(self, build, distinct, size, digest):
+        ds = build()
+        (obs,) = ds.observables
+        assert len(set(itertools.chain.from_iterable(obs.values))) == distinct
+        blob = canonical_serialize(ds)
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)
+        parsed = canonical_deserialize(blob)
+        assert parsed == ds and canonical_serialize(parsed) == blob
+
+    @pytest.mark.parametrize("mutation", sorted(NUMBER_MUTATIONS))
+    def test_one_repeated_number_mutated(self, mutation):
+        # the cell repeats a value held elsewhere on the line: the mutated
+        # occurrence alone is judged, exactly as the per-token reference does
+        blob = canonical_serialize(repeat_heavy())
+        lines = blob.decode().split("\n")
+        tokens = lines[1].split(" ")
+        pos = 9 + 4 * 150 + 1  # w0 of row 150, one of three values on the line
+        tokens[pos] = NUMBER_MUTATIONS[mutation](tokens[pos])
+        lines[1] = " ".join(tokens)
+        mutated = "\n".join(lines).encode()
+        if reference_number(tokens[pos]):
+            assert canonical_serialize(canonical_deserialize(mutated)) == mutated
+        else:
+            with pytest.raises(ParseError) as err:
+                canonical_deserialize(mutated)
+            assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Observable.scalar("z", -0.0, ONE),
+            lambda: Observable.vector3("z", (-0.0, 1.0, -0.0), ONE),
+            lambda: Observable.series("z", [(-0.0, -0.0), (1.0, -0.0)], ONE),
+            lambda: Observable.table("z", ("a", "b"), [(-0.0, 2.0), (3.0, -0.0)], ONE),
+            lambda: convert(Observable.scalar("z", 0.0, ANG), NM),
+            lambda: convert(Observable.table("z", ("a",), [(0.0,), (-1.0,)], ANG), NM),
+            lambda: Observable.series("z", [(0.0, -1e-320 * 1e-10)], ONE),
+        ],
+        ids=("scalar", "vector3", "series", "table", "convert-scalar", "convert-table", "underflow"),
+    )
+    def test_factories_leave_no_negative_zero(self, make):
+        # the writer keys its renderings by float equality, under which
+        # 0.0 == -0.0: sound only while no observable holds -0.0
+        obs = make()
+        flat = obs.values if obs.kind in ("scalar", "vector3") else itertools.chain.from_iterable(obs.values)
+        assert all(math.copysign(1.0, v) == 1.0 for v in flat if v == 0.0)
+
+    def test_parser_leaves_no_negative_zero(self):
+        zero, neg = format_number(0.0), format_number(-0.0)
+        parsed = canonical_deserialize(f"dataset-v1\nobs z vector3 dimensionless {zero} {zero} {zero}\nend\n".encode())
+        assert all(math.copysign(1.0, v) == 1.0 for v in parsed.get("z").values)
+        with pytest.raises(ParseError):
+            canonical_deserialize(f"dataset-v1\nobs z vector3 dimensionless {zero} {neg} {zero}\nend\n".encode())

@@ -1,12 +1,16 @@
 """Mock simulation programs, trajectory analysis, and the virtual-clock
 executor."""
 
+import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridflow.errors import RuntimeFailure
 from gridflow.model import verify
 from gridflow.quantities import Dataset, Observable, get_unit, merge
 from gridflow.resources import (
@@ -21,6 +25,7 @@ from gridflow.resources import (
     render_descriptor_xml,
 )
 from gridflow.simgrid import (
+    _moves,
     BadParams,
     NoFreeSites,
     PROGRAMS,
@@ -225,6 +230,122 @@ class TestMd:
             assert all(abs(b - a) <= 1 for a, b in zip(track, track[1:]))
 
 
+def study_inputs(cells, theta, walkers, seed):
+    """Occupancy and walker drop sites from the mocks upstream, one seed throughout."""
+    occ = mock_cbmc(lattice(cells), {"theta": repr(theta), "seed": str(seed)})
+    return occ, mock_gcmc(occ, {"n_helium": str(walkers), "seed": str(seed)})
+
+
+def study_native(cells, theta, walkers, steps, seed):
+    occ, gc = study_inputs(cells, theta, walkers, seed)
+    return md_native(merge([gc, occ]), {"steps": str(steps), "seed": str(seed)})
+
+
+def reference_walk(walkers, occupied, n_sites, steps, seed):
+    """The walk one rng.choice at a time, walker by walker, step by step."""
+    rng = random.Random(seed)
+    trail, current = [[p] for p in walkers], list(walkers)
+    for _ in range(steps):
+        for w in range(len(current)):
+            move = rng.choice((-1, 1))
+            if (current[w] + move) % n_sites not in occupied:
+                current[w] += move
+            trail[w].append(current[w])
+    return tuple(map(tuple, trail))
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("seed", (0, 1, 2**40 + 7))
+    @pytest.mark.parametrize("n", (1, 36, 855))
+    def test_equals_choice(self, seed, n):
+        rng = random.Random(seed)
+        expected = [rng.choice((-1, 1)) for _ in range(n)]
+        assert _moves(random.Random(seed), n).tolist() == expected
+
+    def test_second_block_continues_the_sequence(self):
+        # seed 1 keeps fewer than 855 values from the first block it draws
+        rng = CountingRandom(1)
+        drawn = _moves(rng, 855).tolist()
+        assert rng.calls > 1
+        ref = random.Random(1)
+        assert drawn == [ref.choice((-1, 1)) for _ in range(855)]
+
+    # sha-256 of md_native text, recorded from the one-choice-at-a-time walk
+    @pytest.mark.parametrize(
+        "study, digest",
+        [
+            ((64, 0.0, 50, 500, 1), "20fc21db2b7492850ab0623d8aaba851214559d526d0ffdfecce81bdc24d2a2c"),
+            ((16, 0.3, 7, 97, 5), "17e9cfe233ceeeb0925f1583082acc3b071a9083e251ab32f75e57560ee89aa6"),
+            ((6, 0.3, 3, 12, 9), "74d6308e15316b82506bc8096a7c1acced35b133e15f7605db593b4e9e372e35"),
+            ((256, 0.5, 200, 300, 3), "a8cf1aaab48bd0c8223e705b958eaf3c6f2af6e3e9aa17862456ed52d055975d"),
+            ((5, 0.9, 1, 1, 2), "8f1c23c004da39de0435c555aa19d676735b1ccea846141a7554b926669ea83f"),
+            ((40, 0.6, 13, 1000, 77), "03aed80abd47c6bf020afac115632ebb271c6cf3535d1d8fe1c8dc95d05969a6"),
+        ],
+    )
+    def test_native_text_is_pinned(self, study, digest):
+        assert hashlib.sha256(study_native(*study).encode()).hexdigest() == digest
+
+    @given(st.integers(2, 30), st.floats(0.0, 0.9, allow_nan=False), st.integers(1, 8),
+           st.integers(1, 40), st.integers(0, 2**48))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_reference(self, cells, theta, walkers, steps, seed):
+        occ, gc = study_inputs(cells, theta, walkers, seed)
+        ds = mock_md(merge([gc, occ]), {"steps": str(steps), "seed": str(seed)})
+        occupied = {int(s) for s, flag in occ.get("occupancy").values if flag}
+        starts = [int(p) for _, p in gc.get("helium_positions").values]
+        expected = reference_walk(starts, occupied, cells, steps, seed)
+        assert Trajectory.from_dataset(ds).positions.tolist() == list(map(list, expected))
+
+
+class TestMdNativeErrors:
+    TEXT = md_native(config({2}, 6, [0, 4]), {"steps": "3", "seed": "1"})
+
+    def edited(self, lineno, edit):
+        lines = self.TEXT.splitlines()
+        lines[lineno] = edit(lines[lineno])
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (TEXT.replace("MDRUN", "MDRAN"), "bad banner"),
+            ("\n".join(TEXT.splitlines()[:5]) + "\n", "missing column header"),
+            (TEXT.replace("WALKERS  2", "WALKERS  two"), r"malformed text \(ValueError"),
+            (TEXT.replace("STEPS    3\n", ""), r"malformed text \(KeyError\('STEPS'\)\)"),
+            (TEXT.rstrip("\n").rsplit("\n", 1)[0] + "\n", "expected 4 rows of 3 cells"),
+        ],
+        ids=("banner", "no-column-header", "bad-walkers", "no-steps", "missing-row"),
+    )
+    def test_header_and_shape(self, text, reason):
+        with pytest.raises(RuntimeFailure, match=f"trajectory output: {reason}"):
+            parse_md_native(text)
+
+    def test_non_numeric_cell(self):
+        text = self.edited(7, lambda line: line[:12] + "         abc" + line[24:])
+        with pytest.raises(RuntimeFailure, match="malformed text .*could not convert"):
+            parse_md_native(text)
+
+    @pytest.mark.parametrize("edit", (lambda line: line[:-1], lambda line: line + " "))
+    def test_row_of_the_wrong_width(self, edit):
+        with pytest.raises(RuntimeFailure, match="trajectory output: expected 4 rows of 3 cells"):
+            parse_md_native(self.edited(8, edit))
+
+    def test_non_ascii_cell(self):
+        text = self.edited(7, lambda line: line[:12] + "           \u0661" + line[24:])
+        with pytest.raises(RuntimeFailure, match="trajectory output"):
+            parse_md_native(text)
+
+
 class TestTrajectory:
     def test_validates_jump(self):
         with pytest.raises(BadParams):
@@ -247,7 +368,21 @@ class TestTrajectory:
         ds = Dataset.build(
             [Observable.table("trajectory", ("t", "w0"), rows, ONE)]
         )
-        assert Trajectory.from_dataset(ds).positions == ((0, 1, 2),)
+        assert Trajectory.from_dataset(ds).positions.tolist() == [[0, 1, 2]]
+
+    def test_positions_are_one_read_only_int_array(self):
+        source = [[0, 1, 2], [5, 4, 4]]
+        traj = Trajectory(source)
+        assert traj.positions.dtype == np.int64 and traj.positions.shape == (2, 3)
+        assert (traj.walkers, traj.steps) == (2, 2)
+        with pytest.raises(ValueError):
+            traj.positions[0, 0] = 9
+        assert source == [[0, 1, 2], [5, 4, 4]]
+
+    def test_validates_empty_positions(self):
+        for positions in ((), ((), ())):
+            with pytest.raises(BadParams):
+                Trajectory(positions)
 
 
 class TestAnalysis:
@@ -317,6 +452,18 @@ class TestAnalysis:
             return diffusivity_with_se(Trajectory.from_dataset(tr))[1]
 
         assert se_at(2000) < se_at(100)
+
+    def test_group_estimates_match_per_group_conversion(self):
+        # converting the positions once and slicing per group gives each
+        # group the same float values as converting that group on its own
+        lat = lattice(30)
+        occ = mock_cbmc(lat, {"theta": "0.3", "seed": "4"})
+        gc = mock_gcmc(occ, {"n_helium": "37", "seed": "4"})
+        traj = Trajectory.from_dataset(mock_md(merge([occ, gc]), {"steps": "60", "seed": "4"}))
+        for g in range(10):
+            sliced = traj.positions[g::10] * 2.5
+            rebuilt = np.asarray(traj.positions.tolist()[g::10], dtype=float) * 2.5
+            assert sliced.tobytes() == rebuilt.tobytes()
 
     def test_full_stage_native_round_trip(self):
         lat = lattice(20)
