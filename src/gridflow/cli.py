@@ -330,11 +330,12 @@ def cmd_store_ls(args, cfg) -> int:
 
 def cmd_store_audit(args, cfg) -> int:
     store = _open_store(args, cfg)
-    bad, torn = store.audit(), store.torn_tail()
+    bad = store.audit()
+    torn = [(run_id, n) for run_id in store.runs() if (n := store.torn_tail(run_id))]
     for digest in bad:
         print(f"corrupt blob {digest}")
-    if torn:
-        print(f"torn index.log tail: {torn} bytes after the last newline")
+    for run_id, n in torn:
+        print(f"torn runs/{run_id}.log tail: {n} bytes after the last newline")
     if bad or torn:
         return RUNTIME_ERROR
     print("clean")
@@ -446,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("run_id", help="run to list")
     q.set_defaults(func=cmd_store_ls)
     q = store_sub.add_parser("audit", parents=[common],
-                             help="re-hash every blob and check the index for a torn tail")
+                             help="re-hash every blob and check each run journal for a torn tail")
     q.set_defaults(func=cmd_store_audit)
 
     p = sub.add_parser("mock", parents=[common],

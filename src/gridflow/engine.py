@@ -14,19 +14,20 @@ Whole runs are reproducible: the job seed is a digest of the run seed, the
 activity, its firing number, and its staged input hashes, so a resumed or
 rolled-back run re-derives exactly the seeds of an uninterrupted one.
 
-Every run leaves a JSON manifest (workflow text, bindings, counters, trace)
-under <store root>/runs/ next to, but outside, the append-only blob index.
+Run state lives only in the store, in the run's journal (see storage):
+execute() claims the run with its header (workflow text, bindings, params,
+seed), and each drive appends a status record carrying the run's summary
+(counters, entries, trace) when it starts, and again when it fails or
+completes. Reports, provenance and resume all derive from one replay of that
+journal.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 from .dsl import UnsoundWorkflow, emit_dsl, parse
 from .errors import GridflowError, IterationLimit, RuntimeFailure, UserError
@@ -40,7 +41,7 @@ from .resources import (
     _freeze_params,
     render_launch,
 )
-from .storage import ACTIVE, COMPLETED, FAILED_RUN, ContentStore, UnknownRun
+from .storage import ACTIVE, COMPLETED, FAILED_RUN, ContentStore, RunState
 
 __all__ = [
     "ACADEMIC",
@@ -211,56 +212,67 @@ class Engine:
     # -- execution -----------------------------------------------------------
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> RunRecord:
-        run_id = run_id or self._claim_run_id()
+        run_id = self.store.claim(_header(plan), run_id)
         executor = self._executor(plan.seed, tuple(fault_plan))
         return _Execution(self, plan, run_id, executor, replay=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> RunRecord:
-        manifest = self._load_manifest(run_id)
-        # the store sees rollbacks the manifest does not, so its status wins
-        # for any run it knows about
-        try:
-            state = self.store.run_state(run_id)
-            status, replay = state.status, state.checkpoints
-        except UnknownRun:
-            status, replay = manifest["status"], ()
-        if status == COMPLETED:
+        state = self._state(run_id, need_summary=False)
+        if state.status == COMPLETED:
             raise NothingToResume(f"run {run_id} already completed")
-        plan = self._plan_from_manifest(manifest)
+        plan = self._plan_from_header(state.header)
         executor = self._executor(plan.seed, tuple(fault_plan))
-        return _Execution(self, plan, run_id, executor, replay=replay).drive()
+        return _Execution(self, plan, run_id, executor, replay=state.checkpoints).drive()
 
-    def _plan_from_manifest(self, manifest) -> ExecutionPlan:
-        graph = parse(manifest["workflow_text"])
-        bindings = tuple((a, r) for a, r in manifest["bindings"])
+    def _plan_from_header(self, header) -> ExecutionPlan:
+        graph = parse(header["workflow_text"])
+        bindings = tuple((a, r) for a, r in header["bindings"])
         for _, resource in bindings:
             self.registry.get(resource)  # must still be registered
         return ExecutionPlan(
             graph,
             bindings,
-            tuple((k, v) for k, v in manifest["params"]),
-            UserProfile(**manifest["user"]),
-            manifest["max_iterations"],
-            manifest["seed"],
+            tuple((k, v) for k, v in header["params"]),
+            UserProfile(**header["user"]),
+            header["max_iterations"],
+            header["seed"],
         )
 
     # -- inspection ----------------------------------------------------------
 
+    def _state(self, run_id: str, need_summary: bool = True) -> RunState:
+        state = self.store.run_state(run_id)
+        if state.header is None or need_summary and state.summary is None:
+            # claimed by a process that died before it wrote the record
+            raise RuntimeFailure(f"run {run_id}: journal is empty or incomplete")
+        return state
+
     def record(self, run_id: str) -> RunRecord:
-        return _record_from_manifest(self._load_manifest(run_id))
+        state = self._state(run_id)
+        header, summary = state.header, state.summary
+        return RunRecord(
+            run_id, header["workflow_name"], state.status,
+            tuple(ActivityEntry(*entry) for entry in summary["entries"]),
+            tuple((a, n) for a, n in summary["counters"]),
+            tuple(tuple(ev) for ev in summary["trace"]),
+            header["seed"], summary["started_at"], summary["finished_at"], summary["failure"],
+        )
 
     def provenance(self, run_id: str) -> ProvenanceRecord:
-        manifest = self._load_manifest(run_id)
-        graph = parse(manifest["workflow_text"])
-        overrides = {k: v for k, v in manifest["params"]}
+        return self._provenance(self._state(run_id))
+
+    def _provenance(self, state: RunState) -> ProvenanceRecord:
+        header = state.header
+        graph = parse(header["workflow_text"])
+        overrides = {k: v for k, v in header["params"]}
         parameters = []
         for node in graph.activities():
             for key, value in node.params:
                 parameters.append((f"{node.id}.{key}", overrides.get(key, value)))
         resources = []
         credit: dict[str, str] = {}
-        for activity, resource in manifest["bindings"]:
-            if activity not in manifest["touched"]:
+        for activity, resource in header["bindings"]:
+            if activity not in state.summary["touched"]:
                 continue
             d = self.registry.get(resource)
             resources.append((activity, resource, d.program_spec))
@@ -269,12 +281,12 @@ class Engine:
         ledger = [(c, credit[c]) for c in sorted(credit)]
         ledger.extend((ref, "workflow-source") for ref in graph.source_refs)
         return ProvenanceRecord(
-            manifest["workflow_name"],
-            manifest["workflow_hash"],
-            manifest["user"]["user"],
-            manifest["user"]["affiliation"],
-            manifest["seed"],
-            manifest["max_iterations"],
+            header["workflow_name"],
+            header["workflow_hash"],
+            header["user"]["user"],
+            header["user"]["affiliation"],
+            header["seed"],
+            header["max_iterations"],
             tuple(sorted(parameters)),
             tuple(sorted(resources)),
             tuple(ledger),
@@ -282,58 +294,49 @@ class Engine:
 
     def checkpoint_hashes(self, run_id: str) -> list[str]:
         """Committed checkpoint hashes in commit order."""
-        try:
-            return [key.hash for _, key in self.store.checkpoints(run_id)]
-        except UnknownRun:
-            self._load_manifest(run_id)  # raise only if truly unknown
-            return []
+        return [key.hash for _, key in self.store.checkpoints(run_id)]
 
     def report(self, run_id: str, deterministic: bool = False) -> dict:
-        manifest = self._load_manifest(run_id)
-        prov = self.provenance(run_id)
+        state = self._state(run_id)
+        header, summary = state.header, state.summary
+        prov = self._provenance(state)
         results = {}
-        try:
-            state = self.store.run_state(run_id)
-        except UnknownRun:
-            state = None
-        if state is not None:
-            for activity in sorted({a for a, _ in state.checkpoints}):
-                key = state.latest(activity)
-                ds = self.store.get(key)
-                scalars = {
-                    obs.name: obs.values[0]
-                    for obs in ds.observables
-                    if obs.kind == "scalar"
-                }
-                others = {
-                    obs.name: f"{obs.kind}[{len(obs.values)}]"
-                    for obs in ds.observables
-                    if obs.kind != "scalar"
-                }
-                results[activity] = {"hash": key.hash, "scalars": scalars, "other": others}
+        for activity, key in sorted(dict(state.checkpoints).items()):  # each one's latest
+            ds = self.store.get_by_hash(key.hash)  # a key of the journal just read
+            scalars = {
+                obs.name: obs.values[0]
+                for obs in ds.observables
+                if obs.kind == "scalar"
+            }
+            others = {
+                obs.name: f"{obs.kind}[{len(obs.values)}]"
+                for obs in ds.observables
+                if obs.kind != "scalar"
+            }
+            results[activity] = {"hash": key.hash, "scalars": scalars, "other": others}
         data = {
             "run": run_id,
-            "workflow": manifest["workflow_name"],
-            "workflow_hash": manifest["workflow_hash"],
-            "status": manifest["status"],
-            "seed": manifest["seed"],
-            "user": manifest["user"],
-            "max_iterations": manifest["max_iterations"],
-            "parameters": manifest["params"],
-            "bindings": {a: r for a, r in manifest["bindings"]},
-            "counters": manifest["counters"],
-            "checkpoints": self.checkpoint_hashes(run_id),
-            "entries": manifest["entries"],
-            "trace": manifest["trace"],
+            "workflow": header["workflow_name"],
+            "workflow_hash": header["workflow_hash"],
+            "status": state.status,
+            "seed": header["seed"],
+            "user": header["user"],
+            "max_iterations": header["max_iterations"],
+            "parameters": header["params"],
+            "bindings": {a: r for a, r in header["bindings"]},
+            "counters": summary["counters"],
+            "checkpoints": [key.hash for _, key in state.checkpoints],
+            "entries": summary["entries"],
+            "trace": summary["trace"],
             "results": results,
             "provenance": {
                 "parameters": [list(p) for p in prov.parameters],
                 "resources": [list(r) for r in prov.resources],
                 "ledger": [list(e) for e in prov.ledger],
             },
-            "started_at": manifest["started_at"],
-            "finished_at": manifest["finished_at"],
-            "failure": manifest["failure"],
+            "started_at": summary["started_at"],
+            "finished_at": summary["finished_at"],
+            "failure": summary["failure"],
         }
         if deterministic:
             data["started_at"] = data["finished_at"] = "<redacted>"
@@ -341,73 +344,20 @@ class Engine:
             data = json.loads(text)
         return data
 
-    # -- manifests -----------------------------------------------------------
 
-    @property
-    def _runs_dir(self) -> Path:
-        return Path(self.store.root) / "runs"
-
-    def _manifest_path(self, run_id: str) -> Path:
-        return self._runs_dir / f"{run_id}.json"
-
-    def _load_manifest(self, run_id: str) -> dict:
-        path = self._manifest_path(run_id)
-        if not path.exists():
-            raise UnknownRun(f"unknown run: {run_id}")
-        text = path.read_text(encoding="utf-8")
-        if not text.strip():  # claimed by a process that died before its first write
-            raise RuntimeFailure(f"run {run_id}: manifest is empty or unreadable")
-        return json.loads(text)
-
-    def _write_manifest(self, data: dict):
-        path = self._manifest_path(data["run_id"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        tmp.rename(path)
-
-    def _claim_run_id(self) -> str:
-        """The next free run id, claimed by creating its manifest exclusively."""
-        self._runs_dir.mkdir(parents=True, exist_ok=True)
-        highest = 0
-        for name in [p.stem for p in self._runs_dir.glob("run-*.json")] + self.store.runs():
-            m = re.fullmatch(r"run-(\d+)", name)
-            if m:
-                highest = max(highest, int(m.group(1)))
-        while True:
-            highest += 1
-            run_id = f"run-{highest:04d}"
-            with contextlib.suppress(FileExistsError):
-                open(self._manifest_path(run_id), "x").close()
-                return run_id
-
-    def runs(self) -> list[str]:
-        if not self._runs_dir.exists():
-            return []
-        return sorted(p.stem for p in self._runs_dir.glob("*.json"))
-
-    def _set_store_status(self, run_id: str, status: str):
-        # the store learns about a run on its first checkpoint; before that
-        # the manifest alone carries the status
-        try:
-            self.store.set_status(run_id, status)
-        except UnknownRun:
-            pass
-
-
-def _record_from_manifest(manifest) -> RunRecord:
-    return RunRecord(
-        manifest["run_id"],
-        manifest["workflow_name"],
-        manifest["status"],
-        tuple(ActivityEntry(*entry) for entry in manifest["entries"]),
-        tuple((a, n) for a, n in manifest["counters"]),
-        tuple(tuple(ev) for ev in manifest["trace"]),
-        manifest["seed"],
-        manifest["started_at"],
-        manifest["finished_at"],
-        manifest["failure"],
-    )
+def _header(plan: ExecutionPlan) -> dict:
+    """The static half of a run's record, written when the run is claimed."""
+    text = emit_dsl(plan.graph)
+    return {
+        "workflow_name": plan.graph.name,
+        "workflow_text": text,
+        "workflow_hash": workflow_hash(text),
+        "seed": plan.seed,
+        "user": {"user": plan.user.user, "affiliation": plan.user.affiliation},
+        "params": [list(p) for p in plan.params],
+        "max_iterations": plan.max_iterations,
+        "bindings": sorted([a, r] for a, r in plan.binding_map().items()),
+    }
 
 
 class _Execution:
@@ -424,7 +374,6 @@ class _Execution:
         self.engine = engine
         self.plan = plan
         self.g = plan.graph
-        self.workflow_text = emit_dsl(self.g)
         self.run_id = run_id
         self.executor = executor
         self.replay = list(replay)  # ordered (activity id, ResultKey)
@@ -453,11 +402,9 @@ class _Execution:
         except GridflowError as exc:
             self.failure = str(exc)
             self._persist(FAILED_RUN)
-            self.engine._set_store_status(self.run_id, FAILED_RUN)
             raise
         self._persist(COMPLETED)
-        self.engine._set_store_status(self.run_id, COMPLETED)
-        return _record_from_manifest(self.engine._load_manifest(self.run_id))
+        return self.engine.record(self.run_id)
 
     def _play(self):
         for edge in self.g.out_edges(self.g.start().id):
@@ -558,7 +505,7 @@ class _Execution:
         self._consume_one(activity)
         firing = self.firings.get(activity, 0) + 1
         self.firings[activity] = firing
-        ds = self.latest[activity] = self.engine.store.get(key)
+        ds = self.latest[activity] = self.engine.store.get_by_hash(key.hash)  # a run_state key
         self.counters[activity] = self.counters.get(activity, 0) + 1
         self.touched.add(activity)
         self.entries.append(
@@ -670,28 +617,18 @@ class _Execution:
     # -- persistence ---------------------------------------------------------
 
     def _persist(self, status):
-        self.engine._write_manifest(
-            {
-                "run_id": self.run_id,
-                "workflow_name": self.g.name,
-                "workflow_text": self.workflow_text,
-                "workflow_hash": workflow_hash(self.workflow_text),
-                "seed": self.plan.seed,
-                "user": {"user": self.plan.user.user, "affiliation": self.plan.user.affiliation},
-                "params": [list(p) for p in self.plan.params],
-                "max_iterations": self.plan.max_iterations,
-                "bindings": sorted([a, r] for a, r in self.bindings.items()),
-                "status": status,
-                "counters": sorted([a, n] for a, n in self.counters.items()),
-                "touched": sorted(self.touched),
-                "entries": [
-                    [e.activity, e.firing, e.resource, e.job_id, e.result_hash,
-                     e.submitted_tick, e.finished_tick, e.replayed]
-                    for e in self.entries
-                ],
-                "trace": [list(ev) for ev in self.trace],
-                "started_at": self.started_at,
-                "finished_at": _now() if status != ACTIVE else None,
-                "failure": self.failure,
-            }
-        )
+        """Append the run's status and its summary to the run's journal."""
+        summary = {
+            "counters": sorted([a, n] for a, n in self.counters.items()),
+            "touched": sorted(self.touched),
+            "entries": [
+                [e.activity, e.firing, e.resource, e.job_id, e.result_hash,
+                 e.submitted_tick, e.finished_tick, e.replayed]
+                for e in self.entries
+            ],
+            "trace": [list(ev) for ev in self.trace],
+            "started_at": self.started_at,
+            "finished_at": _now() if status != ACTIVE else None,
+            "failure": self.failure,
+        }
+        self.engine.store.set_status(self.run_id, status, summary)

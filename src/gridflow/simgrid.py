@@ -334,6 +334,8 @@ def md_native(config: Dataset, params) -> str:
     if steps < 1:
         raise BadParams(f"steps must be >= 1, got {steps}")
     occupied, n_sites = _occupied_sites(config)
+    if n_sites < 1:
+        raise BadParams("occupancy table has no sites to walk on")
     walkers = [int(v) for _, v in config.get("helium_positions").values]
     if not walkers:
         raise BadParams("no helium walkers to propagate")

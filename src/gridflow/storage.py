@@ -1,31 +1,42 @@
-"""Content-addressed dataset store with run history, checkpoints, rollback.
+"""Content-addressed dataset store with one append-only journal per run.
 
 All services exchange data through here: producers put whole datasets,
 consumers read them back (verified against the content hash on every read)
-and project out what they need. The backing layout is a directory of blobs
-named by sha-256 plus one append-only index log; nothing ever rewrites a
-stored byte, so the full history of a run stays reproducible even across
-rollbacks.
+and project out what they need. The layout is blobs/<sha-256>, one canonical
+dataset each, plus runs/<run id>.log, one JSON array per line:
 
-Index records, one per line:
+    ["submitted", header]          first line: workflow name, text and hash,
+                                   seed, user, params, max_iterations, bindings
+    ["put", activity, seq, hash]   a dataset filed under the run
+    ["ckpt", activity, seq, hash]  a put committed as a checkpoint
+    ["rollback", activity]         drop the checkpoints after the activity's last;
+                                   status rolled-back until the next ckpt
+    ["status", status, summary]    status, plus null or the run's summary
+                                   (counters, touched, entries, trace,
+                                   started_at, finished_at, failure)
 
-    put <run> <activity> <seq> <hash>
-    ckpt <run> <activity> <seq> <hash>
-    rollback <run> <activity>
-    status <run> <status>
+Nothing rewrites a stored byte, so a run's history survives rollbacks. A
+run's state is a replay of its own journal; no operation reads another's.
+A claim writes the "submitted" record in the call that creates the journal
+exclusively (open mode "x"). Every other append opens the journal, takes an
+exclusive flock, reads, cuts a torn tail, decides and writes under it. An
+flock belongs to the open file description, so it excludes this process's
+other threads too, and under it an unterminated last line can only be the
+torn tail of a writer that died. Readers take no lock and skip that tail.
 
-A ContentStore parses the index once, on first use, then only the complete
-lines appended since its last read, catching up before every decision so
-that appends by other stores and processes count. An append holds the thread
-lock and an exclusive flock on index.log from the catch-up that decides it
-through to the write. Under that flock an unterminated last line can only be
-the torn tail of a writer that died mid-line, so the append cuts it off first.
+Fsync policy: none. A record is written before its operation returns, so a
+killed process loses nothing it reported done; a power loss can lose what
+the page cache held.
 """
 
 from __future__ import annotations
 
 import fcntl
 import hashlib
+import itertools
+import json
+import os
+import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -81,6 +92,9 @@ COMPLETED = "completed"
 ROLLED_BACK = "rolled-back"
 _RUN_STATUSES = (ACTIVE, FAILED_RUN, COMPLETED, ROLLED_BACK)
 
+_RUN_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
+_NUMBERED = re.compile(r"run-([0-9]+)")
+
 
 @dataclass(frozen=True)
 class ResultKey:
@@ -99,81 +113,143 @@ class RunState:
     run_id: str
     checkpoints: tuple[tuple[str, ResultKey], ...]
     status: str
+    header: dict | None = None  # the "submitted" record; None for a run begun by a put
+    summary: dict | None = None  # from the last status record that carried one
 
-    def latest(self, activity_id: str) -> ResultKey | None:
-        for name, key in reversed(self.checkpoints):
-            if name == activity_id:
-                return key
+
+def _line(record) -> bytes:
+    return (json.dumps(record, separators=(",", ":")) + "\n").encode("ascii")
+
+
+_decode = json.JSONDecoder().raw_decode
+
+
+def _record(line: str, number: int) -> list | None:
+    """The record on one journal line, or None when the line is malformed."""
+    try:
+        record, end = _decode(line)
+    except ValueError:
         return None
+    if end != len(line) or not line.isascii() or type(record) is not list or not record:
+        return None
+    kind, n = record[0], len(record)
+    if kind == "put" or kind == "ckpt":
+        ok = n == 4 and type(record[1]) is type(record[3]) is str
+        ok = ok and type(record[2]) is int and record[2] >= 0  # not JSON true or false
+    elif kind == "rollback":
+        ok = n == 2 and type(record[1]) is str
+    elif kind == "status":
+        ok = n == 3 and record[1] in _RUN_STATUSES and type(record[2]) in (dict, type(None))
+    else:
+        ok = kind == "submitted" and number == 1 and n == 2 and type(record[1]) is dict
+    return record if ok else None
+
+
+def _known(records, key: ResultKey) -> bool:
+    tail = [key.activity_id, key.sequence, key.hash]
+    return any(r[0] in ("put", "ckpt") and r[1:] == tail for r in records)
+
+
+def _replay(run_id: str, records) -> RunState:
+    committed: list[tuple[str, ResultKey]] = []
+    status, header, summary = ACTIVE, None, None
+    for kind, *rec in records:
+        if kind == "submitted":
+            header = rec[0]
+        elif kind == "ckpt":
+            committed.append((rec[0], ResultKey(rec[2], run_id, rec[0], rec[1])))
+            if status == ROLLED_BACK:
+                status = ACTIVE
+        elif kind == "rollback":
+            cuts = [i for i, (name, _) in enumerate(committed) if name == rec[0]]
+            if not cuts:
+                raise IntegrityError(f"runs/{run_id}.log: rollback to {rec[0]!r}, never committed")
+            committed = committed[: cuts[-1] + 1]
+            status = ROLLED_BACK
+        elif kind == "status":
+            status = rec[0]
+            summary = rec[1] if rec[1] is not None else summary
+    return RunState(run_id, tuple(committed), status, header, summary)
 
 
 class ContentStore:
-    """Blob directory plus append-only index, all under one root path."""
+    """Blob directory plus one append-only journal per run, under one root."""
 
     def __init__(self, root, capacity_bytes: int | None = None):
         self.root = Path(root)
         self.blob_dir = self.root / "blobs"
-        self.index_path = self.root / "index.log"
+        self.runs_dir = self.root / "runs"
         self.capacity_bytes = capacity_bytes
+        old_index = self.root / "index.log"
+        if old_index.exists():
+            raise StorageError(f"{old_index}: old store layout; only runs/<id>.log journals are read")
         self.blob_dir.mkdir(parents=True, exist_ok=True)
-        open(self.index_path, "ab").close()
-        self._lock = threading.Lock()
-        self._offset = self._lines = 0  # bytes and lines of the index indexed so far
-        self._next_seq: dict[tuple[str, str], int] = {}
-        self._keys: set[str] = set()  # put and ckpt lines
-        self._by_run: dict[str, list[str]] = {}  # each run's lines, runs first-seen first
+        self.runs_dir.mkdir(exist_ok=True)
 
-    # -- index plumbing ----------------------------------------------------
+    # -- journals ------------------------------------------------------------
 
-    def index_lines(self) -> list[str]:
-        """The complete lines appended to the index since the last catch-up."""
-        with open(self.index_path, "rb") as fh:
-            fh.seek(self._offset)
-            return [raw[:-1].decode("utf-8") for raw in fh if raw.endswith(b"\n")]
+    def journal(self, run_id: str) -> Path:
+        """The journal path of a run id, which must be a plain name."""
+        if not isinstance(run_id, str) or not _RUN_ID.fullmatch(run_id):
+            raise StorageError(f"bad run id {run_id!r}: want [A-Za-z0-9][A-Za-z0-9_-]*")
+        return self.runs_dir / f"{run_id}.log"
 
-    def _catch_up(self):
-        """Index the lines appended since the last call; callers hold _lock.
-
-        A malformed line stops indexing, so every later call raises for it."""
-        lines = self.index_lines()
-        done = 0
+    def index_lines(self, run_id: str) -> list[str]:
+        """A run's complete journal lines, as latin-1 (one character a byte)."""
         try:
-            for line in lines:
-                kind, *fields = line.split(" ")
-                if len(fields) == 4 and kind in ("put", "ckpt") and fields[2].isdecimal():
-                    self._keys.add(line)
-                    seq, pair = int(fields[2]), (fields[0], fields[1])
-                    if seq >= self._next_seq.get(pair, 0):
-                        self._next_seq[pair] = seq + 1
-                elif len(fields) != 2 or not (
-                    kind == "rollback" or kind == "status" and fields[1] in _RUN_STATUSES
-                ):
-                    raise IntegrityError(f"index line {self._lines + done + 1} malformed: {line!r}")
-                self._by_run.setdefault(fields[0], []).append(line)
-                done += 1
-        finally:
-            self._lines += done
-            self._offset += sum(len(line.encode("utf-8")) + 1 for line in lines[:done])
+            data = self.journal(run_id).read_bytes()
+        except FileNotFoundError:
+            raise UnknownRun(f"unknown run: {run_id}") from None
+        return data[: data.rfind(b"\n") + 1].decode("latin-1").split("\n")[:-1]
+
+    def _records(self, run_id: str, lines: list[str] | None = None) -> list[list]:
+        """The records on a run's journal lines, each checked for its shape."""
+        records = []
+        for number, line in enumerate(self.index_lines(run_id) if lines is None else lines, 1):
+            records.append(_record(line, number))
+            if records[-1] is None:
+                raise IntegrityError(f"runs/{run_id}.log line {number} malformed: {line[:80]!r}")
+        return records
 
     @contextmanager
-    def _appending(self):
-        """Caught-up index and a writer for it, both locks held throughout."""
-        with self._lock, open(self.index_path, "ab") as fh:
+    def _appending(self, run_id: str, create: bool = False):
+        """A run's records and a journal writer, under one exclusive flock."""
+        path = self.journal(run_id)
+        if not (create or path.exists()):  # journals are never deleted
+            raise UnknownRun(f"unknown run: {run_id}")
+        with open(path, "ab") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
-            self._catch_up()
-            fh.truncate(self._offset)  # drop a torn tail
-            yield lambda *tokens: fh.write((" ".join(map(str, tokens)) + "\n").encode("utf-8"))
+            lines = self.index_lines(run_id)
+            end = sum(map(len, lines)) + len(lines)
+            if fh.seek(0, os.SEEK_END) > end:  # drop a torn tail
+                fh.truncate(end)
+            yield self._records(run_id, lines), lambda *record: fh.write(_line(record))
 
-    def _known(self, key: ResultKey) -> bool:
-        tail = f" {key.run_id} {key.activity_id} {key.sequence} {key.hash}"
-        return "put" + tail in self._keys or "ckpt" + tail in self._keys
+    def claim(self, header: dict, run_id: str | None = None) -> str:
+        """Create a run's journal, "submitted" record first; returns the run id:
+        a new given one, else the next run-NNNN no other process took first."""
+        if run_id is None:
+            numbers = (_NUMBERED.fullmatch(name) for name in self.runs())
+            highest = max((int(m.group(1)) for m in numbers if m), default=0)
+            candidates = (f"run-{n:04d}" for n in itertools.count(highest + 1))
+        else:
+            candidates = [run_id]
+        for candidate in candidates:
+            try:
+                with open(self.journal(candidate), "xb") as fh:
+                    fh.write(_line(["submitted", header]))
+                return candidate
+            except FileExistsError:
+                if run_id is not None:
+                    raise StorageError(f"run {run_id} already exists") from None
 
     # -- core operations ----------------------------------------------------
 
     def put(self, ds: Dataset, run_id: str, activity_id: str) -> ResultKey:
+        """File a dataset under a run, starting the run's journal if need be."""
         blob = canonical_serialize(ds)
         hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
-        with self._appending() as append:
+        with self._appending(run_id, create=True) as (records, append):
             path = self.blob_dir / hash
             if self.capacity_bytes is not None:
                 used = sum(p.stat().st_size for p in self.blob_dir.iterdir())
@@ -183,18 +259,21 @@ class ContentStore:
                         f"store over capacity: {used + extra} > {self.capacity_bytes} bytes"
                     )
             if not path.exists():
-                tmp = path.with_name(path.name + ".tmp")
+                # runs lock only their own journals, so two puts of one blob
+                # may race here: each writer renames its own temporary file
+                tmp = path.with_name(f"{hash}.{os.getpid()}-{threading.get_ident()}.tmp")
                 tmp.write_bytes(blob)
-                tmp.rename(path)
-            seq = self._next_seq.get((run_id, activity_id), 0)
-            append("put", run_id, activity_id, seq, hash)
+                tmp.replace(path)
+            seq = 1 + max(
+                (r[2] for r in records if r[0] in ("put", "ckpt") and r[1] == activity_id),
+                default=-1,
+            )
+            append("put", activity_id, seq, hash)
         return ResultKey(hash, run_id, activity_id, seq)
 
     def get(self, key: ResultKey) -> Dataset:
-        with self._lock:
-            self._catch_up()
-            if not self._known(key):
-                raise UnknownKey(f"no such key: {key}")
+        if not _known(self._records(key.run_id), key):
+            raise UnknownKey(f"no such key: {key}")
         return self._read_blob(key.hash)
 
     def get_by_hash(self, hash: str) -> Dataset:
@@ -213,62 +292,40 @@ class ContentStore:
         return ds
 
     def checkpoint(self, run_id: str, activity_id: str, key: ResultKey) -> RunState:
-        with self._appending() as append:
-            if not self._known(key):
+        with self._appending(run_id) as (records, append):
+            if key.run_id != run_id or not _known(records, key):
                 raise UnknownKey(f"cannot checkpoint unknown key: {key}")
-            append("ckpt", run_id, activity_id, key.sequence, key.hash)
-        return self.run_state(run_id)
+            record = ["ckpt", activity_id, key.sequence, key.hash]
+            append(*record)
+        return _replay(run_id, records + [record])
 
     def rollback(self, run_id: str, to_activity_id: str) -> RunState:
-        with self._appending() as append:
-            state = self._run_state(run_id)
-            if not any(name == to_activity_id for name, _ in state.checkpoints):
+        with self._appending(run_id) as (records, append):
+            if not any(name == to_activity_id for name, _ in _replay(run_id, records).checkpoints):
                 raise UnknownCheckpoint(
                     f"run {run_id} has no committed checkpoint for {to_activity_id}"
                 )
-            append("rollback", run_id, to_activity_id)
-        return self.run_state(run_id)
+            record = ["rollback", to_activity_id]
+            append(*record)
+        return _replay(run_id, records + [record])
 
-    def set_status(self, run_id: str, status: str):
+    def set_status(self, run_id: str, status: str, summary: dict | None = None):
+        """Append a status record; a summary, when given, replaces the last."""
         if status not in _RUN_STATUSES:
             raise StorageError(f"unknown run status: {status}")
-        with self._appending() as append:
-            self._run_state(run_id)
-            append("status", run_id, status)
+        with self._appending(run_id) as (_, append):
+            append("status", status, summary)
 
     # -- views ---------------------------------------------------------------
 
     def run_state(self, run_id: str) -> RunState:
-        with self._lock:
-            self._catch_up()
-            return self._run_state(run_id)
-
-    def _run_state(self, run_id: str) -> RunState:
-        committed: list[tuple[str, ResultKey]] = []
-        status = ACTIVE
-        if run_id not in self._by_run:
-            raise UnknownRun(f"unknown run: {run_id}")
-        for line in self._by_run[run_id]:
-            kind, _, *rec = line.split(" ")
-            if kind == "ckpt":
-                committed.append((rec[0], ResultKey(rec[2], run_id, rec[0], int(rec[1]))))
-                if status == ROLLED_BACK:
-                    status = ACTIVE
-            elif kind == "rollback":
-                cut = max(i for i, (name, _) in enumerate(committed) if name == rec[0])
-                committed = committed[: cut + 1]
-                status = ROLLED_BACK
-            elif kind == "status":
-                status = rec[0]
-        return RunState(run_id, tuple(committed), status)
+        return _replay(run_id, self._records(run_id))
 
     def checkpoints(self, run_id: str) -> tuple[tuple[str, ResultKey], ...]:
         return self.run_state(run_id).checkpoints
 
     def runs(self) -> list[str]:
-        with self._lock:
-            self._catch_up()
-            return list(self._by_run)
+        return sorted(path.stem for path in self.runs_dir.glob("*.log"))
 
     def audit(self) -> list[str]:
         """Re-hash every blob; returns the list of corrupted hashes."""
@@ -281,8 +338,8 @@ class ContentStore:
                 bad.append(path.name)
         return bad
 
-    def torn_tail(self) -> int:
-        """Length of an unterminated last index line (a writer that died
-        mid-line); 0 when the index ends on a newline. Takes no lock."""
-        data = self.index_path.read_bytes()
+    def torn_tail(self, run_id: str) -> int:
+        """Length of an unterminated last journal line (a writer that died
+        mid-line); 0 when the journal ends on a newline. Takes no lock."""
+        data = self.journal(run_id).read_bytes()
         return len(data) - data.rfind(b"\n") - 1

@@ -431,8 +431,8 @@ def test_criterion_09_fork_schedules(tmp_path):
 
 def test_criterion_10_integrity_and_append_only(tmp_path):
     """Flipping any single stored byte raises IntegrityError on read, and a
-    second full run only ever appends to the store: no existing blob or
-    index line changes."""
+    second full run only ever adds to the store: no existing blob and no
+    byte of the first run's journal changes."""
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
     g = build_case_study()
@@ -455,9 +455,10 @@ def test_criterion_10_integrity_and_append_only(tmp_path):
         store.get(key)  # intact again after restoration
 
     snapshot = {p.name: p.read_bytes() for p in store.blob_dir.iterdir()}
-    index_before = store.index_path.read_bytes()
-    eng.execute(eng.plan(g, UserProfile("alice"), seed=2))
+    journal_before = store.journal(run1.run_id).read_bytes()
+    run2 = eng.execute(eng.plan(g, UserProfile("alice"), seed=2))
+    assert run2.run_id != run1.run_id
     for name, data in snapshot.items():
         assert (store.blob_dir / name).read_bytes() == data, name
-    assert store.index_path.read_bytes().startswith(index_before)
+    assert store.journal(run1.run_id).read_bytes() == journal_before
     _ok(10, f"{len(blobs)} corruptions caught, second run appended without touching prior bytes")

@@ -295,15 +295,16 @@ class TestStoreAudit:
         code, out, _ = run("store", "audit")
         assert (code, out) == (2, f"corrupt blob {blob.name}\n")
 
-    def test_torn_index_tail(self, run, case_file, tmp_path):
+    def test_torn_journal_tail(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada")
-        index = tmp_path / "store" / "index.log"
-        before = index.read_bytes()
-        with open(index, "ab") as fh:
-            fh.write(b"put run-0001 lat")
+        run("submit", case_file, "--user", "ada")
+        journal = tmp_path / "store" / "runs" / "run-0002.log"
+        before = journal.read_bytes()
+        with open(journal, "ab") as fh:
+            fh.write(b'["put","lat')
         code, out, _ = run("store", "audit")
-        assert (code, out) == (2, "torn index.log tail: 16 bytes after the last newline\n")
-        assert index.read_bytes() == before + b"put run-0001 lat"  # nothing repaired
+        assert (code, out) == (2, "torn runs/run-0002.log tail: 11 bytes after the last newline\n")
+        assert journal.read_bytes() == before + b'["put","lat'  # nothing repaired
 
 
 class TestRegister:
@@ -407,7 +408,7 @@ class TestConfigAndStore:
         code, out, _ = run("report", run_id, "--config", cfg, "--json")
         assert code == 0
         assert json.loads(out)["user"] == {"user": "carol", "affiliation": "academic"}
-        assert (tmp_path / "cfg-store" / "runs" / f"{run_id}.json").exists()
+        assert (tmp_path / "cfg-store" / "runs" / f"{run_id}.log").exists()
 
     def test_flag_beats_environment(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada")
@@ -475,25 +476,47 @@ class TestExitContract:
         assert run("submit", "--help")[0] == 0
         assert run("verify", case_file) == (0, "sound\n", "")
 
-    def test_corrupt_manifest_is_internal(self, run, case_file, tmp_path):
+    def test_corrupt_journal_is_a_damaged_store(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada")
         run_id = out.strip()
-        manifest = tmp_path / "store" / "runs" / f"{run_id}.json"
-        manifest.write_text("{not json", encoding="utf-8")
+        journal = tmp_path / "store" / "runs" / f"{run_id}.log"
+        journal.write_text("{not json\n", encoding="utf-8")
         code, _, err = run("report", run_id)
-        assert code == 3
-        assert "Traceback" in err
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: runs/{run_id}.log line 1 malformed: '{{not json'"
+        ]
 
-    def test_empty_manifest_is_a_runtime_failure(self, run, case_file, tmp_path):
-        # a process killed between claiming a run id and its first manifest
-        # write leaves an empty manifest behind
+    def test_empty_journal_is_a_runtime_failure(self, run, case_file, tmp_path):
+        # a process killed between creating a run's journal and writing its
+        # first record leaves an empty journal behind
         _, out, _ = run("submit", case_file, "--user", "ada")
         run_id = out.strip()
-        (tmp_path / "store" / "runs" / f"{run_id}.json").write_text("", encoding="utf-8")
+        (tmp_path / "store" / "runs" / f"{run_id}.log").write_text("", encoding="utf-8")
         for command in ("report", "resume"):
             code, _, err = run(command, run_id)
             assert code == 2
-            assert err.splitlines() == [f"error: run {run_id}: manifest is empty or unreadable"]
+            assert err.splitlines() == [f"error: run {run_id}: journal is empty or incomplete"]
+
+    def test_run_ids_are_checked_before_they_name_a_file(self, run, case_file, tmp_path):
+        # journals planted where an unchecked id would lead
+        _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        journal = (tmp_path / "store" / "runs" / f"{out.strip()}.log").read_bytes()
+        for planted in (tmp_path / "store" / "x.log", tmp_path / "x.log"):
+            planted.write_bytes(journal)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        for argv in (("report", "../x"), ("resume", "a/b"), ("store", "ls", "../../x")):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: bad run id ")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_old_layout_store_is_refused(self, run, tmp_path):
+        (tmp_path / "store").mkdir()
+        (tmp_path / "store" / "index.log").write_text("", encoding="utf-8")
+        code, _, err = run("store", "audit")
+        assert code == 1
+        assert "index.log" in err and "old" in err
 
     def test_unknown_report_run(self, run):
         code, _, err = run("report", "run-7777")

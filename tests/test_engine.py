@@ -42,7 +42,7 @@ from gridflow.resources import (
     ResourceRegistry,
 )
 from gridflow.simgrid import SimulatedExecutor, build_case_study, standard_registry
-from gridflow.storage import ContentStore, UnknownRun
+from gridflow.storage import ContentStore, StorageError, UnknownRun
 
 ADA = UserProfile("ada")
 MEGACORP = UserProfile("bob", "commercial")
@@ -253,7 +253,7 @@ class TestExecution:
             w.join(timeout=30)
             assert not w.is_alive() and w.exitcode == 0
         assert len(set(run_ids)) == len(run_ids) == 12
-        assert Engine(standard_registry(), ContentStore(root)).runs() == sorted(run_ids)
+        assert ContentStore(root).runs() == sorted(run_ids)
 
     def test_trace_covers_lifecycle(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -454,12 +454,12 @@ class TestResume:
         engine.resume("run-hurt")
         assert len(puts) == 11 + 7 + 6  # clean run, up to the fault, resume
         assert len(serialized) == len(puts)
-        assert len(emitted) == 3
+        assert len(emitted) == 2  # once per claimed run; resume reads the header
 
     def test_jobs_parse_their_staged_inputs_and_resume_each_checkpoint(self, tmp_path, monkeypatch):
         # staging projects from the results the engine holds, so a parse is
-        # either a job reading a staged input back through get_by_hash or a
-        # resume reading a checkpoint it replays
+        # either a job reading a staged input back or a resume reading a
+        # checkpoint it replays, each through get_by_hash
         events, serialized, puts = [], [], []
         real_parse, real_by_hash = storage.canonical_deserialize, ContentStore.get_by_hash
 
@@ -506,7 +506,7 @@ class TestResume:
         replayed = [ev[2] for ev in record.trace if ev[0] == "replayed"]
         staged = sorted(ev[3] for ev in record.trace if ev[0] == "staged")
         assert len(replayed) == 3
-        assert parsed() == (staged, replayed)
+        assert parsed() == (sorted(staged + replayed), [])
         assert len(serialized) == len(puts) == 11 + 7 + 6
 
     def test_resume_completed_run_is_refused(self, tmp_path):
@@ -514,6 +514,21 @@ class TestResume:
         engine.execute(plan, run_id="run-done")
         with pytest.raises(NothingToResume):
             engine.resume("run-done")
+
+    def test_execute_checks_the_run_id(self, tmp_path):
+        engine, plan = self.build(tmp_path)
+        for run_id in ("..", "../run-a", "a/b"):
+            with pytest.raises(StorageError, match="bad run id"):
+                engine.execute(plan, run_id=run_id)
+        assert engine.store.runs() == [] and list(engine.store.blob_dir.iterdir()) == []
+
+    def test_execute_refuses_a_taken_run_id(self, tmp_path):
+        engine, plan = self.build(tmp_path)
+        engine.execute(plan, run_id="run-a")
+        journal = engine.store.journal("run-a").read_bytes()
+        with pytest.raises(StorageError, match="already exists"):
+            engine.execute(plan, run_id="run-a")
+        assert engine.store.journal("run-a").read_bytes() == journal
 
     def test_resume_unknown_run(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -525,6 +540,8 @@ class TestResume:
         engine.execute(plan, run_id="run-a")
         reference = engine.checkpoint_hashes("run-a")
         engine.store.rollback("run-a", "cbmc")
+        # one journal holds the run's status: the report sees the rollback
+        assert engine.report("run-a")["status"] == engine.record("run-a").status == "rolled-back"
         record = engine.resume("run-a")
         assert record.status == "completed"
         fresh = [e.activity for e in record.entries if not e.replayed]

@@ -220,6 +220,12 @@ class TestMd:
         with pytest.raises(BadParams):
             mock_md(config(set(), 4, []), {"steps": "5"})
 
+    def test_rejects_zero_sites(self):
+        # a walk on no sites has nothing to fold onto; it must fail the job,
+        # not crash the run with an IndexError
+        with pytest.raises(BadParams, match="no sites"):
+            mock_md(config(set(), 0, [0]), {"steps": "5", "seed": "1"})
+
     @given(st.integers(0, 50), st.floats(0.0, 0.8, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_single_step_moves_bounded(self, seed, theta):

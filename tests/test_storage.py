@@ -1,7 +1,10 @@
 """Content store: puts, integrity, checkpoints, rollback, append-only audit."""
 
+import json
 import multiprocessing
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,6 +19,7 @@ from gridflow.storage import (
     ContentStore,
     IntegrityError,
     ResultKey,
+    StorageError,
     StorageFull,
     UnknownCheckpoint,
     UnknownKey,
@@ -144,16 +148,14 @@ class TestCheckpoints:
         assert store.run_state("r1").status == COMPLETED
 
     def test_checkpoint_requires_known_key(self, store):
+        store.put(ds("x", 1.0), "r1", "a")
         with pytest.raises(UnknownKey):
             store.checkpoint("r1", "a", ResultKey("f" * 64, "r1", "a", 0))
 
 
 class TestAppendOnly:
     def read_everything(self, store):
-        files = {store.index_path: store.index_path.read_bytes()}
-        for p in store.blob_dir.iterdir():
-            files[p] = p.read_bytes()
-        return files
+        return {p: p.read_bytes() for d in (store.runs_dir, store.blob_dir) for p in d.iterdir()}
 
     def test_no_operation_rewrites_existing_bytes(self, store):
         k = store.put(ds("x", 1.0), "r1", "a")
@@ -168,8 +170,8 @@ class TestAppendOnly:
 
         after = self.read_everything(store)
         for path, blob in before.items():
-            if path == store.index_path:
-                assert after[path].startswith(blob), "index was not appended to"
+            if path.parent == store.runs_dir:
+                assert after[path].startswith(blob), f"journal {path.name} was not appended to"
             else:
                 assert after[path] == blob, f"blob {path.name} was rewritten"
 
@@ -198,15 +200,13 @@ class TestAppendOnly:
         assert again.get(k).get("x").magnitude == 1.0
 
 
-def full_scan_state(index_text, run_id):
-    """Replay of the whole index for one run: the reference for run_state."""
+def journal_state(text, run_id):
+    """Replay of one run's journal text: the reference for run_state."""
     committed, status = [], ACTIVE
-    for line in index_text.splitlines():
-        kind, run, *rest = line.split(" ")
-        if run != run_id:
-            continue
+    for line in text.splitlines():
+        kind, *rest = json.loads(line)
         if kind == "ckpt":
-            committed.append((rest[0], ResultKey(rest[2], run, rest[0], int(rest[1]))))
+            committed.append((rest[0], ResultKey(rest[2], run_id, rest[0], rest[1])))
             if status == ROLLED_BACK:
                 status = ACTIVE
         elif kind == "rollback":
@@ -224,17 +224,17 @@ def _put_worker(root, start, count, out):
     out.put([store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(count)])
 
 
-class TestSharedIndex:
+class TestJournals:
     def test_half_written_line_is_not_consumed(self, store):
         ka = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", ka)
         kb = store.put(ds("x", 2.0), "r1", "b")
         before = store.run_state("r1")
-        record = f"ckpt r1 b {kb.sequence} {kb.hash}\n".encode()
-        with open(store.index_path, "ab") as fh:
+        record = json.dumps(["ckpt", "b", kb.sequence, kb.hash]).encode() + b"\n"
+        with open(store.journal("r1"), "ab") as fh:
             fh.write(record[:9])
         assert store.run_state("r1") == before
-        with open(store.index_path, "ab") as fh:
+        with open(store.journal("r1"), "ab") as fh:
             fh.write(record[9:])
         assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
 
@@ -251,7 +251,7 @@ class TestSharedIndex:
         assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
         assert other.runs() == store.runs() == ["r1"]
 
-    def test_interleaved_stores_match_a_full_scan(self, store):
+    def test_interleaved_stores_match_a_journal_replay(self, store):
         rng = random.Random(5)
         stores = [store, ContentStore(store.root)]
         for _ in range(300):
@@ -267,13 +267,14 @@ class TestSharedIndex:
                     s.rollback(run, rng.choice(names))
                 else:
                     s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)))
-        text = store.index_path.read_text(encoding="utf-8")
-        first_seen = list(dict.fromkeys(line.split(" ")[1] for line in text.splitlines()))
+        runs = sorted(p.stem for p in store.runs_dir.iterdir())
+        assert runs == ["x", "y", "z"]
         for s in stores:
-            assert s.runs() == first_seen
-            for run in first_seen:
+            assert s.runs() == runs
+            for run in runs:
+                text = store.journal(run).read_text(encoding="utf-8")
                 state = s.run_state(run)
-                assert (state.checkpoints, state.status) == full_scan_state(text, run)
+                assert (state.checkpoints, state.status) == journal_state(text, run)
 
     def test_processes_allocate_distinct_sequences(self, store):
         ctx = multiprocessing.get_context("spawn")
@@ -291,40 +292,95 @@ class TestSharedIndex:
             w.join(timeout=30)
             assert not w.is_alive() and w.exitcode == 0
         assert sorted(sequences) == list(range(100))
-        lines = store.index_path.read_text(encoding="utf-8").splitlines()
-        want = [["put", "r1", "a", str(n)] for n in range(100)]
-        assert [line.split(" ")[:4] for line in lines] == want
+        lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
 
-    def test_each_index_line_read_once(self, store, monkeypatch):
-        read = []
+    def test_threads_allocate_distinct_sequences(self, store):
+        # one store instance, no thread lock: each append's own open file
+        # description takes the flock, so threads exclude each other
+        start, sequences = threading.Barrier(4), []
+
+        def work():
+            start.wait(timeout=60)
+            sequences.extend(store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(25))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(sequences) == list(range(100))
+        lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
+
+    def test_an_op_on_one_run_reads_no_other_journal(self, store, monkeypatch):
+        k2 = store.put(ds("x", 2.0), "r2", "a")
+        store.checkpoint("r2", "a", k2)
+        store.journal("r2").write_bytes(b"not a record\n")  # any read of it would raise
+        asked = []
         index_lines = store.index_lines
-
-        def counting():
-            lines = index_lines()
-            read.extend(lines)
-            return lines
-
-        monkeypatch.setattr(store, "index_lines", counting)
-        for i in range(200):
-            key = store.put(ds("x", float(i)), "r1", f"a{i % 7}")
+        monkeypatch.setattr(store, "index_lines", lambda run_id: asked.append(run_id) or index_lines(run_id))
+        for i in range(20):
+            key = store.put(ds("x", float(i)), "r1", f"a{i % 3}")
             store.checkpoint("r1", key.activity_id, key)
-        assert read == store.index_path.read_text(encoding="utf-8").splitlines()
-        assert len(read) == 400
+            assert store.get(key) == ds("x", float(i))
+        store.rollback("r1", "a0")
+        store.set_status("r1", COMPLETED)
+        assert store.run_state("r1").status == COMPLETED
+        assert set(asked) == {"r1"} and len(asked) == 20 * 3 + 3
+        assert store.runs() == ["r1", "r2"]
 
     def test_torn_tail_is_cut_before_the_next_append(self, store):
         # a writer that died mid-line under the lock leaves a fragment
-        with open(store.index_path, "ab") as fh:
-            fh.write(b"put r1 lat")
+        store.journal("r1").write_bytes(b'["put","lat')
         key = store.put(ds("x", 1.0), "r1", "a")
         reopened = ContentStore(store.root)
         assert reopened.run_state("r1").checkpoints == ()
         assert reopened.get(key) == ds("x", 1.0)
-        assert store.index_path.read_text(encoding="utf-8") == f"put r1 a 0 {key.hash}\n"
+        assert store.journal("r1").read_text(encoding="utf-8") == f'["put","a",0,"{key.hash}"]\n'
 
     def test_malformed_line_raises_with_its_number_every_time(self, store):
         store.put(ds("x", 1.0), "r1", "a")
-        with open(store.index_path, "ab") as fh:
-            fh.write(b"put r1 a\n")
+        with open(store.journal("r1"), "ab") as fh:
+            fh.write(b'["put","a"]\n')
         for _ in range(2):
-            with pytest.raises(IntegrityError, match="index line 2 malformed"):
+            with pytest.raises(IntegrityError, match=r"runs/r1.log line 2 malformed"):
                 store.run_state("r1")
+
+
+class TestRunIds:
+    def test_claim_numbers_runs_and_writes_the_header_first(self, store):
+        store.put(ds("x", 1.0), "run-0007", "a")
+        assert store.claim({"workflow_name": "w"}) == "run-0008"
+        assert store.claim({"workflow_name": "v"}) == "run-0009"
+        state = store.run_state("run-0008")
+        assert (state.header, state.summary, state.status) == ({"workflow_name": "w"}, None, ACTIVE)
+
+    def test_explicit_id_is_claimed_once(self, store):
+        assert store.claim({}, "mine") == "mine"
+        with pytest.raises(StorageError, match="already exists"):
+            store.claim({}, "mine")
+
+    @pytest.mark.parametrize("run_id", ["..", "../x", "a/b", "", "-a", ".hidden", "r\n", "r\u0661"])
+    def test_bad_run_ids_name_no_file(self, store, run_id):
+        for call in (
+            lambda: store.put(ds("x", 1.0), run_id, "a"),
+            lambda: store.run_state(run_id),
+            lambda: store.claim({}, run_id),
+            lambda: store.set_status(run_id, COMPLETED),
+        ):
+            with pytest.raises(StorageError, match="bad run id"):
+                call()
+        assert sorted(p.name for p in store.root.parent.rglob("*")) == ["blobs", "runs", "store"]
+
+    def test_old_layout_is_refused(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "index.log").write_text("put r1 a 0 " + "0" * 64 + "\n")
+        with pytest.raises(StorageError, match="index.log"):
+            ContentStore(tmp_path / "old")
