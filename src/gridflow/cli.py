@@ -248,6 +248,13 @@ def cmd_resume(args, cfg) -> int:
     return OK
 
 
+def _loop_budget(text: str) -> int:
+    """A --max-iterations value: an integer, 0 or more."""
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _run(call, *call_args, **call_kw):
     try:
         return call(*call_args, **call_kw)
@@ -422,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
     p.add_argument("--fail-at", action="append", default=[], metavar="ACTIVITY:N",
                    help="inject a fault at the Nth firing of an activity (repeatable)")
-    p.add_argument("--max-iterations", type=int, default=100,
+    p.add_argument("--max-iterations", type=_loop_budget, default=100,
                    help="loop repetition budget (default 100)")
     p.set_defaults(func=cmd_submit)
 

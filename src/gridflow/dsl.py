@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -113,13 +114,13 @@ _TOKEN_RE = re.compile(
   | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
   | (?P<op>->|<=|>=|==|!=|[{}()\[\],;:=.<>])
+  | (?P<error>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -128,24 +129,19 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise DslSyntaxError(line, col, "a token", repr(text[pos]))
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         value = m.group()
+        if kind == "error":
+            raise DslSyntaxError(line, m.start() - line_start + 1, "a token", repr(value))
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
+            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
+        if "\n" in value:
+            line += value.count("\n")
             line_start = m.start() + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

@@ -26,7 +26,8 @@ decisions gets a TooManyDecisions finding instead; the search does not need
 that limit, but it is kept as a contract of `verify`.
 
 Branches that cannot interfere are not interleaved: an enabled move of a
-fire-once node (see _TokenGame) is expanded alone, and findings stay exact.
+fire-once node (see _TokenGame) is expanded alone, and a state whose loop
+counters are subsumed is skipped; findings stay exact.
 
 Each graph derives its structure (node lookup, in- and out-edges, the nodes
 reachable from start, the forward topological order) once, on first use.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -429,7 +431,7 @@ class VerificationReport:
     workflow: str
     mode: str
     findings: tuple[Finding, ...]
-    states: int  # token-game states explored; 0 in structural-only mode
+    states: int  # token-game states expanded, not subsumed; 0 if structural-only
 
     @property
     def sound(self) -> bool:
@@ -489,6 +491,10 @@ class _TokenGame:
     emit on a back-edge; firing it first keeps every deadlock and flood
     reachable. So a state with an enabled fire-once move expands only the
     first one, and any other state expands every move.
+
+    Loop counters only forbid moves: a state is skipped when one expanded at
+    its marking and assignment has counters <= its own in every component.
+    States pop in order of counter sum, so no expanded state is subsumed later.
     """
 
     def __init__(self, g: WorkflowGraph, max_iterations: int):
@@ -534,14 +540,22 @@ class _TokenGame:
         return [((i,), assignment[:pos] + (i,) + assignment[pos + 1:]) for i in self.out[node_id]]
 
     def explore(self):
-        """(findings, states explored) over every static assignment."""
+        """(findings, states expanded) over every static assignment."""
         start_edge = self.edge_index[self.g.out_edges(self.g.start().id)[0]]
         initial = tuple(1 if i == start_edge else 0 for i in range(len(self.edges)))
         state = (initial, (None,) * len(self.decision_pos), (0,) * len(self.back_pos))
-        stack, seen, findings = [state], {state}, set()
+        pending, expanded, seen, findings = defaultdict(list), {}, {state}, set()
+        pending[0].append(state)  # counter sum -> states still to pop
 
-        while stack:
-            marking, assignment, counts = stack.pop()
+        while pending:
+            level = min(pending)
+            marking, assignment, counts = pending[level].pop()
+            if not pending[level]:
+                del pending[level]
+            kept = expanded.setdefault((marking, assignment), [])
+            if any(all(map(operator.le, old, counts)) for old in kept):
+                continue
+            kept.append(counts)
             moves = list(self._enabled_moves(marking))
             if not moves:
                 for join in self.joins:
@@ -574,13 +588,15 @@ class _TokenGame:
                     state = (tuple(next_marking), next_assignment, tuple(next_counts))
                     if state not in seen:
                         seen.add(state)
-                        stack.append(state)
-        return findings, len(seen)
+                        pending[sum(next_counts)].append(state)
+        return findings, sum(map(len, expanded.values()))
 
 
 def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
     """Pure check: structural rules always, the token game when it fits under
     EXHAUSTIVE_DECISION_LIMIT; a graph over the limit is never called sound."""
+    if max_iterations < 0:  # a negative budget would forbid every move
+        raise UserError(f"loop budget must be 0 or more, got {max_iterations}")
     findings = set(_structural_findings(g))
     decisions = sum(1 for n in g.nodes if n.kind == DECISION)
     if decisions <= EXHAUSTIVE_DECISION_LIMIT:

@@ -190,6 +190,20 @@ class TestSubmit:
             assert code == 1
             assert "fault" in err
 
+    @pytest.mark.parametrize("flow", ["case_file", "deadlock_file"])
+    def test_negative_loop_budget_is_a_usage_error(self, run, flow, request):
+        # a negative budget forbids every move, so verify would see no deadlock
+        path = request.getfixturevalue(flow)
+        code, out, err = run("submit", path, "--user", "ada", "--max-iterations", -1)
+        assert (code, out) == (1, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--max-iterations" in errors[0], err
+
+    def test_zero_loop_budget_is_valid(self, run, case_file):
+        code, out, err = run("submit", case_file, "--user", "ada", "--max-iterations", 0)
+        assert (code, err) == (0, "")
+        assert out.startswith("run-")
+
     def test_bad_affiliation(self, run, case_file):
         code, _, err = run("submit", case_file, "--user", "ada:sovereign")
         assert code == 1

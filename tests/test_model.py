@@ -7,7 +7,9 @@ no code with the verifier.
 
 import dataclasses
 import functools
+import hashlib
 import random
+import sys
 from pathlib import Path
 
 import networkx as nx
@@ -38,6 +40,7 @@ from gridflow.model import (
     topological_activities,
     verify,
 )
+from gridflow.errors import UserError
 from gridflow.quantities import Dataset, Observable, get_unit
 from tokenoracle import brute_force_findings
 
@@ -264,6 +267,44 @@ def fork_into_loop_graph(variant):
     else:
         edges += [("a", "j"), ("w", "d")]
     return build_graph(f"fork_into_loop_{variant}", nodes, edges)
+
+
+def fork_in_loop_graph():
+    """A fork/join block as the body of a guarded loop: sound."""
+    nodes = [
+        Node("start", START),
+        act("l"),
+        Node("f", FORK),
+        act("a"),
+        act("b"),
+        Node("j", JOIN),
+        Node("d", DECISION, cases=((guard("again", "==", 1.0), "l"),), else_target="end"),
+        Node("end", FINAL),
+    ]
+    edges = [("start", "l"), ("l", "f"), ("f", "a"), ("f", "b"), ("a", "j"), ("b", "j"),
+             ("j", "d"), ("d", "l"), ("d", "end")]
+    return build_graph("fork_in_loop", nodes, edges)
+
+
+def loops_graph(k):
+    """k guarded single-activity loops in sequence (perfbench's verify-stress shape)."""
+    nodes, edges = [Node("start", START), Node("end", FINAL)], [("start", "w1")]
+    for i in range(1, k + 1):
+        after = f"w{i + 1}" if i < k else "end"
+        nodes += [act(f"w{i}"), Node(f"c{i}", DECISION, else_target=f"w{i}",
+                                     cases=((guard("converged", "==", 1.0), after),))]
+        edges += [(f"w{i}", f"c{i}"), (f"c{i}", after), (f"c{i}", f"w{i}")]
+    return build_graph(f"loops{k}", nodes, edges)
+
+
+def deep_oracle(g, budget):
+    """brute_force_findings with room for its one frame per move at a large budget."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10 * budget + 1000))
+    try:
+        return brute_force_findings(g, budget)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 SOUND_GRAPHS = [chain_graph, fork_join_graph, diamond_graph, loop_graph, crossing_graph]
@@ -535,6 +576,44 @@ class TestVerify:
         if budget == 100:
             assert report.kinds() == kinds
 
+    @pytest.mark.parametrize(
+        "builder", [loop_graph, unguarded_cycle_graph, fork_in_loop_graph],
+        ids=lambda b: b.__name__,
+    )
+    def test_states_do_not_grow_with_the_budget(self, builder):
+        # a state whose loop counters are all at least an expanded state's,
+        # at the same marking and assignment, is subsumed and not expanded
+        g = builder()
+        states = set()
+        for budget in (3, 100, 1000):
+            report = verify(g, budget)
+            assert report.kinds() == deep_oracle(g, budget), budget
+            states.add(report.states)
+        assert len(states) == 1, states
+
+    def test_sequential_loops_explore_a_few_states_each(self):
+        g = loops_graph(10)
+        report = verify(g)
+        assert report.sound and report.mode == EXHAUSTIVE
+        assert report.states < 5 * 10
+
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(UserError, match="loop budget"):
+            verify(loop_graph(), -1)
+
+    def test_findings_match_the_pinned_digest(self):
+        # (mode, findings) of 3,000 verify calls, as the token game reported
+        # them before loop counters were subsumed; any changed verdict shows
+        digest = hashlib.sha256()
+        for g in random_graphs(600, seed=7, largest=14):
+            for budget in (0, 1, 2, 3, 100):
+                report = verify(g, budget)
+                findings = [(f.kind, f.subject, f.detail) for f in report.findings]
+                digest.update(repr((report.mode, findings)).encode())
+        assert digest.hexdigest() == (
+            "56cdf5abb5d7a7ef78bac32f21555ee8d38dc72d45ef9ecca97ebba590210e2e"
+        )
+
     def test_random_graphs_cover_every_kind(self):
         # the random differential test is only as strong as what it draws
         graphs = random_graphs()
@@ -614,12 +693,12 @@ def random_graph(rng, size):
 
 
 @functools.cache
-def random_graphs(count=200, seed=6):
-    """`count` seeded random well-formed graphs of 4 to 9 nodes."""
+def random_graphs(count=200, seed=6, largest=9):
+    """`count` seeded random well-formed graphs of 4 to `largest` nodes."""
     rng = random.Random(seed)
     graphs = []
     while len(graphs) < count:
-        g = random_graph(rng, rng.randint(4, 9))
+        g = random_graph(rng, rng.randint(4, largest))
         if g is not None:
             graphs.append(g)
     return tuple(graphs)
