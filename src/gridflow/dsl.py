@@ -27,6 +27,10 @@ The grammar is statement-oriented, `;`-separated, with `//` comments:
 
 Each `start ->` statement introduces its own start node, so a file with two
 of them builds a graph the structural checks will reject; that is deliberate.
+
+The lexer makes one regex match per token, the whitespace and comments before
+it included, and keeps only its offset: line and column are worked out for
+errors. Job dependencies are the transitive reduction of activity precedence.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import networkx as nx
 
 from .errors import UserError
 from .model import (
@@ -53,6 +55,7 @@ from .model import (
     Guard,
     Node,
     WorkflowGraph,
+    _walk,
     build_graph,
     topological_activities,
     verify,
@@ -65,7 +68,6 @@ __all__ = [
     "to_job_xml",
     "to_functional_plan",
     "to_dot",
-    "validate_job_xml",
     "Run",
     "Seq",
     "ParMap",
@@ -106,15 +108,20 @@ class NotSeriesParallel(UserError):
 # lexer
 # ---------------------------------------------------------------------------
 
+# one match per token: the whitespace and comments before it, then the token.
+# Token kinds differ in their first character, so their order here is only
+# the order of frequency; at the end of the text only eof matches.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
-  | (?P<op>->|<=|>=|==|!=|[{}()\[\],;:=.<>])
-  | (?P<error>.)
+    [ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (?:
+      (?P<id>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
+    | (?P<op>->|<=|>=|==|!=|[{}()\[\],;:=.<>])
+    | (?P<string>"(?:[^"\\]|\\.)*")
+    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<eof>\Z)
+    | (?P<error>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -123,26 +130,24 @@ _TOKEN_RE = re.compile(
 class _Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    col: int
+    offset: int  # into the text; line and column are worked out only for errors
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a text offset."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "error":
-            raise DslSyntaxError(line, m.start() - line_start + 1, "a token", repr(value))
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        if "\n" in value:
-            line += value.count("\n")
-            line_start = m.start() + value.rindex("\n") + 1
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+            raise DslSyntaxError(*_position(text, m.start(kind)), "a token", repr(m[kind]))
+        tokens.append(_Token(kind, m[kind], m.start(kind)))
+        if kind == "eof":
+            return tokens
 
 
 def _unquote(raw: str) -> str:
@@ -161,37 +166,45 @@ def _quote(s: str) -> str:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
+
+    def where(self, tok: _Token) -> tuple[int, int]:
+        return _position(self.text, tok.offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, expected: str):
         tok = self.peek()
         found = tok.value if tok.kind != "eof" else "end of input"
-        raise DslSyntaxError(tok.line, tok.col, expected, repr(found))
+        raise DslSyntaxError(*self.where(tok), expected, repr(found))
 
     def expect(self, value: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.value != value or tok.kind == "string":
             self.fail(repr(value))
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_kind(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             self.fail(what)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.value == value and tok.kind != "string"
+
+    def accept(self, value: str) -> bool:
+        """Step over the next token if it is `value`."""
+        if self.at(value):
+            self.pos += 1
+            return True
+        return False
 
     def ident(self) -> str:
         return self.expect_kind("id", "an identifier").value
@@ -234,23 +247,19 @@ def parse(text: str) -> WorkflowGraph:
         tok = p.peek()
         if tok.kind == "eof":
             p.fail("'}'")
-        if p.at("start"):
-            p.advance()
+        if p.accept("start"):
             p.expect("->")
             start_edges.append(p.ident())
             p.expect(";")
-        elif p.at("cite"):
-            p.advance()
+        elif p.accept("cite"):
             source_refs.append(p.string())
             p.expect(";")
-        elif p.at("activity"):
-            p.advance()
+        elif p.accept("activity"):
             aid = p.ident()
             _check_fresh(p, aid, activities, forks, joins, decisions)
             activities[aid] = _parse_activity_body(p)
             declared_order.append(aid)
-        elif p.at("fork"):
-            p.advance()
+        elif p.accept("fork"):
             fid = p.ident()
             _check_fresh(p, fid, activities, forks, joins, decisions)
             p.expect("after")
@@ -258,22 +267,19 @@ def parse(text: str) -> WorkflowGraph:
             p.expect("into")
             p.expect("(")
             targets = [p.ident()]
-            while p.at(","):
-                p.advance()
+            while p.accept(","):
                 targets.append(p.ident())
             p.expect(")")
             p.expect(";")
             forks[fid] = (source, targets)
             declared_order.append(fid)
-        elif p.at("join"):
-            p.advance()
+        elif p.accept("join"):
             jid = p.ident()
             _check_fresh(p, jid, activities, forks, joins, decisions)
             p.expect("waits")
             p.expect("(")
             waits = [p.ident()]
-            while p.at(","):
-                p.advance()
+            while p.accept(","):
                 waits.append(p.ident())
             p.expect(")")
             p.expect("->")
@@ -281,16 +287,14 @@ def parse(text: str) -> WorkflowGraph:
             p.expect(";")
             joins[jid] = (waits, target)
             declared_order.append(jid)
-        elif p.at("decision"):
-            p.advance()
+        elif p.accept("decision"):
             did = p.ident()
             _check_fresh(p, did, activities, forks, joins, decisions)
             p.expect("after")
             source = p.ident()
             p.expect("{")
             cases = []
-            while p.at("when"):
-                p.advance()
+            while p.accept("when"):
                 guard = _parse_guard(p)
                 p.expect("->")
                 cases.append((guard, _edge_target(p)))
@@ -328,16 +332,13 @@ def parse(text: str) -> WorkflowGraph:
 
 
 def _edge_target(p: _Parser) -> str:
-    if p.at("end"):
-        p.advance()
-        return "end"
-    return p.ident()
+    return "end" if p.accept("end") else p.ident()
 
 
 def _check_fresh(p: _Parser, node_id, *tables):
     if any(node_id in t for t in tables):
         tok = p.tokens[p.pos - 1]
-        raise SemanticError(f"line {tok.line}: node {node_id!r} declared twice")
+        raise SemanticError(f"line {p.where(tok)[0]}: node {node_id!r} declared twice")
 
 
 def _parse_guard(p: _Parser) -> Guard:
@@ -345,7 +346,7 @@ def _parse_guard(p: _Parser) -> Guard:
     op_tok = p.peek()
     if op_tok.value not in ("<", "<=", "==", "!=", ">=", ">") or op_tok.kind == "string":
         p.fail("a comparison operator")
-    p.advance()
+    p.pos += 1
     value = p.number()
     unit_name = "dimensionless"
     if p.peek().kind == "string":
@@ -353,7 +354,7 @@ def _parse_guard(p: _Parser) -> Guard:
     try:
         unit = get_unit(unit_name)
     except UnknownUnit as exc:
-        raise SemanticError(f"line {op_tok.line}: {exc}") from None
+        raise SemanticError(f"line {p.where(op_tok)[0]}: {exc}") from None
     return Guard(observable, op_tok.value, value, unit)
 
 
@@ -371,54 +372,33 @@ def _parse_activity_body(p: _Parser) -> _ActivityDecl:
         elif key == "actuator":
             decl.actuator = p.string()
         elif key == "capabilities":
-            decl.capabilities = _parse_id_list(p)
-        elif key == "params":
-            p.expect("[")
-            while not p.at("]"):
-                pname = p.ident()
-                p.expect("=")
-                decl.params.append((pname, p.string()))
-                if p.at(","):
-                    p.advance()
-            p.expect("]")
-        elif key == "inputs":
-            p.expect("[")
-            while not p.at("]"):
-                producer = p.ident()
-                p.expect(".")
-                observable = p.ident()
-                unit_name = p.string()
-                decl.inputs.append((producer, observable, unit_name))
-                if p.at(","):
-                    p.advance()
-            p.expect("]")
+            decl.capabilities = _parse_list(p, p.ident)
+        elif key == "params":  # name = "value"
+            decl.params += _parse_list(p, lambda: (p.ident(), p.expect("=") and p.string()))
+        elif key == "inputs":  # producer.observable "unit"
+            decl.inputs += _parse_list(
+                p, lambda: (p.ident(), p.expect(".") and p.ident(), p.string())
+            )
         elif key == "outputs":
-            decl.outputs = _parse_id_list(p)
+            decl.outputs = _parse_list(p, p.ident)
         elif key == "cite":
-            p.expect("[")
-            cites = []
-            while not p.at("]"):
-                cites.append(p.string())
-                if p.at(","):
-                    p.advance()
-            p.expect("]")
-            decl.cite = cites
+            decl.cite = _parse_list(p, p.string)
         else:
             raise DslSyntaxError(
-                key_tok.line, key_tok.col, "one of program/actuator/capabilities/params/inputs/outputs/cite", key
+                *p.where(key_tok), "one of program/actuator/capabilities/params/inputs/outputs/cite", key
             )
         p.expect(";")
     p.expect("}")
     return decl
 
 
-def _parse_id_list(p: _Parser) -> list[str]:
+def _parse_list(p: _Parser, item) -> list:
+    """`[item, item, ...]`; the commas are optional and a trailing one is allowed."""
     p.expect("[")
     items = []
     while not p.at("]"):
-        items.append(p.ident())
-        if p.at(","):
-            p.advance()
+        items.append(item())
+        p.accept(",")
     p.expect("]")
     return items
 
@@ -829,12 +809,17 @@ def activity_precedence(g: WorkflowGraph) -> set[tuple[str, str]]:
 
 
 def job_dependencies(g: WorkflowGraph) -> dict[str, list[str]]:
-    """depends-on relation: the transitive reduction of activity precedence."""
-    dag = nx.DiGraph()
-    dag.add_nodes_from(topological_activities(g))
-    dag.add_edges_from(activity_precedence(g))
-    reduced = nx.transitive_reduction(dag)
-    return {a: sorted(u for u, _ in reduced.in_edges(a)) for a in dag.nodes}
+    """depends-on relation: the transitive reduction of activity precedence.
+    A direct successor b of a is dropped when another successor of a reaches b."""
+    succs = {a: set() for a in topological_activities(g)}
+    for a, b in activity_precedence(g):
+        succs[a].add(b)
+    deps = {a: [] for a in succs}
+    for a, direct in succs.items():
+        indirect = _walk([c for b in direct for c in succs[b]], succs.__getitem__)
+        for b in direct - indirect:
+            deps[b].append(a)
+    return {a: sorted(d) for a, d in deps.items()}
 
 
 def to_job_xml(g: WorkflowGraph, max_iterations: int = 100) -> bytes:
@@ -900,57 +885,6 @@ def to_job_xml(g: WorkflowGraph, max_iterations: int = 100) -> bytes:
 
     ET.indent(root)
     return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
-
-
-def validate_job_xml(data: bytes) -> list[str]:
-    """Structural validation mirroring the bundled schema; [] means valid."""
-    problems = []
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        return [f"malformed XML: {exc}"]
-    if root.tag != "workflow":
-        return [f"root element must be <workflow>, got <{root.tag}>"]
-    if not root.get("name"):
-        problems.append("<workflow> needs a name attribute")
-
-    jobs = root.find("jobs")
-    if jobs is None:
-        return problems + ["missing <jobs> element"]
-    ids = [j.get("id") for j in jobs.findall("job")]
-    if None in ids:
-        problems.append("every <job> needs an id")
-    if len(set(ids)) != len(ids):
-        problems.append("duplicate job ids")
-
-    dep_graph = nx.DiGraph()
-    dep_graph.add_nodes_from(ids)
-    for job in jobs.findall("job"):
-        for dep in job.findall("depends-on"):
-            target = dep.get("job")
-            if target not in ids:
-                problems.append(f"job {job.get('id')}: depends-on unknown job {target!r}")
-            else:
-                dep_graph.add_edge(target, job.get("id"))
-        for inp in job.findall("input"):
-            for attr in ("source", "observable", "unit"):
-                if not inp.get(attr):
-                    problems.append(f"job {job.get('id')}: input missing {attr}")
-    if ids and not nx.is_directed_acyclic_graph(dep_graph):
-        problems.append("depends-on edges contain a cycle")
-
-    structure = root.find("structure")
-    if structure is not None:
-        for fork in structure.findall("fork"):
-            if len(fork.findall("branch")) < 2:
-                problems.append(f"fork {fork.get('id')}: needs at least two branches")
-        for join in structure.findall("join"):
-            if len(join.findall("wait")) < 2:
-                problems.append(f"join {join.get('id')}: needs at least two waits")
-        for loop in structure.findall("loop"):
-            if not loop.get("max", "").isdigit():
-                problems.append("loop wrapper needs an integer max attribute")
-    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ counters are subsumed is skipped; findings stay exact.
 
 Each graph derives its structure (node lookup, in- and out-edges, the nodes
 reachable from start, the forward topological order) once, on first use.
+Back edges come from Cooper, Harvey & Kennedy's dominators ("A Simple, Fast
+Dominance Algorithm", 2001). A cycle is named by the first one a depth-first
+search meets, roots and out-edges in declaration order: networkx's order.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
-
-import networkx as nx
 
 from .errors import UserError
 from .quantities import (
@@ -241,13 +243,8 @@ class WorkflowGraph:
             outs[e[0]] += (e,)
             ins[e[1]] += (e,)
 
-        reachable = set()
-        frontier = [n.id for n in self.nodes if n.kind == START][:1]
-        while frontier:
-            node_id = frontier.pop()
-            if node_id not in reachable:
-                reachable.add(node_id)
-                frontier.extend(v for _, v in outs[node_id])
+        start = [n.id for n in self.nodes if n.kind == START][:1]
+        reachable = _walk(start, lambda u: (v for _, v in outs[u]))
 
         # Kahn's algorithm on the reachable forward edges, smallest id first;
         # a forward cycle keeps its members and what follows them out
@@ -314,24 +311,45 @@ class WorkflowGraph:
         )
 
 
-def _dominates(idom: dict, v: str, u: str) -> bool:
-    """True when v lies on u's dominator chain (v == u counts)."""
-    node = u
-    while True:
-        if node == v:
-            return True
-        parent = idom.get(node)
-        if parent is None or parent == node:
-            return False
-        node = parent
-
-
 def _classify_back_edges(nodes, edges, start_id: str) -> frozenset[tuple[str, str]]:
-    g = nx.DiGraph()
-    g.add_nodes_from(n.id for n in nodes)
-    g.add_edges_from(edges)
-    idom = nx.immediate_dominators(g, start_id)
-    return frozenset((u, v) for u, v in edges if v in idom and u in idom and _dominates(idom, v, u))
+    """Reachable edges whose target dominates their source, except edges into
+    start, which the degree rules flag instead. Dominators by Cooper, Harvey
+    & Kennedy's iteration over a reverse postorder."""
+    succs, preds = {n.id: [] for n in nodes}, {n.id: [] for n in nodes}
+    for u, v in edges:
+        succs[u].append(v)
+        preds[v].append(u)
+    postorder, seen, stack = [], {start_id}, [(start_id, iter(succs[start_id]))]
+    while stack:
+        v = next(stack[-1][1], None)
+        if v is None:
+            postorder.append(stack.pop()[0])
+        elif v not in seen:
+            seen.add(v)
+            stack.append((v, iter(succs[v])))
+    number = {v: i for i, v in enumerate(postorder)}
+    idom = {start_id: start_id}
+    changed = True
+    while changed:
+        changed = False
+        for v in reversed(postorder[:-1]):
+            done = [p for p in preds[v] if p in idom]  # v's DFS parent among them
+            new = done[0]
+            for p in done[1:]:  # walk both fingers up to the nearest common dominator
+                while p != new:
+                    while number[p] < number[new]:
+                        p = idom[p]
+                    while number[new] < number[p]:
+                        new = idom[new]
+            changed |= idom.get(v) != new
+            idom[v] = new
+
+    def dominates(v, u):
+        while u != v and u != start_id:
+            u = idom[u]
+        return u == v
+
+    return frozenset((u, v) for u, v in edges if u in number and v != start_id and dominates(v, u))
 
 
 def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> WorkflowGraph:
@@ -407,8 +425,8 @@ def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> Workflow
     # islands are verify findings, not build errors, so they are exempt
     if len(g.forward_order()) < len(nodes):
         reachable = g.reachable()
-        fwd_graph = nx.DiGraph(e for e in g.forward_edges() if e[0] in reachable)
-        members = "->".join(u for u, _ in nx.find_cycle(fwd_graph))
+        fwd = [e for e in g.forward_edges() if e[0] in reachable]
+        members = "->".join(_first_cycle(dict.fromkeys(i for e in fwd for i in e), fwd))
         violations.append(f"IrreducibleCycle: {members} has no single entry point")
 
     if violations:
@@ -441,37 +459,68 @@ class VerificationReport:
         return {f.kind for f in self.findings}
 
 
+def _first_cycle(roots, edges) -> list[str]:
+    """The first cycle a depth-first search meets, from the node the closing
+    edge re-enters round to the node that closes it; [] if there is none.
+
+    Roots are tried in order and out-edges in `edges` order, so the cycle is
+    the one networkx's find_cycle names for a DiGraph built in these orders.
+    """
+    succs = defaultdict(list)
+    for u, v in edges:
+        succs[u].append(v)
+    done = set()
+    for root in roots:
+        if root in done:
+            continue
+        path, branches = [root], [iter(succs[root])]
+        while path:
+            v = next(branches[-1], None)
+            if v is None:
+                done.add(path.pop())
+                branches.pop()
+            elif v in path:
+                return path[path.index(v):]
+            elif v not in done:
+                path.append(v)
+                branches.append(iter(succs[v]))
+    return []
+
+
+def _walk(frontier, step) -> set[str]:
+    """The nodes `frontier` reaches by repeated `step`, frontier included."""
+    seen = set(frontier)
+    frontier = list(seen)
+    while frontier:
+        for v in step(frontier.pop()):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
 def _structural_findings(g: WorkflowGraph) -> list[Finding]:
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(n.id for n in g.nodes)
-    digraph.add_edges_from(g.edges)
-    reachable = g.reachable()
+    s = g._structure
+    reachable = s.reachable
     findings = []
 
     for n in g.nodes:
         if n.id not in reachable:
             findings.append(Finding(UNREACHABLE, n.id, "no path from start"))
 
-    final_ids = {n.id for n in g.finals()}
-    reaches_final = set(final_ids)
-    for f in final_ids:
-        reaches_final |= set(nx.ancestors(digraph, f))
+    reaches_final = _walk((n.id for n in g.finals()), lambda v: (u for u, _ in s.in_edges[v]))
     for n in g.nodes:
         if n.id in reachable and n.id not in reaches_final:
             findings.append(Finding(NO_TERMINATION, n.id, "no path to any final"))
 
     # a cycle with no decision on it survives deleting all decision nodes
-    reduced = digraph.copy()
-    reduced.remove_nodes_from(n.id for n in g.nodes if n.kind == DECISION)
-    try:
-        cycle = nx.find_cycle(reduced)
-        members = "->".join(u for u, _ in cycle)
-        findings.append(Finding(UNGUARDED_CYCLE, members, "cycle contains no decision"))
-    except nx.NetworkXNoCycle:
-        pass
+    kept = dict.fromkeys(n.id for n in g.nodes if n.kind != DECISION)
+    cycle = _first_cycle(kept, [(u, v) for u, v in g.edges if u in kept and v in kept])
+    if cycle:
+        findings.append(Finding(UNGUARDED_CYCLE, "->".join(cycle), "cycle contains no decision"))
 
     for p, c, _spec in g.object_flows:
-        if p == c or not nx.has_path(digraph, p, c):
+        if p == c or c not in _walk((p,), lambda u: (v for _, v in s.out_edges[u])):
             findings.append(
                 Finding(UNBOUND_OBJECT_FLOW, f"{p}->{c}", "no control path producer to consumer")
             )
@@ -503,8 +552,10 @@ class _TokenGame:
         self.edges = list(g.edges)
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.back_pos = {self.edge_index[e]: i for i, e in enumerate(sorted(g.back_edges))}
-        self.by_id = g._structure.by_id
-        self.joins = [n.id for n in g.nodes if n.kind == JOIN]
+        self.nodes = [n.id for n in g.nodes]
+        self.joins = {n.id for n in g.nodes if n.kind == JOIN}
+        position = {node_id: i for i, node_id in enumerate(self.nodes)}
+        self.consumer = [position[v] for _, v in self.edges]
         decisions = [n.id for n in g.nodes if n.kind == DECISION]
         self.decision_pos = {d: i for i, d in enumerate(decisions)}
         self.all_in = {n.id: [self.edge_index[e] for e in g.in_edges(n.id)] for n in g.nodes}
@@ -517,13 +568,13 @@ class _TokenGame:
                 self.fire_once.add(node_id)
 
     def _enabled_moves(self, marking):
-        """Yield (node id, consumed edge indices) for every firable node."""
-        for node_id, node in self.by_id.items():
-            if node.kind == START:
-                continue
-            if node.kind == JOIN:  # build_graph refuses a back edge into a join
+        """Yield (node id, consumed edge indices) for every firable node, in
+        node order; only the consumers of marked edges can fire."""
+        for pos in sorted(set(compress(self.consumer, marking))):
+            node_id = self.nodes[pos]
+            if node_id in self.joins:  # build_graph refuses a back edge into a join
                 inputs = self.all_in[node_id]
-                if inputs and all(marking[i] > 0 for i in inputs):
+                if all(marking[i] > 0 for i in inputs):
                     yield node_id, tuple(inputs)
             else:
                 for i in self.all_in[node_id]:
@@ -544,7 +595,8 @@ class _TokenGame:
         start_edge = self.edge_index[self.g.out_edges(self.g.start().id)[0]]
         initial = tuple(1 if i == start_edge else 0 for i in range(len(self.edges)))
         state = (initial, (None,) * len(self.decision_pos), (0,) * len(self.back_pos))
-        pending, expanded, seen, findings = defaultdict(list), {}, {state}, set()
+        pending, expanded, seen = defaultdict(list), {}, {state}
+        deadlocked, flooded_edges = set(), set()
         pending[0].append(state)  # counter sum -> states still to pop
 
         while pending:
@@ -557,12 +609,8 @@ class _TokenGame:
                 continue
             kept.append(counts)
             moves = list(self._enabled_moves(marking))
-            if not moves:
-                for join in self.joins:
-                    if any(marking[i] > 0 for i in self.all_in[join]):
-                        findings.add(
-                            Finding(JOIN_DEADLOCK, join, "waits on an input that never arrives")
-                        )
+            if not moves:  # so every marked edge waits at a join
+                deadlocked.update(self.nodes[pos] for pos in compress(self.consumer, marking))
                 continue
             once = next((m for m in moves if m[0] in self.fire_once), None)
             for node_id, consumed in (once,) if once else moves:
@@ -579,16 +627,19 @@ class _TokenGame:
                     for i in emitted:
                         next_marking[i] += 1
                     # no stored marking holds 2 tokens, so only an emission floods
-                    flooded = [i for i in emitted if next_marking[i] > 1]
-                    if flooded:
-                        u, v = self.edges[flooded[0]]
-                        detail = f"edge {u}->{v} accumulates more than one token"
-                        findings.add(Finding(UNBALANCED_FORK_JOIN, v, detail))
+                    flooded = next((i for i in emitted if next_marking[i] > 1), None)
+                    if flooded is not None:
+                        flooded_edges.add(self.edges[flooded])
                         continue
                     state = (tuple(next_marking), next_assignment, tuple(next_counts))
                     if state not in seen:
                         seen.add(state)
                         pending[sum(next_counts)].append(state)
+        findings = {Finding(JOIN_DEADLOCK, j, "waits on an input that never arrives")
+                    for j in deadlocked}
+        for u, v in flooded_edges:
+            detail = f"edge {u}->{v} accumulates more than one token"
+            findings.add(Finding(UNBALANCED_FORK_JOIN, v, detail))
         return findings, sum(map(len, expanded.values()))
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from jobxml import validate_job_xml
 from gridflow.dsl import emit_dsl, parse
 from gridflow.model import StructuralError, verify
 from gridflow.resources import parse_descriptor_xml, render_descriptor_xml
@@ -113,7 +114,5 @@ class TestJobXmlSchema:
         assert seen <= declared
 
     def test_emitted_documents_validate(self):
-        from gridflow.dsl import validate_job_xml
-
         for name, data, _root in self.emitted_roots():
             assert validate_job_xml(data) == [], name

@@ -1,6 +1,7 @@
 """Workflow language: parsing, canonical emission, and the translators."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -22,8 +23,8 @@ from gridflow.dsl import (
     to_dot,
     to_functional_plan,
     to_job_xml,
-    validate_job_xml,
 )
+from jobxml import validate_job_xml
 from gridflow.model import (
     ACTIVITY,
     DECISION,
@@ -440,6 +441,15 @@ class TestJobXml:
         assert validate_job_xml(b"<workflow name='w'><jobs><job id='a'>") != []
         mangled = data.replace(b'<job id="build"', b'<job id="relax"', 1)
         assert any("duplicate" in p for p in validate_job_xml(mangled))
+
+    def test_validator_takes_only_ascii_digits_as_loop_max(self):
+        # "²" passes str.isdigit, but int() refuses it
+        flow = Path(__file__).resolve().parent.parent / "corpus" / "sound" / "loop_converge.flow"
+        data = to_job_xml(parse(flow.read_text(encoding="utf-8")))
+        assert validate_job_xml(data) == []
+        superscript = data.replace(b'max="100"', 'max="²"'.encode(), 1)
+        assert superscript != data
+        assert validate_job_xml(superscript) == ["loop wrapper needs an integer max attribute"]
 
 
 class TestDot:
