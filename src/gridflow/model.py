@@ -300,16 +300,6 @@ class WorkflowGraph:
     def is_back_edge(self, edge: tuple[str, str]) -> bool:
         return edge in self.back_edges
 
-    def same_structure(self, other: "WorkflowGraph") -> bool:
-        """Equality up to declaration order of nodes, edges and flows."""
-        return (
-            self.name == other.name
-            and set(self.nodes) == set(other.nodes)
-            and set(self.edges) == set(other.edges)
-            and set(self.object_flows) == set(other.object_flows)
-            and self.source_refs == other.source_refs
-        )
-
 
 def _classify_back_edges(nodes, edges, start_id: str) -> frozenset[tuple[str, str]]:
     """Reachable edges whose target dominates their source, except edges into

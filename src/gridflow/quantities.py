@@ -272,6 +272,24 @@ class Observable:
         flat = _clean(chain.from_iterable(rows), name)
         return Observable(name, "table", unit, _rows(flat, len(columns)), columns)
 
+    @functools.cached_property
+    def line(self) -> str:
+        """The canonical "obs ..." line, kept out of == and hash like
+        Dataset.id. Each distinct number is rendered once, keyed by float
+        equality (0.0 == -0.0): sound as no Observable built by a factory or
+        by the parser holds -0.0, for _clean adds 0.0 and the parser refuses -0."""
+        head = ["obs", self.name, self.kind, self.unit.name]
+        if self.kind == "series":
+            head.append(str(len(self.values)))
+        elif self.kind == "table":
+            head.extend((str(len(self.values)), str(len(self.columns)), *self.columns))
+        flat = self.values
+        if self.kind in ("series", "table"):
+            flat = tuple(chain.from_iterable(flat))
+        distinct = set(flat)
+        rendered = dict(zip(distinct, map(_FORMAT, distinct)))
+        return " ".join(chain(head, map(rendered.__getitem__, flat)))
+
     @property
     def magnitude(self) -> float:
         """Value of a scalar observable."""
@@ -434,28 +452,10 @@ _NEGATIVE_ZERO = format_number(-0.0)
 
 
 def canonical_serialize(ds: Dataset) -> bytes:
-    lines = [_HEADER]
-    for key, value in ds.meta:
-        lines.append(f"meta {key} {value}")
-    for obs in sorted(ds.observables, key=lambda o: o.name):
-        lines.append("obs " + _obs_payload(obs))
+    lines = [_HEADER, *(f"meta {key} {value}" for key, value in ds.meta)]
+    lines.extend(obs.line for obs in sorted(ds.observables, key=lambda o: o.name))
     lines.append(_TRAILER)
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _obs_payload(obs: Observable) -> str:
-    """One obs line, rendering each distinct number once, keyed by float
-    equality (0.0 == -0.0): sound as no Observable built by a factory or by
-    the parser holds -0.0, for _clean adds 0.0 and the parser refuses -0."""
-    head = [obs.name, obs.kind, obs.unit.name]
-    if obs.kind == "series":
-        head.append(str(len(obs.values)))
-    elif obs.kind == "table":
-        head.extend((str(len(obs.values)), str(len(obs.columns)), *obs.columns))
-    flat = obs.values if obs.kind in ("scalar", "vector3") else tuple(chain.from_iterable(obs.values))
-    distinct = set(flat)
-    rendered = dict(zip(distinct, map(_FORMAT, distinct)))
-    return " ".join(chain(head, map(rendered.__getitem__, flat)))
 
 
 def dataset_id(ds: Dataset) -> str:
@@ -501,7 +501,7 @@ def canonical_deserialize(data: bytes) -> Dataset:
             meta.append((key, value))
         elif line.startswith("obs "):
             seen_obs = True
-            observables.append(_parse_obs(line[len("obs "):], lineno))
+            observables.append(_parse_obs(line, lineno))
         else:
             raise ParseError(lineno, f"unknown record: {line.split(' ', 1)[0]!r}")
 
@@ -516,8 +516,8 @@ def canonical_deserialize(data: bytes) -> Dataset:
     return ds
 
 
-def _parse_obs(payload: str, lineno: int) -> Observable:
-    tokens = payload.split(" ")
+def _parse_obs(line: str, lineno: int) -> Observable:
+    tokens = line[len("obs "):].split(" ")
     if "" in tokens:
         raise ParseError(lineno, "malformed spacing in obs line")
     if _NEGATIVE_ZERO in tokens:  # _clean writes every zero as +0
@@ -560,6 +560,8 @@ def _parse_obs(payload: str, lineno: int) -> Observable:
     if width is not None:
         values = _rows(values, width)
     try:
-        return Observable(name, kind, _REGISTRY[unit_name], values, columns)
+        obs = Observable(name, kind, _REGISTRY[unit_name], values, columns)
     except QuantityError as exc:
         raise ParseError(lineno, str(exc)) from None
+    vars(obs)["line"] = line  # only an Observable's own canonical line parses
+    return obs

@@ -2,8 +2,12 @@
 
 All services exchange data through here: producers put whole datasets,
 consumers read them back (verified against the content hash on every read)
-and project out what they need. The layout is blobs/<sha-256>, one canonical
-dataset each, plus runs/<run id>.log, one JSON array per line:
+and project out what they need. A handle keeps the datasets it put, up to
+_HELD_BYTES of canonical bytes, oldest dropped first: reading one of them
+back re-hashes the blob's bytes and returns the held object instead of
+parsing them again. A new handle holds nothing, so another process always
+parses. The layout is blobs/<sha-256>, one canonical dataset each, plus
+runs/<run id>.log, one JSON array per line:
 
     ["submitted", header]          first line: workflow name, text and hash,
                                    seed, user, params, max_iterations, bindings
@@ -54,7 +58,6 @@ __all__ = [
     "UnknownRun",
     "UnknownCheckpoint",
     "IntegrityError",
-    "StorageFull",
     "ACTIVE",
     "FAILED_RUN",
     "COMPLETED",
@@ -82,10 +85,6 @@ class IntegrityError(RuntimeFailure):
     """Stored bytes no longer hash to the key they were filed under."""
 
 
-class StorageFull(RuntimeFailure):
-    pass
-
-
 ACTIVE = "active"
 FAILED_RUN = "failed"
 COMPLETED = "completed"
@@ -94,6 +93,7 @@ _RUN_STATUSES = (ACTIVE, FAILED_RUN, COMPLETED, ROLLED_BACK)
 
 _RUN_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 _NUMBERED = re.compile(r"run-([0-9]+)")
+_HELD_BYTES = 32 << 20  # canonical bytes of the datasets a handle keeps
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,13 @@ def _replay(run_id: str, records) -> RunState:
 class ContentStore:
     """Blob directory plus one append-only journal per run, under one root."""
 
-    def __init__(self, root, capacity_bytes: int | None = None):
+    def __init__(self, root):
         self.root = Path(root)
         self.blob_dir = self.root / "blobs"
         self.runs_dir = self.root / "runs"
-        self.capacity_bytes = capacity_bytes
+        self._held: dict[str, tuple[Dataset, int]] = {}  # hash -> (dataset, bytes), oldest first
+        self._held_bytes = 0
+        self._held_lock = threading.Lock()
         old_index = self.root / "index.log"
         if old_index.exists():
             raise StorageError(f"{old_index}: old store layout; only runs/<id>.log journals are read")
@@ -251,13 +253,6 @@ class ContentStore:
         hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
         with self._appending(run_id, create=True) as (records, append):
             path = self.blob_dir / hash
-            if self.capacity_bytes is not None:
-                used = sum(p.stat().st_size for p in self.blob_dir.iterdir())
-                extra = 0 if path.exists() else len(blob)
-                if used + extra > self.capacity_bytes:
-                    raise StorageFull(
-                        f"store over capacity: {used + extra} > {self.capacity_bytes} bytes"
-                    )
             if not path.exists():
                 # runs lock only their own journals, so two puts of one blob
                 # may race here: each writer renames its own temporary file
@@ -269,6 +264,12 @@ class ContentStore:
                 default=-1,
             )
             append("put", activity_id, seq, hash)
+        with self._held_lock:
+            held = self._held.pop(hash, None)
+            self._held[hash] = (ds, len(blob))
+            self._held_bytes += len(blob) - (held[1] if held else 0)
+            while self._held_bytes > _HELD_BYTES:
+                self._held_bytes -= self._held.pop(next(iter(self._held)))[1]
         return ResultKey(hash, run_id, activity_id, seq)
 
     def get(self, key: ResultKey) -> Dataset:
@@ -280,11 +281,15 @@ class ContentStore:
         return self._read_blob(hash)
 
     def _read_blob(self, hash: str) -> Dataset:
-        path = self.blob_dir / hash
-        if not path.exists():
-            raise UnknownKey(f"no blob for hash {hash}")
         try:
-            ds = canonical_deserialize(path.read_bytes())
+            data = (self.blob_dir / hash).read_bytes()
+        except FileNotFoundError:
+            raise UnknownKey(f"no blob for hash {hash}") from None
+        held = self._held.get(hash)
+        if held is not None and hashlib.sha256(data).hexdigest() == hash:
+            return held[0]  # the bytes this handle wrote, still intact
+        try:
+            ds = canonical_deserialize(data)
         except ParseError as exc:
             raise IntegrityError(f"blob {hash} unparseable: {exc}") from None
         if ds.id != hash:  # the sha-256 of the bytes just parsed

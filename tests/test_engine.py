@@ -456,38 +456,23 @@ class TestResume:
         assert len(serialized) == len(puts)
         assert len(emitted) == 2  # once per claimed run; resume reads the header
 
-    def test_jobs_parse_their_staged_inputs_and_resume_each_checkpoint(self, tmp_path, monkeypatch):
-        # staging projects from the results the engine holds, so a parse is
-        # either a job reading a staged input back or a resume reading a
-        # checkpoint it replays, each through get_by_hash
-        events, serialized, puts = [], [], []
+    def test_jobs_read_staged_inputs_by_hash_and_a_fresh_resume_parses_each_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # every staged input and replayed checkpoint is read through
+        # get_by_hash; the handle that put a dataset returns the one it holds,
+        # so only a resume through a fresh handle parses, once per checkpoint
+        asked, parsed, serialized, puts = [], [], [], []
         real_parse, real_by_hash = storage.canonical_deserialize, ContentStore.get_by_hash
-
-        def parse(data):
-            events.append(("parse", hashlib.sha256(data).hexdigest()))
-            return real_parse(data)
-
-        def by_hash(store, digest):
-            events.append(("get_by_hash", digest))
-            return real_by_hash(store, digest)
 
         def counting(fn, calls):
             return lambda *args: calls.append(args) or fn(*args)
 
-        def parsed():
-            """Hashes parsed under get_by_hash, and those parsed otherwise."""
-            via_hash, other, asked = [], [], None
-            for kind, digest in events:
-                if kind == "get_by_hash":
-                    asked = digest
-                else:
-                    (via_hash if digest == asked else other).append(digest)
-                    asked = None
-            del events[:]
-            return sorted(via_hash), other
-
-        monkeypatch.setattr(storage, "canonical_deserialize", parse)
-        monkeypatch.setattr(ContentStore, "get_by_hash", by_hash)
+        monkeypatch.setattr(storage, "canonical_deserialize",
+                            lambda data: parsed.append(hashlib.sha256(data).hexdigest())
+                            or real_parse(data))
+        monkeypatch.setattr(ContentStore, "get_by_hash",
+                            lambda store, digest: asked.append(digest) or real_by_hash(store, digest))
         monkeypatch.setattr(storage, "canonical_serialize",
                             counting(storage.canonical_serialize, serialized))
         monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
@@ -496,17 +481,20 @@ class TestResume:
         record = engine.execute(plan, run_id="run-ref")
         staged = sorted(ev[3] for ev in record.trace if ev[0] == "staged")
         assert len(staged) == 6
-        assert parsed() == (staged, [])
+        assert sorted(asked) == staged and parsed == []
 
+        del asked[:]
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
-        via_hash, other = parsed()
-        assert len(via_hash) == 2 and other == []  # cbmc's and gcmc's inputs
-        record = engine.resume("run-hurt")
+        assert len(asked) == 2 and parsed == []  # cbmc's and gcmc's inputs
+
+        del asked[:]
+        record = make_engine(tmp_path).resume("run-hurt")  # a new handle on the same root
         replayed = [ev[2] for ev in record.trace if ev[0] == "replayed"]
-        staged = sorted(ev[3] for ev in record.trace if ev[0] == "staged")
+        staged = [ev[3] for ev in record.trace if ev[0] == "staged"]
         assert len(replayed) == 3
-        assert parsed() == (sorted(staged + replayed), [])
+        assert sorted(asked) == sorted(staged + replayed)
+        assert sorted(parsed) == sorted(replayed)
         assert len(serialized) == len(puts) == 11 + 7 + 6
 
     def test_resume_completed_run_is_refused(self, tmp_path):
@@ -568,6 +556,44 @@ class TestResume:
         assert record.counter_map() == {"work": 3}
         firings = [(e.activity, e.firing, e.replayed) for e in record.entries]
         assert firings == [("work", 1, True), ("work", 2, False), ("work", 3, False)]
+
+
+WIDE_FORK = "\n".join([
+    'workflow "wide-fork" {',
+    "  start -> f;",
+    f"  fork f after start into ({', '.join(f'b{i}' for i in range(1, 14))});",
+    *(f"  activity b{i} {{ capabilities: [sim]; }}" for i in range(1, 14)),
+    f"  join j waits ({', '.join(f'b{i}' for i in range(1, 14))}) -> c;",
+    "  activity c { capabilities: [sim]; }",
+    "  c -> end;",
+    "}",
+    "",
+])
+
+
+class TestHeldDatasets:
+    """A handle returns the datasets it put instead of parsing their blobs,
+    so each held object must be what parsing its blob would give."""
+
+    @pytest.mark.parametrize("graph", [build_case_study, lambda: parse(WIDE_FORK)],
+                             ids=["case-study", "fork13"])
+    def test_held_datasets_equal_their_parsed_blobs(self, tmp_path, monkeypatch, graph):
+        held = []
+        real_put = ContentStore.put
+        monkeypatch.setattr(ContentStore, "put",
+                            lambda store, ds, *args: held.append(ds) or real_put(store, ds, *args))
+        engine = make_engine(tmp_path)
+        engine.execute(engine.plan(graph(), ADA, seed=1))
+        assert len(held) > 10
+        put_ids = set(map(id, held))
+        for ds in held:
+            blob = (engine.store.blob_dir / ds.id).read_bytes()
+            assert quantities.canonical_deserialize(blob) == ds
+            assert quantities.canonical_serialize(ds) == blob
+            for obs in ds.observables:
+                flat = obs.values if obs.kind in ("scalar", "vector3") else sum(obs.values, ())
+                assert all(type(v) is float for v in flat), (ds.id, obs.name)
+            assert id(engine.store.get_by_hash(ds.id)) in put_ids  # held, not parsed
 
 
 class TestDeterminism:

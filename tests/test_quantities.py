@@ -196,6 +196,13 @@ class TestDataset:
         assert out.get("box").values[2] == pytest.approx(1.42, rel=1e-15)
         assert out.meta_dict()["derived-from"] == ds.id
 
+    def test_project_keeps_the_producers_observable_when_units_match(self):
+        # so a staged projection renders only its meta line afresh
+        ds = sample_dataset()
+        out = project(ds, ExtractionSpec.of(("temperature", "K"), ("box", "nm")))
+        assert out.get("temperature") is ds.get("temperature")
+        assert out.get("box") is not ds.get("box")
+
     def test_project_missing_observable(self):
         with pytest.raises(MissingObservable):
             project(sample_dataset(), ExtractionSpec.of(("entropy", "J")))
@@ -337,6 +344,17 @@ class TestCanonicalFormat:
         assert "id" in vars(cached) and "id" in vars(parsed) and "id" not in vars(fresh)
         assert cached == fresh == parsed
         assert hash(cached) == hash(fresh) == hash(parsed)
+
+    def test_parsed_observables_keep_their_lines(self):
+        # the parser files each obs line on its Observable; a fresh render
+        # gives the same line, and the line is outside == and hash
+        blob = canonical_serialize(sample_dataset())
+        parsed, fresh = canonical_deserialize(blob), sample_dataset()
+        for got, want in zip(parsed.observables, fresh.observables, strict=True):
+            assert "line" in vars(got) and "line" not in vars(want)
+            assert got.line == want.line and got == want and hash(got) == hash(want)
+        obs_lines = blob.decode("utf-8").splitlines()[1 + len(parsed.meta):-1]
+        assert obs_lines == [obs.line for obs in parsed.observables]
 
     def test_format_number_is_17_sig_digits(self):
         assert format_number(1.0) == "1.0000000000000000e+00"

@@ -20,14 +20,12 @@ from gridflow.storage import (
     IntegrityError,
     ResultKey,
     StorageError,
-    StorageFull,
     UnknownCheckpoint,
     UnknownKey,
     UnknownRun,
 )
 
 ONE = get_unit("dimensionless")
-K = get_unit("K")
 
 
 def ds(name, value):
@@ -87,14 +85,19 @@ class TestPutGet:
         with pytest.raises(IntegrityError):
             store.get(key)
 
-    def test_capacity_cap(self, tmp_path):
-        small = ContentStore(tmp_path / "small", capacity_bytes=64)
-        with pytest.raises(StorageFull):
-            small.put(
-                Dataset.build([Observable.scalar("padding_name_x", 1.0, K)], meta={"k": "v" * 40}),
-                "r1",
-                "a",
-            )
+    def test_puts_past_the_held_bound_still_read_back(self, store, monkeypatch):
+        # a handle keeps at most _HELD_BYTES of what it put, oldest dropped
+        # first; a dropped dataset is parsed from its blob again
+        size = len(quantities.canonical_serialize(ds("x", 0.0)))
+        monkeypatch.setattr(storage_module, "_HELD_BYTES", 3 * size)
+        parsed, real = [], storage_module.canonical_deserialize
+        monkeypatch.setattr(storage_module, "canonical_deserialize",
+                            lambda data: parsed.append(data) or real(data))
+        keys = [store.put(ds("x", float(i)), "r1", "a") for i in range(10)]
+        assert list(store._held) == [key.hash for key in keys[-3:]]
+        for i, key in enumerate(keys):
+            assert store.get(key) == ds("x", float(i))
+        assert len(parsed) == 7
 
 
 class TestCheckpoints:
@@ -295,16 +298,16 @@ class TestJournals:
         lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
 
-    def test_threads_allocate_distinct_sequences(self, store):
-        # one store instance, no thread lock: each append's own open file
-        # description takes the flock, so threads exclude each other
-        start, sequences = threading.Barrier(4), []
+    @staticmethod
+    def run_threads(work, n=4):
+        """work(t) on n threads started together, with a short switch interval."""
+        start = threading.Barrier(n)
 
-        def work():
+        def run(t):
             start.wait(timeout=60)
-            sequences.extend(store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(25))
+            work(t)
 
-        threads = [threading.Thread(target=work) for _ in range(4)]
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(n)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -315,9 +318,31 @@ class TestJournals:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_allocate_distinct_sequences(self, store):
+        # one store instance, no thread lock around appends: each append's
+        # own open file description takes the flock, so threads exclude each other
+        sequences = []
+        self.run_threads(lambda t: sequences.extend(
+            store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(25)))
         assert sorted(sequences) == list(range(100))
         lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
+
+    def test_threads_keep_the_held_datasets_within_their_bound(self, store, monkeypatch):
+        size = len(quantities.canonical_serialize(ds("x", 0.0)))
+        monkeypatch.setattr(storage_module, "_HELD_BYTES", 5 * size)
+        keys = {}
+
+        def work(t):
+            for value in map(float, range(100 * t, 100 * t + 25)):
+                keys[store.put(ds("x", value), "r1", "a")] = value
+
+        self.run_threads(work)
+        assert len(store._held) == 5
+        assert store._held_bytes == sum(n for _, n in store._held.values()) == 5 * size
+        for key, value in keys.items():
+            assert store.get(key) == ds("x", value)
 
     def test_an_op_on_one_run_reads_no_other_journal(self, store, monkeypatch):
         k2 = store.put(ds("x", 2.0), "r2", "a")
