@@ -337,16 +337,13 @@ def cmd_store_ls(args, cfg) -> int:
 
 def cmd_store_audit(args, cfg) -> int:
     store = _open_store(args, cfg)
-    bad = store.audit()
-    torn = [(run_id, n) for run_id in store.runs() if (n := store.torn_tail(run_id))]
-    for digest in bad:
-        print(f"corrupt blob {digest}")
-    for run_id, n in torn:
-        print(f"torn runs/{run_id}.log tail: {n} bytes after the last newline")
-    if bad or torn:
-        return RUNTIME_ERROR
-    print("clean")
-    return OK
+    faults = [f"corrupt blob {digest}" for digest in store.audit()]
+    for run_id in store.runs():
+        if n := store.torn_tail(run_id):
+            faults.append(f"torn runs/{run_id}.log tail: {n} bytes after the last newline")
+    faults += [fault for run_id in store.runs() for fault in store.journal_faults(run_id)]
+    print("\n".join(faults) or "clean")
+    return RUNTIME_ERROR if faults else OK
 
 
 def cmd_mock(args, cfg) -> int:
@@ -454,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("run_id", help="run to list")
     q.set_defaults(func=cmd_store_ls)
     q = store_sub.add_parser("audit", parents=[common],
-                             help="re-hash every blob and check each run journal for a torn tail")
+                             help="re-hash every blob and replay each run journal from disk")
     q.set_defaults(func=cmd_store_audit)
 
     p = sub.add_parser("mock", parents=[common],

@@ -17,13 +17,13 @@ Token semantics during verification and execution:
             one from each, emits one on its single out-edge
   Final     consumes any token that reaches it
 
-`verify` plays this token game exhaustively, in one search, and combines it
-with structural rules; the verdict `sound` means zero findings. A decision
+`verify` plays this token game in one search over every graph, and combines
+it with structural rules; the verdict `sound` means zero findings. A decision
 keeps one branch per game: the branch is fixed when the decision first fires
 and recorded in the search state, so the one search covers every static
-decision-outcome assignment. A graph with more than EXHAUSTIVE_DECISION_LIMIT
-decisions gets a TooManyDecisions finding instead; the search does not need
-that limit, but it is kept as a contract of `verify`.
+decision-outcome assignment. The search stops after STATE_BUDGET expanded
+states; a stopped search keeps what it found, adds a TooManyStates finding
+and is never called sound.
 
 Branches that cannot interfere are not interleaved: an enabled move of a
 fire-once node (see _TokenGame) is expanded alone, and a state whose loop
@@ -112,12 +112,11 @@ _GUARD_OPS = {
     ">": operator.gt,
 }
 
-# decision-count ceiling for the exhaustive token game; beyond it only the
-# structural rules run, and the report carries a TooManyDecisions finding
-EXHAUSTIVE_DECISION_LIMIT = 12
+# token-game states a search expands before it stops with a TooManyStates finding
+STATE_BUDGET = 50_000
 
-STRUCTURAL_ONLY = "structural-only"
 EXHAUSTIVE = "exhaustive"
+BOUNDED = "bounded"
 
 UNREACHABLE = "Unreachable"
 NO_TERMINATION = "NoTermination"
@@ -125,7 +124,7 @@ JOIN_DEADLOCK = "JoinDeadlock"
 UNBALANCED_FORK_JOIN = "UnbalancedForkJoin"
 UNBOUND_OBJECT_FLOW = "UnboundObjectFlow"
 UNGUARDED_CYCLE = "UnguardedCycle"
-TOO_MANY_DECISIONS = "TooManyDecisions"
+TOO_MANY_STATES = "TooManyStates"
 
 
 class StructuralError(UserError):
@@ -424,7 +423,7 @@ def build_graph(name, nodes, edges, object_flows=(), source_refs=()) -> Workflow
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Finding:
     kind: str
     subject: str
@@ -439,7 +438,7 @@ class VerificationReport:
     workflow: str
     mode: str
     findings: tuple[Finding, ...]
-    states: int  # token-game states expanded, not subsumed; 0 if structural-only
+    states: int  # token-game states expanded, not subsumed; at most STATE_BUDGET
 
     @property
     def sound(self) -> bool:
@@ -518,7 +517,7 @@ def _structural_findings(g: WorkflowGraph) -> list[Finding]:
 
 
 class _TokenGame:
-    """Exhaustive exploration of (marking, decision assignment, loop counters).
+    """Bounded exploration of (marking, decision assignment, loop counters).
 
     Each decision takes one static branch per game, fixed the first time
     the decision fires: an unassigned decision forks the search once per
@@ -581,13 +580,14 @@ class _TokenGame:
         return [((i,), assignment[:pos] + (i,) + assignment[pos + 1:]) for i in self.out[node_id]]
 
     def explore(self):
-        """(findings, states expanded) over every static assignment."""
+        """(mode, findings, states expanded) over every static assignment."""
         start_edge = self.edge_index[self.g.out_edges(self.g.start().id)[0]]
         initial = tuple(1 if i == start_edge else 0 for i in range(len(self.edges)))
         state = (initial, (None,) * len(self.decision_pos), (0,) * len(self.back_pos))
         pending, expanded, seen = defaultdict(list), {}, {state}
         deadlocked, flooded_edges = set(), set()
         pending[0].append(state)  # counter sum -> states still to pop
+        states, mode = 0, EXHAUSTIVE
 
         while pending:
             level = min(pending)
@@ -597,7 +597,11 @@ class _TokenGame:
             kept = expanded.setdefault((marking, assignment), [])
             if any(all(map(operator.le, old, counts)) for old in kept):
                 continue
+            if states == STATE_BUDGET:  # what it found stands, the rest goes unexplored
+                mode = BOUNDED
+                break
             kept.append(counts)
+            states += 1
             moves = list(self._enabled_moves(marking))
             if not moves:  # so every marked edge waits at a join
                 deadlocked.update(self.nodes[pos] for pos in compress(self.consumer, marking))
@@ -630,26 +634,20 @@ class _TokenGame:
         for u, v in flooded_edges:
             detail = f"edge {u}->{v} accumulates more than one token"
             findings.add(Finding(UNBALANCED_FORK_JOIN, v, detail))
-        return findings, sum(map(len, expanded.values()))
+        if mode == BOUNDED:
+            detail = f"token game stopped at its budget of {STATE_BUDGET} states"
+            findings.add(Finding(TOO_MANY_STATES, self.g.name, detail))
+        return mode, findings, states
 
 
 def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
-    """Pure check: structural rules always, the token game when it fits under
-    EXHAUSTIVE_DECISION_LIMIT; a graph over the limit is never called sound."""
+    """Pure check: structural rules and the token game, which stops after
+    STATE_BUDGET states; a stopped search is never called sound."""
     if max_iterations < 0:  # a negative budget would forbid every move
         raise UserError(f"loop budget must be 0 or more, got {max_iterations}")
-    findings = set(_structural_findings(g))
-    decisions = sum(1 for n in g.nodes if n.kind == DECISION)
-    if decisions <= EXHAUSTIVE_DECISION_LIMIT:
-        mode = EXHAUSTIVE
-        game_findings, states = _TokenGame(g, max_iterations).explore()
-        findings |= game_findings
-    else:
-        mode, states = STRUCTURAL_ONLY, 0
-        detail = f"{decisions} decisions exceed the exhaustive limit of {EXHAUSTIVE_DECISION_LIMIT}"
-        findings.add(Finding(TOO_MANY_DECISIONS, g.name, detail + "; token game not run"))
-    ordered = tuple(sorted(findings, key=lambda f: (f.kind, f.subject, f.detail)))
-    return VerificationReport(g.name, mode, ordered, states)
+    mode, findings, states = _TokenGame(g, max_iterations).explore()
+    findings.update(_structural_findings(g))
+    return VerificationReport(g.name, mode, tuple(sorted(findings)), states)
 
 
 def topological_activities(g: WorkflowGraph) -> tuple[str, ...]:

@@ -95,9 +95,6 @@ class Unit:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise QuantityError(f"unit {self.name}: scale must be a positive finite real")
 
-    def compatible(self, other: "Unit") -> bool:
-        return self.dimension == other.dimension
-
 
 def _dim(length=0, mass=0, time=0, current=0, temperature=0, amount=0, luminosity=0):
     return (length, mass, time, current, temperature, amount, luminosity)

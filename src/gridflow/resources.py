@@ -32,7 +32,6 @@ __all__ = [
     "UsageRecord",
     "ResourceRegistry",
     "render_launch",
-    "load_descriptor",
     "parse_descriptor_xml",
     "render_descriptor_xml",
     "ResourceError",
@@ -458,11 +457,6 @@ def parse_descriptor_xml(text: str) -> ResourceDescriptor:
         cost_weight,
         version,
     )
-
-
-def load_descriptor(path) -> ResourceDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_descriptor_xml(fh.read())
 
 
 def render_descriptor_xml(d: ResourceDescriptor) -> str:

@@ -283,8 +283,8 @@ class ContentStore:
     def _read_blob(self, hash: str) -> Dataset:
         try:
             data = (self.blob_dir / hash).read_bytes()
-        except FileNotFoundError:
-            raise UnknownKey(f"no blob for hash {hash}") from None
+        except FileNotFoundError:  # a journal names it, or get() has refused the key
+            raise IntegrityError(f"blob {hash} missing") from None
         held = self._held.get(hash)
         if held is not None and hashlib.sha256(data).hexdigest() == hash:
             return held[0]  # the bytes this handle wrote, still intact
@@ -342,6 +342,20 @@ class ContentStore:
             if actual != path.name:
                 bad.append(path.name)
         return bad
+
+    def journal_faults(self, run_id: str) -> list[str]:
+        """A lock-free replay of a run's journal from disk, torn tail skipped:
+        the first malformed line or bad rollback, each put or ckpt of a missing blob."""
+        lines, faults = self.index_lines(run_id), []
+        try:
+            _replay(run_id, self._records(run_id, lines))
+        except IntegrityError as exc:
+            faults.append(f"damaged {exc}")
+        for number, line in enumerate(lines, 1):
+            record = _record(line, number)
+            if record and record[0] in ("put", "ckpt") and not (self.blob_dir / record[3]).is_file():
+                faults.append(f"missing blob {record[3]} (runs/{run_id}.log line {number})")
+        return faults
 
     def torn_tail(self, run_id: str) -> int:
         """Length of an unterminated last journal line (a writer that died

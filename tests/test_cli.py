@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gridflow import model
 from gridflow.cli import run_cli
 from gridflow.dsl import emit_dsl
 from gridflow.resources import Calculator, render_descriptor_xml
@@ -15,7 +16,7 @@ from gridflow.simgrid import (
     standard_registry,
 )
 from test_corpus import CORPUS
-from test_model import join_deadlock_graph
+from test_model import fork_of_loops_graph, join_deadlock_graph
 
 CASE_KW = dict(cells=6, walkers=3, steps=12)
 
@@ -95,13 +96,31 @@ class TestVerify:
         assert "JoinDeadlock" in {f["kind"] for f in payload["findings"]}
 
     def test_graph_over_the_decision_limit_is_refused(self, run):
+        # 13 decisions get the whole token game, which finds the deadlock
         path = CORPUS / "unsound" / "decision_limit_deadlock.flow"
         code, out, _ = run("verify", path)
-        assert code == 1
-        assert out.startswith("TooManyDecisions(decision-limit-deadlock): 13 decisions")
+        assert (code, out) == (1, "JoinDeadlock(j): waits on an input that never arrives\n")
         code, out, err = run("submit", path, "--user", "ada")
         assert (code, out) == (1, "")
-        assert "TooManyDecisions" in err
+        assert "JoinDeadlock(j)" in err
+
+    def test_stopped_search_is_refused(self, run, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "STATE_BUDGET", 100)
+        path = tmp_path / "fork-of-loops.flow"
+        path.write_text(emit_dsl(fork_of_loops_graph(8)), encoding="utf-8")
+        code, out, _ = run("verify", path, "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "workflow": "fork-of-8-loops",
+            "mode": "bounded",
+            "states": 100,
+            "sound": False,
+            "findings": [{"kind": "TooManyStates", "subject": "fork-of-8-loops",
+                          "detail": "token game stopped at its budget of 100 states"}],
+        }
+        code, out, err = run("submit", path, "--user", "ada")
+        assert (code, out) == (1, "")
+        assert "TooManyStates(fork-of-8-loops)" in err
 
     def test_construction_violations_reported(self, run, tmp_path):
         path = tmp_path / "dangling.flow"
@@ -320,6 +339,34 @@ class TestStoreAudit:
         assert (code, out) == (2, "torn runs/run-0002.log tail: 11 bytes after the last newline\n")
         assert journal.read_bytes() == before + b'["put","lat'  # nothing repaired
 
+    def test_malformed_journal_line(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada")
+        journal = tmp_path / "store" / "runs" / "run-0001.log"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[2] = b'["bogus"]\n'
+        journal.write_bytes(b"".join(lines))
+        code, out, _ = run("store", "audit")
+        assert (code, out) == (2, """damaged runs/run-0001.log line 3 malformed: '["bogus"]'\n""")
+        assert journal.read_bytes() == b"".join(lines)  # nothing repaired
+        for command in (("report", "run-0001"), ("store", "ls", "run-0001")):
+            assert run(*command)[0] == 2
+
+    def test_missing_checkpoint_blob(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada")
+        journal = tmp_path / "store" / "runs" / "run-0001.log"
+        records = [json.loads(line) for line in journal.read_text(encoding="ascii").splitlines()]
+        digest = [r for r in records if r[0] == "ckpt"][-1][3]
+        (tmp_path / "store" / "blobs" / digest).unlink()
+        code, out, _ = run("store", "audit")
+        assert code == 2
+        assert out.splitlines() == [
+            f"missing blob {digest} (runs/run-0001.log line {n})"
+            for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[3] == digest
+        ]
+        assert len(out.splitlines()) >= 2  # its put and its ckpt
+        code, _, err = run("report", "run-0001")
+        assert (code, err) == (2, f"error: blob {digest} missing\n")
+
 
 class TestRegister:
     def exotic_descriptor_xml(self):
@@ -511,6 +558,17 @@ class TestExitContract:
             code, _, err = run(command, run_id)
             assert code == 2
             assert err.splitlines() == [f"error: run {run_id}: journal is empty or incomplete"]
+
+    def test_missing_checkpoint_blob_is_a_damaged_store(self, run, case_file, tmp_path):
+        code, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        assert code == 2
+        run_id = out.strip()
+        _, out, _ = run("store", "ls", run_id, "--json")
+        digest = json.loads(out)[0]["hash"]
+        (tmp_path / "store" / "blobs" / digest).unlink()
+        for command in ("report", "resume"):
+            code, _, err = run(command, run_id)
+            assert (code, err) == (2, f"error: blob {digest} missing\n")
 
     def test_run_ids_are_checked_before_they_name_a_file(self, run, case_file, tmp_path):
         # journals planted where an unchecked id would lead

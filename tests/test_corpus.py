@@ -21,7 +21,7 @@ RESOURCES = sorted((CORPUS / "resources").glob("*.xml"))
 EXPECTED_KIND = {
     "dangling_join.flow": "BadDegree",
     "decision_join_deadlock.flow": "JoinDeadlock",
-    "decision_limit_deadlock.flow": "TooManyDecisions",
+    "decision_limit_deadlock.flow": "JoinDeadlock",
     "no_final.flow": "NoFinal",
     "two_starts.flow": "TwoStarts",
     "unbalanced_fork_join.flow": "UnbalancedForkJoin",

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from gridflow import engine as engine_module
-from gridflow import quantities, storage
+from gridflow import model, quantities, storage
 from gridflow.dsl import UnsoundWorkflow, emit_dsl, parse
 from gridflow.engine import (
     ActivityFailed,
@@ -142,8 +142,20 @@ class TestPlanning:
         from test_corpus import CORPUS
 
         text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
-        with pytest.raises(UnsoundWorkflow, match="TooManyDecisions"):
+        with pytest.raises(UnsoundWorkflow, match=r"JoinDeadlock\(j\)"):
             make_engine(tmp_path).plan(parse(text), ADA)
+
+    def test_stopped_search_is_refused(self, tmp_path, monkeypatch):
+        from test_model import fork_of_loops_graph
+
+        monkeypatch.setattr(model, "STATE_BUDGET", 100)
+        with pytest.raises(UnsoundWorkflow) as caught:
+            make_engine(tmp_path).plan(fork_of_loops_graph(8), ADA)
+        report = caught.value.report
+        assert (report.mode, report.states) == ("bounded", 100)
+        assert [f.text() for f in report.findings] == [
+            "TooManyStates(fork-of-8-loops): token game stopped at its budget of 100 states"
+        ]
 
     def test_no_resource(self, tmp_path):
         nodes = [

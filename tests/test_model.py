@@ -15,12 +15,13 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+from gridflow import model
 from gridflow.dsl import _declaration_order, parse
 from gridflow.model import (
     ACTIVITY,
+    BOUNDED,
     DECISION,
     EXHAUSTIVE,
-    EXHAUSTIVE_DECISION_LIMIT,
     FINAL,
     FORK,
     FREE,
@@ -28,7 +29,6 @@ from gridflow.model import (
     PINNED_BOTH,
     PINNED_PROGRAM,
     START,
-    STRUCTURAL_ONLY,
     Binding,
     Guard,
     GuardEvaluationError,
@@ -297,6 +297,21 @@ def loops_graph(k):
     return build_graph(f"loops{k}", nodes, edges)
 
 
+def fork_of_loops_graph(k):
+    """A fork into k branches, each a guarded loop (w, c) then an activity x,
+    closed by one join: sound, but the loops interleave, so the token game
+    grows about 6x per branch."""
+    nodes = [Node("start", START), Node("f", FORK), Node("j", JOIN), act("d"),
+             Node("end", FINAL)]
+    edges = [("start", "f"), ("j", "d"), ("d", "end")]
+    for i in range(1, k + 1):
+        w, c, x = f"w{i}", f"c{i}", f"x{i}"
+        nodes += [act(w), Node(c, DECISION, cases=((guard("converged", "==", 1.0), x),),
+                               else_target=w), act(x)]
+        edges += [("f", w), (w, c), (c, x), (c, w), (x, "j")]
+    return build_graph(f"fork-of-{k}-loops", nodes, edges)
+
+
 def deep_oracle(g, budget):
     """brute_force_findings with room for its one frame per move at a large budget."""
     limit = sys.getrecursionlimit()
@@ -534,14 +549,13 @@ class TestVerify:
         assert before <= after
         assert "UnguardedCycle" in after
 
-    def test_too_many_decisions_is_never_sound(self):
+    def test_decision_limit_deadlock_gets_the_token_game(self):
+        # 13 decisions: no decision count keeps a graph from the game
         text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
         report = verify(parse(text))
-        assert report.mode == STRUCTURAL_ONLY
-        assert not report.sound
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, 54, False)
         assert [f.text() for f in report.findings] == [
-            "TooManyDecisions(decision-limit-deadlock): 13 decisions exceed the "
-            "exhaustive limit of 12; token game not run"
+            "JoinDeadlock(j): waits on an input that never arrives"
         ]
 
     def test_join_deadlock_names_the_join(self):
@@ -555,9 +569,31 @@ class TestVerify:
         assert report.sound and report.mode == EXHAUSTIVE
         assert report.states <= 2 * len(g.nodes)
 
-    def test_structural_only_explores_no_states(self):
-        text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
-        assert verify(parse(text)).states == 0
+    def test_stopped_search_is_never_sound(self, monkeypatch):
+        # the fork of 8 loops is sound, but its game needs 1,679,620 states
+        monkeypatch.setattr(model, "STATE_BUDGET", 100)
+        report = verify(fork_of_loops_graph(8))
+        assert (report.mode, report.states, report.sound) == (BOUNDED, 100, False)
+        assert [f.text() for f in report.findings] == [
+            "TooManyStates(fork-of-8-loops): token game stopped at its budget of 100 states"
+        ]
+
+    def test_stopped_search_keeps_what_it_found(self, monkeypatch):
+        g = fork_into_loop_graph("deadlock")
+        full = verify(g)
+        assert full.kinds() == {"JoinDeadlock"}
+        monkeypatch.setattr(model, "STATE_BUDGET", full.states - 1)
+        report = verify(g)
+        assert report.mode == BOUNDED
+        assert report.kinds() == {"JoinDeadlock", "TooManyStates"}
+
+    @pytest.mark.parametrize("k, states", [(2, 40), (4, 1300)])
+    def test_fork_of_loops_agrees_with_oracle(self, k, states):
+        g = fork_of_loops_graph(k)
+        report = verify(g, 3)
+        assert report.kinds() == brute_force_findings(g, 3) == set()
+        report = verify(g)
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, states, True)
 
     def test_fire_once_stops_at_the_first_loop_head(self):
         game = _TokenGame(fork_into_loop_graph("sound"), 100)
@@ -634,18 +670,16 @@ class TestVerify:
             assert game._branches("d", assignment) == (((i,), assignment),)
             assert game._branches("work", assignment) == ((game.out["work"], assignment),)
 
-    def test_graph_at_the_decision_limit_gets_the_token_game(self):
-        # the corpus graph one decision over the limit, less its first loop
-        text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
-        lines = [line.replace("start -> w1;", "start -> w2;") for line in text.splitlines()
-                 if not line.lstrip().startswith(("activity w1 ", "decision c1 "))]
-        g = parse("\n".join(lines))
-        assert sum(1 for n in g.nodes if n.kind == DECISION) == EXHAUSTIVE_DECISION_LIMIT == 12
-        report = verify(g)
-        assert report.mode == EXHAUSTIVE
-        assert [f.text() for f in report.findings] == [
-            "JoinDeadlock(j): waits on an input that never arrives"
-        ]
+    @pytest.mark.parametrize("k, states", [(13, 54), (40, 162)])
+    def test_loop_chains_are_verified_within_the_budget(self, k, states, monkeypatch):
+        report = verify(loops_graph(k))
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, states, True)
+        # a search that needs exactly the budget finishes; one state less stops it
+        monkeypatch.setattr(model, "STATE_BUDGET", states)
+        assert verify(loops_graph(k)) == report
+        monkeypatch.setattr(model, "STATE_BUDGET", states - 1)
+        report = verify(loops_graph(k))
+        assert (report.mode, report.states, report.kinds()) == (BOUNDED, states - 1, {"TooManyStates"})
 
 
 _IN_DEGREE = {ACTIVITY: 1, DECISION: 1, FORK: 1, JOIN: 2, FINAL: 1}

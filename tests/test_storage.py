@@ -185,6 +185,33 @@ class TestAppendOnly:
         path.write_bytes(path.read_bytes() + b"junk\n")
         assert store.audit() == [key.hash]
 
+    def test_missing_blob_is_damage_and_an_unknown_key_is_not(self, store):
+        key = store.put(ds("x", 1.0), "r1", "a")
+        (store.blob_dir / key.hash).unlink()
+        with pytest.raises(UnknownKey):
+            store.get(ResultKey(key.hash, "r1", "a", 1))
+        with pytest.raises(IntegrityError, match=f"blob {key.hash} missing"):
+            store.get(key)
+
+    def test_journal_faults_replay_from_disk(self, store):
+        k1 = store.put(ds("x", 1.0), "r1", "a")
+        store.checkpoint("r1", "a", k1)
+        store.put(ds("x", 2.0), "r2", "b")
+        assert store.journal_faults("r1") == store.journal_faults("r2") == []
+        (store.blob_dir / k1.hash).unlink()
+        with open(store.journal("r1"), "ab") as fh:
+            fh.write(b'["put","a"]\n["bogus"]\n["put","lat')  # torn tail skipped
+        with open(store.journal("r2"), "ab") as fh:
+            fh.write(b'["rollback","b"]\n')
+        before = store.journal("r1").read_bytes()
+        assert store.journal_faults("r1") == [
+            """damaged runs/r1.log line 3 malformed: '["put","a"]'""",
+            f"missing blob {k1.hash} (runs/r1.log line 1)",
+            f"missing blob {k1.hash} (runs/r1.log line 2)",
+        ]
+        assert store.journal_faults("r2") == ["damaged runs/r2.log: rollback to 'b', never committed"]
+        assert store.journal("r1").read_bytes() == before  # nothing repaired
+
     def test_replay_reproduces_committed_sequence(self, store):
         originals = []
         for name, value in (("a", 0.5), ("b", 1.5), ("c", 2.5)):
