@@ -41,6 +41,7 @@ from .resources import (
     _freeze_params,
     render_launch,
 )
+from .simgrid import SimulatedExecutor
 from .storage import ACTIVE, COMPLETED, FAILED_RUN, ContentStore, RunState
 
 __all__ = [
@@ -134,9 +135,6 @@ class RunRecord:
     finished_at: str
     failure: str | None = None
 
-    def counter_map(self) -> dict[str, int]:
-        return dict(self.counters)
-
 
 @dataclass(frozen=True)
 class ProvenanceRecord:
@@ -170,17 +168,9 @@ def workflow_hash(text: str) -> str:
 class Engine:
     """Single mediator between workflows, the resource pool, and the store."""
 
-    def __init__(self, registry: ResourceRegistry, store: ContentStore, executor_factory=None):
+    def __init__(self, registry: ResourceRegistry, store: ContentStore):
         self.registry = registry
         self.store = store
-        self._executor_factory = executor_factory  # a bound-method default makes a cycle
-
-    def _executor(self, seed, fault_plan):
-        if self._executor_factory is not None:
-            return self._executor_factory(seed, fault_plan)
-        from .simgrid import SimulatedExecutor
-
-        return SimulatedExecutor(self.registry, self.store, seed=seed, fault_plan=fault_plan)
 
     # -- planning ------------------------------------------------------------
 
@@ -213,16 +203,14 @@ class Engine:
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> RunRecord:
         run_id = self.store.claim(_header(plan), run_id)
-        executor = self._executor(plan.seed, tuple(fault_plan))
-        return _Execution(self, plan, run_id, executor, replay=()).drive()
+        return _Execution(self, plan, run_id, fault_plan, replay=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> RunRecord:
         state = self._state(run_id, need_summary=False)
         if state.status == COMPLETED:
             raise NothingToResume(f"run {run_id} already completed")
         plan = self._plan_from_header(state.header)
-        executor = self._executor(plan.seed, tuple(fault_plan))
-        return _Execution(self, plan, run_id, executor, replay=state.checkpoints).drive()
+        return _Execution(self, plan, run_id, fault_plan, replay=state.checkpoints).drive()
 
     def _plan_from_header(self, header) -> ExecutionPlan:
         graph = parse(header["workflow_text"])
@@ -291,10 +279,6 @@ class Engine:
             tuple(sorted(resources)),
             tuple(ledger),
         )
-
-    def checkpoint_hashes(self, run_id: str) -> list[str]:
-        """Committed checkpoint hashes in commit order."""
-        return [key.hash for _, key in self.store.checkpoints(run_id)]
 
     def report(self, run_id: str, deterministic: bool = False) -> dict:
         state = self._state(run_id)
@@ -370,12 +354,12 @@ class _Execution:
     reproduces the original blackboard merge order exactly.
     """
 
-    def __init__(self, engine: Engine, plan: ExecutionPlan, run_id, executor, replay):
+    def __init__(self, engine: Engine, plan: ExecutionPlan, run_id, fault_plan, replay):
         self.engine = engine
         self.plan = plan
         self.g = plan.graph
         self.run_id = run_id
-        self.executor = executor
+        self.executor = SimulatedExecutor(engine.registry, engine.store, plan.seed, fault_plan)
         self.replay = list(replay)  # ordered (activity id, ResultKey)
         self.bindings = plan.binding_map()
         self.overrides = dict(plan.params)

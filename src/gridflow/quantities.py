@@ -38,7 +38,6 @@ __all__ = [
     "ParseError",
     "UnknownUnit",
     "get_unit",
-    "registered_units",
     "convert",
     "project",
     "merge",
@@ -163,10 +162,6 @@ def get_unit(name: str) -> Unit:
         return _REGISTRY[canonical]
     except KeyError:
         raise UnknownUnit(f"unknown unit: {name}") from None
-
-
-def registered_units() -> tuple[Unit, ...]:
-    return tuple(_REGISTRY.values())
 
 
 _FORMAT = "{:.16e}".format
@@ -359,9 +354,6 @@ class Dataset:
 
     def has(self, name: str) -> bool:
         return any(o.name == name for o in self.observables)
-
-    def meta_dict(self) -> dict[str, str]:
-        return dict(self.meta)
 
     @functools.cached_property
     def id(self) -> str:

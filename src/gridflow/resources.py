@@ -29,7 +29,6 @@ __all__ = [
     "JobRequest",
     "JobHandle",
     "JobStatus",
-    "UsageRecord",
     "ResourceRegistry",
     "render_launch",
     "parse_descriptor_xml",
@@ -38,12 +37,10 @@ __all__ = [
     "DuplicateResource",
     "InvalidDescriptor",
     "UnknownResource",
-    "ResourceWithdrawn",
     "UnknownJob",
     "UnboundPlaceholder",
     "MissingInput",
     "QUEUED",
-    "RUNNING",
     "SUCCEEDED",
     "FAILED",
     "WITHDRAWN",
@@ -67,10 +64,6 @@ class UnknownResource(ResourceError):
     pass
 
 
-class ResourceWithdrawn(ResourceError):
-    pass
-
-
 class UnknownJob(ResourceError):
     pass
 
@@ -85,16 +78,15 @@ class MissingInput(ResourceError):
 
 LICENSE_KINDS = ("open", "academic", "commercial")
 
-# job lifecycle; the only legal moves are queued->running->{succeeded,failed}
-# and any non-terminal state -> withdrawn
+# job lifecycle; the only legal moves are queued->{succeeded,failed}, within
+# the tick that starts the job, and queued->withdrawn
 QUEUED = "queued"
-RUNNING = "running"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
 WITHDRAWN = "withdrawn"
 TERMINAL_STATES = frozenset({SUCCEEDED, FAILED, WITHDRAWN})
 
-_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
+_STATES = TERMINAL_STATES | {QUEUED}
 
 
 @dataclass(frozen=True)
@@ -149,9 +141,6 @@ class LaunchTemplate:
 
     def placeholders(self) -> tuple[str, ...]:
         return tuple(m.group(1) for m in _PLACEHOLDER_RE.finditer(self.command_pattern))
-
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.input_slots)
 
 
 @dataclass(frozen=True)
@@ -248,53 +237,24 @@ class JobHandle:
 @dataclass(frozen=True)
 class JobStatus:
     state: str
-    result: object | None = None  # storage key of the produced dataset
+    result: object | None = None  # the produced Dataset, once succeeded
     reason: str | None = None
 
     def __post_init__(self):
         if self.state not in _STATES:
             raise RuntimeFailure(f"unknown job state: {self.state!r}")
 
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-
-@dataclass
-class UsageRecord:
-    resource_id: str
-    started: int = 0
-    succeeded: int = 0
-    failed: int = 0
-    withdrawn: int = 0
-    wall_time: float = 0.0
-
-    def check(self):
-        if self.succeeded + self.failed > self.started:
-            raise RuntimeFailure(f"{self.resource_id}: usage counters inconsistent")
-
-    @property
-    def settled(self) -> bool:
-        return self.started == self.succeeded + self.failed + self.withdrawn
-
 
 class ResourceRegistry:
-    """Registered descriptors plus per-resource usage accounting.
-
-    Withdrawn resources stay listed (provenance must keep resolving their
-    descriptors) but are excluded from discovery and refuse new submissions.
-    """
+    """Registered descriptors, looked up by id or discovered by requirement."""
 
     def __init__(self):
         self._descriptors: dict[str, ResourceDescriptor] = {}
-        self._withdrawn: set[str] = set()
-        self._usage: dict[str, UsageRecord] = {}
 
     def register(self, d: ResourceDescriptor) -> str:
         if d.id in self._descriptors:
             raise DuplicateResource(f"resource already registered: {d.id}")
         self._descriptors[d.id] = d
-        self._usage[d.id] = UsageRecord(d.id)
         return d.id
 
     def get(self, resource_id: str) -> ResourceDescriptor:
@@ -306,43 +266,10 @@ class ResourceRegistry:
     def ids(self) -> tuple[str, ...]:
         return tuple(sorted(self._descriptors))
 
-    def withdraw(self, resource_id: str):
-        self.get(resource_id)
-        self._withdrawn.add(resource_id)
-
-    def check_submittable(self, resource_id: str):
-        self.get(resource_id)
-        if resource_id in self._withdrawn:
-            raise ResourceWithdrawn(f"resource withdrawn: {resource_id}")
-
     def discover(self, req: BindingRequirement) -> list[str]:
-        hits = [
-            d
-            for d in self._descriptors.values()
-            if d.id not in self._withdrawn and req.admits(d)
-        ]
+        hits = [d for d in self._descriptors.values() if req.admits(d)]
         hits.sort(key=lambda d: (d.cost_weight, d.id))
         return [d.id for d in hits]
-
-    def usage(self, resource_id: str) -> UsageRecord:
-        self.get(resource_id)
-        return self._usage[resource_id]
-
-    def record_started(self, resource_id: str):
-        self._usage[resource_id].started += 1
-
-    def record_terminal(self, resource_id: str, state: str, wall_time: float = 0.0):
-        rec = self._usage[resource_id]
-        if state == SUCCEEDED:
-            rec.succeeded += 1
-        elif state == FAILED:
-            rec.failed += 1
-        elif state == WITHDRAWN:
-            rec.withdrawn += 1
-        else:
-            raise RuntimeFailure(f"not a terminal state: {state}")
-        rec.wall_time += wall_time
-        rec.check()
 
 
 def render_launch(t: LaunchTemplate, req: JobRequest, workdir: str) -> LaunchPlan:

@@ -15,10 +15,10 @@ MSD(t) = t and self-diffusivity D = 1/2 via the Einstein relation, which
 gives the analysis stage an analytic oracle. Blocking sites slows the walk,
 so D decreases with loading fraction theta.
 
-SimulatedExecutor runs jobs on a virtual clock: per-resource queues bounded
-by the calculator's max_concurrent, a fixed per-resource latency, and seeded
-shuffling of same-tick completions. Equal (seed, fault plan) means an
-identical event order, which is what makes whole runs reproducible.
+SimulatedExecutor runs jobs on a virtual clock: each tick starts up to the
+calculator's max_concurrent queued jobs per resource and finishes them in a
+seeded shuffle. Equal (seed, fault plan) means an identical event order,
+which is what makes whole runs reproducible.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from .quantities import Dataset, ExtractionSpec, Observable, format_number, get_
 from .resources import (
     FAILED,
     QUEUED,
-    RUNNING,
     SUCCEEDED,
-    TERMINAL_STATES,
     WITHDRAWN,
     Calculator,
     JobHandle,
@@ -60,7 +58,6 @@ from .resources import (
     ResourceDescriptor,
     ResourceRegistry,
     UnknownJob,
-    UsageRecord,
 )
 
 __all__ = [
@@ -74,7 +71,6 @@ __all__ = [
     "mock_cbmc",
     "mock_gcmc",
     "mock_md",
-    "mock_analysis",
     "msd",
     "diffusivity",
     "diffusivity_with_se",
@@ -566,10 +562,6 @@ def parse_analysis_native(text: str) -> Dataset:
     )
 
 
-def mock_analysis(inputs: Dataset, params) -> Dataset:
-    return parse_analysis_native(analysis_native(inputs, params))
-
-
 # ---------------------------------------------------------------------------
 # probe programs for plumbing tests: emit numeric params as observables
 # ---------------------------------------------------------------------------
@@ -654,8 +646,6 @@ class _SimJob:
     job_id: str
     req: JobRequest
     state: str = QUEUED
-    submit_tick: int = 0
-    start_tick: int | None = None
     occurrence: int = 1
     inject_fault: bool = False
     result: object = None
@@ -665,22 +655,18 @@ class _SimJob:
 class SimulatedExecutor:
     """Deterministic virtual-clock job runner over a resource registry.
 
-    Jobs queue per resource, run for that resource's fixed latency, and
-    complete in seeded-shuffle order within a tick. A fault plan of
+    Each tick starts up to max_concurrent queued jobs per resource and
+    finishes them within that tick, in seeded-shuffle order. A fault plan of
     (activity id, occurrence) pairs fails the matching submissions.
     """
 
-    def __init__(self, registry: ResourceRegistry, store, programs=None,
-                 seed: int = 0, fault_plan=(), latencies=None):
+    def __init__(self, registry: ResourceRegistry, store, seed: int = 0, fault_plan=()):
         self.registry = registry
         self.store = store
-        self.programs = dict(PROGRAMS) if programs is None else dict(programs)
         self.seed = seed
         self.fault_plan = frozenset((a, int(n)) for a, n in fault_plan)
-        self._latencies = dict(latencies or {})
         self._jobs: dict[str, _SimJob] = {}
         self._queue: dict[str, list[str]] = {}
-        self._running: dict[str, list[str]] = {}
         self._submissions: dict[str, int] = {}
         self._completions: list[JobHandle] = []
         self._consumed = 0
@@ -691,24 +677,19 @@ class SimulatedExecutor:
     def clock(self) -> int:
         return self._clock
 
-    def latency(self, resource_id: str) -> int:
-        return self._latencies.get(resource_id, 1)
-
     def submit(self, req: JobRequest) -> JobHandle:
-        self.registry.check_submittable(req.resource_id)
+        self.registry.get(req.resource_id)
         self._counter += 1
         occurrence = self._submissions.get(req.activity_id, 0) + 1
         self._submissions[req.activity_id] = occurrence
         job = _SimJob(
             f"job-{self._counter:04d}",
             req,
-            submit_tick=self._clock,
             occurrence=occurrence,
             inject_fault=(req.activity_id, occurrence) in self.fault_plan,
         )
         self._jobs[job.job_id] = job
         self._queue.setdefault(req.resource_id, []).append(job.job_id)
-        self.registry.record_started(req.resource_id)
         return JobHandle(job.job_id, req.resource_id)
 
     def _job(self, handle: JobHandle) -> _SimJob:
@@ -723,56 +704,36 @@ class SimulatedExecutor:
 
     def withdraw(self, handle: JobHandle) -> JobStatus:
         job = self._job(handle)
-        if job.state not in TERMINAL_STATES:
-            rid = job.req.resource_id
-            if job.job_id in self._queue.get(rid, []):
-                self._queue[rid].remove(job.job_id)
-            if job.job_id in self._running.get(rid, []):
-                self._running[rid].remove(job.job_id)
+        if job.state == QUEUED:
+            self._queue[job.req.resource_id].remove(job.job_id)
             job.state = WITHDRAWN
-            self.registry.record_terminal(rid, WITHDRAWN, self._clock - job.submit_tick)
         return self.poll(handle)
 
-    def usage(self, resource_id: str) -> UsageRecord:
-        return self.registry.usage(resource_id)
-
     def live_jobs(self) -> bool:
-        return any(j.state in (QUEUED, RUNNING) for j in self._jobs.values())
+        return any(self._queue.values())
 
     def tick(self):
-        """Advance one tick: dispatch what fits, then finish what is due."""
+        """Advance one tick: start what fits on each resource, then finish it."""
+        batch = []
         for rid in sorted(self._queue):
             cap = self.registry.get(rid).calculator.max_concurrent
-            running = self._running.setdefault(rid, [])
             queue = self._queue[rid]
-            while queue and len(running) < cap:
-                job = self._jobs[queue.pop(0)]
-                job.state = RUNNING
-                job.start_tick = self._clock
-                running.append(job.job_id)
+            batch.extend(queue[:cap])
+            del queue[:cap]
         self._clock += 1
-        due = []
-        for rid in sorted(self._running):
-            for job_id in self._running[rid]:
-                job = self._jobs[job_id]
-                if job.start_tick + self.latency(rid) <= self._clock:
-                    due.append(job_id)
-        random.Random(f"{self.seed}:{self._clock}").shuffle(due)
-        for job_id in due:
-            job = self._jobs[job_id]
-            self._running[job.req.resource_id].remove(job_id)
-            self._finish(job)
+        random.Random(f"{self.seed}:{self._clock}").shuffle(batch)
+        for job_id in batch:
+            self._finish(self._jobs[job_id])
 
     def _finish(self, job: _SimJob):
         rid = job.req.resource_id
-        wall = float(self._clock - job.submit_tick)
         if job.inject_fault:
             job.state = FAILED
             job.reason = f"injected fault (occurrence {job.occurrence})"
         else:
             try:
                 program = self.registry.get(rid).program
-                sim = self.programs.get(program)
+                sim = PROGRAMS.get(program)
                 if sim is None:
                     raise RuntimeFailure(f"no simulated behavior for program {program!r}")
                 inputs = {slot: self.store.get_by_hash(h) for slot, h in job.req.inputs}
@@ -781,13 +742,12 @@ class SimulatedExecutor:
             except GridflowError as exc:
                 job.state = FAILED
                 job.reason = str(exc)
-        self.registry.record_terminal(rid, job.state, wall)
         self._completions.append(JobHandle(job.job_id, rid))
 
     def wait_any(self) -> list[JobHandle]:
         """Advance the clock until at least one job reaches a terminal state;
         returns newly terminal handles in completion order, oldest first.
-        Returns [] when nothing is queued or running."""
+        Returns [] when nothing is queued."""
         while True:
             fresh = self._completions[self._consumed :]
             if fresh:

@@ -19,6 +19,9 @@ runs/<run id>.log, one JSON array per line:
                                    (counters, touched, entries, trace,
                                    started_at, finished_at, failure)
 
+A hash is 64 lowercase hex digits; a put or ckpt line naming anything else
+is malformed, so no journal can point a read outside blobs/.
+
 Nothing rewrites a stored byte, so a run's history survives rollbacks. A
 run's state is a replay of its own journal; no operation reads another's.
 A claim writes the "submitted" record in the call that creates the journal
@@ -93,6 +96,7 @@ _RUN_STATUSES = (ACTIVE, FAILED_RUN, COMPLETED, ROLLED_BACK)
 
 _RUN_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 _NUMBERED = re.compile(r"run-([0-9]+)")
+_HASH = re.compile(r"[0-9a-f]{64}")
 _HELD_BYTES = 32 << 20  # canonical bytes of the datasets a handle keeps
 
 
@@ -134,7 +138,7 @@ def _record(line: str, number: int) -> list | None:
         return None
     kind, n = record[0], len(record)
     if kind == "put" or kind == "ckpt":
-        ok = n == 4 and type(record[1]) is type(record[3]) is str
+        ok = n == 4 and type(record[1]) is type(record[3]) is str and _HASH.fullmatch(record[3])
         ok = ok and type(record[2]) is int and record[2] >= 0  # not JSON true or false
     elif kind == "rollback":
         ok = n == 2 and type(record[1]) is str
@@ -296,23 +300,19 @@ class ContentStore:
             raise IntegrityError(f"blob {hash} corrupted: bytes hash to {ds.id}")
         return ds
 
-    def checkpoint(self, run_id: str, activity_id: str, key: ResultKey) -> RunState:
+    def checkpoint(self, run_id: str, activity_id: str, key: ResultKey):
         with self._appending(run_id) as (records, append):
             if key.run_id != run_id or not _known(records, key):
                 raise UnknownKey(f"cannot checkpoint unknown key: {key}")
-            record = ["ckpt", activity_id, key.sequence, key.hash]
-            append(*record)
-        return _replay(run_id, records + [record])
+            append("ckpt", activity_id, key.sequence, key.hash)
 
-    def rollback(self, run_id: str, to_activity_id: str) -> RunState:
+    def rollback(self, run_id: str, to_activity_id: str):
         with self._appending(run_id) as (records, append):
             if not any(name == to_activity_id for name, _ in _replay(run_id, records).checkpoints):
                 raise UnknownCheckpoint(
                     f"run {run_id} has no committed checkpoint for {to_activity_id}"
                 )
-            record = ["rollback", to_activity_id]
-            append(*record)
-        return _replay(run_id, records + [record])
+            append("rollback", to_activity_id)
 
     def set_status(self, run_id: str, status: str, summary: dict | None = None):
         """Append a status record; a summary, when given, replaces the last."""

@@ -367,6 +367,24 @@ class TestStoreAudit:
         code, _, err = run("report", "run-0001")
         assert (code, err) == (2, f"error: blob {digest} missing\n")
 
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_checkpoint_hash_that_is_not_a_sha256(self, run, case_file, tmp_path, where):
+        _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        run_id = out.strip()
+        journal = tmp_path / "store" / "runs" / f"{run_id}.log"
+        lines = journal.read_text(encoding="ascii").splitlines()
+        n = max(i for i, line in enumerate(lines) if line.startswith('["ckpt"'))
+        record = json.loads(lines[n])
+        planted = tmp_path / "planted"  # a valid blob outside blobs/
+        planted.write_bytes((tmp_path / "store" / "blobs" / record[3]).read_bytes())
+        record[3] = f"../runs/{run_id}.log" if where == "relative" else str(planted)
+        lines[n] = json.dumps(record, separators=(",", ":"))
+        journal.write_text("\n".join(lines) + "\n", encoding="ascii")
+        damage = f"runs/{run_id}.log line {n + 1} malformed: {lines[n][:80]!r}\n"
+        assert run("store", "audit") == (2, f"damaged {damage}", "")
+        for command in ("report", "resume"):
+            assert run(command, run_id) == (2, "", f"error: {damage}")
+
 
 class TestRegister:
     def exotic_descriptor_xml(self):

@@ -41,23 +41,20 @@ from gridflow.resources import (
     ResourceDescriptor,
     ResourceRegistry,
 )
-from gridflow.simgrid import SimulatedExecutor, build_case_study, standard_registry
+from gridflow.simgrid import build_case_study, standard_registry
 from gridflow.storage import ContentStore, StorageError, UnknownRun
 
 ADA = UserProfile("ada")
 MEGACORP = UserProfile("bob", "commercial")
 
 
-def make_engine(tmp_path, latencies=None):
-    registry = standard_registry()
-    store = ContentStore(tmp_path / "store")
-    factory = None
-    if latencies is not None:
-        def factory(seed, fault_plan):
-            return SimulatedExecutor(
-                registry, store, seed=seed, fault_plan=fault_plan, latencies=latencies
-            )
-    return Engine(registry, store, executor_factory=factory)
+def make_engine(tmp_path):
+    return Engine(standard_registry(), ContentStore(tmp_path / "store"))
+
+
+def checkpoint_hashes(engine, run_id):
+    """Committed checkpoint hashes in commit order."""
+    return [key.hash for _, key in engine.store.checkpoints(run_id)]
 
 
 def noop_activity(name, **params):
@@ -229,7 +226,7 @@ class TestExecution:
         plan = engine.plan(build_case_study(), ADA, seed=42)
         record = engine.execute(plan)
         assert record.status == "completed"
-        assert record.counter_map() == {
+        assert dict(record.counters) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
         order = [e.activity for e in record.entries]
@@ -299,7 +296,7 @@ class TestExecution:
     def test_decision_routes_and_skips_branch(self, tmp_path):
         engine = make_engine(tmp_path)
         record = engine.execute(engine.plan(parse(DIAMOND), ADA))
-        assert record.counter_map() == {"probe": 1, "high": 1}
+        assert dict(record.counters) == {"probe": 1, "high": 1}
         routed = [ev for ev in record.trace if ev[0] == "decision"]
         assert routed == [("decision", "route", "high", "flag > 0 dimensionless")]
 
@@ -307,7 +304,7 @@ class TestExecution:
         engine = make_engine(tmp_path)
         plan = engine.plan(parse(DIAMOND), ADA, params={"flag": "-2"})
         record = engine.execute(plan)
-        assert record.counter_map() == {"probe": 1, "low": 1}
+        assert dict(record.counters) == {"probe": 1, "low": 1}
 
     def test_guard_without_observable_fails_run(self, tmp_path):
         text = DIAMOND.replace("when flag > 0", "when missing > 0")
@@ -320,7 +317,7 @@ class TestExecution:
     def test_fork_runs_both_then_join(self, tmp_path):
         engine = make_engine(tmp_path)
         record = engine.execute(engine.plan(fork_graph(), ADA, seed=5))
-        assert record.counter_map() == {"a": 1, "b": 1, "c": 1}
+        assert dict(record.counters) == {"a": 1, "b": 1, "c": 1}
         by_activity = {e.activity: e for e in record.entries}
         assert by_activity["c"].submitted_tick >= by_activity["a"].finished_tick
         assert by_activity["c"].submitted_tick >= by_activity["b"].finished_tick
@@ -338,7 +335,7 @@ class TestExecution:
     def test_loop_fires_until_converged(self, tmp_path):
         engine = make_engine(tmp_path)
         record = engine.execute(engine.plan(parse(LOOP), ADA))
-        assert record.counter_map() == {"work": 3}
+        assert dict(record.counters) == {"work": 3}
         attempts = [e.firing for e in record.entries]
         assert attempts == [1, 2, 3]
 
@@ -350,33 +347,29 @@ class TestExecution:
             engine.execute(plan, run_id="run-spin")
         record = engine.record("run-spin")
         assert record.status == "failed"
-        assert record.counter_map() == {"work": 4}
+        assert dict(record.counters) == {"work": 4}
 
     def test_activity_failure_aborts_and_withdraws(self, tmp_path):
-        # b runs on a slow resource, so it is still in flight when a fails
-        engine = make_engine(tmp_path, latencies={"flip@sandbox-01": 5})
+        # five noop jobs on a calculator that runs four wide: the fifth is
+        # still queued when a fails in the first tick, so it is withdrawn
+        engine = make_engine(tmp_path)
+        branches = "abcde"
         g = build_graph(
             "split",
-            [
-                Node("start", START),
-                Node("f", FORK),
-                noop_activity("a"),
-                Node(
-                    "b",
-                    ACTIVITY,
-                    binding=Binding(PINNED_PROGRAM, "flip", None, frozenset()),
-                ),
-                Node("j", JOIN),
-                Node("end", FINAL),
-            ],
-            [("start", "f"), ("f", "a"), ("f", "b"), ("a", "j"), ("b", "j"), ("j", "end")],
+            [Node("start", START), Node("f", FORK)]
+            + [noop_activity(name) for name in branches]
+            + [Node("j", JOIN), Node("end", FINAL)],
+            [("start", "f"), ("j", "end")]
+            + [("f", name) for name in branches]
+            + [(name, "j") for name in branches],
         )
         plan = engine.plan(g, ADA)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-abort", fault_plan=[("a", 1)])
         record = engine.record("run-abort")
         assert record.status == "failed"
-        assert ("withdrawn", "b") in record.trace
+        assert ("withdrawn", "e") in record.trace
+        assert not any(ev[0] == "completed" and ev[1] == "e" for ev in record.trace)
 
     def test_missing_input_fails_run(self, tmp_path):
         nodes = [
@@ -422,12 +415,12 @@ class TestResume:
         engine.execute(plan, run_id="run-ref")
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
-        assert engine.record("run-hurt").counter_map() == {
+        assert dict(engine.record("run-hurt").counters) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1,
         }
         record = engine.resume("run-hurt")
         assert record.status == "completed"
-        assert record.counter_map() == {
+        assert dict(record.counters) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
         fresh = [e.activity for e in record.entries if not e.replayed]
@@ -441,7 +434,7 @@ class TestResume:
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
         engine.resume("run-hurt")
-        assert engine.checkpoint_hashes("run-hurt") == engine.checkpoint_hashes("run-ref")
+        assert checkpoint_hashes(engine, "run-hurt") == checkpoint_hashes(engine, "run-ref")
 
         def final_d(run_id):
             return engine.report(run_id)["results"]["analysis"]["scalars"]["diffusivity"]
@@ -538,7 +531,7 @@ class TestResume:
     def test_rollback_then_resume_rebuilds_the_same_hashes(self, tmp_path):
         engine, plan = self.build(tmp_path)
         engine.execute(plan, run_id="run-a")
-        reference = engine.checkpoint_hashes("run-a")
+        reference = checkpoint_hashes(engine, "run-a")
         engine.store.rollback("run-a", "cbmc")
         # one journal holds the run's status: the report sees the rollback
         assert engine.report("run-a")["status"] == engine.record("run-a").status == "rolled-back"
@@ -546,13 +539,13 @@ class TestResume:
         assert record.status == "completed"
         fresh = [e.activity for e in record.entries if not e.replayed]
         assert fresh == ["gcmc", "md", "analysis"]
-        assert engine.checkpoint_hashes("run-a") == reference
+        assert checkpoint_hashes(engine, "run-a") == reference
 
     def test_resume_after_first_activity_failure(self, tmp_path):
         engine, plan = self.build(tmp_path)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-cold", fault_plan=[("lattice", 1)])
-        assert engine.checkpoint_hashes("run-cold") == []
+        assert checkpoint_hashes(engine, "run-cold") == []
         record = engine.resume("run-cold")
         assert record.status == "completed"
         assert not any(e.replayed for e in record.entries)
@@ -562,10 +555,10 @@ class TestResume:
         plan = engine.plan(parse(LOOP), ADA)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-loop", fault_plan=[("work", 2)])
-        assert engine.record("run-loop").counter_map() == {"work": 1}
+        assert dict(engine.record("run-loop").counters) == {"work": 1}
         record = engine.resume("run-loop")
         assert record.status == "completed"
-        assert record.counter_map() == {"work": 3}
+        assert dict(record.counters) == {"work": 3}
         firings = [(e.activity, e.firing, e.replayed) for e in record.entries]
         assert firings == [("work", 1, True), ("work", 2, False), ("work", 3, False)]
 
@@ -616,9 +609,7 @@ class TestDeterminism:
         first = engine.execute(plan)
         second = engine.execute(plan)
         assert first.run_id != second.run_id
-        assert engine.checkpoint_hashes(first.run_id) == engine.checkpoint_hashes(
-            second.run_id
-        )
+        assert checkpoint_hashes(engine, first.run_id) == checkpoint_hashes(engine, second.run_id)
 
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -636,7 +627,7 @@ class TestDeterminism:
         g = build_case_study(cells=16, walkers=30, steps=30)
         a = engine.execute(engine.plan(g, ADA, seed=1))
         b = engine.execute(engine.plan(g, ADA, seed=2))
-        assert engine.checkpoint_hashes(a.run_id) != engine.checkpoint_hashes(b.run_id)
+        assert checkpoint_hashes(engine, a.run_id) != checkpoint_hashes(engine, b.run_id)
 
     def test_provenance_equal_across_equal_seed_runs(self, tmp_path):
         engine = make_engine(tmp_path)

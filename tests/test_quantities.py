@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridflow.quantities import (
+    _REGISTRY,
     Dataset,
     DimensionMismatch,
     ExtractionSpec,
@@ -26,7 +27,6 @@ from gridflow.quantities import (
     get_unit,
     merge_with,
     project,
-    registered_units,
 )
 
 ANG = get_unit("angstrom")
@@ -60,7 +60,7 @@ NAMES = st.text(alphabet="abcdefgh_.", min_size=1, max_size=6).filter(lambda n: 
 @st.composite
 def datasets(draw):
     """Datasets of every observable kind and unit, with free-text meta."""
-    units = st.sampled_from(registered_units())
+    units = st.sampled_from(tuple(_REGISTRY.values()))
     observables = []
     for name in draw(st.lists(NAMES, max_size=5, unique=True)):
         kind = draw(st.sampled_from(("scalar", "vector3", "series", "table")))
@@ -84,7 +84,7 @@ def datasets(draw):
 
 class TestRegistry:
     def test_at_least_twenty_units(self):
-        assert len(registered_units()) >= 20
+        assert len(_REGISTRY) >= 20
 
     def test_alias_resolves_to_same_object(self):
         assert get_unit("A") is get_unit("angstrom")
@@ -194,7 +194,7 @@ class TestDataset:
         out = project(ds, ExtractionSpec.of(("temperature", "K"), ("box", "nm")))
         assert out.names == ("box", "temperature")
         assert out.get("box").values[2] == pytest.approx(1.42, rel=1e-15)
-        assert out.meta_dict()["derived-from"] == ds.id
+        assert dict(out.meta)["derived-from"] == ds.id
 
     def test_project_keeps_the_producers_observable_when_units_match(self):
         # so a staged projection renders only its meta line afresh
@@ -255,7 +255,7 @@ class TestCanonicalFormat:
 
     def test_meta_value_keeps_spaces(self):
         ds = Dataset.build([], meta={"cmd": "run --fast  twice"})
-        assert canonical_deserialize(canonical_serialize(ds)).meta_dict()["cmd"] == "run --fast  twice"
+        assert dict(canonical_deserialize(canonical_serialize(ds)).meta)["cmd"] == "run --fast  twice"
 
     def test_meta_value_that_cannot_render_is_refused(self):
         # a line ending in whitespace does not parse; a lone surrogate does

@@ -14,7 +14,6 @@ from gridflow.resources import (
     MissingInput,
     ResourceDescriptor,
     ResourceRegistry,
-    ResourceWithdrawn,
     UnboundPlaceholder,
     UnknownResource,
     parse_descriptor_xml,
@@ -70,7 +69,6 @@ class TestRegistry:
         reg = ResourceRegistry()
         rid = reg.register(descriptor())
         assert reg.get(rid).program == "gulp"
-        assert reg.usage(rid).started == 0
 
     def test_duplicate_rejected(self):
         reg = ResourceRegistry()
@@ -81,14 +79,6 @@ class TestRegistry:
     def test_unknown_resource(self):
         with pytest.raises(UnknownResource):
             ResourceRegistry().get("ghost")
-
-    def test_withdrawn_stays_resolvable_but_not_submittable(self):
-        reg = ResourceRegistry()
-        rid = reg.register(descriptor())
-        reg.withdraw(rid)
-        assert reg.get(rid).id == rid
-        with pytest.raises(ResourceWithdrawn):
-            reg.check_submittable(rid)
 
 
 class TestDiscover:
@@ -113,11 +103,6 @@ class TestDiscover:
     def test_no_provider_is_empty_not_error(self):
         req = BindingRequirement("a", capabilities=frozenset({"cbmc"}))
         assert self.reg.discover(req) == []
-
-    def test_withdrawn_excluded(self):
-        self.reg.withdraw("dlpoly@cluster2")
-        req = BindingRequirement("a", program="dlpoly")
-        assert self.reg.discover(req) == ["dlpoly@cluster1"]
 
     def test_ties_break_lexicographically(self):
         self.reg.register(descriptor("aaa@x", "dlpoly", ("md",), cost=1.0))
@@ -201,7 +186,7 @@ class TestDescriptorXml:
         assert d.license.kind == "academic"
         assert d.cost_weight == 1.5
         assert d.calculator.max_concurrent == 2
-        assert d.launch_template.slot_names() == ("structure",)
+        assert [n for n, _ in d.launch_template.input_slots] == ["structure"]
 
     def test_missing_element(self):
         with pytest.raises(InvalidDescriptor):

@@ -42,12 +42,6 @@ class ComputeUnderTest:
         while self.service.live_jobs():
             self.service.wait_any()
 
-    def usage_records(self):
-        return [
-            self.service.usage(self.resource_id),
-            self.service.usage("latgen@struct-01"),
-        ]
-
 
 @pytest.fixture(params=["compute"])
 def harness(tmp_path):
@@ -61,7 +55,6 @@ class TestSharedSurface:
         harness.settle()
         status = harness.service.poll(handle)
         assert status.state == SUCCEEDED
-        assert status.terminal
         assert status.result is not None
         assert status.reason is None
 
@@ -82,17 +75,6 @@ class TestSharedSurface:
     def test_unknown_job_rejected(self, harness):
         with pytest.raises(UnknownJob):
             harness.service.poll(JobHandle("no-such-job", harness.resource_id))
-
-    def test_accounting_settles(self, harness):
-        for n in range(2):
-            harness.service.submit(harness.good_request(n))
-        harness.service.submit(harness.bad_request())
-        harness.settle()
-        records = harness.usage_records()
-        assert all(rec.settled for rec in records)
-        assert sum(r.started for r in records) == 3
-        assert sum(r.succeeded for r in records) == 2
-        assert sum(r.failed for r in records) == 1
 
 
 class TestWithdrawSemantics:

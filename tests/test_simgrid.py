@@ -38,8 +38,8 @@ from gridflow.simgrid import (
     flip_native,
     gcmc_native,
     lattice_native,
+    analysis_native,
     md_native,
-    mock_analysis,
     mock_cbmc,
     mock_gcmc,
     mock_lattice,
@@ -47,6 +47,7 @@ from gridflow.simgrid import (
     msd,
     noop_native,
     parse_flip_native,
+    parse_analysis_native,
     parse_gcmc_native,
     parse_lattice_native,
     parse_md_native,
@@ -477,7 +478,7 @@ class TestAnalysis:
         occ = mock_cbmc(lat, {"theta": "0.2", "seed": "1"})
         gc = mock_gcmc(occ, {"n_helium": "40", "seed": "2"})
         tr = mock_md(merge([occ, gc]), {"steps": "30", "seed": "3"})
-        out = mock_analysis(merge([tr, lat]), {"groups": "5"})
+        out = parse_analysis_native(analysis_native(merge([tr, lat]), {"groups": "5"}))
         for name in ("diffusivity", "diffusivity_se", "fit_residual", "fit_warning", "msd"):
             assert out.has(name)
         assert out.get("diffusivity").unit.name == "angstrom^2/ps"
@@ -585,13 +586,6 @@ class TestExecutor:
         assert len(ex.wait_any()) == 2
         assert ex.wait_any() == []
 
-    def test_latency_orders_resources(self, tmp_path):
-        ex, _ = make_executor(tmp_path, latencies={"noop@sandbox-01": 3})
-        slow = ex.submit(probe("slow"))
-        fast = ex.submit(probe("fast", resource="flip@sandbox-01", params={"attempt": "1"}))
-        assert ex.wait_any() == [fast]
-        assert ex.wait_any() == [slow]
-
     def test_fault_plan_hits_exact_occurrence(self, tmp_path):
         ex, _ = make_executor(tmp_path, fault_plan=[("a", 2)])
         first = ex.submit(probe("a"))
@@ -636,21 +630,6 @@ class TestExecutor:
         ex, _ = make_executor(tmp_path)
         with pytest.raises(UnknownJob):
             ex.poll(JobHandle("job-9999", "noop@sandbox-01"))
-
-    def test_accounting_settles(self, tmp_path):
-        ex, _ = make_executor(tmp_path, fault_plan=[("a1", 1)])
-        for i in range(3):
-            ex.submit(probe(f"a{i}"))
-        dropped = ex.submit(probe("a3"))
-        ex.withdraw(dropped)
-        while ex.wait_any():
-            pass
-        usage = ex.usage("noop@sandbox-01")
-        assert usage.started == 4
-        assert usage.succeeded == 2
-        assert usage.failed == 1
-        assert usage.withdrawn == 1
-        assert usage.settled
 
     def test_idle_wait_returns_nothing(self, tmp_path):
         ex, _ = make_executor(tmp_path)

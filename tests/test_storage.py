@@ -103,7 +103,8 @@ class TestPutGet:
 class TestCheckpoints:
     def test_checkpoint_and_state(self, store):
         k = store.put(ds("x", 1.0), "r1", "a")
-        state = store.checkpoint("r1", "a", k)
+        store.checkpoint("r1", "a", k)
+        state = store.run_state("r1")
         assert state.checkpoints == (("a", k),)
         assert state.status == ACTIVE
 
@@ -112,7 +113,8 @@ class TestCheckpoints:
         for name, value in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
             keys[name] = store.put(ds("x", value), "r1", name)
             store.checkpoint("r1", name, keys[name])
-        state = store.rollback("r1", "a")
+        store.rollback("r1", "a")
+        state = store.run_state("r1")
         assert state.checkpoints == (("a", keys["a"]),)
         assert state.status == ROLLED_BACK
 
@@ -131,8 +133,8 @@ class TestCheckpoints:
         store.checkpoint("r1", "a", ka)
         store.rollback("r1", "a")
         kb = store.put(ds("x", 2.0), "r1", "b")
-        state = store.checkpoint("r1", "b", kb)
-        assert state.status == ACTIVE
+        store.checkpoint("r1", "b", kb)
+        assert store.run_state("r1").status == ACTIVE
 
     def test_rollback_unknown_activity(self, store):
         k = store.put(ds("x", 1.0), "r1", "a")
@@ -211,6 +213,28 @@ class TestAppendOnly:
         ]
         assert store.journal_faults("r2") == ["damaged runs/r2.log: rollback to 'b', never committed"]
         assert store.journal("r1").read_bytes() == before  # nothing repaired
+
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_a_hash_that_is_not_a_sha256_names_no_file(self, store, monkeypatch, where):
+        key = store.put(ds("x", 1.0), "r1", "a")
+        store.checkpoint("r1", "a", key)
+        planted = store.root.parent / "planted"  # a valid blob outside blobs/
+        planted.write_bytes((store.blob_dir / key.hash).read_bytes())
+        target = "../runs/r1.log" if where == "relative" else str(planted)
+        journal = store.journal("r1")
+        lines = journal.read_text(encoding="ascii").splitlines()
+        lines[-1] = json.dumps(["ckpt", "a", 0, target], separators=(",", ":"))
+        journal.write_text("\n".join(lines) + "\n", encoding="ascii")
+        touched = []
+        for method in ("read_bytes", "is_file"):
+            real = getattr(type(journal), method)
+            monkeypatch.setattr(type(journal), method,
+                                lambda path, real=real: touched.append(path) or real(path))
+        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed: "):
+            store.run_state("r1")
+        faults = store.journal_faults("r1")
+        assert len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 2 malformed: ")
+        assert touched and all(p == journal or p.parent == store.blob_dir for p in touched)
 
     def test_replay_reproduces_committed_sequence(self, store):
         originals = []

@@ -1,0 +1,77 @@
+"""No code that only tests call.
+
+Every function, method and class defined in src/gridflow must be referenced
+from src/gridflow or perfbench/: as a name, an attribute, an imported name or
+a string constant equal to it. A module's own `__all__` does not count, and
+dunder methods are called by the language. A name that is reached another
+way goes in ALLOWED with the reason.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gridflow"
+CALLERS = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+ALLOWED = {
+    "_check_scalar": "Observable.__post_init__ dispatches on f'_check_{kind}'",
+    "_check_vector3": "Observable.__post_init__ dispatches on f'_check_{kind}'",
+    "_check_series": "Observable.__post_init__ dispatches on f'_check_{kind}'",
+    "_check_table": "Observable.__post_init__ dispatches on f'_check_{kind}'",
+    "build_case_study": "the case study as a Python API; the CLI reads the .flow file",
+}
+
+_DUNDER = re.compile(r"__\w+__")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def defined() -> dict[str, str]:
+    """Name -> 'module:line' of every function, method and class under src/gridflow."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not _DUNDER.fullmatch(node.name):
+                    out.setdefault(node.name, f"{path.name}:{node.lineno}")
+    return out
+
+
+def referenced() -> set[str]:
+    names = set()
+    for path in CALLERS:
+        tree = _tree(path)
+        exported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(map(id, ast.walk(node.value)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and type(node.value) is str:
+                if id(node) not in exported:
+                    names.add(node.value)
+    return names
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    refs = referenced()
+    unused = sorted(f"{where} {name}" for name, where in defined().items()
+                    if name not in refs and name not in ALLOWED)
+    assert unused == []
+
+
+def test_allowlist_names_only_definitions_without_callers():
+    refs = referenced()
+    names = defined()
+    assert [n for n in ALLOWED if n not in names or n in refs] == []
