@@ -236,15 +236,13 @@ def cmd_submit(args, cfg) -> int:
         max_iterations=args.max_iterations,
         seed=_seed(args, cfg),
     )
-    record = _run(engine.execute, plan, fault_plan=_fault_plan(args.fail_at))
-    print(record.run_id)
+    print(_run(engine.execute, plan, fault_plan=_fault_plan(args.fail_at)))
     return OK
 
 
 def cmd_resume(args, cfg) -> int:
     engine = _open_engine(args, cfg)
-    record = _run(engine.resume, args.run_id, fault_plan=_fault_plan(args.fail_at))
-    print(record.run_id)
+    print(_run(engine.resume, args.run_id, fault_plan=_fault_plan(args.fail_at)))
     return OK
 
 

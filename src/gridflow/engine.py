@@ -8,7 +8,8 @@ the producer's latest result as the engine holds it (the completed dataset,
 or the checkpoint a resume read back), and each job reads its staged inputs
 back from the store. A failed activity aborts the run but keeps its committed
 checkpoints, so resume() can replay them in the original completion order and
-continue with live jobs from the frontier.
+continue with live jobs from the frontier. Its queued peers are withdrawn, and
+peers finished in the same tick are discarded uncommitted, to be rerun.
 
 Whole runs are reproducible: the job seed is a digest of the run seed, the
 activity, its firing number, and its staged input hashes, so a resumed or
@@ -17,15 +18,19 @@ rolled-back run re-derives exactly the seeds of an uninterrupted one.
 Run state lives only in the store, in the run's journal (see storage):
 execute() claims the run with its header (workflow text, bindings, params,
 seed), and each drive appends a status record carrying the run's summary
-(counters, entries, trace) when it starts, and again when it fails or
-completes. Reports, provenance and resume all derive from one replay of that
-journal.
+(entries, trace, timestamps, failure) when it starts, and again when it fails
+or completes. Each entry is one executed or replayed firing: [activity,
+firing, resource, job id, result hash, submitted tick, finished tick,
+replayed]. report() is the one view of a run, and it and resume() each derive
+from one replay of that journal: per-activity counters are counted from the
+entries, and the touched resources are read off the trace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -35,6 +40,7 @@ from .model import DECISION, FINAL, FORK, JOIN, WorkflowGraph, verify
 from .quantities import Dataset, merge_with, project
 from .resources import (
     SUCCEEDED,
+    WITHDRAWN,
     JobRequest,
     MissingInput,
     ResourceRegistry,
@@ -53,9 +59,6 @@ __all__ = [
     "NothingToResume",
     "UserProfile",
     "ExecutionPlan",
-    "ActivityEntry",
-    "RunRecord",
-    "ProvenanceRecord",
     "Engine",
 ]
 
@@ -108,54 +111,6 @@ class ExecutionPlan:
         return dict(self.bindings)
 
 
-@dataclass(frozen=True)
-class ActivityEntry:
-    """One executed (or replayed) activity firing."""
-
-    activity: str
-    firing: int
-    resource: str
-    job_id: str  # "(replayed)" when served from a checkpoint
-    result_hash: str
-    submitted_tick: int
-    finished_tick: int
-    replayed: bool = False
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    run_id: str
-    workflow_name: str
-    status: str
-    entries: tuple[ActivityEntry, ...]
-    counters: tuple[tuple[str, int], ...]  # successful completions per activity
-    trace: tuple[tuple[str, ...], ...]
-    seed: int
-    started_at: str
-    finished_at: str
-    failure: str | None = None
-
-
-@dataclass(frozen=True)
-class ProvenanceRecord:
-    """What a run depended on: inputs, code, resources, and credit owed.
-
-    The ledger carries one entry per distinct citation demanded by a
-    non-open license among the resources the run touched, plus one entry
-    per workflow source reference. Open-licensed programs owe nothing.
-    """
-
-    workflow_name: str
-    workflow_hash: str
-    user: str
-    affiliation: str
-    seed: int
-    max_iterations: int
-    parameters: tuple[tuple[str, str], ...]  # ("activity.key", value)
-    resources: tuple[tuple[str, str, str], ...]  # (activity, resource, program)
-    ledger: tuple[tuple[str, str], ...]  # (citation, origin)
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -201,11 +156,11 @@ class Engine:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> RunRecord:
+    def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> str:
         run_id = self.store.claim(_header(plan), run_id)
         return _Execution(self, plan, run_id, fault_plan, replay=()).drive()
 
-    def resume(self, run_id: str, fault_plan=()) -> RunRecord:
+    def resume(self, run_id: str, fault_plan=()) -> str:
         state = self._state(run_id, need_summary=False)
         if state.status == COMPLETED:
             raise NothingToResume(f"run {run_id} already completed")
@@ -235,68 +190,37 @@ class Engine:
             raise RuntimeFailure(f"run {run_id}: journal is empty or incomplete")
         return state
 
-    def record(self, run_id: str) -> RunRecord:
+    def report(self, run_id: str, deterministic: bool = False) -> dict:
+        """The run as one replay of its journal shows it. The provenance ledger
+        owes one entry per distinct citation a non-open license demands among
+        the resources the run touched, plus one per workflow source reference."""
         state = self._state(run_id)
         header, summary = state.header, state.summary
-        return RunRecord(
-            run_id, header["workflow_name"], state.status,
-            tuple(ActivityEntry(*entry) for entry in summary["entries"]),
-            tuple((a, n) for a, n in summary["counters"]),
-            tuple(tuple(ev) for ev in summary["trace"]),
-            header["seed"], summary["started_at"], summary["finished_at"], summary["failure"],
-        )
-
-    def provenance(self, run_id: str) -> ProvenanceRecord:
-        return self._provenance(self._state(run_id))
-
-    def _provenance(self, state: RunState) -> ProvenanceRecord:
-        header = state.header
         graph = parse(header["workflow_text"])
         overrides = {k: v for k, v in header["params"]}
-        parameters = []
-        for node in graph.activities():
-            for key, value in node.params:
-                parameters.append((f"{node.id}.{key}", overrides.get(key, value)))
+        parameters = sorted(
+            [f"{node.id}.{key}", overrides.get(key, value)]
+            for node in graph.activities()
+            for key, value in node.params
+        )
+        touched = {ev[1] for ev in summary["trace"] if ev[0] in ("submitted", "replayed")}
         resources = []
         credit: dict[str, str] = {}
         for activity, resource in header["bindings"]:
-            if activity not in state.summary["touched"]:
+            if activity not in touched:
                 continue
             d = self.registry.get(resource)
-            resources.append((activity, resource, d.program_spec))
+            resources.append([activity, resource, d.program_spec])
             if d.license.kind != "open" and d.license.citation not in credit:
                 credit[d.license.citation] = d.program
-        ledger = [(c, credit[c]) for c in sorted(credit)]
-        ledger.extend((ref, "workflow-source") for ref in graph.source_refs)
-        return ProvenanceRecord(
-            header["workflow_name"],
-            header["workflow_hash"],
-            header["user"]["user"],
-            header["user"]["affiliation"],
-            header["seed"],
-            header["max_iterations"],
-            tuple(sorted(parameters)),
-            tuple(sorted(resources)),
-            tuple(ledger),
-        )
-
-    def report(self, run_id: str, deterministic: bool = False) -> dict:
-        state = self._state(run_id)
-        header, summary = state.header, state.summary
-        prov = self._provenance(state)
+        ledger = [[c, credit[c]] for c in sorted(credit)]
+        ledger.extend([ref, "workflow-source"] for ref in graph.source_refs)
         results = {}
         for activity, key in sorted(dict(state.checkpoints).items()):  # each one's latest
             ds = self.store.get_by_hash(key.hash)  # a key of the journal just read
-            scalars = {
-                obs.name: obs.values[0]
-                for obs in ds.observables
-                if obs.kind == "scalar"
-            }
-            others = {
-                obs.name: f"{obs.kind}[{len(obs.values)}]"
-                for obs in ds.observables
-                if obs.kind != "scalar"
-            }
+            scalars = {o.name: o.values[0] for o in ds.observables if o.kind == "scalar"}
+            others = {o.name: f"{o.kind}[{len(o.values)}]"
+                      for o in ds.observables if o.kind != "scalar"}
             results[activity] = {"hash": key.hash, "scalars": scalars, "other": others}
         data = {
             "run": run_id,
@@ -308,15 +232,17 @@ class Engine:
             "max_iterations": header["max_iterations"],
             "parameters": header["params"],
             "bindings": {a: r for a, r in header["bindings"]},
-            "counters": summary["counters"],
+            "counters": sorted(
+                [a, n] for a, n in Counter(e[0] for e in summary["entries"]).items()
+            ),
             "checkpoints": [key.hash for _, key in state.checkpoints],
             "entries": summary["entries"],
             "trace": summary["trace"],
             "results": results,
             "provenance": {
-                "parameters": [list(p) for p in prov.parameters],
-                "resources": [list(r) for r in prov.resources],
-                "ledger": [list(e) for e in prov.ledger],
+                "parameters": parameters,
+                "resources": sorted(resources),
+                "ledger": ledger,
             },
             "started_at": summary["started_at"],
             "finished_at": summary["finished_at"],
@@ -366,20 +292,18 @@ class _Execution:
         self.tokens: dict[tuple[str, str], int] = {}
         self.back_counts: dict[tuple[str, str], int] = {}
         self.firings: dict[str, int] = {}
-        self.counters: dict[str, int] = {}
         self.latest: dict[str, Dataset] = {}  # activity -> its latest result
         self.blackboard = Dataset.build([])
         self.trace: list[tuple[str, ...]] = []
-        self.entries: list[ActivityEntry] = []
+        self.entries: list[list] = []  # the summary's entries, in completion order
         self.pending: dict = {}  # JobHandle -> (activity, firing, submit tick)
-        self.touched: set[str] = set()
         self.final_reached = False
         self.failure: str | None = None
         self.started_at = _now()
 
     # -- top level -----------------------------------------------------------
 
-    def drive(self) -> RunRecord:
+    def drive(self) -> str:
         self._persist(ACTIVE)
         try:
             self._play()
@@ -388,7 +312,7 @@ class _Execution:
             self._persist(FAILED_RUN)
             raise
         self._persist(COMPLETED)
-        return self.engine.record(self.run_id)
+        return self.run_id
 
     def _play(self):
         for edge in self.g.out_edges(self.g.start().id):
@@ -490,11 +414,8 @@ class _Execution:
         firing = self.firings.get(activity, 0) + 1
         self.firings[activity] = firing
         ds = self.latest[activity] = self.engine.store.get_by_hash(key.hash)  # a run_state key
-        self.counters[activity] = self.counters.get(activity, 0) + 1
-        self.touched.add(activity)
         self.entries.append(
-            ActivityEntry(activity, firing, self.bindings[activity], "(replayed)",
-                          key.hash, 0, 0, True)
+            [activity, firing, self.bindings[activity], "(replayed)", key.hash, 0, 0, True]
         )
         self.trace.append(("replayed", activity, key.hash))
         self._merge(activity, ds)
@@ -521,7 +442,6 @@ class _Execution:
         )
         self.trace.append(("launch", activity, launch.command))
         handle = self.executor.submit(req)
-        self.touched.add(activity)
         self.trace.append(("submitted", activity, handle.job_id, str(firing)))
         self.pending[handle] = (activity, firing, self.executor.clock)
 
@@ -571,10 +491,9 @@ class _Execution:
                 key = self.engine.store.put(status.result, self.run_id, activity)
                 self.engine.store.checkpoint(self.run_id, activity, key)
                 self.latest[activity] = status.result
-                self.counters[activity] = self.counters.get(activity, 0) + 1
                 self.entries.append(
-                    ActivityEntry(activity, firing, self.bindings[activity],
-                                  handle.job_id, key.hash, submitted, self.executor.clock)
+                    [activity, firing, self.bindings[activity], handle.job_id, key.hash,
+                     submitted, self.executor.clock, False]
                 )
                 self.trace.append(("completed", activity, handle.job_id, key.hash))
                 self._merge(activity, status.result)
@@ -582,9 +501,13 @@ class _Execution:
             else:
                 reason = status.reason or "job failed"
                 self.trace.append(("failed", activity, handle.job_id, reason))
+                # queued peers are withdrawn; finished ones are discarded
+                # uncommitted, which keeps the checkpoints a prefix of an
+                # uninterrupted run's completion order
                 for other in list(self.pending):
-                    self.executor.withdraw(other)
-                    self.trace.append(("withdrawn", *self.pending.pop(other)[:1]))
+                    state = self.executor.withdraw(other).state
+                    event = "withdrawn" if state == WITHDRAWN else "discarded"
+                    self.trace.append((event, self.pending.pop(other)[0]))
                 raise ActivityFailed(
                     f"activity {activity!r} failed: {reason}", self.run_id
                 )
@@ -603,13 +526,7 @@ class _Execution:
     def _persist(self, status):
         """Append the run's status and its summary to the run's journal."""
         summary = {
-            "counters": sorted([a, n] for a, n in self.counters.items()),
-            "touched": sorted(self.touched),
-            "entries": [
-                [e.activity, e.firing, e.resource, e.job_id, e.result_hash,
-                 e.submitted_tick, e.finished_tick, e.replayed]
-                for e in self.entries
-            ],
+            "entries": self.entries,
             "trace": [list(ev) for ev in self.trace],
             "started_at": self.started_at,
             "finished_at": _now() if status != ACTIVE else None,

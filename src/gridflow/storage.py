@@ -16,8 +16,8 @@ runs/<run id>.log, one JSON array per line:
     ["rollback", activity]         drop the checkpoints after the activity's last;
                                    status rolled-back until the next ckpt
     ["status", status, summary]    status, plus null or the run's summary
-                                   (counters, touched, entries, trace,
-                                   started_at, finished_at, failure)
+                                   (entries, trace, started_at,
+                                   finished_at, failure)
 
 A hash is 64 lowercase hex digits; a put or ckpt line naming anything else
 is malformed, so no journal can point a read outside blobs/.

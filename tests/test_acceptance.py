@@ -111,8 +111,8 @@ def _parseable_corpus():
     return out
 
 
-def _completed(run):
-    return [ev[1] for ev in run.trace if ev[0] == "completed"]
+def _completed(eng, run_id):
+    return [ev[1] for ev in eng.report(run_id)["trace"] if ev[0] == "completed"]
 
 
 def _plan_runs(plan, outcomes):
@@ -157,7 +157,7 @@ def test_criterion_02_loading_suppresses_diffusivity(tmp_path):
     for theta in (0.0, 0.3, 0.6):
         g = build_case_study(cells=400, theta=theta, walkers=8000, steps=10)
         run = eng.execute(eng.plan(g, UserProfile("alice"), seed=LOADING_SEED))
-        scalars = eng.report(run.run_id)["results"]["analysis"]["scalars"]
+        scalars = eng.report(run)["results"]["analysis"]["scalars"]
         est[theta] = (scalars["diffusivity"], scalars["diffusivity_se"])
     for theta, (d, _) in est.items():
         mean, spread = ORACLE[theta]
@@ -271,7 +271,7 @@ def test_criterion_06_round_trips(tmp_path):
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
     run = eng.execute(eng.plan(build_case_study(**CASE_KW), UserProfile("alice"), seed=1))
-    keys = store.checkpoints(run.run_id)
+    keys = store.checkpoints(run)
     assert len(keys) == 5
     for activity, key in keys:
         ds = store.get(key)
@@ -338,7 +338,7 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
             continue
         want = Counter(_plan_runs(plan, {}))
         run = eng.execute(eng.plan(g, user, seed=0))
-        assert Counter(_completed(run)) == want, path.name
+        assert Counter(_completed(eng, run)) == want, path.name
         compared += 1
     assert compared >= 4
 
@@ -347,7 +347,7 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
     for outcome, params in ((True, ()), (False, (("flag", "-2"),))):
         want = Counter(_plan_runs(plan, {"route": outcome}))
         run = eng.execute(eng.plan(g, user, params=params, seed=0))
-        assert Counter(_completed(run)) == want, outcome
+        assert Counter(_completed(eng, run)) == want, outcome
     _ok(7, f"dependency reductions on {len(SOUND)} graphs, plan/engine multisets on {compared} + 2 guard assignments")
 
 
@@ -406,7 +406,7 @@ def test_criterion_08_licensing_and_credit(tmp_path):
     doubled = build_graph("double-mcsim", nodes, edges, flows)
     eng = Engine(standard_registry(), ContentStore(tmp_path / "dedup"))
     run = eng.execute(eng.plan(doubled, UserProfile("alice"), seed=0))
-    ledger = eng.report(run.run_id)["provenance"]["ledger"]
+    ledger = eng.report(run)["provenance"]["ledger"]
     assert len(ledger) == 1 and ledger[0][1] == "mcsim"
     _ok(8, f"commercial refused, ledger of {len(expected)} deduplicated entries, double use credited once")
 
@@ -420,7 +420,7 @@ def test_criterion_09_fork_schedules(tmp_path):
     orders = Counter()
     for seed in range(50):
         run = eng.execute(eng.plan(g, UserProfile("alice"), seed=seed))
-        done = _completed(run)
+        done = _completed(eng, run)
         assert Counter(done) == Counter({"a": 1, "b": 1, "c": 1})
         position = {act: i for i, act in enumerate(done)}
         for before, after in precedence:
@@ -452,14 +452,14 @@ def test_criterion_10_integrity_and_append_only(tmp_path):
             pass
         finally:
             path.write_bytes(original)
-    for _, key in store.checkpoints(run1.run_id):
+    for _, key in store.checkpoints(run1):
         store.get(key)  # intact again after restoration
 
     snapshot = {p.name: p.read_bytes() for p in store.blob_dir.iterdir()}
-    journal_before = store.journal(run1.run_id).read_bytes()
+    journal_before = store.journal(run1).read_bytes()
     run2 = eng.execute(eng.plan(g, UserProfile("alice"), seed=2))
-    assert run2.run_id != run1.run_id
+    assert run2 != run1
     for name, data in snapshot.items():
         assert (store.blob_dir / name).read_bytes() == data, name
-    assert store.journal(run1.run_id).read_bytes() == journal_before
+    assert store.journal(run1).read_bytes() == journal_before
     _ok(10, f"{len(blobs)} corruptions caught, second run appended without touching prior bytes")

@@ -57,6 +57,21 @@ def checkpoint_hashes(engine, run_id):
     return [key.hash for _, key in engine.store.checkpoints(run_id)]
 
 
+ENTRY_FIELDS = (
+    "activity", "firing", "resource", "job_id", "hash", "submitted", "finished", "replayed",
+)
+
+
+def entries(report):
+    """A report's entries, each as a dict of its named fields."""
+    return [dict(zip(ENTRY_FIELDS, entry, strict=True)) for entry in report["entries"]]
+
+
+def trace(report):
+    """A report's trace events as tuples."""
+    return [tuple(ev) for ev in report["trace"]]
+
+
 def noop_activity(name, **params):
     return Node(
         name,
@@ -114,7 +129,7 @@ def _submit_worker(root, start, count, out):
     engine = Engine(standard_registry(), ContentStore(root))
     plan = engine.plan(parse(DIAMOND), ADA)
     start.wait(timeout=60)
-    out.put([engine.execute(plan).run_id for _ in range(count)])
+    out.put([engine.execute(plan) for _ in range(count)])
 
 
 class TestPlanning:
@@ -224,14 +239,14 @@ class TestExecution:
     def test_case_study_completes(self, tmp_path):
         engine = make_engine(tmp_path)
         plan = engine.plan(build_case_study(), ADA, seed=42)
-        record = engine.execute(plan)
-        assert record.status == "completed"
-        assert dict(record.counters) == {
+        report = engine.report(engine.execute(plan))
+        assert report["status"] == "completed"
+        assert dict(report["counters"]) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
-        order = [e.activity for e in record.entries]
+        order = [e["activity"] for e in entries(report)]
         assert order == ["lattice", "cbmc", "gcmc", "md", "analysis"]
-        ticks = [e.finished_tick for e in record.entries]
+        ticks = [e["finished"] for e in entries(report)]
         assert ticks == sorted(ticks)
 
     def test_engine_and_store_die_without_the_cycle_collector(self, tmp_path):
@@ -266,17 +281,16 @@ class TestExecution:
 
     def test_trace_covers_lifecycle(self, tmp_path):
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(build_case_study(), ADA))
-        kinds = {ev[0] for ev in record.trace}
+        events = trace(engine.report(engine.execute(engine.plan(build_case_study(), ADA))))
+        kinds = {ev[0] for ev in events}
         assert {"staged", "launch", "submitted", "completed"} <= kinds
-        launches = [ev for ev in record.trace if ev[0] == "launch"]
+        launches = [ev for ev in events if ev[0] == "launch"]
         assert any("mcsim" in ev[2] for ev in launches)
 
     def test_report_carries_final_scalars(self, tmp_path):
         engine = make_engine(tmp_path)
         g = build_case_study(cells=20, walkers=100, steps=40)
-        record = engine.execute(engine.plan(g, ADA, seed=3))
-        report = engine.report(record.run_id)
+        report = engine.report(engine.execute(engine.plan(g, ADA, seed=3)))
         scalars = report["results"]["analysis"]["scalars"]
         assert "diffusivity" in scalars and "diffusivity_se" in scalars
         assert report["workflow_hash"] == workflow_hash(emit_dsl(g))
@@ -285,26 +299,24 @@ class TestExecution:
         engine = make_engine(tmp_path)
         g = build_case_study(cells=12, walkers=10, steps=20)
         plan = engine.plan(g, ADA, params={"cells": "6", "bogus": "9"}, seed=1)
-        record = engine.execute(plan)
-        report = engine.report(record.run_id)
+        report = engine.report(engine.execute(plan))
         assert report["results"]["lattice"]["scalars"]["n_sites"] == 6.0
-        prov = engine.provenance(record.run_id)
-        params = dict(prov.parameters)
+        params = dict(report["provenance"]["parameters"])
         assert params["lattice.cells"] == "6"
         assert "lattice.bogus" not in params
 
     def test_decision_routes_and_skips_branch(self, tmp_path):
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(parse(DIAMOND), ADA))
-        assert dict(record.counters) == {"probe": 1, "high": 1}
-        routed = [ev for ev in record.trace if ev[0] == "decision"]
+        report = engine.report(engine.execute(engine.plan(parse(DIAMOND), ADA)))
+        assert dict(report["counters"]) == {"probe": 1, "high": 1}
+        routed = [ev for ev in trace(report) if ev[0] == "decision"]
         assert routed == [("decision", "route", "high", "flag > 0 dimensionless")]
 
     def test_decision_else_branch(self, tmp_path):
         engine = make_engine(tmp_path)
         plan = engine.plan(parse(DIAMOND), ADA, params={"flag": "-2"})
-        record = engine.execute(plan)
-        assert dict(record.counters) == {"probe": 1, "low": 1}
+        report = engine.report(engine.execute(plan))
+        assert dict(report["counters"]) == {"probe": 1, "low": 1}
 
     def test_guard_without_observable_fails_run(self, tmp_path):
         text = DIAMOND.replace("when flag > 0", "when missing > 0")
@@ -312,31 +324,31 @@ class TestExecution:
         plan = engine.plan(parse(text), ADA)
         with pytest.raises(GuardEvaluationError):
             engine.execute(plan, run_id="run-guard")
-        assert engine.record("run-guard").status == "failed"
+        assert engine.report("run-guard")["status"] == "failed"
 
     def test_fork_runs_both_then_join(self, tmp_path):
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(fork_graph(), ADA, seed=5))
-        assert dict(record.counters) == {"a": 1, "b": 1, "c": 1}
-        by_activity = {e.activity: e for e in record.entries}
-        assert by_activity["c"].submitted_tick >= by_activity["a"].finished_tick
-        assert by_activity["c"].submitted_tick >= by_activity["b"].finished_tick
+        report = engine.report(engine.execute(engine.plan(fork_graph(), ADA, seed=5)))
+        assert dict(report["counters"]) == {"a": 1, "b": 1, "c": 1}
+        by_activity = {e["activity"]: e for e in entries(report)}
+        assert by_activity["c"]["submitted"] >= by_activity["a"]["finished"]
+        assert by_activity["c"]["submitted"] >= by_activity["b"]["finished"]
 
     def test_fork_completion_order_varies_with_seed(self, tmp_path):
         orders = set()
         for seed in range(12):
             engine = make_engine(tmp_path / f"s{seed}")
-            record = engine.execute(engine.plan(fork_graph(), ADA, seed=seed))
-            completed = [ev[1] for ev in record.trace if ev[0] == "completed"]
+            report = engine.report(engine.execute(engine.plan(fork_graph(), ADA, seed=seed)))
+            completed = [ev[1] for ev in report["trace"] if ev[0] == "completed"]
             assert completed[-1] == "c"
             orders.add(tuple(completed[:2]))
         assert orders == {("a", "b"), ("b", "a")}
 
     def test_loop_fires_until_converged(self, tmp_path):
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(parse(LOOP), ADA))
-        assert dict(record.counters) == {"work": 3}
-        attempts = [e.firing for e in record.entries]
+        report = engine.report(engine.execute(engine.plan(parse(LOOP), ADA)))
+        assert dict(report["counters"]) == {"work": 3}
+        attempts = [e["firing"] for e in entries(report)]
         assert attempts == [1, 2, 3]
 
     def test_loop_hits_iteration_limit(self, tmp_path):
@@ -345,13 +357,14 @@ class TestExecution:
         plan = engine.plan(parse(text), ADA, max_iterations=3)
         with pytest.raises(IterationLimit):
             engine.execute(plan, run_id="run-spin")
-        record = engine.record("run-spin")
-        assert record.status == "failed"
-        assert dict(record.counters) == {"work": 4}
+        report = engine.report("run-spin")
+        assert report["status"] == "failed"
+        assert dict(report["counters"]) == {"work": 4}
 
     def test_activity_failure_aborts_and_withdraws(self, tmp_path):
         # five noop jobs on a calculator that runs four wide: the fifth is
-        # still queued when a fails in the first tick, so it is withdrawn
+        # still queued when a fails in the first tick, so it is withdrawn;
+        # b finished in that tick unabsorbed, so it is discarded, not withdrawn
         engine = make_engine(tmp_path)
         branches = "abcde"
         g = build_graph(
@@ -366,10 +379,16 @@ class TestExecution:
         plan = engine.plan(g, ADA)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-abort", fault_plan=[("a", 1)])
-        record = engine.record("run-abort")
-        assert record.status == "failed"
-        assert ("withdrawn", "e") in record.trace
-        assert not any(ev[0] == "completed" and ev[1] == "e" for ev in record.trace)
+        report = engine.report("run-abort")
+        assert report["status"] == "failed"
+        events = trace(report)
+        assert ("withdrawn", "e") in events and ("discarded", "b") in events
+        assert ("withdrawn", "b") not in events
+        assert not any(ev[0] == "completed" and ev[1] in "be" for ev in events)
+        # a discarded result is not checkpointed, so a resume reruns b
+        assert [a for a, _ in engine.store.checkpoints("run-abort")] == ["d", "c"]
+        resumed = entries(engine.report(engine.resume("run-abort")))
+        assert {e["activity"] for e in resumed if not e["replayed"]} == {"a", "b", "e"}
 
     def test_missing_input_fails_run(self, tmp_path):
         nodes = [
@@ -398,10 +417,10 @@ class TestExecution:
         }
         """
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(parse(text), ADA))
-        assert ("clash", "b", "flag") in record.trace
+        events = trace(engine.report(engine.execute(engine.plan(parse(text), ADA))))
+        assert ("clash", "b", "flag") in events
         # "done" carries the same value from both, so it is not a clash
-        assert ("clash", "b", "done") not in record.trace
+        assert ("clash", "b", "done") not in events
 
 
 class TestResume:
@@ -415,17 +434,17 @@ class TestResume:
         engine.execute(plan, run_id="run-ref")
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
-        assert dict(engine.record("run-hurt").counters) == {
+        assert dict(engine.report("run-hurt")["counters"]) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1,
         }
-        record = engine.resume("run-hurt")
-        assert record.status == "completed"
-        assert dict(record.counters) == {
+        report = engine.report(engine.resume("run-hurt"))
+        assert report["status"] == "completed"
+        assert dict(report["counters"]) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
-        fresh = [e.activity for e in record.entries if not e.replayed]
+        fresh = [e["activity"] for e in entries(report) if not e["replayed"]]
         assert fresh == ["md", "analysis"]
-        replayed = [e.activity for e in record.entries if e.replayed]
+        replayed = [e["activity"] for e in entries(report) if e["replayed"]]
         assert replayed == ["lattice", "cbmc", "gcmc"]
 
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
@@ -483,10 +502,12 @@ class TestResume:
         monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
         engine, plan = self.build(tmp_path)
 
-        record = engine.execute(plan, run_id="run-ref")
-        staged = sorted(ev[3] for ev in record.trace if ev[0] == "staged")
+        run_id = engine.execute(plan, run_id="run-ref")
+        read = sorted(asked)
+        assert parsed == []
+        staged = sorted(ev[3] for ev in engine.report(run_id)["trace"] if ev[0] == "staged")
         assert len(staged) == 6
-        assert sorted(asked) == staged and parsed == []
+        assert read == staged
 
         del asked[:]
         with pytest.raises(ActivityFailed):
@@ -494,12 +515,15 @@ class TestResume:
         assert len(asked) == 2 and parsed == []  # cbmc's and gcmc's inputs
 
         del asked[:]
-        record = make_engine(tmp_path).resume("run-hurt")  # a new handle on the same root
-        replayed = [ev[2] for ev in record.trace if ev[0] == "replayed"]
-        staged = [ev[3] for ev in record.trace if ev[0] == "staged"]
+        fresh = make_engine(tmp_path)  # a new handle on the same root
+        run_id = fresh.resume("run-hurt")
+        read, parsed_by_resume = sorted(asked), sorted(parsed)
+        events = fresh.report(run_id)["trace"]
+        replayed = [ev[2] for ev in events if ev[0] == "replayed"]
+        staged = [ev[3] for ev in events if ev[0] == "staged"]
         assert len(replayed) == 3
-        assert sorted(asked) == sorted(staged + replayed)
-        assert sorted(parsed) == sorted(replayed)
+        assert read == sorted(staged + replayed)
+        assert parsed_by_resume == sorted(replayed)
         assert len(serialized) == len(puts) == 11 + 7 + 6
 
     def test_resume_completed_run_is_refused(self, tmp_path):
@@ -534,10 +558,10 @@ class TestResume:
         reference = checkpoint_hashes(engine, "run-a")
         engine.store.rollback("run-a", "cbmc")
         # one journal holds the run's status: the report sees the rollback
-        assert engine.report("run-a")["status"] == engine.record("run-a").status == "rolled-back"
-        record = engine.resume("run-a")
-        assert record.status == "completed"
-        fresh = [e.activity for e in record.entries if not e.replayed]
+        assert engine.report("run-a")["status"] == "rolled-back"
+        report = engine.report(engine.resume("run-a"))
+        assert report["status"] == "completed"
+        fresh = [e["activity"] for e in entries(report) if not e["replayed"]]
         assert fresh == ["gcmc", "md", "analysis"]
         assert checkpoint_hashes(engine, "run-a") == reference
 
@@ -546,21 +570,62 @@ class TestResume:
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-cold", fault_plan=[("lattice", 1)])
         assert checkpoint_hashes(engine, "run-cold") == []
-        record = engine.resume("run-cold")
-        assert record.status == "completed"
-        assert not any(e.replayed for e in record.entries)
+        report = engine.report(engine.resume("run-cold"))
+        assert report["status"] == "completed"
+        assert not any(e["replayed"] for e in entries(report))
 
     def test_resume_inside_loop_keeps_attempt_counter(self, tmp_path):
         engine = make_engine(tmp_path)
         plan = engine.plan(parse(LOOP), ADA)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-loop", fault_plan=[("work", 2)])
-        assert dict(engine.record("run-loop").counters) == {"work": 1}
-        record = engine.resume("run-loop")
-        assert record.status == "completed"
-        assert dict(record.counters) == {"work": 3}
-        firings = [(e.activity, e.firing, e.replayed) for e in record.entries]
+        assert dict(engine.report("run-loop")["counters"]) == {"work": 1}
+        report = engine.report(engine.resume("run-loop"))
+        assert report["status"] == "completed"
+        assert dict(report["counters"]) == {"work": 3}
+        firings = [(e["activity"], e["firing"], e["replayed"]) for e in entries(report)]
         assert firings == [("work", 1, True), ("work", 2, False), ("work", 3, False)]
+
+
+class TestSummary:
+    """A status record's summary holds entries and trace; the report derives
+    the per-activity counters and the touched resources from them."""
+
+    def test_final_summary_keys(self, tmp_path):
+        engine = make_engine(tmp_path)
+        run_id = engine.execute(engine.plan(fork_graph(), ADA, seed=1))
+        summary = engine.store.run_state(run_id).summary
+        assert sorted(summary) == ["entries", "failure", "finished_at", "started_at", "trace"]
+
+    def test_a_journal_with_stored_counters_and_touched_reports_the_same(self, tmp_path):
+        # journals written before the report derived them carry counters and
+        # touched in every summary, both counted from its entries and trace
+        engine = make_engine(tmp_path)
+        plan = engine.plan(build_case_study(cells=20, walkers=50, steps=40), ADA, seed=7)
+        with pytest.raises(ActivityFailed):
+            engine.execute(plan, run_id="run-old", fault_plan=[("md", 1)])
+        engine.resume("run-old")
+        before = json.dumps(engine.report("run-old", deterministic=True))
+        journal = engine.store.journal("run-old")
+        lines = []
+        for line in journal.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record[0] == "status" and record[2] is not None:
+                summary = record[2]
+                counts = {}
+                for entry in summary["entries"]:
+                    counts[entry[0]] = counts.get(entry[0], 0) + 1
+                touched = {ev[1] for ev in summary["trace"] if ev[0] in ("submitted", "replayed")}
+                record[2] = {
+                    "counters": sorted([a, n] for a, n in counts.items()),
+                    "touched": sorted(touched),
+                    **summary,
+                }
+            lines.append(json.dumps(record, separators=(",", ":")))
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        summary = engine.store.run_state("run-old").summary
+        assert summary["touched"] == ["analysis", "cbmc", "gcmc", "lattice", "md"]
+        assert json.dumps(engine.report("run-old", deterministic=True)) == before
 
 
 WIDE_FORK = "\n".join([
@@ -608,8 +673,8 @@ class TestDeterminism:
         plan = engine.plan(g, ADA, seed=11)
         first = engine.execute(plan)
         second = engine.execute(plan)
-        assert first.run_id != second.run_id
-        assert checkpoint_hashes(engine, first.run_id) == checkpoint_hashes(engine, second.run_id)
+        assert first != second
+        assert checkpoint_hashes(engine, first) == checkpoint_hashes(engine, second)
 
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         engine = make_engine(tmp_path)
@@ -617,40 +682,40 @@ class TestDeterminism:
         plan = engine.plan(g, ADA, seed=11)
         a = engine.execute(plan)
         b = engine.execute(plan)
-        ra = json.dumps(engine.report(a.run_id, deterministic=True), sort_keys=True)
-        rb = json.dumps(engine.report(b.run_id, deterministic=True), sort_keys=True)
+        ra = json.dumps(engine.report(a, deterministic=True), sort_keys=True)
+        rb = json.dumps(engine.report(b, deterministic=True), sort_keys=True)
         assert ra == rb
-        assert "<run>" in ra and a.run_id not in ra
+        assert "<run>" in ra and a not in ra
 
     def test_seed_changes_results(self, tmp_path):
         engine = make_engine(tmp_path)
         g = build_case_study(cells=16, walkers=30, steps=30)
         a = engine.execute(engine.plan(g, ADA, seed=1))
         b = engine.execute(engine.plan(g, ADA, seed=2))
-        assert checkpoint_hashes(engine, a.run_id) != checkpoint_hashes(engine, b.run_id)
+        assert checkpoint_hashes(engine, a) != checkpoint_hashes(engine, b)
 
     def test_provenance_equal_across_equal_seed_runs(self, tmp_path):
         engine = make_engine(tmp_path)
         plan = engine.plan(build_case_study(cells=12, walkers=10, steps=20), ADA, seed=4)
         a = engine.execute(plan)
         b = engine.execute(plan)
-        assert engine.provenance(a.run_id) == engine.provenance(b.run_id)
+        assert engine.report(a)["provenance"] == engine.report(b)["provenance"]
 
 
 class TestProvenance:
     def test_case_study_ledger(self, tmp_path):
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(build_case_study(), ADA))
-        ledger = engine.provenance(record.run_id).ledger
-        assert ledger == (
-            ("GULPGC grand-canonical lattice sampler, v1.4", "gulpgc"),
-            ("MCSIM configurational-bias Monte Carlo package, v2.1", "mcsim"),
-            ("MDRUN lattice kinetics engine, v3.0", "mdrun"),
-            (
+        run_id = engine.execute(engine.plan(build_case_study(), ADA))
+        ledger = engine.report(run_id)["provenance"]["ledger"]
+        assert ledger == [
+            ["GULPGC grand-canonical lattice sampler, v1.4", "gulpgc"],
+            ["MCSIM configurational-bias Monte Carlo package, v2.1", "mcsim"],
+            ["MDRUN lattice kinetics engine, v3.0", "mdrun"],
+            [
                 "Helium diffusion in loaded zeolite frameworks: simulation protocol",
                 "workflow-source",
-            ),
-        )
+            ],
+        ]
 
     def test_shared_citation_appears_once(self, tmp_path):
         text = """
@@ -675,8 +740,8 @@ class TestProvenance:
         }
         """
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(parse(text), ADA))
-        citations = [c for c, origin in engine.provenance(record.run_id).ledger
+        run_id = engine.execute(engine.plan(parse(text), ADA))
+        citations = [c for c, origin in engine.report(run_id)["provenance"]["ledger"]
                      if origin != "workflow-source"]
         assert citations == ["MCSIM configurational-bias Monte Carlo package, v2.1"]
 
@@ -685,15 +750,15 @@ class TestProvenance:
         plan = engine.plan(build_case_study(cells=12, walkers=10, steps=20), ADA)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-x", fault_plan=[("cbmc", 1)])
-        prov = engine.provenance("run-x")
-        touched = {activity for activity, _, _ in prov.resources}
+        prov = engine.report("run-x")["provenance"]
+        touched = {activity for activity, _, _ in prov["resources"]}
         assert touched == {"lattice", "cbmc"}
-        assert all(origin != "mdrun" for _, origin in prov.ledger)
+        assert all(origin != "mdrun" for _, origin in prov["ledger"])
 
     def test_analysis_constants_recorded(self, tmp_path):
         engine = make_engine(tmp_path)
-        record = engine.execute(engine.plan(build_case_study(), ADA))
-        params = dict(engine.provenance(record.run_id).parameters)
+        run_id = engine.execute(engine.plan(build_case_study(), ADA))
+        params = dict(engine.report(run_id)["provenance"]["parameters"])
         assert params["analysis.fit_window"] == "second-half"
         assert params["analysis.einstein_dimensionality"] == "1"
         assert params["analysis.groups"] == "10"
