@@ -20,8 +20,8 @@ import traceback
 from pathlib import Path
 
 from .dsl import parse, plan_text, to_dot, to_functional_plan, to_job_xml
-from .engine import ActivityFailed, Engine, UserProfile
-from .errors import RuntimeFailure, UserError
+from .engine import Engine, UserProfile
+from .errors import GridflowError, RuntimeFailure, UserError
 from .model import StructuralError, verify
 from .quantities import format_number, merge
 from .resources import DuplicateResource, parse_descriptor_xml, render_descriptor_xml
@@ -256,8 +256,9 @@ def _loop_budget(text: str) -> int:
 def _run(call, *call_args, **call_kw):
     try:
         return call(*call_args, **call_kw)
-    except ActivityFailed as exc:
-        # the failed run is persisted and resumable: its id is an artifact
+    except GridflowError as exc:
+        # a run that failed after its claim is persisted and resumable: its
+        # id is an artifact
         if exc.run_id:
             print(exc.run_id)
         raise

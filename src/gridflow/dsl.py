@@ -3,7 +3,9 @@
 One surface, four targets: `parse` turns workflow text into the graph IR,
 `emit_dsl` prints a graph back to canonical text, `to_job_xml` produces the
 job-sequence XML document, `to_functional_plan` produces the combinator plan
-(map/reduce style), and `to_dot` renders a diagram.
+(map/reduce style), and `to_dot` renders a diagram. The plan is the block
+reduction `verify` already uses (model.reduce_blocks); its classes are
+re-exported here.
 
 The grammar is statement-oriented, `;`-separated, with `//` comments:
 
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import UserError
@@ -52,11 +53,18 @@ from .model import (
     PINNED_PROGRAM,
     START,
     Binding,
+    Choice,
     Guard,
+    Loop,
     Node,
+    NotSeriesParallel,
+    ParMap,
+    Run,
+    Seq,
     WorkflowGraph,
     _walk,
     build_graph,
+    reduce_blocks,
     topological_activities,
     verify,
 )
@@ -98,10 +106,6 @@ class UnsoundWorkflow(UserError):
         findings = ", ".join(f.text() for f in report.findings)
         super().__init__(f"workflow {report.workflow!r} is not sound: {findings}")
         self.report = report
-
-
-class NotSeriesParallel(UserError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -594,169 +598,16 @@ def _emit_activity(g: WorkflowGraph, node: Node) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Run:
-    activity: str
-
-
-@dataclass(frozen=True)
-class Seq:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class ParMap:
-    """Map over parallel branches, then reduce at the named join."""
-
-    branches: tuple
-    reduce_join: str
-
-
-@dataclass(frozen=True)
-class Choice:
-    decision: str
-    guard: Guard
-    then: object
-    orelse: object
-
-
-@dataclass(frozen=True)
-class Loop:
-    """Do-while: run body, then repeat while guard holds."""
-
-    decision: str
-    guard: Guard
-    body: object
-    max_iterations: int
-
-
-_NEGATED = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
-
-
-def _negate(guard: Guard) -> Guard:
-    return Guard(guard.observable, _NEGATED[guard.op], guard.value, guard.unit)
-
-
-_CHOICE_END = "__choice_end__"
-
-
 def to_functional_plan(g: WorkflowGraph, max_iterations: int = 100):
-    """Reduce a sound graph to Run/Seq/ParMap/Choice/Loop combinators.
+    """A sound graph as Run/Seq/ParMap/Choice/Loop blocks (model.reduce_blocks).
 
-    Raises NotSeriesParallel when the fork/join structure cannot be reduced;
-    such graphs are still executable directly, just not expressible as a
-    structured plan.
+    Raises NotSeriesParallel when a sound graph has no block structure; such
+    graphs are still executable directly, just not expressible as a plan.
     """
     report = verify(g, max_iterations)
     if not report.sound:
         raise UnsoundWorkflow(report)
-
-    def loop_sources(node_id: str) -> list[str]:
-        return [u for u, v in g.in_edges(node_id) if g.is_back_edge((u, v))]
-
-    def walk(node_id: str, stop_at: str | None = None, skip_loop_at: str | None = None):
-        """Plan for the region from node_id until stop_at, a final, or a join.
-
-        Returns (plan, where it stopped). A decision hands the remainder of
-        the region to its branches, so it stops at the _CHOICE_END marker.
-        """
-        items = []
-        current = node_id
-        while True:
-            if current == stop_at:
-                return _seq(items), current
-            node = g.node(current)
-            if node.kind in (FINAL, JOIN):
-                return _seq(items), current
-            if loop_sources(current) and current != skip_loop_at:
-                loop, after = reduce_loop(current)
-                items.append(loop)
-                current = after
-            elif node.kind == ACTIVITY:
-                items.append(Run(current))
-                current = g.out_edges(current)[0][1]
-            elif node.kind == FORK:
-                par, after = reduce_fork(current)
-                items.append(par)
-                current = after
-            elif node.kind == DECISION:
-                items.append(reduce_choice(node))
-                return _seq(items), _CHOICE_END
-            else:
-                raise NotSeriesParallel(f"cannot reduce node {current} ({node.kind})")
-
-    def reduce_fork(fork_id: str):
-        branches = []
-        join_id = None
-        for target in sorted(v for _, v in g.out_edges(fork_id)):
-            plan, stopped = walk(target)
-            if stopped == _CHOICE_END or g.node(stopped).kind != JOIN:
-                raise NotSeriesParallel(
-                    f"fork {fork_id}: branch via {target} does not end at a join"
-                )
-            if join_id is None:
-                join_id = stopped
-            elif join_id != stopped:
-                raise NotSeriesParallel(
-                    f"fork {fork_id}: branches end at different joins {join_id} and {stopped}"
-                )
-            branches.append(plan)
-        if len(g.in_edges(join_id)) != len(branches):
-            raise NotSeriesParallel(
-                f"join {join_id} also gathers tokens from outside fork {fork_id}"
-            )
-        return ParMap(tuple(branches), join_id), g.out_edges(join_id)[0][1]
-
-    def reduce_choice(node: Node):
-        # forward decision: nested Choice, every branch runs to its own end
-        def branch_plan(target):
-            plan, stopped = walk(target)
-            if stopped != _CHOICE_END and g.node(stopped).kind != FINAL:
-                raise NotSeriesParallel(
-                    f"decision {node.id}: branch via {target} stops at {stopped}"
-                )
-            return plan
-
-        result = branch_plan(node.else_target)
-        for guard, target in reversed(node.cases):
-            result = Choice(node.id, guard, branch_plan(target), result)
-        return result
-
-    def reduce_loop(header: str):
-        sources = loop_sources(header)
-        if len(sources) != 1:
-            raise NotSeriesParallel(f"{header} is re-entered by more than one back edge")
-        decider = g.node(sources[0])
-        if decider.kind != DECISION:
-            raise NotSeriesParallel(
-                f"cycle into {header} is closed by {decider.id}, not by a decision"
-            )
-        if len(decider.cases) != 1:
-            raise NotSeriesParallel(f"loop decision {decider.id} must have exactly one case")
-        guard, case_target = decider.cases[0]
-        if case_target == header:
-            repeat_guard, exit_target = guard, decider.else_target
-        elif decider.else_target == header:
-            repeat_guard, exit_target = _negate(guard), case_target
-        else:
-            raise NotSeriesParallel(f"decision {decider.id} does not close the loop at {header}")
-        body, stopped = walk(header, stop_at=decider.id, skip_loop_at=header)
-        if stopped != decider.id:
-            raise NotSeriesParallel(
-                f"loop body from {header} ends at {stopped}, expected {decider.id}"
-            )
-        return Loop(decider.id, repeat_guard, body, max_iterations), exit_target
-
-    plan, stopped = walk(g.out_edges(g.start().id)[0][1])
-    if stopped != _CHOICE_END and g.node(stopped).kind != FINAL:
-        raise NotSeriesParallel(f"workflow tail stops at {stopped}")
-    return plan
-
-
-def _seq(items):
-    if len(items) == 1:
-        return items[0]
-    return Seq(tuple(items))
+    return reduce_blocks(g, max_iterations)
 
 
 def plan_text(plan, indent: int = 0) -> str:

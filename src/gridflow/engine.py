@@ -77,10 +77,6 @@ class LicenseViolation(UserError):
 class ActivityFailed(RuntimeFailure):
     """A job failed; committed checkpoints survive for a later resume."""
 
-    def __init__(self, message: str, run_id: str | None = None):
-        super().__init__(message)
-        self.run_id = run_id
-
 
 class NothingToResume(UserError):
     pass
@@ -310,6 +306,7 @@ class _Execution:
         except GridflowError as exc:
             self.failure = str(exc)
             self._persist(FAILED_RUN)
+            exc.run_id = self.run_id
             raise
         self._persist(COMPLETED)
         return self.run_id
@@ -508,9 +505,7 @@ class _Execution:
                     state = self.executor.withdraw(other).state
                     event = "withdrawn" if state == WITHDRAWN else "discarded"
                     self.trace.append((event, self.pending.pop(other)[0]))
-                raise ActivityFailed(
-                    f"activity {activity!r} failed: {reason}", self.run_id
-                )
+                raise ActivityFailed(f"activity {activity!r} failed: {reason}")
 
     def _merge(self, activity, ds):
         before = self.blackboard

@@ -9,6 +9,8 @@ codes without enumerating modules.
 class GridflowError(Exception):
     """Base class for all errors raised by this package."""
 
+    run_id: str | None = None  # the run a failure ended, once the run was claimed
+
 
 class UserError(GridflowError):
     """Invalid input supplied by the user: syntax, structure, licensing.

@@ -17,13 +17,18 @@ Token semantics during verification and execution:
             one from each, emits one on its single out-edge
   Final     consumes any token that reaches it
 
-`verify` plays this token game in one search over every graph, and combines
-it with structural rules; the verdict `sound` means zero findings. A decision
-keeps one branch per game: the branch is fixed when the decision first fires
-and recorded in the search state, so the one search covers every static
-decision-outcome assignment. The search stops after STATE_BUDGET expanded
-states; a stopped search keeps what it found, adds a TooManyStates finding
-and is never called sound.
+`verify` combines structural rules with one of two checks of this token
+game; the verdict `sound` means zero findings. First `reduce_blocks` tries
+to reduce the graph to nested single-entry single-exit blocks (sequence,
+fork/join, choice to finals, do-while loop), the plan `export --to plan`
+prints. Such a block-structured graph can neither deadlock a join nor
+flood an edge (van der Aalst, 1998; Vanhatalo, Völzer & Leymann, 2007),
+so it needs no game. A graph that does not reduce gets the game itself, in
+one search. A decision keeps one branch per game: the branch is fixed when
+the decision first fires and recorded in the search state, so the one
+search covers every static decision-outcome assignment. The search stops
+after STATE_BUDGET expanded states; a stopped search keeps what it found,
+adds a TooManyStates finding and is never called sound.
 
 Branches that cannot interfere are not interleaved: an enabled move of a
 fire-once node (see _TokenGame) is expanded alone, and a state whose loop
@@ -75,8 +80,10 @@ __all__ = [
     "VerificationReport",
     "StructuralError",
     "GuardEvaluationError",
+    "NotSeriesParallel",
     "build_graph",
     "verify",
+    "reduce_blocks",
     "topological_activities",
 ]
 
@@ -134,6 +141,10 @@ class StructuralError(UserError):
 
 
 class GuardEvaluationError(UserError):
+    pass
+
+
+class NotSeriesParallel(UserError):
     pass
 
 
@@ -438,7 +449,9 @@ class VerificationReport:
     workflow: str
     mode: str
     findings: tuple[Finding, ...]
-    states: int  # token-game states expanded, not subsumed; at most STATE_BUDGET
+    # token-game states expanded, not subsumed, at most STATE_BUDGET; 0 for a
+    # graph the block reduction decided, which plays no game
+    states: int
 
     @property
     def sound(self) -> bool:
@@ -514,6 +527,136 @@ def _structural_findings(g: WorkflowGraph) -> list[Finding]:
                 Finding(UNBOUND_OBJECT_FLOW, f"{p}->{c}", "no control path producer to consumer")
             )
     return findings
+
+
+# ---------------------------------------------------------------------------
+# block reduction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Run:
+    activity: str
+
+
+@dataclass(frozen=True)
+class Seq:
+    items: tuple
+
+
+@dataclass(frozen=True)
+class ParMap:
+    """Map over parallel branches, then reduce at the named join."""
+
+    branches: tuple
+    reduce_join: str
+
+
+@dataclass(frozen=True)
+class Choice:
+    decision: str
+    guard: Guard
+    then: object
+    orelse: object
+
+
+@dataclass(frozen=True)
+class Loop:
+    """Do-while: run body, then repeat while guard holds."""
+
+    decision: str
+    guard: Guard
+    body: object
+    max_iterations: int
+
+
+_NEGATED = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
+
+
+def reduce_blocks(g: WorkflowGraph, max_iterations: int = 100):
+    """What start reaches of g as nested Run/Seq/ParMap/Choice/Loop blocks.
+
+    Raises NotSeriesParallel when the graph has no such structure. A fork or
+    choice branch inside a loop body stops at the loop's decision, like the
+    body itself, and every walk takes forward edges only: the one back edge
+    a block owns is its Loop's, from that decision to the header. So no
+    branch re-enters a loop, and each walk ends.
+    """
+
+    def forward(u: str, v: str) -> str:
+        if g.is_back_edge((u, v)):
+            raise NotSeriesParallel(f"back edge {u} -> {v} crosses a block boundary")
+        return v
+
+    def walk(node_id: str, stop_at: str | None = None):
+        """(plan, where it stopped) for the region from node_id: stop_at, a
+        join, or None once every path in it has reached a final."""
+        items, current = [], node_id
+        while current not in (stop_at, None) and g.node(current).kind != JOIN:
+            node = g.node(current)
+            closers = [u for u, v in g.in_edges(current) if g.is_back_edge((u, v))]
+            if closers and closers != [stop_at]:  # a loop body starts at its own header
+                loop, current = reduce_loop(current, closers)
+                items.append(loop)
+            elif node.kind == ACTIVITY:
+                items.append(Run(current))
+                current = forward(*g.out_edges(current)[0])
+            elif node.kind == FORK:
+                par, current = reduce_fork(current, stop_at)
+                items.append(par)
+            else:  # a decision hands the rest of the region to its branches; a final ends it
+                if node.kind == DECISION:
+                    items.append(reduce_choice(node, stop_at))
+                current = None
+        return (items[0] if len(items) == 1 else Seq(tuple(items))), current
+
+    def reduce_fork(fork_id: str, stop_at: str | None):
+        walks = [walk(forward(*e), stop_at) for e in sorted(g.out_edges(fork_id))]
+        ends = {stopped for _, stopped in walks}
+        join_id = ends.pop() if len(ends) == 1 else None
+        # one join gathers these branches and nothing else
+        if join_id in (None, stop_at) or len(g.in_edges(join_id)) != len(walks):
+            raise NotSeriesParallel(f"fork {fork_id}: its branches do not meet at one join")
+        return ParMap(tuple(p for p, _ in walks), join_id), forward(*g.out_edges(join_id)[0])
+
+    def reduce_choice(node: Node, stop_at: str | None):
+        def branch(target):  # it runs to its own end
+            plan, stopped = walk(forward(node.id, target), stop_at)
+            if stopped is not None:
+                raise NotSeriesParallel(
+                    f"decision {node.id}: branch via {target} stops at {stopped}"
+                )
+            return plan
+
+        result = branch(node.else_target)
+        for guard, target in reversed(node.cases):
+            result = Choice(node.id, guard, branch(target), result)
+        return result
+
+    def reduce_loop(header: str, closers: list[str]):
+        decider = g.node(closers[0])
+        if len(closers) != 1 or decider.kind != DECISION or len(decider.cases) != 1:
+            raise NotSeriesParallel(
+                f"the loop into {header} is not closed by one two-way decision"
+            )
+        guard, target = decider.cases[0]
+        if target == header:
+            target = decider.else_target
+        else:  # the else branch repeats the loop
+            guard = Guard(guard.observable, _NEGATED[guard.op], guard.value, guard.unit)
+        after = forward(decider.id, target)
+        body, stopped = walk(header, stop_at=decider.id)
+        if stopped != decider.id:
+            raise NotSeriesParallel(f"loop body from {header} ends at {stopped}, not {decider.id}")
+        return Loop(decider.id, guard, body, max_iterations), after
+
+    try:
+        plan, stopped = walk(g.out_edges(g.start().id)[0][1])
+    except RecursionError:  # blocks nested deeper than Python's stack allows
+        raise NotSeriesParallel("blocks nest too deep to reduce") from None
+    if stopped is not None:
+        raise NotSeriesParallel(f"workflow tail stops at {stopped}")
+    return plan
 
 
 class _TokenGame:
@@ -641,11 +784,16 @@ class _TokenGame:
 
 
 def verify(g: WorkflowGraph, max_iterations: int = 100) -> VerificationReport:
-    """Pure check: structural rules and the token game, which stops after
-    STATE_BUDGET states; a stopped search is never called sound."""
+    """Pure check: structural rules, then the block reduction; only a graph
+    that does not reduce plays the token game, which stops after
+    STATE_BUDGET states. A stopped search is never called sound."""
     if max_iterations < 0:  # a negative budget would forbid every move
         raise UserError(f"loop budget must be 0 or more, got {max_iterations}")
-    mode, findings, states = _TokenGame(g, max_iterations).explore()
+    try:
+        reduce_blocks(g, max_iterations)  # blocks cannot deadlock or flood
+        mode, findings, states = EXHAUSTIVE, set(), 0
+    except NotSeriesParallel:
+        mode, findings, states = _TokenGame(g, max_iterations).explore()
     findings.update(_structural_findings(g))
     return VerificationReport(g.name, mode, tuple(sorted(findings)), states)
 

@@ -8,7 +8,7 @@ import pytest
 
 from gridflow import model
 from gridflow.cli import run_cli
-from gridflow.dsl import emit_dsl
+from gridflow.dsl import emit_dsl, parse
 from gridflow.resources import Calculator, render_descriptor_xml
 from gridflow.simgrid import (
     build_case_study,
@@ -16,7 +16,7 @@ from gridflow.simgrid import (
     standard_registry,
 )
 from test_corpus import CORPUS
-from test_model import fork_of_loops_graph, join_deadlock_graph
+from test_model import crossed_fork_of_loops_graph, join_deadlock_graph
 
 CASE_KW = dict(cells=6, walkers=3, steps=12)
 
@@ -82,13 +82,16 @@ class TestVerify:
     def test_json_shapes(self, run, case_file, deadlock_file):
         code, out, _ = run("verify", case_file, "--json")
         assert code == 0
+        # the study reduces to blocks, so it plays no token game
         assert json.loads(out) == {
             "workflow": "helium-diffusion-study",
             "mode": "exhaustive",
-            "states": 7,
+            "states": 0,
             "sound": True,
             "findings": [],
         }
+        game = model._TokenGame(parse(case_file.read_text(encoding="utf-8")), 100)
+        assert game.explore() == ("exhaustive", set(), 7)
         code, out, _ = run("verify", deadlock_file, "--json")
         assert code == 1
         payload = json.loads(out)
@@ -106,21 +109,21 @@ class TestVerify:
 
     def test_stopped_search_is_refused(self, run, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "STATE_BUDGET", 100)
-        path = tmp_path / "fork-of-loops.flow"
-        path.write_text(emit_dsl(fork_of_loops_graph(8)), encoding="utf-8")
+        path = tmp_path / "crossed-fork-of-loops.flow"
+        path.write_text(emit_dsl(crossed_fork_of_loops_graph(8)), encoding="utf-8")
         code, out, _ = run("verify", path, "--json")
         assert code == 1
         assert json.loads(out) == {
-            "workflow": "fork-of-8-loops",
+            "workflow": "crossed-fork-of-8-loops",
             "mode": "bounded",
             "states": 100,
             "sound": False,
-            "findings": [{"kind": "TooManyStates", "subject": "fork-of-8-loops",
+            "findings": [{"kind": "TooManyStates", "subject": "crossed-fork-of-8-loops",
                           "detail": "token game stopped at its budget of 100 states"}],
         }
         code, out, err = run("submit", path, "--user", "ada")
         assert (code, out) == (1, "")
-        assert "TooManyStates(fork-of-8-loops)" in err
+        assert "TooManyStates(crossed-fork-of-8-loops)" in err
 
     def test_construction_violations_reported(self, run, tmp_path):
         path = tmp_path / "dangling.flow"
@@ -174,6 +177,24 @@ class TestExport:
         code, _, err = run("export", path, "--to", "plan")
         assert code == 1
         assert "error:" in err
+
+    def test_loop_closed_by_a_second_decision_refuses_a_plan(self, run):
+        # verify calls it sound; its plan used to recurse without bound (exit 3)
+        path = CORPUS / "sound" / "decision_pair_loop.flow"
+        assert run("verify", path) == (0, "sound\n", "")
+        code, out, err = run("export", path, "--to", "plan")
+        assert (code, out, err) == (1, "", "error: decision d1: branch via d2 stops at d2\n")
+
+    def test_fork_of_loops_is_a_plan_of_loops(self, run):
+        path = CORPUS / "sound" / "fork_of_loops.flow"
+        code, out, _ = run("verify", path, "--json")
+        assert code == 0
+        assert json.loads(out) == {"workflow": "fork-of-loops", "mode": "exhaustive",
+                                   "states": 0, "sound": True, "findings": []}
+        code, out, err = run("export", path, "--to", "plan")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["seq", "  parmap -> reduce at j"]
+        assert out.count("loop c") == 8
 
 
 class TestSubmit:
@@ -245,6 +266,15 @@ class TestSubmit:
         assert dict(report["counters"]) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
+
+    def test_every_failure_after_the_claim_names_its_run(self, run):
+        # an iteration limit, not a failed job: the journal holds a failed run
+        path = CORPUS / "sound" / "loop_converge.flow"
+        code, out, err = run("submit", path, "--user", "ada", "--seed", 1, "--max-iterations", 1)
+        assert (code, out) == (2, "run-0001\n")
+        assert "exceeded 1 iterations" in err
+        code, out, _ = run("report", "run-0001", "--json")
+        assert (code, json.loads(out)["status"]) == (0, "failed")
 
     def test_resume_completed_run_is_a_user_error(self, run, case_file):
         _, out, _ = run("submit", case_file, "--user", "ada")

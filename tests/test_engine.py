@@ -157,16 +157,30 @@ class TestPlanning:
         with pytest.raises(UnsoundWorkflow, match=r"JoinDeadlock\(j\)"):
             make_engine(tmp_path).plan(parse(text), ADA)
 
+    def test_fork_of_loops_is_planned_and_runs(self, tmp_path):
+        # sound, and decided by the block reduction: no token game, no budget
+        from test_corpus import CORPUS
+
+        engine = make_engine(tmp_path)
+        text = (CORPUS / "sound" / "fork_of_loops.flow").read_text(encoding="utf-8")
+        plan = engine.plan(parse(text), ADA)
+        assert len(plan.bindings) == 17
+        report = engine.report(engine.execute(plan))
+        assert report["status"] == "completed"
+        assert dict(report["counters"]) == {
+            **{f"w{i}": 2 for i in range(1, 9)}, **{f"x{i}": 1 for i in range(1, 9)}, "d": 1
+        }
+
     def test_stopped_search_is_refused(self, tmp_path, monkeypatch):
-        from test_model import fork_of_loops_graph
+        from test_model import crossed_fork_of_loops_graph
 
         monkeypatch.setattr(model, "STATE_BUDGET", 100)
         with pytest.raises(UnsoundWorkflow) as caught:
-            make_engine(tmp_path).plan(fork_of_loops_graph(8), ADA)
+            make_engine(tmp_path).plan(crossed_fork_of_loops_graph(8), ADA)
         report = caught.value.report
         assert (report.mode, report.states) == ("bounded", 100)
         assert [f.text() for f in report.findings] == [
-            "TooManyStates(fork-of-8-loops): token game stopped at its budget of 100 states"
+            "TooManyStates(crossed-fork-of-8-loops): token game stopped at its budget of 100 states"
         ]
 
     def test_no_resource(self, tmp_path):

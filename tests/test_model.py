@@ -33,10 +33,12 @@ from gridflow.model import (
     Guard,
     GuardEvaluationError,
     Node,
+    NotSeriesParallel,
     StructuralError,
     WorkflowGraph,
     _TokenGame,
     build_graph,
+    reduce_blocks,
     topological_activities,
     verify,
 )
@@ -312,6 +314,18 @@ def fork_of_loops_graph(k):
     return build_graph(f"fork-of-{k}-loops", nodes, edges)
 
 
+def crossed_fork_of_loops_graph(k):
+    """fork_of_loops_graph(k) whose branch 1 ends in a fork into (y, j), with
+    y -> end: still sound, but its regions overlap, so it does not reduce to
+    blocks and only the token game decides it. The game stops at its budget
+    from k = 6; at k = 4 it is sound in 1,954 states."""
+    g = fork_of_loops_graph(k)
+    nodes = [*g.nodes, Node("g", FORK), act("y")]
+    edges = [e for e in g.edges if e != ("x1", "j")]
+    edges += [("x1", "g"), ("g", "y"), ("g", "j"), ("y", "end")]
+    return build_graph(f"crossed-fork-of-{k}-loops", nodes, edges)
+
+
 def deep_oracle(g, budget):
     """brute_force_findings with room for its one frame per move at a large budget."""
     limit = sys.getrecursionlimit()
@@ -566,17 +580,26 @@ class TestVerify:
         # every subset of finished branches would be 2^13 markings
         g = wide_fork_graph(13)
         report = verify(g)
-        assert report.sound and report.mode == EXHAUSTIVE
-        assert report.states <= 2 * len(g.nodes)
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, 0, True)
+        mode, findings, states = _TokenGame(g, 100).explore()
+        assert (mode, findings) == (EXHAUSTIVE, set())
+        assert states <= 2 * len(g.nodes)
 
     def test_stopped_search_is_never_sound(self, monkeypatch):
-        # the fork of 8 loops is sound, but its game needs 1,679,620 states
+        # the crossed fork of 8 loops is sound, but its game goes over budget
         monkeypatch.setattr(model, "STATE_BUDGET", 100)
-        report = verify(fork_of_loops_graph(8))
+        report = verify(crossed_fork_of_loops_graph(8))
         assert (report.mode, report.states, report.sound) == (BOUNDED, 100, False)
         assert [f.text() for f in report.findings] == [
-            "TooManyStates(fork-of-8-loops): token game stopped at its budget of 100 states"
+            "TooManyStates(crossed-fork-of-8-loops): token game stopped at its budget of 100 states"
         ]
+
+    def test_crossed_fork_of_loops_gets_the_token_game(self):
+        g = crossed_fork_of_loops_graph(4)
+        with pytest.raises(NotSeriesParallel):
+            reduce_blocks(g)
+        report = verify(g)
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, 1954, True)
 
     def test_stopped_search_keeps_what_it_found(self, monkeypatch):
         g = fork_into_loop_graph("deadlock")
@@ -593,7 +616,8 @@ class TestVerify:
         report = verify(g, 3)
         assert report.kinds() == brute_force_findings(g, 3) == set()
         report = verify(g)
-        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, states, True)
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, 0, True)
+        assert _TokenGame(g, 100).explore() == (EXHAUSTIVE, set(), states)
 
     def test_fire_once_stops_at_the_first_loop_head(self):
         game = _TokenGame(fork_into_loop_graph("sound"), 100)
@@ -624,14 +648,16 @@ class TestVerify:
         for budget in (3, 100, 1000):
             report = verify(g, budget)
             assert report.kinds() == deep_oracle(g, budget), budget
-            states.add(report.states)
+            states.add(_TokenGame(g, budget).explore()[2])
         assert len(states) == 1, states
 
     def test_sequential_loops_explore_a_few_states_each(self):
         g = loops_graph(10)
         report = verify(g)
         assert report.sound and report.mode == EXHAUSTIVE
-        assert report.states < 5 * 10
+        mode, findings, states = _TokenGame(g, 100).explore()
+        assert (mode, findings) == (EXHAUSTIVE, set())
+        assert states < 5 * 10
 
     def test_negative_budget_is_refused(self):
         with pytest.raises(UserError, match="loop budget"):
@@ -672,14 +698,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("k, states", [(13, 54), (40, 162)])
     def test_loop_chains_are_verified_within_the_budget(self, k, states, monkeypatch):
-        report = verify(loops_graph(k))
-        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, states, True)
+        g = loops_graph(k)
+        report = verify(g)
+        assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, 0, True)
+        assert _TokenGame(g, 100).explore() == (EXHAUSTIVE, set(), states)
         # a search that needs exactly the budget finishes; one state less stops it
         monkeypatch.setattr(model, "STATE_BUDGET", states)
-        assert verify(loops_graph(k)) == report
+        assert _TokenGame(g, 100).explore() == (EXHAUSTIVE, set(), states)
         monkeypatch.setattr(model, "STATE_BUDGET", states - 1)
-        report = verify(loops_graph(k))
-        assert (report.mode, report.states, report.kinds()) == (BOUNDED, states - 1, {"TooManyStates"})
+        mode, findings, stopped_at = _TokenGame(g, 100).explore()
+        assert (mode, stopped_at, {f.kind for f in findings}) == (BOUNDED, states - 1, {"TooManyStates"})
 
 
 _IN_DEGREE = {ACTIVITY: 1, DECISION: 1, FORK: 1, JOIN: 2, FINAL: 1}

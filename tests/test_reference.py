@@ -291,5 +291,5 @@ def test_front_end_matches_recorded_digest():
     for text in texts + list(mutations(texts, 5000, seed=2011)):
         digest.update(front_end_record(text).encode())
     assert digest.hexdigest() == (
-        "2655ec9748d90866f6dc3a13bbb2e6fe99b87c2e434beacf9351fa9054347b6c"
+        "fbabe51b6937819bbe312cbab65f5ba1d327bceb77751eb5d2d677299ec39f82"
     )
