@@ -24,7 +24,12 @@ from .engine import Engine, UserProfile
 from .errors import GridflowError, RuntimeFailure, UserError
 from .model import StructuralError, verify
 from .quantities import format_number, merge
-from .resources import DuplicateResource, parse_descriptor_xml, render_descriptor_xml
+from .resources import (
+    DuplicateResource,
+    parse_descriptor_xml,
+    read_descriptors,
+    render_descriptor_xml,
+)
 from .simgrid import (
     analysis_native,
     cbmc_native,
@@ -98,10 +103,8 @@ def _open_engine(args, cfg) -> Engine:
     """Standard simulated pool plus every descriptor registered on disk."""
     store = _open_store(args, cfg)
     registry = standard_registry()
-    res_dir = Path(store.root) / "resources"
-    if res_dir.is_dir():
-        for path in sorted(res_dir.glob("*.xml")):
-            registry.register(parse_descriptor_xml(path.read_text(encoding="utf-8")))
+    for descriptor in read_descriptors(store.root / "resources"):
+        registry.register(descriptor)
     return Engine(registry, store)
 
 
@@ -164,14 +167,11 @@ def _seed(args, cfg) -> int:
 
 def cmd_register(args, cfg) -> int:
     descriptor = parse_descriptor_xml(_read_text(args.file))
-    store = _open_store(args, cfg)
-    if descriptor.id in standard_registry().ids():
-        raise DuplicateResource(f"resource already registered: {descriptor.id}")
-    res_dir = Path(store.root) / "resources"
-    res_dir.mkdir(parents=True, exist_ok=True)
-    target = res_dir / f"{descriptor.id}.xml"
+    standard_registry().register(descriptor)  # refuses a pool id as a duplicate
+    target = _open_store(args, cfg).root / "resources" / f"{descriptor.id}.xml"
     if target.exists():
         raise DuplicateResource(f"resource already registered: {descriptor.id}")
+    target.parent.mkdir(exist_ok=True)
     target.write_text(render_descriptor_xml(descriptor), encoding="utf-8")
     print(descriptor.id)
     return OK
@@ -336,11 +336,11 @@ def cmd_store_ls(args, cfg) -> int:
 
 def cmd_store_audit(args, cfg) -> int:
     store = _open_store(args, cfg)
+    journals = [(run_id, *store.journal_faults(run_id)) for run_id in store.runs()]
     faults = [f"corrupt blob {digest}" for digest in store.audit()]
-    for run_id in store.runs():
-        if n := store.torn_tail(run_id):
-            faults.append(f"torn runs/{run_id}.log tail: {n} bytes after the last newline")
-    faults += [fault for run_id in store.runs() for fault in store.journal_faults(run_id)]
+    faults += [f"torn runs/{run_id}.log tail: {torn} bytes after the last newline"
+               for run_id, torn, _ in journals if torn]
+    faults += [fault for _, _, damage in journals for fault in damage]
     print("\n".join(faults) or "clean")
     return RUNTIME_ERROR if faults else OK
 

@@ -24,6 +24,10 @@ firing, resource, job id, result hash, submitted tick, finished tick,
 replayed]. report() is the one view of a run, and it and resume() each derive
 from one replay of that journal: per-activity counters are counted from the
 entries, and the touched resources are read off the trace.
+
+One process at a time drives a run: each drive holds the run's lock (see
+storage). resume() takes it before it reads the status and fails at once if
+another process holds it; like report(), it refuses a run with no status record.
 """
 
 from __future__ import annotations
@@ -154,14 +158,17 @@ class Engine:
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> str:
         run_id = self.store.claim(_header(plan), run_id)
-        return _Execution(self, plan, run_id, fault_plan, replay=()).drive()
+        # waits out a resume that holds the lock to refuse a run with no status
+        with self.store.driving(run_id):
+            return _Execution(self, plan, run_id, fault_plan, replay=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> str:
-        state = self._state(run_id, need_summary=False)
-        if state.status == COMPLETED:
-            raise NothingToResume(f"run {run_id} already completed")
-        plan = self._plan_from_header(state.header)
-        return _Execution(self, plan, run_id, fault_plan, replay=state.checkpoints).drive()
+        with self.store.driving(run_id, wait=False):
+            state = self._state(run_id)
+            if state.status == COMPLETED:
+                raise NothingToResume(f"run {run_id} already completed")
+            plan = self._plan_from_header(state.header)
+            return _Execution(self, plan, run_id, fault_plan, replay=state.checkpoints).drive()
 
     def _plan_from_header(self, header) -> ExecutionPlan:
         graph = parse(header["workflow_text"])
@@ -179,10 +186,10 @@ class Engine:
 
     # -- inspection ----------------------------------------------------------
 
-    def _state(self, run_id: str, need_summary: bool = True) -> RunState:
+    def _state(self, run_id: str) -> RunState:
         state = self.store.run_state(run_id)
-        if state.header is None or need_summary and state.summary is None:
-            # claimed by a process that died before it wrote the record
+        if state.header is None or state.summary is None:
+            # claimed, but its process died or has not yet written a status record
             raise RuntimeFailure(f"run {run_id}: journal is empty or incomplete")
         return state
 

@@ -224,9 +224,6 @@ class Node:
         if self.kind not in KINDS:
             raise StructuralError([f"{self.id}: unknown node kind {self.kind!r}"])
 
-    def param_map(self) -> dict[str, str]:
-        return dict(self.params)
-
 
 class _Structure(NamedTuple):
     by_id: dict[str, Node]

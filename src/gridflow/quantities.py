@@ -208,34 +208,28 @@ class Observable:
     def __post_init__(self):
         if not _NAME_RE.match(self.name):
             raise QuantityError(f"invalid observable name: {self.name!r}")
-        if self.kind not in KINDS:
+        if self.kind == "scalar":
+            if len(self.values) != 1:
+                raise QuantityError(f"{self.name}: scalar requires exactly one value")
+        elif self.kind == "vector3":
+            if len(self.values) != 3:
+                raise QuantityError(f"{self.name}: vector3 requires exactly three values")
+        elif self.kind == "series":
+            indices = list(map(operator.itemgetter(0), self.values))
+            if any(map(operator.ge, indices, indices[1:])):
+                raise QuantityError(f"{self.name}: series indices must strictly increase")
+        elif self.kind == "table":
+            if len(set(self.columns)) != len(self.columns):
+                raise QuantityError(f"{self.name}: duplicate table columns")
+            for col in self.columns:
+                if not _NAME_RE.match(col):
+                    raise QuantityError(f"{self.name}: invalid column name {col!r}")
+            if self.values and not self.columns:
+                raise QuantityError(f"{self.name}: a table without columns holds no rows")
+            if set(map(len, self.values)) - {len(self.columns)}:
+                raise QuantityError(f"{self.name}: row width != column count")
+        else:
             raise QuantityError(f"unknown observable kind: {self.kind!r}")
-        check = getattr(self, f"_check_{self.kind}")
-        check()
-
-    def _check_scalar(self):
-        if len(self.values) != 1:
-            raise QuantityError(f"{self.name}: scalar requires exactly one value")
-
-    def _check_vector3(self):
-        if len(self.values) != 3:
-            raise QuantityError(f"{self.name}: vector3 requires exactly three values")
-
-    def _check_series(self):
-        indices = list(map(operator.itemgetter(0), self.values))
-        if any(map(operator.ge, indices, indices[1:])):
-            raise QuantityError(f"{self.name}: series indices must strictly increase")
-
-    def _check_table(self):
-        if len(set(self.columns)) != len(self.columns):
-            raise QuantityError(f"{self.name}: duplicate table columns")
-        for col in self.columns:
-            if not _NAME_RE.match(col):
-                raise QuantityError(f"{self.name}: invalid column name {col!r}")
-        if self.values and not self.columns:
-            raise QuantityError(f"{self.name}: a table without columns holds no rows")
-        if set(map(len, self.values)) - {len(self.columns)}:
-            raise QuantityError(f"{self.name}: row width != column count")
 
     @staticmethod
     def scalar(name: str, value: float, unit: Unit) -> "Observable":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import RuntimeFailure, UserError
 from .quantities import ExtractionSpec, get_unit
@@ -32,6 +33,7 @@ __all__ = [
     "ResourceRegistry",
     "render_launch",
     "parse_descriptor_xml",
+    "read_descriptors",
     "render_descriptor_xml",
     "ResourceError",
     "DuplicateResource",
@@ -263,9 +265,6 @@ class ResourceRegistry:
         except KeyError:
             raise UnknownResource(f"unknown resource: {resource_id}") from None
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._descriptors))
-
     def discover(self, req: BindingRequirement) -> list[str]:
         hits = [d for d in self._descriptors.values() if req.admits(d)]
         hits.sort(key=lambda d: (d.cost_weight, d.id))
@@ -384,6 +383,14 @@ def parse_descriptor_xml(text: str) -> ResourceDescriptor:
         cost_weight,
         version,
     )
+
+
+def read_descriptors(directory: Path) -> list[ResourceDescriptor]:
+    """Every descriptor file (*.xml) in a directory, none if it is missing."""
+    return [
+        parse_descriptor_xml(path.read_text(encoding="utf-8"))
+        for path in sorted(directory.glob("*.xml"))
+    ]
 
 
 def render_descriptor_xml(d: ResourceDescriptor) -> str:

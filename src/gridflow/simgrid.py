@@ -23,10 +23,12 @@ which is what makes whole runs reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -43,21 +45,19 @@ from .model import (
     WorkflowGraph,
     build_graph,
 )
-from .quantities import Dataset, ExtractionSpec, Observable, format_number, get_unit, merge
+from .quantities import Dataset, Observable, format_number, get_unit, merge
 from .resources import (
     FAILED,
     QUEUED,
     SUCCEEDED,
     WITHDRAWN,
-    Calculator,
     JobHandle,
     JobRequest,
     JobStatus,
-    LaunchTemplate,
-    License,
     ResourceDescriptor,
     ResourceRegistry,
     UnknownJob,
+    read_descriptors,
 )
 
 __all__ = [
@@ -762,116 +762,11 @@ class SimulatedExecutor:
 # resource pool and the case-study workflow
 # ---------------------------------------------------------------------------
 
-_LATTICE_SPEC = [("sites", "angstrom"), ("cell_length", "angstrom"), ("n_sites", "dimensionless")]
-_OCCUPANCY_SPEC = [("occupancy", "dimensionless"), ("n_sites", "dimensionless")]
-_MD_CONFIG_SPEC = [
-    ("occupancy", "dimensionless"),
-    ("n_sites", "dimensionless"),
-    ("theta", "dimensionless"),
-]
-_TRAJECTORY_SPEC = [
-    ("trajectory", "dimensionless"),
-    ("timestep", "ps"),
-    ("theta", "dimensionless"),
-]
-
-
-def standard_descriptors() -> list[ResourceDescriptor]:
-    """The simulated pool: one descriptor per mock program."""
-    return [
-        ResourceDescriptor(
-            "latgen@struct-01",
-            "latgen",
-            Calculator("struct-01", "linux", 2),
-            frozenset({"lattice", "structure"}),
-            License("open"),
-            LaunchTemplate(
-                "latgen -n ${params.cells} -o ${workdir}/sites.dat", (), "sites"
-            ),
-            1.0,
-            "2.3",
-        ),
-        ResourceDescriptor(
-            "mcsim@mc-farm-01",
-            "mcsim",
-            Calculator("mc-farm-01", "linux", 4),
-            frozenset({"mc", "adsorption"}),
-            License("academic", "MCSIM configurational-bias Monte Carlo package, v2.1"),
-            LaunchTemplate(
-                "mcsim ${lattice} --theta ${params.theta} -o ${workdir}/occ.dat",
-                (("lattice", ExtractionSpec.of(*_LATTICE_SPEC)),),
-                "occ",
-            ),
-            1.0,
-            "2.1",
-        ),
-        ResourceDescriptor(
-            "gulpgc@mc-farm-02",
-            "gulpgc",
-            Calculator("mc-farm-02", "linux", 4),
-            frozenset({"mc", "grand-canonical"}),
-            License("academic", "GULPGC grand-canonical lattice sampler, v1.4"),
-            LaunchTemplate(
-                "gulpgc ${occupancy} -n ${params.n_helium} -o ${workdir}/walkers.dat",
-                (("occupancy", ExtractionSpec.of(*_OCCUPANCY_SPEC)),),
-                "walkers",
-            ),
-            1.0,
-            "1.4",
-        ),
-        ResourceDescriptor(
-            "mdrun@hpc-01",
-            "mdrun",
-            Calculator("hpc-01", "linux", 8),
-            frozenset({"molecular-dynamics", "lattice-walk"}),
-            License("academic", "MDRUN lattice kinetics engine, v3.0"),
-            LaunchTemplate(
-                "mdrun ${config} ${occupancy} --steps ${params.steps} -o ${workdir}/traj.dat",
-                (
-                    ("config", ExtractionSpec.of(("helium_positions", "dimensionless"))),
-                    ("occupancy", ExtractionSpec.of(*_MD_CONFIG_SPEC)),
-                ),
-                "traj",
-            ),
-            2.0,
-            "3.0",
-        ),
-        ResourceDescriptor(
-            "tsfit@desk-01",
-            "tsfit",
-            Calculator("desk-01", "linux", 2),
-            frozenset({"timeseries", "fitting"}),
-            License("open"),
-            LaunchTemplate(
-                "tsfit ${trajectory} ${cell} -o ${workdir}/fit.dat",
-                (
-                    ("trajectory", ExtractionSpec.of(*_TRAJECTORY_SPEC)),
-                    ("cell", ExtractionSpec.of(("cell_length", "angstrom"))),
-                ),
-                "fit",
-            ),
-            1.0,
-            "0.9",
-        ),
-        ResourceDescriptor(
-            "noop@sandbox-01",
-            "noop",
-            Calculator("sandbox-01", "linux", 4),
-            frozenset({"sim", "probe"}),
-            License("open"),
-            LaunchTemplate("noop -o ${workdir}/out.dat", (), "out"),
-            1.0,
-        ),
-        ResourceDescriptor(
-            "flip@sandbox-01",
-            "flip",
-            Calculator("sandbox-01", "linux", 4),
-            frozenset({"loop-probe"}),
-            License("open"),
-            LaunchTemplate("flip -o ${workdir}/out.dat", (), "out"),
-            1.0,
-        ),
-    ]
+@functools.cache
+def standard_descriptors() -> tuple[ResourceDescriptor, ...]:
+    """The simulated pool, one descriptor per mock program: the package's
+    pool/*.xml files, read once per process."""
+    return tuple(read_descriptors(Path(__file__).with_name("pool")))
 
 
 def standard_registry() -> ResourceRegistry:
@@ -938,13 +833,15 @@ def build_case_study(
         ("md", "analysis"),
         ("analysis", "end"),
     ]
+    # each flow carries what the consumer's descriptor declares for its slot
+    slot = {d.program: dict(d.launch_template.input_slots) for d in standard_descriptors()}
     flows = [
-        ("lattice", "cbmc", ExtractionSpec.of(*_LATTICE_SPEC)),
-        ("cbmc", "gcmc", ExtractionSpec.of(*_OCCUPANCY_SPEC)),
-        ("cbmc", "md", ExtractionSpec.of(*_MD_CONFIG_SPEC)),
-        ("gcmc", "md", ExtractionSpec.of(("helium_positions", "dimensionless"))),
-        ("md", "analysis", ExtractionSpec.of(*_TRAJECTORY_SPEC)),
-        ("lattice", "analysis", ExtractionSpec.of(("cell_length", "angstrom"))),
+        ("lattice", "cbmc", slot["mcsim"]["lattice"]),
+        ("cbmc", "gcmc", slot["gulpgc"]["occupancy"]),
+        ("cbmc", "md", slot["mdrun"]["occupancy"]),
+        ("gcmc", "md", slot["mdrun"]["config"]),
+        ("md", "analysis", slot["tsfit"]["trajectory"]),
+        ("lattice", "analysis", slot["tsfit"]["cell"]),
     ]
     return build_graph(
         "helium-diffusion-study",

@@ -31,6 +31,10 @@ flock belongs to the open file description, so it excludes this process's
 other threads too, and under it an unterminated last line can only be the
 torn tail of a writer that died. Readers take no lock and skip that tail.
 
+The process driving a run holds an exclusive flock on runs/<run id>.lock
+(empty, never deleted) for the whole drive, not on the journal, whose flock
+every append takes and drops. The kernel drops it when its holder dies.
+
 Fsync policy: none. A record is written before its operation returns, so a
 killed process loses nothing it reported done; a power loss can lose what
 the page cache held.
@@ -149,6 +153,14 @@ def _record(line: str, number: int) -> list | None:
     return record if ok else None
 
 
+def _well_formed(run_id: str, lines: list[str], records: list) -> list[list]:
+    """The records of `lines`; IntegrityError names the first malformed line."""
+    if None in records:
+        number = records.index(None)
+        raise IntegrityError(f"runs/{run_id}.log line {number + 1} malformed: {lines[number][:80]!r}")
+    return records
+
+
 def _known(records, key: ResultKey) -> bool:
     tail = [key.activity_id, key.sequence, key.hash]
     return any(r[0] in ("put", "ckpt") and r[1:] == tail for r in records)
@@ -210,12 +222,21 @@ class ContentStore:
 
     def _records(self, run_id: str, lines: list[str] | None = None) -> list[list]:
         """The records on a run's journal lines, each checked for its shape."""
-        records = []
-        for number, line in enumerate(self.index_lines(run_id) if lines is None else lines, 1):
-            records.append(_record(line, number))
-            if records[-1] is None:
-                raise IntegrityError(f"runs/{run_id}.log line {number} malformed: {line[:80]!r}")
-        return records
+        lines = self.index_lines(run_id) if lines is None else lines
+        return _well_formed(run_id, lines, [_record(line, n) for n, line in enumerate(lines, 1)])
+
+    @contextmanager
+    def driving(self, run_id: str, wait: bool = True):
+        """Hold a run's drive lock (see above). Unless `wait`, a lock that
+        another process holds is a StorageError that names the run."""
+        if not self.journal(run_id).exists():  # journals are never deleted
+            raise UnknownRun(f"unknown run: {run_id}")
+        with open(self.runs_dir / f"{run_id}.lock", "ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise StorageError(f"run {run_id} is being driven by another process") from None
+            yield
 
     @contextmanager
     def _appending(self, run_id: str, create: bool = False):
@@ -343,22 +364,19 @@ class ContentStore:
                 bad.append(path.name)
         return bad
 
-    def journal_faults(self, run_id: str) -> list[str]:
-        """A lock-free replay of a run's journal from disk, torn tail skipped:
-        the first malformed line or bad rollback, each put or ckpt of a missing blob."""
-        lines, faults = self.index_lines(run_id), []
+    def journal_faults(self, run_id: str) -> tuple[int, list[str]]:
+        """A lock-free replay of one read of a run's journal: the length of an
+        unterminated last line (a writer that died mid-line), and, that tail
+        skipped, the first malformed line or bad rollback and each put or ckpt
+        of a missing blob."""
+        *lines, tail = self.journal(run_id).read_bytes().decode("latin-1").split("\n")
+        faults = []
+        records = [_record(line, n) for n, line in enumerate(lines, 1)]
         try:
-            _replay(run_id, self._records(run_id, lines))
+            _replay(run_id, _well_formed(run_id, lines, records))
         except IntegrityError as exc:
             faults.append(f"damaged {exc}")
-        for number, line in enumerate(lines, 1):
-            record = _record(line, number)
+        for number, record in enumerate(records, 1):
             if record and record[0] in ("put", "ckpt") and not (self.blob_dir / record[3]).is_file():
                 faults.append(f"missing blob {record[3]} (runs/{run_id}.log line {number})")
-        return faults
-
-    def torn_tail(self, run_id: str) -> int:
-        """Length of an unterminated last journal line (a writer that died
-        mid-line); 0 when the journal ends on a newline. Takes no lock."""
-        data = self.journal(run_id).read_bytes()
-        return len(data) - data.rfind(b"\n") - 1
+        return len(tail), faults

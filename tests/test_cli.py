@@ -369,6 +369,25 @@ class TestStoreAudit:
         assert (code, out) == (2, "torn runs/run-0002.log tail: 11 bytes after the last newline\n")
         assert journal.read_bytes() == before + b'["put","lat'  # nothing repaired
 
+    def test_torn_tail_prints_before_another_runs_missing_blob(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada", "--seed", "1")
+        run("submit", case_file, "--user", "ada", "--seed", "2")
+        runs = tmp_path / "store" / "runs"
+        journal = (runs / "run-0001.log").read_text(encoding="ascii")
+        records = [json.loads(line) for line in journal.splitlines()]
+        digest = [r for r in records if r[0] == "ckpt"][-1][3]
+        (tmp_path / "store" / "blobs" / digest).unlink()
+        with open(runs / "run-0002.log", "ab") as fh:
+            fh.write(b'["put","lat')
+        code, out, _ = run("store", "audit")
+        assert code == 2
+        assert out == "".join([
+            "torn runs/run-0002.log tail: 11 bytes after the last newline\n",
+            *(f"missing blob {digest} (runs/run-0001.log line {n})\n"
+              for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[3] == digest),
+        ])
+        assert out.count("missing blob") >= 2  # its put and its ckpt
+
     def test_malformed_journal_line(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada")
         journal = tmp_path / "store" / "runs" / "run-0001.log"
@@ -606,6 +625,19 @@ class TestExitContract:
             code, _, err = run(command, run_id)
             assert code == 2
             assert err.splitlines() == [f"error: run {run_id}: journal is empty or incomplete"]
+
+    def test_claimed_run_without_a_status_record_is_refused(self, run, case_file, tmp_path):
+        # the gap between a run's claim and its first status record: a resume
+        # must not drive a run whose claiming process may still drive it
+        _, out, _ = run("submit", case_file, "--user", "ada")
+        run_id = out.strip()
+        journal = tmp_path / "store" / "runs" / f"{run_id}.log"
+        journal.write_bytes(journal.read_bytes().split(b"\n")[0] + b"\n")
+        for command in ("report", "resume"):
+            code, _, err = run(command, run_id)
+            assert code == 2
+            assert err.splitlines() == [f"error: run {run_id}: journal is empty or incomplete"]
+        assert journal.read_bytes().count(b"\n") == 1
 
     def test_missing_checkpoint_blob_is_a_damaged_store(self, run, case_file, tmp_path):
         code, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")

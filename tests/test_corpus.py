@@ -11,10 +11,11 @@ from gridflow.model import StructuralError, verify
 from gridflow.resources import parse_descriptor_xml, render_descriptor_xml
 from gridflow.simgrid import build_case_study
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 SOUND = sorted((CORPUS / "sound").glob("*.flow"))
 UNSOUND = sorted((CORPUS / "unsound").glob("*.flow"))
-RESOURCES = sorted((CORPUS / "resources").glob("*.xml"))
+RESOURCES = sorted((ROOT / "src" / "gridflow" / "pool").glob("*.xml"))
 
 # construction-blocking defects come back as StructuralError violations,
 # everything else as verifier findings

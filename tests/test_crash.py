@@ -1,43 +1,55 @@
-"""A submit killed with SIGKILL mid-run resumes, in a fresh process, to the
-checkpoints and results of an uninterrupted run with the same seed.
+"""A run survives a killed process, and one process at a time drives it.
 
-The child wraps ContentStore.checkpoint so that the kill lands at a fixed
+A submit killed with SIGKILL mid-run resumes, in a fresh process, to the
+checkpoints and results of an uninterrupted run with the same seed. The
+child wraps ContentStore.checkpoint so that the kill lands at a fixed
 point: right after the 2nd checkpoint, or halfway through writing the 3rd
-checkpoint's journal record (a torn tail). Nothing here depends on timing.
+checkpoint's journal record (a torn tail). A child can also park right
+after a checkpoint until the test lets it go, which pins a resume of the
+run it drives to that point. Neither depends on timing.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from gridflow.cli import run_cli
 from gridflow.dsl import emit_dsl
 from gridflow.simgrid import build_case_study
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 CHILD = """
-import json, os, signal, sys
+import json, os, signal, sys, time
 from gridflow import storage
 from gridflow.cli import run_cli
 
-mode, kill_at = sys.argv[1], int(sys.argv[2])
+mode, at = sys.argv[1], int(sys.argv[2])
 real, done = storage.ContentStore.checkpoint, []
 
 def checkpoint(self, run_id, activity_id, key):
-    if mode == "torn" and len(done) + 1 == kill_at:
+    if mode == "torn" and len(done) + 1 == at:
         record = json.dumps(["ckpt", activity_id, key.sequence, key.hash]).encode()
         with open(self.journal(run_id), "ab") as fh:
             fh.write(record[: len(record) // 2])
         os.kill(os.getpid(), signal.SIGKILL)
     state = real(self, run_id, activity_id, key)
     done.append(key)
-    if mode == "after" and len(done) == kill_at:
+    if mode == "after" and len(done) == at:
         os.kill(os.getpid(), signal.SIGKILL)
+    if mode == "park" and len(done) == at:  # handshake files beside the store
+        (self.root.parent / "parked").touch()
+        deadline = time.monotonic() + 120
+        while not (self.root.parent / "go").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
     return state
 
 storage.ContentStore.checkpoint = checkpoint
@@ -45,15 +57,15 @@ sys.exit(run_cli(sys.argv[3:]))
 """
 
 
-def gridflow(*argv, child=None):
-    """Run the CLI in a fresh process; `child` = (mode, n) arms the kill."""
+def command(*argv, child=None):
+    """A CLI call in a fresh process; `child` = (mode, n) arms the wrapper."""
     prefix = ["-c", CHILD, *child] if child else ["-m", "gridflow.cli"]
+    return [sys.executable, *prefix, *map(str, argv)]
+
+
+def gridflow(*argv, child=None):
     return subprocess.run(
-        [sys.executable, *prefix, *map(str, argv)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=120,
+        command(*argv, child=child), env=ENV, capture_output=True, text=True, timeout=120
     )
 
 
@@ -97,3 +109,47 @@ def test_killed_submit_resumes_to_the_uninterrupted_result(flow, reference, tmp_
     assert outcome(store, "run-0001") == reference
     assert reference[0] == "completed"
     assert gridflow("store", "audit", "--store", store).stdout == "clean\n"
+
+
+def resume_when_released(barrier, store):
+    """One racer: wait for the other at the barrier, then resume run-0001."""
+    barrier.wait(timeout=120)
+    sys.exit(run_cli(["resume", "run-0001", "--store", store]))
+
+
+def test_two_racing_resumes_drive_the_run_once(flow, reference, tmp_path):
+    store = tmp_path / "store"
+    failed = gridflow("submit", flow, "--store", store, "--user", "ada", "--seed", "3",
+                      "--fail-at", "md:1")
+    assert (failed.returncode, failed.stdout) == (2, "run-0001\n"), failed.stderr
+    spawn = multiprocessing.get_context("spawn")
+    barrier = spawn.Barrier(2)
+    racers = [spawn.Process(target=resume_when_released, args=(barrier, str(store)))
+              for _ in range(2)]
+    for racer in racers:
+        racer.start()
+    for racer in racers:
+        racer.join(timeout=120)
+    assert not any(racer.is_alive() for racer in racers)
+    assert sorted(racer.exitcode for racer in racers) == [0, 1]
+    assert outcome(store, "run-0001") == reference
+
+
+def test_resume_of_a_run_another_process_drives_exits_1(flow, reference, tmp_path):
+    store, parked = tmp_path / "store", tmp_path / "parked"
+    argv = ("submit", flow, "--store", store, "--user", "ada", "--seed", "3")
+    with subprocess.Popen(command(*argv, child=("park", "2")), env=ENV, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        try:
+            deadline = time.monotonic() + 120
+            while not parked.exists():
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            resumed = gridflow("resume", "run-0001", "--store", store)
+        finally:
+            (tmp_path / "go").touch()
+        out, err = child.communicate(timeout=120)
+    assert (resumed.returncode, resumed.stdout) == (1, "")
+    assert resumed.stderr == "error: run run-0001 is being driven by another process\n"
+    assert (child.returncode, out) == (0, "run-0001\n"), err
+    assert outcome(store, "run-0001") == reference

@@ -199,19 +199,20 @@ class TestAppendOnly:
         k1 = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", k1)
         store.put(ds("x", 2.0), "r2", "b")
-        assert store.journal_faults("r1") == store.journal_faults("r2") == []
+        assert store.journal_faults("r1") == store.journal_faults("r2") == (0, [])
         (store.blob_dir / k1.hash).unlink()
         with open(store.journal("r1"), "ab") as fh:
             fh.write(b'["put","a"]\n["bogus"]\n["put","lat')  # torn tail skipped
         with open(store.journal("r2"), "ab") as fh:
             fh.write(b'["rollback","b"]\n')
         before = store.journal("r1").read_bytes()
-        assert store.journal_faults("r1") == [
+        assert store.journal_faults("r1") == (len(b'["put","lat'), [
             """damaged runs/r1.log line 3 malformed: '["put","a"]'""",
             f"missing blob {k1.hash} (runs/r1.log line 1)",
             f"missing blob {k1.hash} (runs/r1.log line 2)",
-        ]
-        assert store.journal_faults("r2") == ["damaged runs/r2.log: rollback to 'b', never committed"]
+        ])
+        assert store.journal_faults("r2") == (
+            0, ["damaged runs/r2.log: rollback to 'b', never committed"])
         assert store.journal("r1").read_bytes() == before  # nothing repaired
 
     @pytest.mark.parametrize("where", ["relative", "absolute"])
@@ -232,8 +233,8 @@ class TestAppendOnly:
                                 lambda path, real=real: touched.append(path) or real(path))
         with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed: "):
             store.run_state("r1")
-        faults = store.journal_faults("r1")
-        assert len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 2 malformed: ")
+        torn, faults = store.journal_faults("r1")
+        assert torn == 0 and len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 2 malformed: ")
         assert touched and all(p == journal or p.parent == store.blob_dir for p in touched)
 
     def test_replay_reproduces_committed_sequence(self, store):

@@ -16,10 +16,6 @@ SRC = ROOT / "src" / "gridflow"
 CALLERS = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 ALLOWED = {
-    "_check_scalar": "Observable.__post_init__ dispatches on f'_check_{kind}'",
-    "_check_vector3": "Observable.__post_init__ dispatches on f'_check_{kind}'",
-    "_check_series": "Observable.__post_init__ dispatches on f'_check_{kind}'",
-    "_check_table": "Observable.__post_init__ dispatches on f'_check_{kind}'",
     "build_case_study": "the case study as a Python API; the CLI reads the .flow file",
 }
 
