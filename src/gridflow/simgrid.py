@@ -762,11 +762,18 @@ class SimulatedExecutor:
 # resource pool and the case-study workflow
 # ---------------------------------------------------------------------------
 
+_POOL = Path(__file__).with_name("pool")
+
+
 @functools.cache
 def standard_descriptors() -> tuple[ResourceDescriptor, ...]:
     """The simulated pool, one descriptor per mock program: the package's
-    pool/*.xml files, read once per process."""
-    return tuple(read_descriptors(Path(__file__).with_name("pool")))
+    pool/*.xml files, read once per process. A package without them is
+    broken, not a pool of none."""
+    descriptors = tuple(read_descriptors(_POOL))
+    if not descriptors:
+        raise RuntimeFailure(f"standard pool {_POOL} holds no descriptor files (*.xml)")
+    return descriptors
 
 
 def standard_registry() -> ResourceRegistry:

@@ -25,11 +25,23 @@ is malformed, so no journal can point a read outside blobs/.
 Nothing rewrites a stored byte, so a run's history survives rollbacks. A
 run's state is a replay of its own journal; no operation reads another's.
 A claim writes the "submitted" record in the call that creates the journal
-exclusively (open mode "x"). Every other append opens the journal, takes an
-exclusive flock, reads, cuts a torn tail, decides and writes under it. An
-flock belongs to the open file description, so it excludes this process's
-other threads too, and under it an unterminated last line can only be the
-torn tail of a writer that died. Readers take no lock and skip that tail.
+exclusively (open mode "x"). Every other append opens the journal once
+(mode "a+b"), takes an exclusive flock, reads through that descriptor the
+bytes past what this handle has already read, cuts a torn tail, decides and
+writes under it. An flock belongs to the open file description, so it
+excludes this process's other threads too, and under it an unterminated
+last line can only be the torn tail of a writer that died. Readers (get,
+run_state) take no flock, read the new bytes the same way and skip that tail.
+
+A handle keeps, per run it has read, the byte offset past the last complete
+line it parsed, the records before it, each activity's next sequence number
+and the known (activity, seq, hash) keys, so each operation parses only the
+lines appended since the last. Journals are append-only: when a journal no
+longer continues what the handle read (it is shorter, the byte before the
+offset is not a newline, or a new line is malformed), the handle reads it
+again in full and raises IntegrityError only if that read is malformed too.
+A new handle keeps nothing, and store audit (journal_faults) always reads
+from disk.
 
 The process driving a run holds an exclusive flock on runs/<run id>.lock
 (empty, never deleted) for the whole drive, not on the journal, whose flock
@@ -49,8 +61,8 @@ import json
 import os
 import re
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import RuntimeFailure, UserError
@@ -161,9 +173,23 @@ def _well_formed(run_id: str, lines: list[str], records: list) -> list[list]:
     return records
 
 
-def _known(records, key: ResultKey) -> bool:
-    tail = [key.activity_id, key.sequence, key.hash]
-    return any(r[0] in ("put", "ckpt") and r[1:] == tail for r in records)
+@dataclass
+class _Journal:
+    """What a handle has read of one run's journal."""
+
+    end: int = 0  # byte offset past the last complete line parsed
+    records: list = field(default_factory=list)
+    next_seq: dict = field(default_factory=dict)  # activity -> 1 + its highest put or ckpt seq
+    keys: set = field(default_factory=set)  # (activity, seq, hash) of every put and ckpt
+
+    def take(self, lines: list[str], records: list[list]):
+        self.end += sum(map(len, lines)) + len(lines)
+        self.records += records
+        for kind, *rec in records:
+            if kind == "put" or kind == "ckpt":
+                self.keys.add(tuple(rec))
+                if rec[1] >= self.next_seq.get(rec[0], 0):
+                    self.next_seq[rec[0]] = rec[1] + 1
 
 
 def _replay(run_id: str, records) -> RunState:
@@ -198,6 +224,9 @@ class ContentStore:
         self._held: dict[str, tuple[Dataset, int]] = {}  # hash -> (dataset, bytes), oldest first
         self._held_bytes = 0
         self._held_lock = threading.Lock()
+        self._journals: dict[str, _Journal] = {}  # run id -> what this handle has read
+        self._journals_lock = threading.Lock()  # held by every reader of _journals
+        self._flocked = None  # the journal _appending holds open, while it reads
         old_index = self.root / "index.log"
         if old_index.exists():
             raise StorageError(f"{old_index}: old store layout; only runs/<id>.log journals are read")
@@ -213,17 +242,41 @@ class ContentStore:
         return self.runs_dir / f"{run_id}.log"
 
     def index_lines(self, run_id: str) -> list[str]:
-        """A run's complete journal lines, as latin-1 (one character a byte)."""
+        """The complete journal lines of a run past what this handle has read,
+        as latin-1 (one character a byte); all of them, what was kept dropped,
+        when the journal no longer continues it. Callers hold _journals_lock."""
+        kept, fh = self._journals.get(run_id), self._flocked
+        start = kept.end if kept else 0
         try:
-            data = self.journal(run_id).read_bytes()
+            with nullcontext(fh) if fh else open(self.journal(run_id), "rb") as fh:
+                fh.seek(max(start - 1, 0))
+                data = fh.read()
+                if start and data[:1] != b"\n":  # shorter, or rewritten under this handle
+                    kept = None
+                    fh.seek(0)
+                    data = fh.read()
         except FileNotFoundError:
             raise UnknownRun(f"unknown run: {run_id}") from None
+        if kept is None:
+            self._journals[run_id] = _Journal()
+        elif start:
+            data = data[1:]
         return data[: data.rfind(b"\n") + 1].decode("latin-1").split("\n")[:-1]
 
-    def _records(self, run_id: str, lines: list[str] | None = None) -> list[list]:
-        """The records on a run's journal lines, each checked for its shape."""
-        lines = self.index_lines(run_id) if lines is None else lines
-        return _well_formed(run_id, lines, [_record(line, n) for n, line in enumerate(lines, 1)])
+    def _read(self, run_id: str) -> _Journal:
+        """What this handle keeps of a run, brought up to date with its
+        journal; every new line is checked for its shape. Callers hold
+        _journals_lock."""
+        lines = self.index_lines(run_id)
+        kept = self._journals[run_id]
+        records = [_record(line, n) for n, line in enumerate(lines, len(kept.records) + 1)]
+        if None in records:
+            del self._journals[run_id]
+            if kept.records:  # perhaps rewritten under this handle: read it in full
+                return self._read(run_id)
+            _well_formed(run_id, lines, records)
+        kept.take(lines, records)
+        return kept
 
     @contextmanager
     def driving(self, run_id: str, wait: bool = True):
@@ -240,17 +293,22 @@ class ContentStore:
 
     @contextmanager
     def _appending(self, run_id: str, create: bool = False):
-        """A run's records and a journal writer, under one exclusive flock."""
+        """What this handle keeps of a run, up to date, and a journal writer,
+        under one exclusive flock: no other writer appends until it ends."""
         path = self.journal(run_id)
         if not (create or path.exists()):  # journals are never deleted
             raise UnknownRun(f"unknown run: {run_id}")
-        with open(path, "ab") as fh:
+        with open(path, "a+b") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
-            lines = self.index_lines(run_id)
-            end = sum(map(len, lines)) + len(lines)
-            if fh.seek(0, os.SEEK_END) > end:  # drop a torn tail
-                fh.truncate(end)
-            yield self._records(run_id, lines), lambda *record: fh.write(_line(record))
+            with self._journals_lock:
+                self._flocked = fh
+                try:
+                    kept = self._read(run_id)
+                finally:
+                    self._flocked = None
+            if fh.seek(0, os.SEEK_END) > kept.end:  # drop a torn tail
+                fh.truncate(kept.end)
+            yield kept, lambda *record: fh.write(_line(record))
 
     def claim(self, header: dict, run_id: str | None = None) -> str:
         """Create a run's journal, "submitted" record first; returns the run id:
@@ -276,7 +334,7 @@ class ContentStore:
         """File a dataset under a run, starting the run's journal if need be."""
         blob = canonical_serialize(ds)
         hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
-        with self._appending(run_id, create=True) as (records, append):
+        with self._appending(run_id, create=True) as (kept, append):
             path = self.blob_dir / hash
             if not path.exists():
                 # runs lock only their own journals, so two puts of one blob
@@ -284,10 +342,7 @@ class ContentStore:
                 tmp = path.with_name(f"{hash}.{os.getpid()}-{threading.get_ident()}.tmp")
                 tmp.write_bytes(blob)
                 tmp.replace(path)
-            seq = 1 + max(
-                (r[2] for r in records if r[0] in ("put", "ckpt") and r[1] == activity_id),
-                default=-1,
-            )
+            seq = kept.next_seq.get(activity_id, 0)
             append("put", activity_id, seq, hash)
         with self._held_lock:
             held = self._held.pop(hash, None)
@@ -298,7 +353,9 @@ class ContentStore:
         return ResultKey(hash, run_id, activity_id, seq)
 
     def get(self, key: ResultKey) -> Dataset:
-        if not _known(self._records(key.run_id), key):
+        with self._journals_lock:
+            known = (key.activity_id, key.sequence, key.hash) in self._read(key.run_id).keys
+        if not known:
             raise UnknownKey(f"no such key: {key}")
         return self._read_blob(key.hash)
 
@@ -322,14 +379,14 @@ class ContentStore:
         return ds
 
     def checkpoint(self, run_id: str, activity_id: str, key: ResultKey):
-        with self._appending(run_id) as (records, append):
-            if key.run_id != run_id or not _known(records, key):
+        with self._appending(run_id) as (kept, append):
+            if key.run_id != run_id or (key.activity_id, key.sequence, key.hash) not in kept.keys:
                 raise UnknownKey(f"cannot checkpoint unknown key: {key}")
             append("ckpt", activity_id, key.sequence, key.hash)
 
     def rollback(self, run_id: str, to_activity_id: str):
-        with self._appending(run_id) as (records, append):
-            if not any(name == to_activity_id for name, _ in _replay(run_id, records).checkpoints):
+        with self._appending(run_id) as (kept, append):
+            if not any(name == to_activity_id for name, _ in _replay(run_id, kept.records).checkpoints):
                 raise UnknownCheckpoint(
                     f"run {run_id} has no committed checkpoint for {to_activity_id}"
                 )
@@ -345,13 +402,14 @@ class ContentStore:
     # -- views ---------------------------------------------------------------
 
     def run_state(self, run_id: str) -> RunState:
-        return _replay(run_id, self._records(run_id))
+        with self._journals_lock:
+            return _replay(run_id, self._read(run_id).records)
 
     def checkpoints(self, run_id: str) -> tuple[tuple[str, ResultKey], ...]:
         return self.run_state(run_id).checkpoints
 
     def runs(self) -> list[str]:
-        return sorted(path.stem for path in self.runs_dir.glob("*.log"))
+        return sorted(name[:-4] for name in os.listdir(self.runs_dir) if name.endswith(".log"))
 
     def audit(self) -> list[str]:
         """Re-hash every blob; returns the list of corrupted hashes."""

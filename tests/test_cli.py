@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gridflow import model
+from gridflow import model, simgrid
 from gridflow.cli import run_cli
 from gridflow.dsl import emit_dsl, parse
 from gridflow.resources import Calculator, render_descriptor_xml
@@ -477,6 +477,20 @@ class TestRegister:
         code, _, err = run("register", xml)
         assert code == 1
         assert "already registered" in err
+
+    def test_an_empty_standard_pool_is_a_runtime_failure(self, run, tmp_path, case_file, monkeypatch):
+        xml = tmp_path / "md.xml"
+        xml.write_text(render_descriptor_xml(standard_registry().get("mdrun@hpc-01")), encoding="utf-8")
+        empty = tmp_path / "pool"
+        empty.mkdir()
+        monkeypatch.setattr(simgrid, "_POOL", empty)
+        simgrid.standard_descriptors.cache_clear()
+        try:
+            for argv in (("submit", case_file, "--user", "ada"), ("register", xml)):
+                assert run(*argv) == (
+                    2, "", f"error: standard pool {empty} holds no descriptor files (*.xml)\n")
+        finally:
+            simgrid.standard_descriptors.cache_clear()
 
 
 class TestMock:

@@ -9,6 +9,7 @@ after a checkpoint until the test lets it go, which pins a resume of the
 run it drives to that point. Neither depends on timing.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -153,3 +154,31 @@ def test_resume_of_a_run_another_process_drives_exits_1(flow, reference, tmp_pat
     assert resumed.stderr == "error: run run-0001 is being driven by another process\n"
     assert (child.returncode, out) == (0, "run-0001\n"), err
     assert outcome(store, "run-0001") == reference
+
+
+LOOP = Path(__file__).resolve().parent.parent / "corpus" / "sound" / "loop_converge.flow"
+
+
+def test_a_long_loop_resumes_to_the_uninterrupted_result(tmp_path):
+    # 500 firings make a journal of over 1,000 lines; every command reads it
+    # in a new process, and resume after a fault at firing 400
+    argv = ("submit", LOOP, "--user", "ci", "--seed", "1",
+            "--param", "converge_after=500", "--max-iterations", "1000")
+    whole = gridflow(*argv, "--store", tmp_path / "whole")
+    assert (whole.returncode, whole.stdout) == (0, "run-0001\n"), whole.stderr
+    failed = gridflow(*argv, "--store", tmp_path / "store", "--fail-at", "work:400")
+    assert (failed.returncode, failed.stdout) == (2, "run-0001\n"), failed.stderr
+    resumed = gridflow("resume", "run-0001", "--store", tmp_path / "store")
+    assert (resumed.returncode, resumed.stdout) == (0, "run-0001\n"), resumed.stderr
+    expected = outcome(tmp_path / "whole", "run-0001")
+    assert outcome(tmp_path / "store", "run-0001") == expected
+    assert expected[0] == "completed" and len(expected[1]) == 500
+    digests = []
+    for store in ("whole", "store"):
+        proc = gridflow("report", "run-0001", "--store", tmp_path / store, "--json", "--deterministic")
+        digests.append(hashlib.sha256(proc.stdout.encode()).hexdigest())
+    assert digests == [  # the resumed report differs only in its replayed entries and trace
+        "d10a757a28a796461294ace251345b43e892839f62ba7a0a5feefa23be7eeabf",
+        "99fb450b91fe41a52ec43bca642e8a0206def30c08a3ab9439868ccaff60aa87",
+    ]
+    assert gridflow("store", "audit", "--store", tmp_path / "store").stdout == "clean\n"

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import random
 import sys
 import threading
@@ -279,6 +280,21 @@ def _put_worker(root, start, count, out):
     out.put([store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(count)])
 
 
+@pytest.fixture
+def lines_read(store, monkeypatch):
+    """How many lines each index_lines call of `store` returned, in order."""
+    read = []
+    index_lines = store.index_lines
+
+    def counted(run_id):
+        lines = index_lines(run_id)
+        read.append(len(lines))
+        return lines
+
+    monkeypatch.setattr(store, "index_lines", counted)
+    return read
+
+
 class TestJournals:
     def test_half_written_line_is_not_consumed(self, store):
         ka = store.put(ds("x", 1.0), "r1", "a")
@@ -381,6 +397,25 @@ class TestJournals:
         lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
 
+    def test_threads_reading_and_appending_share_what_the_handle_keeps(self, store):
+        keys = []
+
+        def work(t):
+            for _ in range(20):
+                key = store.put(ds("x", float(t)), "r1", f"a{t % 2}")
+                keys.append(key)
+                if t % 2:
+                    store.checkpoint("r1", key.activity_id, key)
+                assert store.get(key) == ds("x", float(t))
+                store.run_state("r1")
+
+        self.run_threads(work, n=8)
+        for activity in ("a0", "a1"):
+            assert sorted(k.sequence for k in keys if k.activity_id == activity) == list(range(80))
+        text = store.journal("r1").read_text(encoding="utf-8")
+        assert (store.run_state("r1").checkpoints, ACTIVE) == journal_state(text, "r1")
+        assert ContentStore(store.root).run_state("r1") == store.run_state("r1")
+
     def test_threads_keep_the_held_datasets_within_their_bound(self, store, monkeypatch):
         size = len(quantities.canonical_serialize(ds("x", 0.0)))
         monkeypatch.setattr(storage_module, "_HELD_BYTES", 5 * size)
@@ -429,6 +464,73 @@ class TestJournals:
         for _ in range(2):
             with pytest.raises(IntegrityError, match=r"runs/r1.log line 2 malformed"):
                 store.run_state("r1")
+
+
+
+class TestKeptJournals:
+    """A handle parses each journal line once, and still sees the disk."""
+
+    def test_each_record_is_read_once(self, store, lines_read):
+        for i in range(300):
+            key = store.put(ds("x", float(i % 7)), "r1", "a")
+            store.checkpoint("r1", "a", key)
+        records = len(store.journal("r1").read_bytes().splitlines())
+        assert records == 600 and sum(lines_read) <= 2 * records + 5
+
+    def test_a_handle_reads_only_what_another_appended(self, store, lines_read):
+        k0 = store.put(ds("x", 1.0), "r1", "a")
+        store.checkpoint("r1", "a", k0)
+        other = ContentStore(store.root)
+        k1 = other.put(ds("x", 2.0), "r1", "a")
+        other.checkpoint("r1", "a", k1)
+        other.set_status("r1", COMPLETED)
+        lines_read.clear()
+        state = store.run_state("r1")
+        assert (state.checkpoints, state.status) == ((("a", k0), ("a", k1)), COMPLETED)
+        assert store.put(ds("x", 3.0), "r1", "a").sequence == 2
+        assert lines_read == [1 + 3, 0]  # its own checkpoint, then the other's records
+
+    def test_a_torn_tail_cut_by_another_handle(self, store, lines_read):
+        k0 = store.put(ds("x", 1.0), "r1", "a")
+        with open(store.journal("r1"), "ab") as fh:
+            fh.write(b'["put","lat')  # a writer died mid-line
+        assert store.run_state("r1").checkpoints == ()
+        ContentStore(store.root).checkpoint("r1", "a", k0)  # cuts the tail first
+        lines_read.clear()
+        assert store.run_state("r1").checkpoints == (("a", k0),)
+        assert store.put(ds("x", 2.0), "r1", "a").sequence == 1
+        assert lines_read == [1, 0]
+        assert b"lat" not in store.journal("r1").read_bytes()
+
+    def test_a_line_truncated_outside_gridflow(self, store, lines_read):
+        ka = store.put(ds("x", 1.0), "r1", "a")
+        store.checkpoint("r1", "a", ka)
+        kb = store.put(ds("x", 2.0), "r1", "b")
+        store.checkpoint("r1", "b", kb)
+        assert len(store.run_state("r1").checkpoints) == 2
+        journal = store.journal("r1")
+        data = journal.read_bytes()
+        os.truncate(journal, data[:-1].rfind(b"\n") + 1)  # drop b's checkpoint
+        lines_read.clear()
+        assert store.run_state("r1").checkpoints == (("a", ka),)
+        store.checkpoint("r1", "b", kb)  # b's put is still known
+        assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
+        assert lines_read == [3, 0, 1]
+        assert journal.read_bytes() == data
+
+    def test_audit_reads_a_line_damaged_after_a_handle_read_it(self, store):
+        key = store.put(ds("x", 1.0), "r1", "a")
+        store.checkpoint("r1", "a", key)
+        kept = store.run_state("r1")
+        journal = store.journal("r1")
+        journal.write_bytes(journal.read_bytes().replace(b'["ckpt"', b'["ckpX"'))
+        line = f'["ckpX","a",0,"{key.hash}"]'
+        assert store.journal_faults("r1") == (0, [f"damaged runs/r1.log line 2 malformed: {line[:80]!r}"])
+        # a rewrite in place of the same length breaks the append-only
+        # contract: the handle keeps what it read, a new one reads the damage
+        assert store.run_state("r1") == kept
+        with pytest.raises(IntegrityError, match="line 2 malformed"):
+            ContentStore(store.root).run_state("r1")
 
 
 class TestRunIds:
