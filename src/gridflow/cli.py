@@ -23,27 +23,14 @@ from .dsl import parse, plan_text, to_dot, to_functional_plan, to_job_xml
 from .engine import Engine, UserProfile
 from .errors import GridflowError, RuntimeFailure, UserError
 from .model import StructuralError, verify
-from .quantities import format_number, merge
+from .quantities import format_number
 from .resources import (
     DuplicateResource,
     parse_descriptor_xml,
     read_descriptors,
     render_descriptor_xml,
 )
-from .simgrid import (
-    analysis_native,
-    cbmc_native,
-    flip_native,
-    gcmc_native,
-    lattice_native,
-    md_native,
-    mock_cbmc,
-    mock_gcmc,
-    mock_lattice,
-    mock_md,
-    noop_native,
-    standard_registry,
-)
+from .simgrid import PROGRAMS, standard_registry
 from .storage import ContentStore
 
 OK = 0
@@ -54,7 +41,16 @@ INTERNAL_ERROR = 3
 DEFAULT_STORE = "gridflow-store"
 CONFIG_SECTION = "gridflow"
 
-MOCK_NAMES = ("lattice", "cbmc", "gcmc", "md", "analysis", "noop", "flip")
+# stage -> (program, upstream stages whose results it reads)
+MOCK_STAGES = {
+    "lattice": ("latgen", ()),
+    "cbmc": ("mcsim", ("lattice",)),
+    "gcmc": ("gulpgc", ("cbmc",)),
+    "md": ("mdrun", ("cbmc", "gcmc")),
+    "analysis": ("tsfit", ("lattice", "md")),
+    "noop": ("noop", ()),
+    "flip": ("flip", ()),
+}
 MOCK_DEFAULTS = {
     "cells": "8",
     "cell_length": "1.0",
@@ -74,7 +70,7 @@ def _load_config(path: str | None) -> dict:
     file = Path(path)
     if not file.is_file():
         raise UserError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(file.read_text(encoding="utf-8"), source=path)
     except configparser.Error as exc:
@@ -169,10 +165,12 @@ def cmd_register(args, cfg) -> int:
     descriptor = parse_descriptor_xml(_read_text(args.file))
     standard_registry().register(descriptor)  # refuses a pool id as a duplicate
     target = _open_store(args, cfg).root / "resources" / f"{descriptor.id}.xml"
-    if target.exists():
-        raise DuplicateResource(f"resource already registered: {descriptor.id}")
     target.parent.mkdir(exist_ok=True)
-    target.write_text(render_descriptor_xml(descriptor), encoding="utf-8")
+    try:
+        with open(target, "x", encoding="utf-8") as fh:
+            fh.write(render_descriptor_xml(descriptor))
+    except FileExistsError:
+        raise DuplicateResource(f"resource already registered: {descriptor.id}") from None
     print(descriptor.id)
     return OK
 
@@ -355,23 +353,12 @@ def cmd_mock(args, cfg) -> int:
 
 
 def _mock_native(name: str, params: dict) -> str:
-    """Native output of one stage, feeding it from the mocks upstream."""
-    if name == "lattice":
-        return lattice_native(params)
-    if name == "noop":
-        return noop_native(params)
-    if name == "flip":
-        return flip_native(params)
-    lattice = mock_lattice(params)
-    if name == "cbmc":
-        return cbmc_native(lattice, params)
-    occupancy = mock_cbmc(lattice, params)
-    if name == "gcmc":
-        return gcmc_native(occupancy, params)
-    config = merge([mock_gcmc(occupancy, params), occupancy])
-    if name == "md":
-        return md_native(config, params)
-    return analysis_native(merge([mock_md(config, params), lattice]), params)
+    """Native output of one stage, fed the adapted results of the stages
+    upstream, each run afresh: the mocks are deterministic."""
+    program, upstream = MOCK_STAGES[name]
+    inputs = {stage: PROGRAMS[MOCK_STAGES[stage][0]].parse(_mock_native(stage, params))
+              for stage in upstream}
+    return PROGRAMS[program].run(params, inputs)
 
 
 # -- parser ---------------------------------------------------------------
@@ -455,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mock", parents=[common],
                        help="print one simulated program's native output")
-    p.add_argument("name", choices=MOCK_NAMES, help="program stage")
+    p.add_argument("name", choices=tuple(MOCK_STAGES), help="program stage")
     p.add_argument("--seed", type=int, default=None, help="program seed (default 0)")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="override a stage parameter (repeatable)")

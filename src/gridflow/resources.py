@@ -153,6 +153,11 @@ class LaunchPlan:
     workdir: str
 
 
+# a store keeps a registered descriptor as resources/<id>.xml, so an id is
+# one plain file name: no path separator, no leading dot
+_RESOURCE_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9@._-]*")
+
+
 @dataclass(frozen=True)
 class ResourceDescriptor:
     """One calculator+program pair. `program` is the bare program name;
@@ -168,8 +173,11 @@ class ResourceDescriptor:
     version: str = ""
 
     def __post_init__(self):
-        if not self.id:
-            raise InvalidDescriptor("resource id must be nonempty")
+        if not _RESOURCE_ID.fullmatch(self.id):
+            raise InvalidDescriptor(
+                f"resource id {self.id!r} must start with a letter or digit and "
+                "hold only letters, digits, '@', '.', '_' and '-'"
+            )
         if not self.capabilities:
             raise InvalidDescriptor(f"resource {self.id}: capabilities must be nonempty")
         if self.cost_weight < 0:

@@ -1,9 +1,12 @@
-"""Simulated grid plus a desk-scale diffusion case study.
+"""Simulated grid: the programs and pool of a desk-scale diffusion case study.
 
 The case study models helium tracers moving through a one-dimensional
 zeolite-like channel partly blocked by a static heavy adsorbate:
 
     lattice -> cbmc -> gcmc -> md -> analysis
+
+The workflow itself is corpus/sound/case_study.flow; this module supplies
+only the programs its stages bind to.
 
 Each stage stands in for a real simulation code. Every mock writes a
 deliberately different native text format (CSV-like, key-value, fixed-width)
@@ -33,18 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridflowError, RuntimeFailure, UserError
-from .model import (
-    ACTIVITY,
-    FINAL,
-    FREE,
-    PINNED_BOTH,
-    PINNED_PROGRAM,
-    START,
-    Binding,
-    Node,
-    WorkflowGraph,
-    build_graph,
-)
 from .quantities import Dataset, Observable, format_number, get_unit, merge
 from .resources import (
     FAILED,
@@ -67,16 +58,11 @@ __all__ = [
     "SimProgram",
     "SimulatedExecutor",
     "PROGRAMS",
-    "mock_lattice",
-    "mock_cbmc",
-    "mock_gcmc",
-    "mock_md",
     "msd",
     "diffusivity",
     "diffusivity_with_se",
     "standard_descriptors",
     "standard_registry",
-    "build_case_study",
 ]
 
 
@@ -179,9 +165,6 @@ def parse_lattice_native(text: str) -> Dataset:
     )
 
 
-def mock_lattice(params) -> Dataset:
-    return parse_lattice_native(lattice_native(params))
-
 
 # ---------------------------------------------------------------------------
 # native format B: key-value (Monte Carlo stages, analysis, test probes)
@@ -249,9 +232,6 @@ def parse_cbmc_native(text: str) -> Dataset:
     )
 
 
-def mock_cbmc(lattice: Dataset, params) -> Dataset:
-    return parse_cbmc_native(cbmc_native(lattice, params))
-
 
 def _occupied_sites(ds: Dataset) -> tuple[set[int], int]:
     table = ds.get("occupancy")
@@ -295,9 +275,6 @@ def parse_gcmc_native(text: str) -> Dataset:
         ]
     )
 
-
-def mock_gcmc(occupancy: Dataset, params) -> Dataset:
-    return parse_gcmc_native(gcmc_native(occupancy, params))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +367,6 @@ def parse_md_native(text: str) -> Dataset:
         ]
     )
 
-
-def mock_md(config: Dataset, params) -> Dataset:
-    return parse_md_native(md_native(config, params))
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +733,7 @@ class SimulatedExecutor:
 
 
 # ---------------------------------------------------------------------------
-# resource pool and the case-study workflow
+# the standard resource pool
 # ---------------------------------------------------------------------------
 
 _POOL = Path(__file__).with_name("pool")
@@ -782,78 +756,3 @@ def standard_registry() -> ResourceRegistry:
         registry.register(descriptor)
     return registry
 
-
-def build_case_study(
-    cells: int = 8,
-    theta: float = 0.0,
-    walkers: int = 4,
-    steps: int = 16,
-    cell_length: float = 1.0,
-) -> WorkflowGraph:
-    """The five-stage diffusion pipeline, one binding variant per lane kind:
-    the structure stage pins program and host, the Monte Carlo stages pin the
-    program only, and the walk and analysis stages match by capability."""
-    nodes = [
-        Node("start", START),
-        Node(
-            "lattice",
-            ACTIVITY,
-            binding=Binding(PINNED_BOTH, "latgen", "latgen@struct-01", frozenset({"lattice"})),
-            params=(("cell_length", repr(cell_length)), ("cells", str(cells))),
-            cite=("Structure collection of porous frameworks, 2024 release",),
-        ),
-        Node(
-            "cbmc",
-            ACTIVITY,
-            binding=Binding(PINNED_PROGRAM, "mcsim", None, frozenset({"mc"})),
-            params=(("theta", repr(theta)),),
-        ),
-        Node(
-            "gcmc",
-            ACTIVITY,
-            binding=Binding(PINNED_PROGRAM, "gulpgc", None, frozenset({"mc"})),
-            params=(("n_helium", str(walkers)),),
-        ),
-        Node(
-            "md",
-            ACTIVITY,
-            binding=Binding(FREE, None, None, frozenset({"molecular-dynamics"})),
-            params=(("steps", str(steps)),),
-        ),
-        Node(
-            "analysis",
-            ACTIVITY,
-            binding=Binding(FREE, None, None, frozenset({"timeseries", "fitting"})),
-            params=(
-                ("einstein_dimensionality", "1"),
-                ("fit_window", "second-half"),
-                ("groups", "10"),
-            ),
-        ),
-        Node("end", FINAL),
-    ]
-    edges = [
-        ("start", "lattice"),
-        ("lattice", "cbmc"),
-        ("cbmc", "gcmc"),
-        ("gcmc", "md"),
-        ("md", "analysis"),
-        ("analysis", "end"),
-    ]
-    # each flow carries what the consumer's descriptor declares for its slot
-    slot = {d.program: dict(d.launch_template.input_slots) for d in standard_descriptors()}
-    flows = [
-        ("lattice", "cbmc", slot["mcsim"]["lattice"]),
-        ("cbmc", "gcmc", slot["gulpgc"]["occupancy"]),
-        ("cbmc", "md", slot["mdrun"]["occupancy"]),
-        ("gcmc", "md", slot["mdrun"]["config"]),
-        ("md", "analysis", slot["tsfit"]["trajectory"]),
-        ("lattice", "analysis", slot["tsfit"]["cell"]),
-    ]
-    return build_graph(
-        "helium-diffusion-study",
-        nodes,
-        edges,
-        flows,
-        source_refs=("Helium diffusion in loaded zeolite frameworks: simulation protocol",),
-    )

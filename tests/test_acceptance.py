@@ -56,16 +56,16 @@ from gridflow.quantities import (
     convert,
     get_unit,
 )
-from gridflow.simgrid import build_case_study, standard_descriptors, standard_registry
+from gridflow.simgrid import standard_descriptors, standard_registry
 from gridflow.storage import ContentStore, IntegrityError
 
 from test_corpus import CORPUS, EXPECTED_KIND, SOUND, UNSOUND, flagged_kinds
-from structure import same_structure
+from structure import case_study, same_structure
 from tokenoracle import brute_force_findings
 
 # Small variant of the study for fault and determinism checks: quick to run
 # but still exercises every stage (13 samples satisfies the fit minimum).
-CASE_KW = dict(cells=6, walkers=3, steps=12)
+CASE_KW = dict(cells=6, n_helium=3, steps=12)
 
 # Seeds pinned after scanning the real submission path; any fixed seed is
 # admissible, these land well inside the tolerances.
@@ -96,7 +96,7 @@ def _report(run_id, store):
 
 def _write_case(tmp_path, **kw):
     path = tmp_path / "case.flow"
-    path.write_text(emit_dsl(build_case_study(**kw)), encoding="utf-8")
+    path.write_text(emit_dsl(case_study(**kw)), encoding="utf-8")
     return path
 
 
@@ -135,7 +135,7 @@ def _ok(number, detail):
 def test_criterion_01_case_study_diffusivity(tmp_path):
     """Submitting the study at zero blocking with 1000 walkers over 200 steps
     reports D inside [0.45, 0.55] from a fixed seed, within a minute."""
-    wf = _write_case(tmp_path, theta=0.0, walkers=1000, steps=200)
+    wf = _write_case(tmp_path, theta=0.0, n_helium=1000, steps=200)
     store = str(tmp_path / "store")
     t0 = time.perf_counter()
     code, out, err = _cli(["submit", wf, "--store", store, "--user", "alice", "--seed", STUDY_SEED])
@@ -155,7 +155,7 @@ def test_criterion_02_loading_suppresses_diffusivity(tmp_path):
     eng = Engine(standard_registry(), ContentStore(tmp_path / "store"))
     est = {}
     for theta in (0.0, 0.3, 0.6):
-        g = build_case_study(cells=400, theta=theta, walkers=8000, steps=10)
+        g = case_study(cells=400, theta=theta, n_helium=8000, steps=10)
         run = eng.execute(eng.plan(g, UserProfile("alice"), seed=LOADING_SEED))
         scalars = eng.report(run)["results"]["analysis"]["scalars"]
         est[theta] = (scalars["diffusivity"], scalars["diffusivity_se"])
@@ -270,7 +270,7 @@ def test_criterion_06_round_trips(tmp_path):
 
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
-    run = eng.execute(eng.plan(build_case_study(**CASE_KW), UserProfile("alice"), seed=1))
+    run = eng.execute(eng.plan(case_study(**CASE_KW), UserProfile("alice"), seed=1))
     keys = store.checkpoints(run)
     assert len(keys) == 5
     for activity, key in keys:
@@ -369,7 +369,7 @@ def test_criterion_08_licensing_and_credit(tmp_path):
         for d in (descriptors[r] for r in rep["bindings"].values())
         if d.license.kind != "open"
     }
-    graph = build_case_study(**CASE_KW)
+    graph = case_study(**CASE_KW)
     expected = sorted(cited) + [(ref, "workflow-source") for ref in graph.source_refs]
     assert [tuple(e) for e in rep["provenance"]["ledger"]] == expected
     programs = [p for _, p in rep["provenance"]["ledger"]]
@@ -436,7 +436,7 @@ def test_criterion_10_integrity_and_append_only(tmp_path):
     byte of the first run's journal changes."""
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
-    g = build_case_study()
+    g = case_study()
     run1 = eng.execute(eng.plan(g, UserProfile("alice"), seed=1))
 
     blobs = sorted(store.blob_dir.iterdir())

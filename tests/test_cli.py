@@ -10,15 +10,12 @@ from gridflow import model, simgrid
 from gridflow.cli import run_cli
 from gridflow.dsl import emit_dsl, parse
 from gridflow.resources import Calculator, render_descriptor_xml
-from gridflow.simgrid import (
-    build_case_study,
-    parse_lattice_native,
-    standard_registry,
-)
+from gridflow.simgrid import parse_lattice_native, standard_registry
+from structure import case_study
 from test_corpus import CORPUS
 from test_model import crossed_fork_of_loops_graph, join_deadlock_graph
 
-CASE_KW = dict(cells=6, walkers=3, steps=12)
+CASE_KW = dict(cells=6, n_helium=3, steps=12)
 
 EXOTIC_FLOW = """\
 workflow "exotic-flow" {
@@ -58,7 +55,7 @@ def run(capsys, tmp_path, monkeypatch):
 @pytest.fixture
 def case_file(tmp_path):
     path = tmp_path / "case.flow"
-    path.write_text(emit_dsl(build_case_study(**CASE_KW)), encoding="utf-8")
+    path.write_text(emit_dsl(case_study(**CASE_KW)), encoding="utf-8")
     return path
 
 
@@ -470,6 +467,20 @@ class TestRegister:
         assert code == 1
         assert "already registered" in err
 
+    @pytest.mark.parametrize("bad_id", ["../../escaped", "sub/x"])
+    def test_ids_that_name_a_path_are_refused(self, run, tmp_path, bad_id):
+        good = tmp_path / "exotic.xml"
+        good.write_text(self.exotic_descriptor_xml(), encoding="utf-8")
+        assert run("register", good)[0] == 0  # <store>/resources/ now exists
+        xml = tmp_path / "bad.xml"
+        xml.write_text(self.exotic_descriptor_xml().replace("noop@exotic-01", bad_id, 1),
+                       encoding="utf-8")
+        code, _, err = run("register", xml)
+        assert code == 1
+        assert f"resource id {bad_id!r}" in err
+        assert sorted(p.name for p in tmp_path.rglob("*.xml") if p != xml) == [
+            "exotic.xml", "noop@exotic-01.xml"]
+
     def test_pool_ids_are_reserved(self, run, tmp_path):
         base = standard_registry().get("noop@sandbox-01")
         xml = tmp_path / "clash.xml"
@@ -551,6 +562,15 @@ class TestConfigAndStore:
         assert code == 0
         assert json.loads(out)["user"] == {"user": "carol", "affiliation": "academic"}
         assert (tmp_path / "cfg-store" / "runs" / f"{run_id}.log").exists()
+
+    def test_config_values_are_read_literally(self, run, case_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("GRIDFLOW_STORE")
+        store = tmp_path / "100%" / "store"
+        cfg = tmp_path / "gridflow.cfg"
+        cfg.write_text(f"[gridflow]\nstore = {store}\nuser = carol\n", encoding="utf-8")
+        code, out, err = run("submit", case_file, "--config", cfg)
+        assert (code, err) == (0, "")
+        assert (store / "runs" / f"{out.strip()}.log").exists()
 
     def test_flag_beats_environment(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada")

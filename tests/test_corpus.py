@@ -9,7 +9,6 @@ from structure import same_structure
 from gridflow.dsl import emit_dsl, parse
 from gridflow.model import StructuralError, verify
 from gridflow.resources import parse_descriptor_xml, render_descriptor_xml
-from gridflow.simgrid import build_case_study
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -81,10 +80,6 @@ class TestRoundTrips:
             again = parse(emitted)
             assert same_structure(graph, again), name
             assert emit_dsl(again) == emitted, name
-
-    def test_case_study_file_matches_the_builder(self):
-        text = (CORPUS / "sound" / "case_study.flow").read_text(encoding="utf-8")
-        assert same_structure(parse(text), build_case_study())
 
     @pytest.mark.parametrize("path", RESOURCES, ids=names(RESOURCES))
     def test_resource_examples_round_trip(self, path):

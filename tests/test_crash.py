@@ -23,7 +23,7 @@ import pytest
 
 from gridflow.cli import run_cli
 from gridflow.dsl import emit_dsl
-from gridflow.simgrid import build_case_study
+from structure import case_study
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
@@ -80,7 +80,7 @@ def outcome(store, run_id):
 @pytest.fixture(scope="module")
 def flow(tmp_path_factory):
     path = tmp_path_factory.mktemp("flow") / "case.flow"
-    path.write_text(emit_dsl(build_case_study(cells=6, walkers=3, steps=12)), encoding="utf-8")
+    path.write_text(emit_dsl(case_study(cells=6, n_helium=3, steps=12)), encoding="utf-8")
     return path
 
 

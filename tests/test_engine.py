@@ -41,8 +41,9 @@ from gridflow.resources import (
     ResourceDescriptor,
     ResourceRegistry,
 )
-from gridflow.simgrid import build_case_study, standard_registry
+from gridflow.simgrid import standard_registry
 from gridflow.storage import ContentStore, StorageError, UnknownRun
+from structure import case_study
 
 ADA = UserProfile("ada")
 MEGACORP = UserProfile("bob", "commercial")
@@ -135,7 +136,7 @@ def _submit_worker(root, start, count, out):
 class TestPlanning:
     def test_binds_case_study_to_expected_pool(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(build_case_study(), ADA)
+        plan = engine.plan(case_study(), ADA)
         assert plan.binding_map() == {
             "lattice": "latgen@struct-01",
             "cbmc": "mcsim@mc-farm-01",
@@ -200,7 +201,7 @@ class TestPlanning:
     def test_commercial_user_refused_academic_program(self, tmp_path):
         engine = make_engine(tmp_path)
         with pytest.raises(LicenseViolation) as err:
-            engine.plan(build_case_study(), MEGACORP)
+            engine.plan(case_study(), MEGACORP)
         message = str(err.value)
         assert "cbmc" in message and "mcsim" in message
 
@@ -244,7 +245,7 @@ class TestPlanning:
 
     def test_run_params_are_frozen_sorted(self, tmp_path):
         plan = make_engine(tmp_path).plan(
-            build_case_study(), ADA, params={"theta": "0.3", "steps": "8"}
+            case_study(), ADA, params={"theta": "0.3", "steps": "8"}
         )
         assert plan.params == (("steps", "8"), ("theta", "0.3"))
 
@@ -252,7 +253,7 @@ class TestPlanning:
 class TestExecution:
     def test_case_study_completes(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(build_case_study(), ADA, seed=42)
+        plan = engine.plan(case_study(), ADA, seed=42)
         report = engine.report(engine.execute(plan))
         assert report["status"] == "completed"
         assert dict(report["counters"]) == {
@@ -295,7 +296,7 @@ class TestExecution:
 
     def test_trace_covers_lifecycle(self, tmp_path):
         engine = make_engine(tmp_path)
-        events = trace(engine.report(engine.execute(engine.plan(build_case_study(), ADA))))
+        events = trace(engine.report(engine.execute(engine.plan(case_study(), ADA))))
         kinds = {ev[0] for ev in events}
         assert {"staged", "launch", "submitted", "completed"} <= kinds
         launches = [ev for ev in events if ev[0] == "launch"]
@@ -303,7 +304,7 @@ class TestExecution:
 
     def test_report_carries_final_scalars(self, tmp_path):
         engine = make_engine(tmp_path)
-        g = build_case_study(cells=20, walkers=100, steps=40)
+        g = case_study(cells=20, n_helium=100, steps=40)
         report = engine.report(engine.execute(engine.plan(g, ADA, seed=3)))
         scalars = report["results"]["analysis"]["scalars"]
         assert "diffusivity" in scalars and "diffusivity_se" in scalars
@@ -311,7 +312,7 @@ class TestExecution:
 
     def test_overrides_only_touch_declared_params(self, tmp_path):
         engine = make_engine(tmp_path)
-        g = build_case_study(cells=12, walkers=10, steps=20)
+        g = case_study(cells=12, n_helium=10, steps=20)
         plan = engine.plan(g, ADA, params={"cells": "6", "bogus": "9"}, seed=1)
         report = engine.report(engine.execute(plan))
         assert report["results"]["lattice"]["scalars"]["n_sites"] == 6.0
@@ -440,7 +441,7 @@ class TestExecution:
 class TestResume:
     def build(self, tmp_path):
         engine = make_engine(tmp_path)
-        g = build_case_study(cells=20, walkers=50, steps=40)
+        g = case_study(cells=20, n_helium=50, steps=40)
         return engine, engine.plan(g, ADA, seed=7)
 
     def test_resume_reruns_only_the_frontier(self, tmp_path):
@@ -615,7 +616,7 @@ class TestSummary:
         # journals written before the report derived them carry counters and
         # touched in every summary, both counted from its entries and trace
         engine = make_engine(tmp_path)
-        plan = engine.plan(build_case_study(cells=20, walkers=50, steps=40), ADA, seed=7)
+        plan = engine.plan(case_study(cells=20, n_helium=50, steps=40), ADA, seed=7)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-old", fault_plan=[("md", 1)])
         engine.resume("run-old")
@@ -659,7 +660,7 @@ class TestHeldDatasets:
     """A handle returns the datasets it put instead of parsing their blobs,
     so each held object must be what parsing its blob would give."""
 
-    @pytest.mark.parametrize("graph", [build_case_study, lambda: parse(WIDE_FORK)],
+    @pytest.mark.parametrize("graph", [case_study, lambda: parse(WIDE_FORK)],
                              ids=["case-study", "fork13"])
     def test_held_datasets_equal_their_parsed_blobs(self, tmp_path, monkeypatch, graph):
         held = []
@@ -683,7 +684,7 @@ class TestHeldDatasets:
 class TestDeterminism:
     def test_equal_seeds_equal_hash_sequences(self, tmp_path):
         engine = make_engine(tmp_path)
-        g = build_case_study(cells=16, walkers=30, steps=30)
+        g = case_study(cells=16, n_helium=30, steps=30)
         plan = engine.plan(g, ADA, seed=11)
         first = engine.execute(plan)
         second = engine.execute(plan)
@@ -692,7 +693,7 @@ class TestDeterminism:
 
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         engine = make_engine(tmp_path)
-        g = build_case_study(cells=16, walkers=30, steps=30)
+        g = case_study(cells=16, n_helium=30, steps=30)
         plan = engine.plan(g, ADA, seed=11)
         a = engine.execute(plan)
         b = engine.execute(plan)
@@ -703,14 +704,14 @@ class TestDeterminism:
 
     def test_seed_changes_results(self, tmp_path):
         engine = make_engine(tmp_path)
-        g = build_case_study(cells=16, walkers=30, steps=30)
+        g = case_study(cells=16, n_helium=30, steps=30)
         a = engine.execute(engine.plan(g, ADA, seed=1))
         b = engine.execute(engine.plan(g, ADA, seed=2))
         assert checkpoint_hashes(engine, a) != checkpoint_hashes(engine, b)
 
     def test_provenance_equal_across_equal_seed_runs(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(build_case_study(cells=12, walkers=10, steps=20), ADA, seed=4)
+        plan = engine.plan(case_study(cells=12, n_helium=10, steps=20), ADA, seed=4)
         a = engine.execute(plan)
         b = engine.execute(plan)
         assert engine.report(a)["provenance"] == engine.report(b)["provenance"]
@@ -719,7 +720,7 @@ class TestDeterminism:
 class TestProvenance:
     def test_case_study_ledger(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(build_case_study(), ADA))
+        run_id = engine.execute(engine.plan(case_study(), ADA))
         ledger = engine.report(run_id)["provenance"]["ledger"]
         assert ledger == [
             ["GULPGC grand-canonical lattice sampler, v1.4", "gulpgc"],
@@ -761,7 +762,7 @@ class TestProvenance:
 
     def test_untouched_activities_claim_no_resources(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(build_case_study(cells=12, walkers=10, steps=20), ADA)
+        plan = engine.plan(case_study(cells=12, n_helium=10, steps=20), ADA)
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-x", fault_plan=[("cbmc", 1)])
         prov = engine.report("run-x")["provenance"]
@@ -771,7 +772,7 @@ class TestProvenance:
 
     def test_analysis_constants_recorded(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(build_case_study(), ADA))
+        run_id = engine.execute(engine.plan(case_study(), ADA))
         params = dict(engine.report(run_id)["provenance"]["parameters"])
         assert params["analysis.fit_window"] == "second-half"
         assert params["analysis.einstein_dimensionality"] == "1"

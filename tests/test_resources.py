@@ -50,6 +50,11 @@ class TestDescriptors:
         with pytest.raises(InvalidDescriptor):
             descriptor(caps=())
 
+    @pytest.mark.parametrize("rid", ["", "../x", "sub/x", "a\\b", ".hidden", "-x", "a b"])
+    def test_id_is_one_plain_file_name(self, rid):
+        with pytest.raises(InvalidDescriptor, match="resource id"):
+            descriptor(rid=rid)
+
     def test_template_rejects_undeclared_slot(self):
         with pytest.raises(InvalidDescriptor):
             LaunchTemplate("run ${mystery}", (), "out")

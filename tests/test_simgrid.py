@@ -31,7 +31,6 @@ from gridflow.simgrid import (
     PROGRAMS,
     SimulatedExecutor,
     Trajectory,
-    build_case_study,
     cbmc_native,
     diffusivity,
     diffusivity_with_se,
@@ -40,10 +39,6 @@ from gridflow.simgrid import (
     lattice_native,
     analysis_native,
     md_native,
-    mock_cbmc,
-    mock_gcmc,
-    mock_lattice,
-    mock_md,
     msd,
     noop_native,
     parse_flip_native,
@@ -56,13 +51,21 @@ from gridflow.simgrid import (
     standard_registry,
 )
 from gridflow.storage import ContentStore
-from structure import same_structure
+from structure import case_study, same_structure
 
 ONE = get_unit("dimensionless")
 
 
+def mock(program, *args):
+    """mock(program, [upstream dataset,] params): one run of PROGRAMS[program],
+    its native text then its adapter."""
+    *upstream, params = args
+    sim = PROGRAMS[program]
+    return sim.parse(sim.run(params, dict(enumerate(upstream))))
+
+
 def lattice(cells=10, cell_length=1.0):
-    return mock_lattice({"cells": str(cells), "cell_length": repr(cell_length)})
+    return mock("latgen", {"cells": str(cells), "cell_length": repr(cell_length)})
 
 
 def config(occupied, n_sites, walkers, theta=None):
@@ -97,35 +100,35 @@ class TestLattice:
 
     def test_rejects_tiny_lattice(self):
         with pytest.raises(BadParams):
-            mock_lattice({"cells": "1"})
+            mock("latgen", {"cells": "1"})
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(BadParams):
-            mock_lattice({"cells": "4", "cell_length": "0"})
+            mock("latgen", {"cells": "4", "cell_length": "0"})
 
     def test_requires_cells(self):
         with pytest.raises(BadParams):
-            mock_lattice({})
+            mock("latgen", {})
 
     def test_rejects_non_numeric(self):
         with pytest.raises(BadParams):
-            mock_lattice({"cells": "many"})
+            mock("latgen", {"cells": "many"})
 
 
 class TestCbmc:
     def test_occupies_exact_fraction(self):
-        ds = mock_cbmc(lattice(10), {"theta": "0.5", "seed": "3"})
+        ds = mock("mcsim", lattice(10), {"theta": "0.5", "seed": "3"})
         assert ds.get("n_occupied").magnitude == 5.0
         flags = [f for _, f in ds.get("occupancy").values]
         assert sum(flags) == 5.0 and set(flags) <= {0.0, 1.0}
 
     def test_floor_rule(self):
-        ds = mock_cbmc(lattice(7), {"theta": "0.5", "seed": "0"})
+        ds = mock("mcsim", lattice(7), {"theta": "0.5", "seed": "0"})
         assert ds.get("n_occupied").magnitude == 3.0
 
     def test_empty_and_full(self):
-        assert mock_cbmc(lattice(6), {"theta": "0"}).get("n_occupied").magnitude == 0.0
-        assert mock_cbmc(lattice(6), {"theta": "1"}).get("n_occupied").magnitude == 6.0
+        assert mock("mcsim", lattice(6), {"theta": "0"}).get("n_occupied").magnitude == 0.0
+        assert mock("mcsim", lattice(6), {"theta": "1"}).get("n_occupied").magnitude == 6.0
 
     def test_seed_determinism(self):
         a = cbmc_native(lattice(20), {"theta": "0.4", "seed": "9"})
@@ -136,42 +139,42 @@ class TestCbmc:
 
     def test_theta_out_of_range(self):
         with pytest.raises(BadParams):
-            mock_cbmc(lattice(), {"theta": "1.01"})
+            mock("mcsim", lattice(), {"theta": "1.01"})
         with pytest.raises(BadParams):
-            mock_cbmc(lattice(), {"theta": "-0.1"})
+            mock("mcsim", lattice(), {"theta": "-0.1"})
 
     @given(st.integers(2, 30), st.floats(0.0, 1.0, allow_nan=False), st.integers(0, 99))
     @settings(max_examples=60, deadline=None)
     def test_count_matches_floor(self, cells, theta, seed):
-        ds = mock_cbmc(lattice(cells), {"theta": repr(theta), "seed": str(seed)})
+        ds = mock("mcsim", lattice(cells), {"theta": repr(theta), "seed": str(seed)})
         assert ds.get("n_occupied").magnitude == float(int(theta * cells))
 
 
 class TestGcmc:
     def test_walkers_on_free_sites_only(self):
-        occ = mock_cbmc(lattice(12), {"theta": "0.5", "seed": "2"})
+        occ = mock("mcsim", lattice(12), {"theta": "0.5", "seed": "2"})
         blocked = {int(s) for s, f in occ.get("occupancy").values if f}
         for seed in range(100):
-            gc = mock_gcmc(occ, {"n_helium": "8", "seed": str(seed)})
+            gc = mock("gulpgc", occ, {"n_helium": "8", "seed": str(seed)})
             drops = {int(p) for _, p in gc.get("helium_positions").values}
             assert drops.isdisjoint(blocked)
 
     def test_walker_count(self):
-        gc = mock_gcmc(mock_cbmc(lattice(), {"theta": "0"}), {"n_helium": "17"})
+        gc = mock("gulpgc", mock("mcsim", lattice(), {"theta": "0"}), {"n_helium": "17"})
         assert gc.get("n_walkers").magnitude == 17.0
         assert len(gc.get("helium_positions").values) == 17
 
     def test_full_lattice_has_no_room(self):
-        occ = mock_cbmc(lattice(6), {"theta": "1"})
+        occ = mock("mcsim", lattice(6), {"theta": "1"})
         with pytest.raises(NoFreeSites):
-            mock_gcmc(occ, {"n_helium": "1"})
+            mock("gulpgc", occ, {"n_helium": "1"})
 
     def test_needs_at_least_one_walker(self):
         with pytest.raises(BadParams):
-            mock_gcmc(mock_cbmc(lattice(), {"theta": "0"}), {"n_helium": "0"})
+            mock("gulpgc", mock("mcsim", lattice(), {"theta": "0"}), {"n_helium": "0"})
 
     def test_native_round_trip(self):
-        occ = mock_cbmc(lattice(9), {"theta": "0.3", "seed": "1"})
+        occ = mock("mcsim", lattice(9), {"theta": "0.3", "seed": "1"})
         text = gcmc_native(occ, {"n_helium": "5", "seed": "4"})
         ds = parse_gcmc_native(text)
         assert ds.get("n_walkers").magnitude == 5.0
@@ -180,68 +183,68 @@ class TestGcmc:
 
 class TestMd:
     def test_free_walk_moves_every_step(self):
-        ds = mock_md(config(set(), 10, [5, 5, 5]), {"steps": "30", "seed": "1"})
+        ds = mock("mdrun", config(set(), 10, [5, 5, 5]), {"steps": "30", "seed": "1"})
         traj = Trajectory.from_dataset(ds)
         for track in traj.positions:
             assert all(abs(b - a) == 1 for a, b in zip(track, track[1:]))
 
     def test_trapped_walker_never_moves(self):
         # both neighbors blocked (folded), so every move is rejected
-        ds = mock_md(config({1, 3}, 4, [2]), {"steps": "25", "seed": "7"})
+        ds = mock("mdrun", config({1, 3}, 4, [2]), {"steps": "25", "seed": "7"})
         (track,) = Trajectory.from_dataset(ds).positions
         assert set(track) == {2}
 
     def test_positions_unwrapped(self):
         # a free ring walk may drift past the cell boundary without folding
-        ds = mock_md(config(set(), 3, [0] * 50), {"steps": "40", "seed": "3"})
+        ds = mock("mdrun", config(set(), 3, [0] * 50), {"steps": "40", "seed": "3"})
         spread = {p for track in Trajectory.from_dataset(ds).positions for p in track}
         assert min(spread) < 0 or max(spread) > 2
 
     def test_blocking_respects_fold(self):
         # site L-1 blocked: a walker at 0 can never step to -1 (folds to L-1)
-        ds = mock_md(config({9}, 10, [0] * 20), {"steps": "15", "seed": "5"})
+        ds = mock("mdrun", config({9}, 10, [0] * 20), {"steps": "15", "seed": "5"})
         for track in Trajectory.from_dataset(ds).positions:
             assert -1 not in track
 
     def test_carries_theta_and_timestep(self):
-        ds = mock_md(config({1}, 5, [0], theta=0.2), {"steps": "3", "seed": "0"})
+        ds = mock("mdrun", config({1}, 5, [0], theta=0.2), {"steps": "3", "seed": "0"})
         assert ds.get("theta").magnitude == 0.2
         assert ds.get("timestep").unit.name == "ps"
 
     def test_native_round_trip_with_negatives(self):
-        ds = mock_md(config(set(), 4, [0, 1]), {"steps": "60", "seed": "11"})
+        ds = mock("mdrun", config(set(), 4, [0, 1]), {"steps": "60", "seed": "11"})
         text = md_native(config(set(), 4, [0, 1]), {"steps": "60", "seed": "11"})
         again = parse_md_native(text)
         assert ds.get("trajectory").values == again.get("trajectory").values
 
     def test_rejects_bad_steps(self):
         with pytest.raises(BadParams):
-            mock_md(config(set(), 4, [0]), {"steps": "0"})
+            mock("mdrun", config(set(), 4, [0]), {"steps": "0"})
 
     def test_rejects_empty_walkers(self):
         with pytest.raises(BadParams):
-            mock_md(config(set(), 4, []), {"steps": "5"})
+            mock("mdrun", config(set(), 4, []), {"steps": "5"})
 
     def test_rejects_zero_sites(self):
         # a walk on no sites has nothing to fold onto; it must fail the job,
         # not crash the run with an IndexError
         with pytest.raises(BadParams, match="no sites"):
-            mock_md(config(set(), 0, [0]), {"steps": "5", "seed": "1"})
+            mock("mdrun", config(set(), 0, [0]), {"steps": "5", "seed": "1"})
 
     @given(st.integers(0, 50), st.floats(0.0, 0.8, allow_nan=False))
     @settings(max_examples=40, deadline=None)
     def test_single_step_moves_bounded(self, seed, theta):
-        occ = mock_cbmc(lattice(20), {"theta": repr(theta), "seed": str(seed)})
-        gc = mock_gcmc(occ, {"n_helium": "6", "seed": str(seed)})
-        ds = mock_md(merge([occ, gc]), {"steps": "12", "seed": str(seed)})
+        occ = mock("mcsim", lattice(20), {"theta": repr(theta), "seed": str(seed)})
+        gc = mock("gulpgc", occ, {"n_helium": "6", "seed": str(seed)})
+        ds = mock("mdrun", merge([occ, gc]), {"steps": "12", "seed": str(seed)})
         for track in Trajectory.from_dataset(ds).positions:
             assert all(abs(b - a) <= 1 for a, b in zip(track, track[1:]))
 
 
 def study_inputs(cells, theta, walkers, seed):
     """Occupancy and walker drop sites from the mocks upstream, one seed throughout."""
-    occ = mock_cbmc(lattice(cells), {"theta": repr(theta), "seed": str(seed)})
-    return occ, mock_gcmc(occ, {"n_helium": str(walkers), "seed": str(seed)})
+    occ = mock("mcsim", lattice(cells), {"theta": repr(theta), "seed": str(seed)})
+    return occ, mock("gulpgc", occ, {"n_helium": str(walkers), "seed": str(seed)})
 
 
 def study_native(cells, theta, walkers, steps, seed):
@@ -308,7 +311,7 @@ class TestBlockDraw:
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_reference(self, cells, theta, walkers, steps, seed):
         occ, gc = study_inputs(cells, theta, walkers, seed)
-        ds = mock_md(merge([gc, occ]), {"steps": str(steps), "seed": str(seed)})
+        ds = mock("mdrun", merge([gc, occ]), {"steps": str(steps), "seed": str(seed)})
         occupied = {int(s) for s, flag in occ.get("occupancy").values if flag}
         starts = [int(p) for _, p in gc.get("helium_positions").values]
         expected = reference_walk(starts, occupied, cells, steps, seed)
@@ -417,9 +420,9 @@ class TestAnalysis:
 
     def test_free_walk_diffusivity_near_half(self):
         lat = lattice(50)
-        occ = mock_cbmc(lat, {"theta": "0", "seed": "0"})
-        gc = mock_gcmc(occ, {"n_helium": "1000", "seed": "5"})
-        tr = mock_md(merge([occ, gc]), {"steps": "200", "seed": "11"})
+        occ = mock("mcsim", lat, {"theta": "0", "seed": "0"})
+        gc = mock("gulpgc", occ, {"n_helium": "1000", "seed": "5"})
+        tr = mock("mdrun", merge([occ, gc]), {"steps": "200", "seed": "11"})
         fit = diffusivity(msd(Trajectory.from_dataset(tr)))
         assert 0.45 <= fit.get("diffusivity").magnitude <= 0.55
         assert fit.get("fit_warning").magnitude == 0.0
@@ -452,11 +455,11 @@ class TestAnalysis:
 
     def test_se_shrinks_with_more_walkers(self):
         lat = lattice(30)
-        occ = mock_cbmc(lat, {"theta": "0", "seed": "0"})
+        occ = mock("mcsim", lat, {"theta": "0", "seed": "0"})
 
         def se_at(n):
-            gc = mock_gcmc(occ, {"n_helium": str(n), "seed": "2"})
-            tr = mock_md(merge([occ, gc]), {"steps": "40", "seed": "3"})
+            gc = mock("gulpgc", occ, {"n_helium": str(n), "seed": "2"})
+            tr = mock("mdrun", merge([occ, gc]), {"steps": "40", "seed": "3"})
             return diffusivity_with_se(Trajectory.from_dataset(tr))[1]
 
         assert se_at(2000) < se_at(100)
@@ -465,9 +468,9 @@ class TestAnalysis:
         # converting the positions once and slicing per group gives each
         # group the same float values as converting that group on its own
         lat = lattice(30)
-        occ = mock_cbmc(lat, {"theta": "0.3", "seed": "4"})
-        gc = mock_gcmc(occ, {"n_helium": "37", "seed": "4"})
-        traj = Trajectory.from_dataset(mock_md(merge([occ, gc]), {"steps": "60", "seed": "4"}))
+        occ = mock("mcsim", lat, {"theta": "0.3", "seed": "4"})
+        gc = mock("gulpgc", occ, {"n_helium": "37", "seed": "4"})
+        traj = Trajectory.from_dataset(mock("mdrun", merge([occ, gc]), {"steps": "60", "seed": "4"}))
         for g in range(10):
             sliced = traj.positions[g::10] * 2.5
             rebuilt = np.asarray(traj.positions.tolist()[g::10], dtype=float) * 2.5
@@ -475,9 +478,9 @@ class TestAnalysis:
 
     def test_full_stage_native_round_trip(self):
         lat = lattice(20)
-        occ = mock_cbmc(lat, {"theta": "0.2", "seed": "1"})
-        gc = mock_gcmc(occ, {"n_helium": "40", "seed": "2"})
-        tr = mock_md(merge([occ, gc]), {"steps": "30", "seed": "3"})
+        occ = mock("mcsim", lat, {"theta": "0.2", "seed": "1"})
+        gc = mock("gulpgc", occ, {"n_helium": "40", "seed": "2"})
+        tr = mock("mdrun", merge([occ, gc]), {"steps": "30", "seed": "3"})
         out = parse_analysis_native(analysis_native(merge([tr, lat]), {"groups": "5"}))
         for name in ("diffusivity", "diffusivity_se", "fit_residual", "fit_warning", "msd"):
             assert out.has(name)
@@ -503,9 +506,9 @@ class TestProbePrograms:
 
     def test_every_program_parses_its_own_output(self):
         lat = lattice(8)
-        occ = mock_cbmc(lat, {"theta": "0.25", "seed": "0"})
-        gc = mock_gcmc(occ, {"n_helium": "3", "seed": "0"})
-        tr = mock_md(merge([occ, gc]), {"steps": "16", "seed": "0"})
+        occ = mock("mcsim", lat, {"theta": "0.25", "seed": "0"})
+        gc = mock("gulpgc", occ, {"n_helium": "3", "seed": "0"})
+        tr = mock("mdrun", merge([occ, gc]), {"steps": "16", "seed": "0"})
         feeds = {
             "latgen": ({"cells": "8"}, {}),
             "mcsim": ({"theta": "0.25", "seed": "0"}, {"lattice": lat}),
@@ -642,12 +645,12 @@ class TestStandardPool:
             assert parse_descriptor_xml(render_descriptor_xml(d)) == d
 
     def test_case_study_is_sound(self):
-        report = verify(build_case_study())
+        report = verify(case_study())
         assert report.sound
         assert report.findings == ()
 
     def test_case_study_binds_to_pool(self):
-        g = build_case_study()
+        g = case_study()
         registry = standard_registry()
         expected = {
             "lattice": "latgen@struct-01",
@@ -663,7 +666,7 @@ class TestStandardPool:
     def test_case_study_round_trips_through_text(self):
         from gridflow.dsl import emit_dsl, parse
 
-        g = build_case_study()
+        g = case_study()
         again = parse(emit_dsl(g))
         assert same_structure(g, again)
 

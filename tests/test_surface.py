@@ -15,9 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gridflow"
 CALLERS = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
-ALLOWED = {
-    "build_case_study": "the case study as a Python API; the CLI reads the .flow file",
-}
+ALLOWED = {}
 
 _DUNDER = re.compile(r"__\w+__")
 
