@@ -67,12 +67,10 @@ def _load_config(path: str | None) -> dict:
     """Read the [gridflow] section of an ini-style key=value file."""
     if path is None:
         return {}
-    file = Path(path)
-    if not file.is_file():
-        raise UserError(f"config file not found: {path}")
+    text = _read_text(path, "config file")
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(file.read_text(encoding="utf-8"), source=path)
+        cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise UserError(f"bad config file {path}: {exc}") from None
     if not cp.has_section(CONFIG_SECTION):
@@ -104,11 +102,14 @@ def _open_engine(args, cfg) -> Engine:
     return Engine(registry, store)
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, what: str = "file") -> str:
     file = Path(path)
     if not file.is_file():
-        raise UserError(f"file not found: {path}")
-    return file.read_text(encoding="utf-8")
+        raise UserError(f"{what} not found: {path}")
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UserError(f"{path}: {exc}") from None
 
 
 def _user_profile(args, cfg) -> UserProfile:

@@ -30,6 +30,12 @@ The grammar is statement-oriented, `;`-separated, with `//` comments:
 Each `start ->` statement introduces its own start node, so a file with two
 of them builds a graph the structural checks will reject; that is deliberate.
 
+`parse` builds the graph in one pass: a fork, join or decision appends its
+node and edges as it is read, and plain `a -> b;` edges follow them. Activity
+nodes are built once the whole text has parsed, so a syntax error anywhere is
+reported before a binding error. The start nodes then go first, and the final
+`end` is added when an edge names it and nothing declares it.
+
 The lexer makes one regex match per token, the whitespace and comments before
 it included, and keeps only its offset: line and column are worked out for
 errors. Job dependencies are the transitive reduction of activity precedence.
@@ -220,17 +226,6 @@ class _Parser:
         return float(self.expect_kind("number", "a number").value)
 
 
-class _ActivityDecl:
-    def __init__(self):
-        self.program = None
-        self.actuator = None
-        self.capabilities = []
-        self.params = []
-        self.inputs = []  # (producer, observable, unit name)
-        self.outputs = None
-        self.cite = []
-
-
 def parse(text: str) -> WorkflowGraph:
     """Parse workflow text and run every structural check on the result."""
     p = _Parser(text)
@@ -238,14 +233,13 @@ def parse(text: str) -> WorkflowGraph:
     name = p.string()
     p.expect("{")
 
-    start_edges: list[str] = []
+    start_targets: list[str] = []
+    # in declaration order; an activity is its (id, properties) until the text has parsed
+    nodes: list = []
+    edges: list[tuple[str, str]] = []
     plain_edges: list[tuple[str, str]] = []
-    activities: dict[str, _ActivityDecl] = {}
-    forks: dict[str, tuple[str, list[str]]] = {}
-    joins: dict[str, tuple[list[str], str]] = {}
-    decisions: dict[str, tuple[str, list[tuple[Guard, str]], str]] = {}
     source_refs: list[str] = []
-    declared_order: list[str] = []
+    declared: set[str] = set()
 
     while not p.at("}"):
         tok = p.peek()
@@ -253,47 +247,36 @@ def parse(text: str) -> WorkflowGraph:
             p.fail("'}'")
         if p.accept("start"):
             p.expect("->")
-            start_edges.append(p.ident())
+            start_targets.append(p.ident())
             p.expect(";")
         elif p.accept("cite"):
             source_refs.append(p.string())
             p.expect(";")
         elif p.accept("activity"):
-            aid = p.ident()
-            _check_fresh(p, aid, activities, forks, joins, decisions)
-            activities[aid] = _parse_activity_body(p)
-            declared_order.append(aid)
+            aid = _declare(p, declared)
+            nodes.append((aid, _parse_activity_body(p)))
         elif p.accept("fork"):
-            fid = p.ident()
-            _check_fresh(p, fid, activities, forks, joins, decisions)
+            fid = _declare(p, declared)
             p.expect("after")
             source = p.ident()
             p.expect("into")
-            p.expect("(")
-            targets = [p.ident()]
-            while p.accept(","):
-                targets.append(p.ident())
-            p.expect(")")
+            targets = _id_tuple(p)
             p.expect(";")
-            forks[fid] = (source, targets)
-            declared_order.append(fid)
+            nodes.append(Node(fid, FORK))
+            edges.append((source, fid))
+            edges.extend((fid, t) for t in targets)
         elif p.accept("join"):
-            jid = p.ident()
-            _check_fresh(p, jid, activities, forks, joins, decisions)
+            jid = _declare(p, declared)
             p.expect("waits")
-            p.expect("(")
-            waits = [p.ident()]
-            while p.accept(","):
-                waits.append(p.ident())
-            p.expect(")")
+            waits = _id_tuple(p)
             p.expect("->")
             target = _edge_target(p)
             p.expect(";")
-            joins[jid] = (waits, target)
-            declared_order.append(jid)
+            nodes.append(Node(jid, JOIN))
+            edges.extend((w, jid) for w in waits)
+            edges.append((jid, target))
         elif p.accept("decision"):
-            did = p.ident()
-            _check_fresh(p, did, activities, forks, joins, decisions)
+            did = _declare(p, declared)
             p.expect("after")
             source = p.ident()
             p.expect("{")
@@ -310,8 +293,10 @@ def parse(text: str) -> WorkflowGraph:
             else_target = _edge_target(p)
             p.expect(";")
             p.expect("}")
-            decisions[did] = (source, cases, else_target)
-            declared_order.append(did)
+            nodes.append(Node(did, DECISION, cases=tuple(cases), else_target=else_target))
+            edges.append((source, did))
+            edges.extend((did, t) for _, t in cases)
+            edges.append((did, else_target))
         elif tok.kind == "id":
             src = p.ident()
             p.expect("->")
@@ -322,27 +307,41 @@ def parse(text: str) -> WorkflowGraph:
     p.expect("}")
     p.expect_kind("eof", "end of input")
 
-    return _assemble(
-        name,
-        start_edges,
-        plain_edges,
-        activities,
-        forks,
-        joins,
-        decisions,
-        source_refs,
-        declared_order,
-    )
+    # activity nodes are built only now, so a syntax error anywhere wins over a binding error
+    bodies = dict(n for n in nodes if isinstance(n, tuple))
+    nodes = [_activity_node(*n) if isinstance(n, tuple) else n for n in nodes]
+    starts = ["start" if i == 0 else f"start{i + 1}" for i in range(len(start_targets))]
+    nodes[:0] = [Node(sid, START) for sid in starts]
+    edges[:0] = zip(starts, start_targets)
+    edges += plain_edges
+    if "end" not in declared and any("end" in pair for pair in edges):
+        nodes.append(Node("end", FINAL))
+    flows = _object_flows(bodies)
+    return build_graph(name, nodes, list(dict.fromkeys(edges)), flows, source_refs)
 
 
 def _edge_target(p: _Parser) -> str:
     return "end" if p.accept("end") else p.ident()
 
 
-def _check_fresh(p: _Parser, node_id, *tables):
-    if any(node_id in t for t in tables):
+def _declare(p: _Parser, declared: set[str]) -> str:
+    """The id a node declaration names, refused when an earlier one took it."""
+    node_id = p.ident()
+    if node_id in declared:
         tok = p.tokens[p.pos - 1]
         raise SemanticError(f"line {p.where(tok)[0]}: node {node_id!r} declared twice")
+    declared.add(node_id)
+    return node_id
+
+
+def _id_tuple(p: _Parser) -> list[str]:
+    """`(id, id, ...)`: at least one id, a comma between each two, none after the last."""
+    p.expect("(")
+    ids = [p.ident()]
+    while p.accept(","):
+        ids.append(p.ident())
+    p.expect(")")
+    return ids
 
 
 def _parse_guard(p: _Parser) -> Guard:
@@ -362,8 +361,10 @@ def _parse_guard(p: _Parser) -> Guard:
     return Guard(observable, op_tok.value, value, unit)
 
 
-def _parse_activity_body(p: _Parser) -> _ActivityDecl:
-    decl = _ActivityDecl()
+def _parse_activity_body(p: _Parser) -> dict:
+    """The properties of an activity: a repeated `params` or `inputs` adds to
+    the earlier list, any other repeated property replaces the earlier value."""
+    props = {"params": [], "inputs": []}  # inputs: (producer, observable, unit name)
     p.expect("{")
     while not p.at("}"):
         key_tok = p.peek()
@@ -371,29 +372,25 @@ def _parse_activity_body(p: _Parser) -> _ActivityDecl:
             p.fail("an activity property")
         key = p.ident()
         p.expect(":")
-        if key == "program":
-            decl.program = p.string()
-        elif key == "actuator":
-            decl.actuator = p.string()
-        elif key == "capabilities":
-            decl.capabilities = _parse_list(p, p.ident)
+        if key in ("program", "actuator"):
+            props[key] = p.string()
+        elif key in ("capabilities", "outputs"):
+            props[key] = _parse_list(p, p.ident)
         elif key == "params":  # name = "value"
-            decl.params += _parse_list(p, lambda: (p.ident(), p.expect("=") and p.string()))
+            props[key] += _parse_list(p, lambda: (p.ident(), p.expect("=") and p.string()))
         elif key == "inputs":  # producer.observable "unit"
-            decl.inputs += _parse_list(
+            props[key] += _parse_list(
                 p, lambda: (p.ident(), p.expect(".") and p.ident(), p.string())
             )
-        elif key == "outputs":
-            decl.outputs = _parse_list(p, p.ident)
         elif key == "cite":
-            decl.cite = _parse_list(p, p.string)
+            props[key] = _parse_list(p, p.string)
         else:
             raise DslSyntaxError(
                 *p.where(key_tok), "one of program/actuator/capabilities/params/inputs/outputs/cite", key
             )
         p.expect(";")
     p.expect("}")
-    return decl
+    return props
 
 
 def _parse_list(p: _Parser, item) -> list:
@@ -407,94 +404,39 @@ def _parse_list(p: _Parser, item) -> list:
     return items
 
 
-def _assemble(
-    name,
-    start_edges,
-    plain_edges,
-    activities,
-    forks,
-    joins,
-    decisions,
-    source_refs,
-    declared_order,
-) -> WorkflowGraph:
-    nodes: list[Node] = []
-    edges: list[tuple[str, str]] = []
-    flows: list[tuple[str, str, ExtractionSpec]] = []
+def _activity_node(aid: str, props: dict) -> Node:
+    program, actuator = props.get("program"), props.get("actuator")
+    if actuator and not program:
+        raise SemanticError(f"activity {aid}: actuator given without a program")
+    variant = PINNED_BOTH if actuator else PINNED_PROGRAM if program else FREE
+    caps = frozenset(props.get("capabilities", ()))
+    binding = Binding(variant, program or None, actuator or None, caps)
+    params, cite = tuple(sorted(props["params"])), tuple(props.get("cite", ()))
+    return Node(aid, ACTIVITY, binding=binding, params=params, cite=cite)
 
-    for i, target in enumerate(start_edges):
-        sid = "start" if i == 0 else f"start{i + 1}"
-        nodes.append(Node(sid, START))
-        edges.append((sid, target))
 
-    for nid in declared_order:
-        if nid in activities:
-            decl = activities[nid]
-            nodes.append(
-                Node(
-                    nid,
-                    ACTIVITY,
-                    binding=_binding_from_decl(nid, decl),
-                    params=tuple(sorted(decl.params)),
-                    cite=tuple(decl.cite),
-                )
-            )
-        elif nid in forks:
-            source, targets = forks[nid]
-            nodes.append(Node(nid, FORK))
-            edges.append((source, nid))
-            edges.extend((nid, t) for t in targets)
-        elif nid in joins:
-            waits, target = joins[nid]
-            nodes.append(Node(nid, JOIN))
-            edges.extend((w, nid) for w in waits)
-            edges.append((nid, target))
-        elif nid in decisions:
-            source, cases, else_target = decisions[nid]
-            nodes.append(Node(nid, DECISION, cases=tuple(cases), else_target=else_target))
-            edges.append((source, nid))
-            edges.extend((nid, t) for _, t in cases)
-            edges.append((nid, else_target))
-
-    edges.extend(plain_edges)
-    mentioned = {e for pair in edges for e in pair}
-    if "end" in mentioned and not any(n.id == "end" for n in nodes):
-        nodes.append(Node("end", FINAL))
-
-    # inputs declared on the consumer become producer->consumer object flows,
-    # grouped per producer, in declaration order
-    for consumer, decl in activities.items():
+def _object_flows(bodies: dict[str, dict]) -> list[tuple[str, str, ExtractionSpec]]:
+    """Inputs declared on the consumer as producer->consumer object flows,
+    grouped per producer, in declaration order."""
+    flows = []
+    for consumer, props in bodies.items():
         per_producer: dict[str, list[tuple[str, str]]] = {}
-        for producer, observable, unit_name in decl.inputs:
+        for producer, observable, unit_name in props["inputs"]:
             per_producer.setdefault(producer, []).append((observable, unit_name))
         for producer, wanted in per_producer.items():
-            if producer in activities and activities[producer].outputs is not None:
-                declared = set(activities[producer].outputs)
-                for observable, _unit in wanted:
-                    if observable not in declared:
-                        raise SemanticError(
-                            f"{consumer}: input {producer}.{observable} is not among "
-                            f"{producer}'s declared outputs"
-                        )
+            outputs = bodies.get(producer, {}).get("outputs")
+            for observable, _unit in wanted:
+                if outputs is not None and observable not in outputs:
+                    raise SemanticError(
+                        f"{consumer}: input {producer}.{observable} is not among "
+                        f"{producer}'s declared outputs"
+                    )
             try:
                 spec = ExtractionSpec.of(*wanted)
             except UnknownUnit as exc:
                 raise SemanticError(str(exc)) from None
             flows.append((producer, consumer, spec))
-
-    deduped = list(dict.fromkeys(edges))
-    return build_graph(name, nodes, deduped, flows, source_refs)
-
-
-def _binding_from_decl(aid: str, decl: _ActivityDecl) -> Binding:
-    caps = frozenset(decl.capabilities)
-    if decl.actuator and decl.program:
-        return Binding(PINNED_BOTH, decl.program, decl.actuator, caps)
-    if decl.actuator:
-        raise SemanticError(f"activity {aid}: actuator given without a program")
-    if decl.program:
-        return Binding(PINNED_PROGRAM, decl.program, None, caps)
-    return Binding(FREE, None, None, caps)
+    return flows
 
 
 # ---------------------------------------------------------------------------

@@ -394,11 +394,15 @@ def parse_descriptor_xml(text: str) -> ResourceDescriptor:
 
 
 def read_descriptors(directory: Path) -> list[ResourceDescriptor]:
-    """Every descriptor file (*.xml) in a directory, none if it is missing."""
-    return [
-        parse_descriptor_xml(path.read_text(encoding="utf-8"))
-        for path in sorted(directory.glob("*.xml"))
-    ]
+    """Every descriptor file (*.xml) in a directory, none if it is missing.
+    A file that is no valid descriptor is refused with its path."""
+    descriptors = []
+    for path in sorted(directory.glob("*.xml")):
+        try:
+            descriptors.append(parse_descriptor_xml(path.read_text(encoding="utf-8")))
+        except (InvalidDescriptor, UnicodeDecodeError) as exc:
+            raise InvalidDescriptor(f"{path}: {exc}") from None
+    return descriptors
 
 
 def render_descriptor_xml(d: ResourceDescriptor) -> str:

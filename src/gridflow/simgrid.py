@@ -620,8 +620,6 @@ class _SimJob:
     job_id: str
     req: JobRequest
     state: str = QUEUED
-    occurrence: int = 1
-    inject_fault: bool = False
     result: object = None
     reason: str | None = None
 
@@ -631,17 +629,17 @@ class SimulatedExecutor:
 
     Each tick starts up to max_concurrent queued jobs per resource and
     finishes them within that tick, in seeded-shuffle order. A fault plan of
-    (activity id, occurrence) pairs fails the matching submissions.
+    (activity id, firing) pairs fails the submissions of that activity whose
+    `attempt` param is that firing; the engine numbers firings across resumes.
     """
 
     def __init__(self, registry: ResourceRegistry, store, seed: int = 0, fault_plan=()):
         self.registry = registry
         self.store = store
         self.seed = seed
-        self.fault_plan = frozenset((a, int(n)) for a, n in fault_plan)
+        self.fault_plan = frozenset((a, str(int(n))) for a, n in fault_plan)
         self._jobs: dict[str, _SimJob] = {}
         self._queue: dict[str, list[str]] = {}
-        self._submissions: dict[str, int] = {}
         self._completions: list[JobHandle] = []
         self._consumed = 0
         self._clock = 0
@@ -654,14 +652,7 @@ class SimulatedExecutor:
     def submit(self, req: JobRequest) -> JobHandle:
         self.registry.get(req.resource_id)
         self._counter += 1
-        occurrence = self._submissions.get(req.activity_id, 0) + 1
-        self._submissions[req.activity_id] = occurrence
-        job = _SimJob(
-            f"job-{self._counter:04d}",
-            req,
-            occurrence=occurrence,
-            inject_fault=(req.activity_id, occurrence) in self.fault_plan,
-        )
+        job = _SimJob(f"job-{self._counter:04d}", req)
         self._jobs[job.job_id] = job
         self._queue.setdefault(req.resource_id, []).append(job.job_id)
         return JobHandle(job.job_id, req.resource_id)
@@ -701,9 +692,10 @@ class SimulatedExecutor:
 
     def _finish(self, job: _SimJob):
         rid = job.req.resource_id
-        if job.inject_fault:
+        firing = job.req.param_map().get("attempt")
+        if (job.req.activity_id, firing) in self.fault_plan:
             job.state = FAILED
-            job.reason = f"injected fault (occurrence {job.occurrence})"
+            job.reason = f"injected fault (occurrence {firing})"
         else:
             try:
                 program = self.registry.get(rid).program

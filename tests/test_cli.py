@@ -264,6 +264,18 @@ class TestSubmit:
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
 
+    def test_fault_plan_counts_firings_across_a_resume(self, run):
+        path = CORPUS / "sound" / "loop_converge.flow"
+        code, out, _ = run("submit", path, "--user", "ada", "--fail-at", "work:2")
+        assert (code, out) == (2, "run-0001\n")
+        code, _, err = run("resume", "run-0001", "--fail-at", "work:3")
+        assert code == 2
+        assert "injected fault (occurrence 3)" in err
+        code, out, _ = run("report", "run-0001", "--json")
+        report = json.loads(out)
+        assert report["failure"] == "activity 'work' failed: injected fault (occurrence 3)"
+        assert dict(report["counters"]) == {"work": 2}
+
     def test_every_failure_after_the_claim_names_its_run(self, run):
         # an iteration limit, not a failed job: the journal holds a failed run
         path = CORPUS / "sound" / "loop_converge.flow"
@@ -586,6 +598,40 @@ class TestConfigAndStore:
 
 
 class TestExitContract:
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("export", "--to", "dot"), ("submit", "--user", "ada"), ("register",),
+    ], ids=["verify", "export", "submit", "register"])
+    def test_input_that_is_not_utf8_is_a_user_error(self, run, tmp_path, argv):
+        path = tmp_path / "latin1.flow"
+        path.write_bytes('workflow "café" {}\n'.encode("latin-1"))
+        code, out, err = run(argv[0], path, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_config_that_is_not_utf8_is_a_user_error(self, run, case_file, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("[gridflow]\nuser = josé\n".encode("latin-1"))
+        code, _, err = run("submit", case_file, "--config", cfg)
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("content, problem", [
+        (b"<resource id='caf\xe9'/>", "'utf-8' codec can't decode byte 0xe9"),
+        (b"<resource id='x'>", "malformed XML"),
+    ], ids=["not-utf8", "malformed"])
+    def test_a_bad_registered_descriptor_is_named(self, run, case_file, tmp_path,
+                                                  content, problem):
+        _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        run_id = out.strip()
+        bad = tmp_path / "store" / "resources" / "bad.xml"
+        bad.parent.mkdir()
+        bad.write_bytes(content)
+        for argv in (("submit", case_file, "--user", "ada"), ("resume", run_id),
+                     ("report", run_id)):
+            code, out, err = run(*argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {bad}: {problem}")
+
     def test_no_arguments_is_usage_error(self, run):
         assert run()[0] == 1
 

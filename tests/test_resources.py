@@ -17,6 +17,8 @@ from gridflow.resources import (
     UnboundPlaceholder,
     UnknownResource,
     parse_descriptor_xml,
+    read_descriptors,
+    render_descriptor_xml,
     render_launch,
 )
 
@@ -178,6 +180,22 @@ DESCRIPTOR_XML = """\
   </template>
 </resource>
 """
+
+
+class TestReadDescriptors:
+    @pytest.mark.parametrize("content, problem", [
+        (b"<resource id='caf\xe9'/>", "'utf-8' codec can't decode byte 0xe9"),
+        (b"<resource id='x'>", "malformed XML"),
+        (b"<pool/>", "root element must be <resource>"),
+    ], ids=["not-utf8", "malformed", "not-a-resource"])
+    def test_a_bad_file_is_refused_with_its_path(self, tmp_path, content, problem):
+        (tmp_path / "a@x.xml").write_text(render_descriptor_xml(descriptor("a@x")),
+                                          encoding="utf-8")
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(content)
+        with pytest.raises(InvalidDescriptor) as info:
+            read_descriptors(tmp_path)
+        assert str(info.value).startswith(f"{bad}: {problem}")
 
 
 class TestDescriptorXml:
