@@ -314,7 +314,7 @@ def parse(text: str) -> WorkflowGraph:
     nodes[:0] = [Node(sid, START) for sid in starts]
     edges[:0] = zip(starts, start_targets)
     edges += plain_edges
-    if "end" not in declared and any("end" in pair for pair in edges):
+    if any("end" in pair for pair in edges):
         nodes.append(Node("end", FINAL))
     flows = _object_flows(bodies)
     return build_graph(name, nodes, list(dict.fromkeys(edges)), flows, source_refs)
@@ -325,13 +325,17 @@ def _edge_target(p: _Parser) -> str:
 
 
 def _declare(p: _Parser, declared: set[str]) -> str:
-    """The id a node declaration names, refused when an earlier one took it."""
+    """The id a node declaration names, refused when it is reserved or an
+    earlier one took it."""
     node_id = p.ident()
-    if node_id in declared:
-        tok = p.tokens[p.pos - 1]
-        raise SemanticError(f"line {p.where(tok)[0]}: node {node_id!r} declared twice")
-    declared.add(node_id)
-    return node_id
+    if node_id in ("start", "end"):
+        reason = f"{node_id!r} is reserved and cannot be redeclared"
+    elif node_id in declared:
+        reason = f"node {node_id!r} declared twice"
+    else:
+        declared.add(node_id)
+        return node_id
+    raise SemanticError(f"line {p.where(p.tokens[p.pos - 1])[0]}: {reason}")
 
 
 def _id_tuple(p: _Parser) -> list[str]:

@@ -120,6 +120,14 @@ def workflow_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _check_fault_plan(graph: WorkflowGraph, fault_plan):
+    """Refuse a fault aimed at an activity the workflow lacks: it would never fire."""
+    activities = {node.id for node in graph.activities()}
+    for activity, _ in fault_plan:
+        if activity not in activities:
+            raise UserError(f"fault plan names {activity!r}, not an activity of workflow {graph.name!r}")
+
+
 class Engine:
     """Single mediator between workflows, the resource pool, and the store."""
 
@@ -157,6 +165,7 @@ class Engine:
     # -- execution -----------------------------------------------------------
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> str:
+        _check_fault_plan(plan.graph, fault_plan)
         run_id = self.store.claim(_header(plan), run_id)
         # waits out a resume that holds the lock to refuse a run with no status
         with self.store.driving(run_id):
@@ -168,6 +177,7 @@ class Engine:
             if state.status == COMPLETED:
                 raise NothingToResume(f"run {run_id} already completed")
             plan = self._plan_from_header(state.header)
+            _check_fault_plan(plan.graph, fault_plan)
             return _Execution(self, plan, run_id, fault_plan, replay=state.checkpoints).drive()
 
     def _plan_from_header(self, header) -> ExecutionPlan:
@@ -222,7 +232,7 @@ class Engine:
         for activity, key in sorted(dict(state.checkpoints).items()):  # each one's latest
             ds = self.store.get_by_hash(key.hash)  # a key of the journal just read
             scalars = {o.name: o.values[0] for o in ds.observables if o.kind == "scalar"}
-            others = {o.name: f"{o.kind}[{len(o.values)}]"
+            others = {o.name: f"{o.kind}[{o.length}]"  # builds no parsed table's rows
                       for o in ds.observables if o.kind != "scalar"}
             results[activity] = {"hash": key.hash, "scalars": scalars, "other": others}
         data = {

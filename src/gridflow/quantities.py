@@ -8,7 +8,10 @@ stored results, so serialization must be deterministic and the parser must
 reject any non-canonical rendering. A dataset's id is computed once, and a
 parsed dataset takes its id from the bytes it was parsed from. Each distinct
 number of an obs line is rendered, and parsed and checked, once; the parser
-accepts the same bytes as a number-by-number check.
+accepts the same bytes as a number-by-number check. Every number is checked
+when the bytes are parsed, but a parsed table keeps its obs line and builds
+its rows from it only on first access to `values`; its `length` (row count)
+needs no rows.
 
 Units are linear scalings of SI-coherent units over the 7 SI base dimensions.
 Energy-per-mole carries an explicit amount exponent of -1 so per-particle and
@@ -196,7 +199,8 @@ class Observable:
       vector3 -- (x, y, z)
       series  -- ((index, value), ...) with strictly increasing indices
       table   -- (row, ...) where each row is a tuple of len(columns) cells
-    `columns` is used by tables only.
+    `columns` is used by tables only. A table parsed from canonical text has
+    its line checked in full but builds `values` from it on first access.
     """
 
     name: str
@@ -276,12 +280,37 @@ class Observable:
         rendered = dict(zip(distinct, map(_FORMAT, distinct)))
         return " ".join(chain(head, map(rendered.__getitem__, flat)))
 
+    @functools.cached_property
+    def length(self) -> int:
+        """len(values); the parser files a table's row count here, so it
+        builds no rows."""
+        return len(self.values)
+
     @property
     def magnitude(self) -> float:
         """Value of a scalar observable."""
         if self.kind != "scalar":
             raise QuantityError(f"{self.name}: magnitude is only defined for scalars")
         return self.values[0]
+
+
+class _RowsFromLine:
+    """Observable.values where no instance holds its own: only a table the
+    parser built lacks them, and gets its rows from its line on first access.
+    A non-data descriptor, set after the dataclass took `values` as a field,
+    so the values every other observable holds shadow it."""
+
+    def __get__(self, obs, owner=None):
+        if obs is None:
+            return self
+        numbers = obs.line.split(" ")[6 + len(obs.columns):]  # obs name kind unit rows cols
+        distinct = set(numbers)
+        parsed = dict(zip(distinct, map(float, distinct)))
+        rows = vars(obs)["values"] = _rows(tuple(map(parsed.__getitem__, numbers)), len(obs.columns))
+        return rows
+
+
+Observable.values = _RowsFromLine()
 
 
 @dataclass(frozen=True)
@@ -499,38 +528,51 @@ def canonical_deserialize(data: bytes) -> Dataset:
     return ds
 
 
+def _token_fault(lineno: int, tokens, head=()) -> ParseError | None:
+    """The error a "" token (a doubled space) or a -0 among `tokens` or
+    `head` earns; either is an obs line's first fault, whatever else is wrong."""
+    if "" in tokens or "" in head:
+        return ParseError(lineno, "malformed spacing in obs line")
+    if _NEGATIVE_ZERO in tokens or _NEGATIVE_ZERO in head:  # _clean writes every zero as +0
+        return ParseError(lineno, f"non-canonical number rendering: {_NEGATIVE_ZERO!r}")
+    return None
+
+
 def _parse_obs(line: str, lineno: int) -> Observable:
     tokens = line[len("obs "):].split(" ")
-    if "" in tokens:
-        raise ParseError(lineno, "malformed spacing in obs line")
-    if _NEGATIVE_ZERO in tokens:  # _clean writes every zero as +0
-        raise ParseError(lineno, f"non-canonical number rendering: {_NEGATIVE_ZERO!r}")
-    if len(tokens) < 3:
-        raise ParseError(lineno, "expected name, kind and unit, line ended early")
-    name, kind, unit_name = tokens[:3]
-    if kind not in KINDS:
-        raise ParseError(lineno, f"unknown kind: {kind!r}")
-    if unit_name not in _REGISTRY:
-        raise ParseError(lineno, f"unknown unit: {unit_name!r}")
-    # counts and column names first, so the numbers are the exact tail
-    start, count, width, columns = 3, 1, None, ()
-    if kind == "vector3":
-        count = 3
-    elif kind == "series":
-        rows = _count(tokens, 3, "series length", lineno)
-        start, count, width = 4, 2 * rows, 2
-    elif kind == "table":
-        rows = _count(tokens, 3, "row count", lineno)
-        width = _count(tokens, 4, "column count", lineno)
-        if rows and not width:
-            raise ParseError(lineno, "a table without columns holds no rows")
-        start, count = 5 + width, rows * width
-        columns = tuple(tokens[5:start])
-    if len(tokens) != start + count:
-        raise ParseError(lineno, f"expected {start + count} tokens, found {len(tokens)}")
-    # each distinct token once: a finite float that format_number renders back
+    try:
+        if len(tokens) < 3:
+            raise ParseError(lineno, "expected name, kind and unit, line ended early")
+        name, kind, unit_name = tokens[:3]
+        if kind not in KINDS:
+            raise ParseError(lineno, f"unknown kind: {kind!r}")
+        if unit_name not in _REGISTRY:
+            raise ParseError(lineno, f"unknown unit: {unit_name!r}")
+        # counts and column names first, so the numbers are the exact tail
+        start, count, width, columns = 3, 1, None, ()
+        if kind == "vector3":
+            count = 3
+        elif kind == "series":
+            rows = _count(tokens, 3, "series length", lineno)
+            start, count, width = 4, 2 * rows, 2
+        elif kind == "table":
+            rows = _count(tokens, 3, "row count", lineno)
+            width = _count(tokens, 4, "column count", lineno)
+            if rows and not width:
+                raise ParseError(lineno, "a table without columns holds no rows")
+            start, count = 5 + width, rows * width
+            columns = tuple(tokens[5:start])
+        if len(tokens) != start + count:
+            raise ParseError(lineno, f"expected {start + count} tokens, found {len(tokens)}")
+    except ParseError as exc:
+        raise _token_fault(lineno, tokens) or exc from None
+    # each distinct token once: a finite float that format_number renders back;
+    # on a well-formed head, the distinct numbers and the head hold every token
     numbers = tokens[start:]
     distinct = set(numbers)
+    fault = _token_fault(lineno, distinct, tokens[:start])
+    if fault:
+        raise fault
     try:
         parsed = dict(zip(distinct, map(float, distinct)))
     except ValueError:
@@ -539,12 +581,18 @@ def _parse_obs(line: str, lineno: int) -> Observable:
         map(operator.eq, map(_FORMAT, parsed.values()), parsed)
     ):
         raise ParseError(lineno, "non-canonical or non-finite number rendering")
-    values = tuple(map(parsed.__getitem__, numbers))
-    if width is not None:
-        values = _rows(values, width)
+    if kind == "table":
+        values = ()  # the head is checked as a table of no rows; _RowsFromLine builds them
+    else:
+        values = tuple(map(parsed.__getitem__, numbers))
+        if width is not None:
+            values = _rows(values, width)
     try:
         obs = Observable(name, kind, _REGISTRY[unit_name], values, columns)
     except QuantityError as exc:
         raise ParseError(lineno, str(exc)) from None
+    if kind == "table":
+        del vars(obs)["values"]
+        vars(obs)["length"] = rows
     vars(obs)["line"] = line  # only an Observable's own canonical line parses
     return obs

@@ -1,10 +1,12 @@
 """Content-addressed dataset store with one append-only journal per run.
 
 All services exchange data through here: producers put whole datasets,
-consumers read them back (verified against the content hash on every read)
-and project out what they need. A handle keeps the datasets it put, up to
-_HELD_BYTES of canonical bytes, oldest dropped first: reading one of them
-back re-hashes the blob's bytes and returns the held object instead of
+consumers read them back (verified against the content hash and parsed,
+every number checked, on every read; a parsed table builds its rows only on
+first use, see quantities) and project out what they need. store audit
+(audit) reads every blob the same way. A handle keeps the datasets it put,
+up to _HELD_BYTES of canonical bytes, oldest dropped first: reading one of
+them back re-hashes the blob's bytes and returns the held object instead of
 parsing them again. A new handle holds nothing, so another process always
 parses. The layout is blobs/<sha-256>, one canonical dataset each, plus
 runs/<run id>.log, one JSON array per line:
@@ -412,13 +414,15 @@ class ContentStore:
         return sorted(name[:-4] for name in os.listdir(self.runs_dir) if name.endswith(".log"))
 
     def audit(self) -> list[str]:
-        """Re-hash every blob; returns the list of corrupted hashes."""
+        """Read every blob as get() does, re-hashed and parsed in full;
+        returns the hashes of those that fail."""
         bad = []
         for path in sorted(self.blob_dir.iterdir()):
             if path.suffix == ".tmp":
                 continue
-            actual = hashlib.sha256(path.read_bytes()).hexdigest()
-            if actual != path.name:
+            try:
+                self._read_blob(path.name)
+            except IntegrityError:
                 bad.append(path.name)
         return bad
 

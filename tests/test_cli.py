@@ -264,6 +264,19 @@ class TestSubmit:
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
 
+    def test_fault_at_an_unknown_activity_is_a_user_error(self, run, case_file, tmp_path):
+        code, out, err = run("submit", case_file, "--user", "ada", "--fail-at", "zzz:1")
+        assert (code, out) == (1, "")
+        assert "'zzz'" in err
+        assert not list((tmp_path / "store" / "runs").glob("*.log"))  # no run claimed
+        _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        journal = tmp_path / "store" / "runs" / f"{out.strip()}.log"
+        before = journal.read_bytes()
+        code, out, err = run("resume", out.strip(), "--fail-at", "md:2", "--fail-at", "zzz:1")
+        assert (code, out) == (1, "")
+        assert "'zzz'" in err
+        assert journal.read_bytes() == before
+
     def test_fault_plan_counts_firings_across_a_resume(self, run):
         path = CORPUS / "sound" / "loop_converge.flow"
         code, out, _ = run("submit", path, "--user", "ada", "--fail-at", "work:2")
@@ -353,6 +366,20 @@ class TestStoreLs:
         assert "unknown run" in err
 
 
+def repoint_checkpoint(store, run_id, activity, blob):
+    """File `blob` under its own sha-256 and point the activity's last
+    checkpoint in the run's journal, and the put it commits, at it."""
+    digest = hashlib.sha256(blob).hexdigest()
+    (store / "blobs" / digest).write_bytes(blob)
+    journal = store / "runs" / f"{run_id}.log"
+    records = [json.loads(line) for line in journal.read_text(encoding="ascii").splitlines()]
+    old = [r for r in records if r[0] == "ckpt" and r[1] == activity][-1][3]
+    lines = [json.dumps(r[:3] + [digest] if r[0] in ("put", "ckpt") and r[3] == old else r,
+                        separators=(",", ":")) for r in records]
+    journal.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return digest
+
+
 class TestStoreAudit:
     def test_clean_store(self, run, case_file):
         run("submit", case_file, "--user", "ada")
@@ -366,6 +393,34 @@ class TestStoreAudit:
         blob.write_bytes(bytes(data))
         code, out, _ = run("store", "audit")
         assert (code, out) == (2, f"corrupt blob {blob.name}\n")
+
+    def test_blob_that_does_not_parse_under_its_own_name(self, run, case_file, tmp_path):
+        _, out, _ = run("submit", case_file, "--user", "ada")
+        run_id = out.strip()
+        blob = b"dataset-v1\nobs x scalar dimensionless 1.0\nend\n"
+        digest = repoint_checkpoint(tmp_path / "store", run_id, "analysis", blob)
+        assert run("store", "audit") == (2, f"corrupt blob {digest}\n", "")
+        code, _, err = run("report", run_id)
+        assert code == 2
+        assert f"blob {digest} unparseable: line 2: non-canonical" in err
+
+    def test_non_canonical_number_deep_in_a_stored_table(self, run, case_file, tmp_path):
+        _, out, _ = run("submit", case_file, "--user", "ada")
+        run_id = out.strip()
+        store = tmp_path / "store"
+        journal = (store / "runs" / f"{run_id}.log").read_text(encoding="ascii")
+        md = [r for r in map(json.loads, journal.splitlines()) if r[:2] == ["ckpt", "md"]][-1][3]
+        lines = (store / "blobs" / md).read_text(encoding="utf-8").split("\n")
+        n = next(i for i, line in enumerate(lines) if line.startswith("obs trajectory table "))
+        tokens = lines[n].split(" ")
+        mantissa, exponent = tokens[-7].split("e")
+        tokens[-7] = f"{mantissa}0e{exponent}"  # one digit too many, near the table's end
+        lines[n] = " ".join(tokens)
+        digest = repoint_checkpoint(store, run_id, "md", "\n".join(lines).encode())
+        assert run("store", "audit") == (2, f"corrupt blob {digest}\n", "")
+        code, out, err = run("report", run_id, "--json")
+        assert (code, out) == (2, "")
+        assert f"blob {digest} unparseable: line {n + 1}: non-canonical" in err
 
     def test_torn_journal_tail(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada")

@@ -197,6 +197,23 @@ class TestParse:
         with pytest.raises(SemanticError, match="declared twice"):
             parse(text)
 
+    @pytest.mark.parametrize(
+        "declaration",
+        [
+            "activity end { capabilities: [sim]; }",
+            "activity start { capabilities: [sim]; }",
+            "fork end after a into (a);",
+            "join start waits (a) -> end;",
+            "decision end after a { when x > 1 -> a; else -> end; }",
+        ],
+    )
+    def test_start_and_end_cannot_be_redeclared(self, declaration):
+        # `activity end` once hid the implicit final node, so verify said only NoFinal
+        text = MINIMAL.replace("  a -> end;", f"  a -> end;\n  {declaration}")
+        reserved = declaration.split()[1]
+        with pytest.raises(SemanticError, match=f"line 6: '{reserved}' is reserved"):
+            parse(text)
+
     def test_actuator_without_program_rejected(self):
         text = MINIMAL.replace(
             "{ capabilities: [sim]; }", '{ actuator: "x@y"; capabilities: [sim]; }'

@@ -302,6 +302,19 @@ class TestExecution:
         launches = [ev for ev in events if ev[0] == "launch"]
         assert any("mcsim" in ev[2] for ev in launches)
 
+    def test_report_builds_no_table(self, tmp_path, monkeypatch):
+        run_id = make_engine(tmp_path).execute(make_engine(tmp_path).plan(
+            case_study(cells=6, n_helium=3, steps=12), ADA))
+        parsed, real = [], storage.canonical_deserialize
+        monkeypatch.setattr(storage, "canonical_deserialize",
+                            lambda data: parsed.append(real(data)) or parsed[-1])
+        report = make_engine(tmp_path).report(run_id)  # a new handle parses every blob
+        tables = [o for ds in parsed for o in ds.observables if o.kind == "table"]
+        assert sorted(o.name for o in tables) == ["occupancy", "sites", "trajectory"]
+        assert not any("values" in vars(o) for o in tables)
+        assert report["results"]["md"]["other"] == {"trajectory": "table[13]"}
+        assert report["results"]["lattice"]["other"] == {"sites": "table[6]"}
+
     def test_report_carries_final_scalars(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=20, n_helium=100, steps=40)

@@ -589,3 +589,78 @@ class TestDistinctValueCodec:
         assert all(math.copysign(1.0, v) == 1.0 for v in parsed.get("z").values)
         with pytest.raises(ParseError):
             canonical_deserialize(f"dataset-v1\nobs z vector3 dimensionless {zero} {neg} {zero}\nend\n".encode())
+
+
+def wide_table():
+    """A table of 300 rows: two columns drawn from three values, two all distinct."""
+    rng = random.Random(5)
+    rows = [(rng.uniform(-1e3, 1e3), rng.choice((0.0, 1.5, -2.25)),
+             rng.uniform(-1e-9, 1e-9), rng.choice((0.0, 7.0, 1e300))) for _ in range(300)]
+    return Dataset.build([
+        Observable.table("t", ("a", "b", "c", "d"), rows, KJ),
+        Observable.table("u", ("a", "b"), [], ONE),
+        Observable.scalar("x", 2.5, ONE),
+    ])
+
+
+def float_bits(rows):
+    return [(type(v), v.hex()) for row in rows for v in row]
+
+
+class TestParsedTableRows:
+    """A parsed table checks its whole line when it is parsed and builds its
+    rows from that line only on first access."""
+
+    @pytest.mark.parametrize("build", [repeat_heavy, wide_table])
+    def test_rows_are_built_on_first_access_float_for_float(self, build):
+        eager = build()
+        parsed = canonical_deserialize(canonical_serialize(eager))
+        for got, want in zip(parsed.observables, eager.observables, strict=True):
+            if got.kind != "table":
+                assert "values" in vars(got)
+                continue
+            assert "values" not in vars(got)
+            assert got.length == len(want.values) and "values" not in vars(got)
+            assert float_bits(got.values) == float_bits(want.values)
+            assert "values" in vars(got) and got.values is got.values  # built once
+        assert parsed == eager and hash(parsed) == hash(eager)
+
+    def test_an_unbuilt_table_compares_and_renders_as_a_built_one(self):
+        blob = canonical_serialize(wide_table())
+        first, second = canonical_deserialize(blob), canonical_deserialize(blob)
+        assert first == wide_table() and hash(second) == hash(wide_table())
+        assert canonical_serialize(canonical_deserialize(blob)) == blob
+        with pytest.raises(AttributeError, match="no attribute 'rows'"):
+            first.get("t").rows
+
+    @pytest.mark.parametrize("mutation", sorted(NUMBER_MUTATIONS))
+    def test_every_number_is_still_checked_when_parsed(self, mutation):
+        # the last cell of the last row, which nothing reads before the rows are built
+        lines = canonical_serialize(wide_table()).decode().split("\n")
+        tokens = lines[1].split(" ")
+        tokens[-1] = NUMBER_MUTATIONS[mutation](tokens[-1])
+        lines[1] = " ".join(tokens)
+        mutated = "\n".join(lines).encode()
+        if reference_number(tokens[-1]):
+            assert canonical_serialize(canonical_deserialize(mutated)) == mutated
+        else:
+            with pytest.raises(ParseError) as err:
+                canonical_deserialize(mutated)
+            assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("obs t vector3 m {n}  {n}", "malformed spacing"),  # the head and the count hold
+            ("obs t table m 2 2 a b {n} {n}  {n} {n}", "malformed spacing"),  # one token too many
+            ("obs t tabel m {z}", "non-canonical number rendering"),  # an unknown kind too
+            ("obs t table m 2 2 a b {n} {z} {n}", "non-canonical number rendering"),  # one too few
+            ("obs t table m 1 2 a {z} {n} {n}", "non-canonical number rendering"),  # a column name
+            ("obs t table m 01 1 a  {z}", "malformed spacing"),  # both, and a bad count
+        ],
+    )
+    def test_a_doubled_space_or_negative_zero_is_the_first_fault(self, line, reason):
+        line = line.format(n=format_number(1.0), z=format_number(-0.0))
+        with pytest.raises(ParseError, match=reason) as err:
+            canonical_deserialize(f"dataset-v1\n{line}\nend\n".encode())
+        assert err.value.line == 2
