@@ -336,7 +336,7 @@ def cmd_store_ls(args, cfg) -> int:
 def cmd_store_audit(args, cfg) -> int:
     store = _open_store(args, cfg)
     journals = [(run_id, *store.journal_faults(run_id)) for run_id in store.runs()]
-    faults = [f"corrupt blob {digest}" for digest in store.audit()]
+    faults = [f"corrupt {fault}" for fault in store.audit()]
     faults += [f"torn runs/{run_id}.log tail: {torn} bytes after the last newline"
                for run_id, torn, _ in journals if torn]
     faults += [fault for _, _, damage in journals for fault in damage]

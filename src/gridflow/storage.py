@@ -25,29 +25,25 @@ A hash is 64 lowercase hex digits; a put or ckpt line naming anything else
 is malformed, so no journal can point a read outside blobs/.
 
 Nothing rewrites a stored byte, so a run's history survives rollbacks. A
-run's state is a replay of its own journal; no operation reads another's.
-A claim writes the "submitted" record in the call that creates the journal
-exclusively (open mode "x"). Every other append opens the journal once
-(mode "a+b"), takes an exclusive flock, reads through that descriptor the
-bytes past what this handle has already read, cuts a torn tail, decides and
-writes under it. An flock belongs to the open file description, so it
-excludes this process's other threads too, and under it an unterminated
-last line can only be the torn tail of a writer that died. Readers (get,
-run_state) take no flock, read the new bytes the same way and skip that tail.
+run's state is a fold of its own journal's records; no operation reads
+another's. Only a claim creates a journal: it writes the "submitted" record
+in the call that creates it exclusively (open mode "x").
 
-A handle keeps, per run it has read, the byte offset past the last complete
-line it parsed, the records before it, each activity's next sequence number
-and the known (activity, seq, hash) keys, so each operation parses only the
-lines appended since the last. Journals are append-only: when a journal no
-longer continues what the handle read (it is shorter, the byte before the
-offset is not a newline, or a new line is malformed), the handle reads it
-again in full and raises IntegrityError only if that read is malformed too.
-A new handle keeps nothing, and store audit (journal_faults) always reads
-from disk.
+One process at a time drives a run, and only a drive writes to it. The
+drive holds an exclusive flock on runs/<run id>.lock (empty, never deleted)
+throughout, and the kernel drops it when its holder dies. Under it the
+drive reads the journal once, cuts a torn tail (the unterminated last line
+of a drive that died), and keeps the journal open and the run's folded
+state until it ends. Each write (put, checkpoint, rollback, set_status)
+decides on that state, appends one line through the open journal, flushes
+it and folds the record in, all under the handle's lock, so the handle's
+threads take turns. A write to a run the handle does not drive is a
+StorageError.
 
-The process driving a run holds an exclusive flock on runs/<run id>.lock
-(empty, never deleted) for the whole drive, not on the journal, whose flock
-every append takes and drops. The kernel drops it when its holder dies.
+A read of a run the handle drives (get, run_state) reads the kept state.
+A read of any other run reads its journal in full, skips a torn tail and
+keeps nothing; store audit (journal_faults) reads each journal that way
+too.
 
 Fsync policy: none. A record is written before its operation returns, so a
 killed process loses nothing it reported done; a power loss can lose what
@@ -63,7 +59,7 @@ import json
 import os
 import re
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,7 +131,7 @@ class RunState:
     run_id: str
     checkpoints: tuple[tuple[str, ResultKey], ...]
     status: str
-    header: dict | None = None  # the "submitted" record; None for a run begun by a put
+    header: dict | None = None  # the "submitted" record; None until its line is complete
     summary: dict | None = None  # from the last status record that carried one
 
 
@@ -167,53 +163,61 @@ def _record(line: str, number: int) -> list | None:
     return record if ok else None
 
 
-def _well_formed(run_id: str, lines: list[str], records: list) -> list[list]:
-    """The records of `lines`; IntegrityError names the first malformed line."""
+@dataclass
+class _Journal:
+    """A run's state, folded from its journal's records in order."""
+
+    run_id: str
+    header: dict | None = None
+    committed: list = field(default_factory=list)  # (activity, ResultKey) of each live ckpt
+    status: str = ACTIVE
+    summary: dict | None = None
+    next_seq: dict = field(default_factory=dict)  # activity -> 1 + its highest put or ckpt seq
+    keys: set = field(default_factory=set)  # (activity, seq, hash) of every put and ckpt
+    writer: object = None  # the open journal, while this handle drives the run
+
+    def take(self, record):
+        kind, *rec = record
+        if kind == "submitted":
+            self.header = rec[0]
+        elif kind == "put" or kind == "ckpt":
+            self.keys.add(tuple(rec))
+            if rec[1] >= self.next_seq.get(rec[0], 0):
+                self.next_seq[rec[0]] = rec[1] + 1
+            if kind == "ckpt":
+                self.committed.append((rec[0], ResultKey(rec[2], self.run_id, rec[0], rec[1])))
+                if self.status == ROLLED_BACK:
+                    self.status = ACTIVE
+        elif kind == "rollback":
+            cuts = [i for i, (name, _) in enumerate(self.committed) if name == rec[0]]
+            if not cuts:
+                raise IntegrityError(f"runs/{self.run_id}.log: rollback to {rec[0]!r}, never committed")
+            del self.committed[cuts[-1] + 1 :]
+            self.status = ROLLED_BACK
+        else:  # status
+            self.status = rec[0]
+            self.summary = rec[1] if rec[1] is not None else self.summary
+
+    def append(self, *record):
+        """Write a record through the open journal, flushed, and fold it in."""
+        self.writer.write(_line(record))
+        self.writer.flush()
+        self.take(record)
+
+    def state(self) -> RunState:
+        return RunState(self.run_id, tuple(self.committed), self.status, self.header, self.summary)
+
+
+def _fold(run_id: str, lines: list[str], records: list) -> _Journal:
+    """The state of a run whose journal holds `lines`, parsed as `records`;
+    IntegrityError names the first malformed line or a bad rollback."""
     if None in records:
         number = records.index(None)
         raise IntegrityError(f"runs/{run_id}.log line {number + 1} malformed: {lines[number][:80]!r}")
-    return records
-
-
-@dataclass
-class _Journal:
-    """What a handle has read of one run's journal."""
-
-    end: int = 0  # byte offset past the last complete line parsed
-    records: list = field(default_factory=list)
-    next_seq: dict = field(default_factory=dict)  # activity -> 1 + its highest put or ckpt seq
-    keys: set = field(default_factory=set)  # (activity, seq, hash) of every put and ckpt
-
-    def take(self, lines: list[str], records: list[list]):
-        self.end += sum(map(len, lines)) + len(lines)
-        self.records += records
-        for kind, *rec in records:
-            if kind == "put" or kind == "ckpt":
-                self.keys.add(tuple(rec))
-                if rec[1] >= self.next_seq.get(rec[0], 0):
-                    self.next_seq[rec[0]] = rec[1] + 1
-
-
-def _replay(run_id: str, records) -> RunState:
-    committed: list[tuple[str, ResultKey]] = []
-    status, header, summary = ACTIVE, None, None
-    for kind, *rec in records:
-        if kind == "submitted":
-            header = rec[0]
-        elif kind == "ckpt":
-            committed.append((rec[0], ResultKey(rec[2], run_id, rec[0], rec[1])))
-            if status == ROLLED_BACK:
-                status = ACTIVE
-        elif kind == "rollback":
-            cuts = [i for i, (name, _) in enumerate(committed) if name == rec[0]]
-            if not cuts:
-                raise IntegrityError(f"runs/{run_id}.log: rollback to {rec[0]!r}, never committed")
-            committed = committed[: cuts[-1] + 1]
-            status = ROLLED_BACK
-        elif kind == "status":
-            status = rec[0]
-            summary = rec[1] if rec[1] is not None else summary
-    return RunState(run_id, tuple(committed), status, header, summary)
+    kept = _Journal(run_id)
+    for record in records:
+        kept.take(record)
+    return kept
 
 
 class ContentStore:
@@ -226,9 +230,8 @@ class ContentStore:
         self._held: dict[str, tuple[Dataset, int]] = {}  # hash -> (dataset, bytes), oldest first
         self._held_bytes = 0
         self._held_lock = threading.Lock()
-        self._journals: dict[str, _Journal] = {}  # run id -> what this handle has read
-        self._journals_lock = threading.Lock()  # held by every reader of _journals
-        self._flocked = None  # the journal _appending holds open, while it reads
+        self._drives: dict[str, _Journal] = {}  # run id -> the state of a run this handle drives
+        self._lock = threading.Lock()  # held by every write and every reader of _drives
         old_index = self.root / "index.log"
         if old_index.exists():
             raise StorageError(f"{old_index}: old store layout; only runs/<id>.log journals are read")
@@ -244,73 +247,60 @@ class ContentStore:
         return self.runs_dir / f"{run_id}.log"
 
     def index_lines(self, run_id: str) -> list[str]:
-        """The complete journal lines of a run past what this handle has read,
-        as latin-1 (one character a byte); all of them, what was kept dropped,
-        when the journal no longer continues it. Callers hold _journals_lock."""
-        kept, fh = self._journals.get(run_id), self._flocked
-        start = kept.end if kept else 0
+        """Every complete line of a run's journal, torn tail skipped, as
+        latin-1 (one character a byte)."""
         try:
-            with nullcontext(fh) if fh else open(self.journal(run_id), "rb") as fh:
-                fh.seek(max(start - 1, 0))
-                data = fh.read()
-                if start and data[:1] != b"\n":  # shorter, or rewritten under this handle
-                    kept = None
-                    fh.seek(0)
-                    data = fh.read()
+            data = self.journal(run_id).read_bytes()
         except FileNotFoundError:
             raise UnknownRun(f"unknown run: {run_id}") from None
-        if kept is None:
-            self._journals[run_id] = _Journal()
-        elif start:
-            data = data[1:]
         return data[: data.rfind(b"\n") + 1].decode("latin-1").split("\n")[:-1]
 
-    def _read(self, run_id: str) -> _Journal:
-        """What this handle keeps of a run, brought up to date with its
-        journal; every new line is checked for its shape. Callers hold
-        _journals_lock."""
+    def _read(self, run_id: str) -> tuple[int, _Journal]:
+        """One read of a run's whole journal: the bytes of its complete lines,
+        and the run's state folded from them, every line checked."""
         lines = self.index_lines(run_id)
-        kept = self._journals[run_id]
-        records = [_record(line, n) for n, line in enumerate(lines, len(kept.records) + 1)]
-        if None in records:
-            del self._journals[run_id]
-            if kept.records:  # perhaps rewritten under this handle: read it in full
-                return self._read(run_id)
-            _well_formed(run_id, lines, records)
-        kept.take(lines, records)
+        records = [_record(line, n) for n, line in enumerate(lines, 1)]
+        return sum(map(len, lines)) + len(lines), _fold(run_id, lines, records)
+
+    def _view(self, run_id: str) -> _Journal:
+        """The state of a run this handle drives, else of one read of its
+        journal, which nothing keeps. Callers hold _lock."""
+        kept = self._drives.get(run_id)
+        return kept if kept is not None else self._read(run_id)[1]
+
+    def _driven(self, run_id: str) -> _Journal:
+        """The state of a run this handle drives, to write to. Callers hold _lock."""
+        kept = self._drives.get(run_id)
+        if kept is None:
+            self.journal(run_id)  # a bad run id is refused as one
+            raise StorageError(f"run {run_id} is not driven by this store handle")
         return kept
 
     @contextmanager
     def driving(self, run_id: str, wait: bool = True):
-        """Hold a run's drive lock (see above). Unless `wait`, a lock that
-        another process holds is a StorageError that names the run."""
-        if not self.journal(run_id).exists():  # journals are never deleted
-            raise UnknownRun(f"unknown run: {run_id}")
-        with open(self.runs_dir / f"{run_id}.lock", "ab") as fh:
+        """Drive a run (see above) until the block ends. Unless `wait`, a
+        lock that another process holds is a StorageError that names the run."""
+        try:
+            journal = open(self.journal(run_id), "r+b")  # journals are never deleted
+        except FileNotFoundError:
+            raise UnknownRun(f"unknown run: {run_id}") from None
+        with journal, open(self.runs_dir / f"{run_id}.lock", "ab") as lock:
             try:
-                fcntl.flock(fh, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
+                fcntl.flock(lock, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
                 raise StorageError(f"run {run_id} is being driven by another process") from None
-            yield
-
-    @contextmanager
-    def _appending(self, run_id: str, create: bool = False):
-        """What this handle keeps of a run, up to date, and a journal writer,
-        under one exclusive flock: no other writer appends until it ends."""
-        path = self.journal(run_id)
-        if not (create or path.exists()):  # journals are never deleted
-            raise UnknownRun(f"unknown run: {run_id}")
-        with open(path, "a+b") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            with self._journals_lock:
-                self._flocked = fh
-                try:
-                    kept = self._read(run_id)
-                finally:
-                    self._flocked = None
-            if fh.seek(0, os.SEEK_END) > kept.end:  # drop a torn tail
-                fh.truncate(kept.end)
-            yield kept, lambda *record: fh.write(_line(record))
+            end, kept = self._read(run_id)
+            if journal.seek(0, os.SEEK_END) > end:  # cut a torn tail
+                journal.truncate(end)
+                journal.seek(end)
+            kept.writer = journal
+            with self._lock:
+                self._drives[run_id] = kept
+            try:
+                yield
+            finally:
+                with self._lock:
+                    del self._drives[run_id]
 
     def claim(self, header: dict, run_id: str | None = None) -> str:
         """Create a run's journal, "submitted" record first; returns the run id:
@@ -333,19 +323,20 @@ class ContentStore:
     # -- core operations ----------------------------------------------------
 
     def put(self, ds: Dataset, run_id: str, activity_id: str) -> ResultKey:
-        """File a dataset under a run, starting the run's journal if need be."""
+        """File a dataset under a run this handle drives."""
         blob = canonical_serialize(ds)
         hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
-        with self._appending(run_id, create=True) as (kept, append):
+        with self._lock:
+            kept = self._driven(run_id)
             path = self.blob_dir / hash
             if not path.exists():
-                # runs lock only their own journals, so two puts of one blob
-                # may race here: each writer renames its own temporary file
+                # drives of other runs may put the same blob at the same
+                # time: each writer renames its own temporary file
                 tmp = path.with_name(f"{hash}.{os.getpid()}-{threading.get_ident()}.tmp")
                 tmp.write_bytes(blob)
                 tmp.replace(path)
             seq = kept.next_seq.get(activity_id, 0)
-            append("put", activity_id, seq, hash)
+            kept.append("put", activity_id, seq, hash)
         with self._held_lock:
             held = self._held.pop(hash, None)
             self._held[hash] = (ds, len(blob))
@@ -355,8 +346,8 @@ class ContentStore:
         return ResultKey(hash, run_id, activity_id, seq)
 
     def get(self, key: ResultKey) -> Dataset:
-        with self._journals_lock:
-            known = (key.activity_id, key.sequence, key.hash) in self._read(key.run_id).keys
+        with self._lock:
+            known = (key.activity_id, key.sequence, key.hash) in self._view(key.run_id).keys
         if not known:
             raise UnknownKey(f"no such key: {key}")
         return self._read_blob(key.hash)
@@ -381,31 +372,33 @@ class ContentStore:
         return ds
 
     def checkpoint(self, run_id: str, activity_id: str, key: ResultKey):
-        with self._appending(run_id) as (kept, append):
+        with self._lock:
+            kept = self._driven(run_id)
             if key.run_id != run_id or (key.activity_id, key.sequence, key.hash) not in kept.keys:
                 raise UnknownKey(f"cannot checkpoint unknown key: {key}")
-            append("ckpt", activity_id, key.sequence, key.hash)
+            kept.append("ckpt", activity_id, key.sequence, key.hash)
 
     def rollback(self, run_id: str, to_activity_id: str):
-        with self._appending(run_id) as (kept, append):
-            if not any(name == to_activity_id for name, _ in _replay(run_id, kept.records).checkpoints):
+        with self._lock:
+            kept = self._driven(run_id)
+            if not any(name == to_activity_id for name, _ in kept.committed):
                 raise UnknownCheckpoint(
                     f"run {run_id} has no committed checkpoint for {to_activity_id}"
                 )
-            append("rollback", to_activity_id)
+            kept.append("rollback", to_activity_id)
 
     def set_status(self, run_id: str, status: str, summary: dict | None = None):
         """Append a status record; a summary, when given, replaces the last."""
         if status not in _RUN_STATUSES:
             raise StorageError(f"unknown run status: {status}")
-        with self._appending(run_id) as (_, append):
-            append("status", status, summary)
+        with self._lock:
+            self._driven(run_id).append("status", status, summary)
 
     # -- views ---------------------------------------------------------------
 
     def run_state(self, run_id: str) -> RunState:
-        with self._journals_lock:
-            return _replay(run_id, self._read(run_id).records)
+        with self._lock:
+            return self._view(run_id).state()
 
     def checkpoints(self, run_id: str) -> tuple[tuple[str, ResultKey], ...]:
         return self.run_state(run_id).checkpoints
@@ -415,27 +408,27 @@ class ContentStore:
 
     def audit(self) -> list[str]:
         """Read every blob as get() does, re-hashed and parsed in full;
-        returns the hashes of those that fail."""
+        returns the IntegrityError text of each that fails."""
         bad = []
         for path in sorted(self.blob_dir.iterdir()):
             if path.suffix == ".tmp":
                 continue
             try:
                 self._read_blob(path.name)
-            except IntegrityError:
-                bad.append(path.name)
+            except IntegrityError as exc:
+                bad.append(str(exc))
         return bad
 
     def journal_faults(self, run_id: str) -> tuple[int, list[str]]:
-        """A lock-free replay of one read of a run's journal: the length of an
-        unterminated last line (a writer that died mid-line), and, that tail
+        """A lock-free fold of one read of a run's journal: the length of an
+        unterminated last line (a drive that died mid-line), and, that tail
         skipped, the first malformed line or bad rollback and each put or ckpt
         of a missing blob."""
         *lines, tail = self.journal(run_id).read_bytes().decode("latin-1").split("\n")
         faults = []
         records = [_record(line, n) for n, line in enumerate(lines, 1)]
         try:
-            _replay(run_id, _well_formed(run_id, lines, records))
+            _fold(run_id, lines, records)
         except IntegrityError as exc:
             faults.append(f"damaged {exc}")
         for number, record in enumerate(records, 1):

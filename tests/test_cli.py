@@ -392,17 +392,16 @@ class TestStoreAudit:
         data[-5] ^= 1
         blob.write_bytes(bytes(data))
         code, out, _ = run("store", "audit")
-        assert (code, out) == (2, f"corrupt blob {blob.name}\n")
+        assert (code, out) == (2, f"corrupt blob {blob.name} unparseable: line 5: missing 'end' trailer\n")
 
     def test_blob_that_does_not_parse_under_its_own_name(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada")
         run_id = out.strip()
         blob = b"dataset-v1\nobs x scalar dimensionless 1.0\nend\n"
         digest = repoint_checkpoint(tmp_path / "store", run_id, "analysis", blob)
-        assert run("store", "audit") == (2, f"corrupt blob {digest}\n", "")
-        code, _, err = run("report", run_id)
-        assert code == 2
-        assert f"blob {digest} unparseable: line 2: non-canonical" in err
+        fault = f"blob {digest} unparseable: line 2: non-canonical or non-finite number rendering"
+        assert run("store", "audit") == (2, f"corrupt {fault}\n", "")
+        assert run("report", run_id) == (2, "", f"error: {fault}\n")  # the text report prints
 
     def test_non_canonical_number_deep_in_a_stored_table(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada")
@@ -417,10 +416,9 @@ class TestStoreAudit:
         tokens[-7] = f"{mantissa}0e{exponent}"  # one digit too many, near the table's end
         lines[n] = " ".join(tokens)
         digest = repoint_checkpoint(store, run_id, "md", "\n".join(lines).encode())
-        assert run("store", "audit") == (2, f"corrupt blob {digest}\n", "")
-        code, out, err = run("report", run_id, "--json")
-        assert (code, out) == (2, "")
-        assert f"blob {digest} unparseable: line {n + 1}: non-canonical" in err
+        fault = f"blob {digest} unparseable: line {n + 1}: non-canonical or non-finite number rendering"
+        assert run("store", "audit") == (2, f"corrupt {fault}\n", "")
+        assert run("report", run_id, "--json") == (2, "", f"error: {fault}\n")
 
     def test_torn_journal_tail(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada")
@@ -432,6 +430,23 @@ class TestStoreAudit:
         code, out, _ = run("store", "audit")
         assert (code, out) == (2, "torn runs/run-0002.log tail: 11 bytes after the last newline\n")
         assert journal.read_bytes() == before + b'["put","lat'  # nothing repaired
+
+    def test_resume_cuts_a_torn_tail(self, run, case_file, tmp_path):
+        _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        run_id = out.strip()
+        journal = tmp_path / "store" / "runs" / f"{run_id}.log"
+        before = journal.read_bytes()
+        with open(journal, "ab") as fh:
+            fh.write(b'["put","lat')  # the drive died mid-line
+        code, out, _ = run("store", "audit")
+        assert (code, out) == (2, f"torn runs/{run_id}.log tail: 11 bytes after the last newline\n")
+        assert run("resume", run_id)[0] == 0
+        after = journal.read_bytes()
+        assert after.startswith(before)
+        assert json.loads(after.splitlines()[-1])[:2] == ["status", "completed"]
+        for line in after[len(before):].splitlines():  # the fragment is gone
+            json.loads(line)
+        assert run("store", "audit") == (0, "clean\n", "")
 
     def test_torn_tail_prints_before_another_runs_missing_blob(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada", "--seed", "1")

@@ -584,7 +584,8 @@ class TestResume:
         engine, plan = self.build(tmp_path)
         engine.execute(plan, run_id="run-a")
         reference = checkpoint_hashes(engine, "run-a")
-        engine.store.rollback("run-a", "cbmc")
+        with engine.store.driving("run-a"):  # only a drive writes to a run
+            engine.store.rollback("run-a", "cbmc")
         # one journal holds the run's status: the report sees the rollback
         assert engine.report("run-a")["status"] == "rolled-back"
         report = engine.report(engine.resume("run-a"))

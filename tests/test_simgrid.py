@@ -549,7 +549,9 @@ class TestExecutor:
     def test_inputs_come_from_the_store(self, tmp_path):
         ex, store = make_executor(tmp_path)
         lat = lattice(6)
-        key = store.put(lat, "run-x", "lattice")
+        store.claim({}, "run-x")
+        with store.driving("run-x"):
+            key = store.put(lat, "run-x", "lattice")
         req = JobRequest.build(
             "mcsim@mc-farm-01", "cbmc", "run-x",
             {"lattice": key.hash}, {"theta": "0.5", "seed": "1"},

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import re
 import sys
 import threading
 
@@ -38,14 +39,28 @@ def store(tmp_path):
     return ContentStore(tmp_path / "store")
 
 
+@pytest.fixture
+def r1(store):
+    """Run r1, claimed with an empty header and driven by `store` for the
+    whole test: only a drive writes to a run."""
+    store.claim({}, "r1")
+    with store.driving("r1"):
+        yield "r1"
+
+
+def records(store, run_id):
+    """The records of a run's journal after its "submitted" line."""
+    return [json.loads(line) for line in store.journal(run_id).read_bytes().splitlines()[1:]]
+
+
 class TestPutGet:
-    def test_put_then_get_round_trips(self, store):
+    def test_put_then_get_round_trips(self, store, r1):
         d = ds("x", 1.5)
         key = store.put(d, "r1", "a")
         assert store.get(key) == d
         assert key.hash == d.id
 
-    def test_put_serializes_once(self, store, monkeypatch):
+    def test_put_serializes_once(self, store, r1, monkeypatch):
         calls = []
         for module in (quantities, storage_module):
             real = module.canonical_serialize
@@ -59,26 +74,28 @@ class TestPutGet:
         assert len(calls) == 2
         assert read.id == key.hash == dataset_id(d)
 
-    def test_same_content_twice_distinct_sequences(self, store):
+    def test_same_content_twice_distinct_sequences(self, store, r1):
         d = ds("x", 1.5)
         k1 = store.put(d, "r1", "a")
         k2 = store.put(d, "r1", "a")
         assert k1.hash == k2.hash
         assert k1.sequence != k2.sequence
 
-    def test_different_content_different_hashes(self, store):
+    def test_different_content_different_hashes(self, store, r1):
         k1 = store.put(ds("x", 1.0), "r1", "a")
         k2 = store.put(ds("x", 2.0), "r1", "a")
         assert k1.hash != k2.hash
 
-    def test_fabricated_key_rejected(self, store):
+    def test_fabricated_key_rejected(self, store, r1):
         store.put(ds("x", 1.0), "r1", "a")
         fake = ResultKey("0" * 64, "r1", "a", 0)
         with pytest.raises(UnknownKey):
             store.get(fake)
 
     def test_corrupted_blob_detected_on_read(self, store):
-        key = store.put(ds("x", 1.0), "r1", "a")
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            key = store.put(ds("x", 1.0), "r1", "a")
         path = store.blob_dir / key.hash
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -86,7 +103,7 @@ class TestPutGet:
         with pytest.raises(IntegrityError):
             store.get(key)
 
-    def test_puts_past_the_held_bound_still_read_back(self, store, monkeypatch):
+    def test_puts_past_the_held_bound_still_read_back(self, store, r1, monkeypatch):
         # a handle keeps at most _HELD_BYTES of what it put, oldest dropped
         # first; a dropped dataset is parsed from its blob again
         size = len(quantities.canonical_serialize(ds("x", 0.0)))
@@ -102,14 +119,15 @@ class TestPutGet:
 
 
 class TestCheckpoints:
-    def test_checkpoint_and_state(self, store):
+    def test_checkpoint_and_state(self, store, r1):
         k = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", k)
         state = store.run_state("r1")
         assert state.checkpoints == (("a", k),)
         assert state.status == ACTIVE
+        assert ContentStore(store.root).run_state("r1") == state  # read from disk
 
-    def test_rollback_truncates_strictly_after_target(self, store):
+    def test_rollback_truncates_strictly_after_target(self, store, r1):
         keys = {}
         for name, value in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
             keys[name] = store.put(ds("x", value), "r1", name)
@@ -118,8 +136,9 @@ class TestCheckpoints:
         state = store.run_state("r1")
         assert state.checkpoints == (("a", keys["a"]),)
         assert state.status == ROLLED_BACK
+        assert ContentStore(store.root).run_state("r1") == state
 
-    def test_truncated_history_stays_readable(self, store):
+    def test_truncated_history_stays_readable(self, store, r1):
         kb = None
         for name, value in (("a", 1.0), ("b", 2.0)):
             k = store.put(ds("x", value), "r1", name)
@@ -129,7 +148,7 @@ class TestCheckpoints:
         store.rollback("r1", "a")
         assert store.get(kb).get("x").magnitude == 2.0
 
-    def test_next_checkpoint_clears_rolled_back(self, store):
+    def test_next_checkpoint_clears_rolled_back(self, store, r1):
         ka = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", ka)
         store.rollback("r1", "a")
@@ -137,7 +156,7 @@ class TestCheckpoints:
         store.checkpoint("r1", "b", kb)
         assert store.run_state("r1").status == ACTIVE
 
-    def test_rollback_unknown_activity(self, store):
+    def test_rollback_unknown_activity(self, store, r1):
         k = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", k)
         with pytest.raises(UnknownCheckpoint):
@@ -147,13 +166,13 @@ class TestCheckpoints:
         with pytest.raises(UnknownRun):
             store.run_state("ghost")
 
-    def test_status_records(self, store):
+    def test_status_records(self, store, r1):
         k = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", k)
         store.set_status("r1", COMPLETED)
         assert store.run_state("r1").status == COMPLETED
 
-    def test_checkpoint_requires_known_key(self, store):
+    def test_checkpoint_requires_known_key(self, store, r1):
         store.put(ds("x", 1.0), "r1", "a")
         with pytest.raises(UnknownKey):
             store.checkpoint("r1", "a", ResultKey("f" * 64, "r1", "a", 0))
@@ -163,7 +182,7 @@ class TestAppendOnly:
     def read_everything(self, store):
         return {p: p.read_bytes() for d in (store.runs_dir, store.blob_dir) for p in d.iterdir()}
 
-    def test_no_operation_rewrites_existing_bytes(self, store):
+    def test_no_operation_rewrites_existing_bytes(self, store, r1):
         k = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", k)
         before = self.read_everything(store)
@@ -181,14 +200,14 @@ class TestAppendOnly:
             else:
                 assert after[path] == blob, f"blob {path.name} was rewritten"
 
-    def test_audit_flags_corrupted_blob(self, store):
+    def test_audit_flags_corrupted_blob(self, store, r1):
         key = store.put(ds("x", 1.0), "r1", "a")
         assert store.audit() == []
         path = store.blob_dir / key.hash
         path.write_bytes(path.read_bytes() + b"junk\n")
-        assert store.audit() == [key.hash]
+        assert store.audit() == [f"blob {key.hash} unparseable: line 4: missing 'end' trailer"]
 
-    def test_missing_blob_is_damage_and_an_unknown_key_is_not(self, store):
+    def test_missing_blob_is_damage_and_an_unknown_key_is_not(self, store, r1):
         key = store.put(ds("x", 1.0), "r1", "a")
         (store.blob_dir / key.hash).unlink()
         with pytest.raises(UnknownKey):
@@ -197,9 +216,13 @@ class TestAppendOnly:
             store.get(key)
 
     def test_journal_faults_replay_from_disk(self, store):
-        k1 = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k1)
-        store.put(ds("x", 2.0), "r2", "b")
+        for run_id in ("r1", "r2"):
+            store.claim({}, run_id)
+        with store.driving("r1"):
+            k1 = store.put(ds("x", 1.0), "r1", "a")
+            store.checkpoint("r1", "a", k1)
+        with store.driving("r2"):
+            store.put(ds("x", 2.0), "r2", "b")
         assert store.journal_faults("r1") == store.journal_faults("r2") == (0, [])
         (store.blob_dir / k1.hash).unlink()
         with open(store.journal("r1"), "ab") as fh:
@@ -208,9 +231,9 @@ class TestAppendOnly:
             fh.write(b'["rollback","b"]\n')
         before = store.journal("r1").read_bytes()
         assert store.journal_faults("r1") == (len(b'["put","lat'), [
-            """damaged runs/r1.log line 3 malformed: '["put","a"]'""",
-            f"missing blob {k1.hash} (runs/r1.log line 1)",
+            """damaged runs/r1.log line 4 malformed: '["put","a"]'""",
             f"missing blob {k1.hash} (runs/r1.log line 2)",
+            f"missing blob {k1.hash} (runs/r1.log line 3)",
         ])
         assert store.journal_faults("r2") == (
             0, ["damaged runs/r2.log: rollback to 'b', never committed"])
@@ -218,8 +241,10 @@ class TestAppendOnly:
 
     @pytest.mark.parametrize("where", ["relative", "absolute"])
     def test_a_hash_that_is_not_a_sha256_names_no_file(self, store, monkeypatch, where):
-        key = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", key)
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            key = store.put(ds("x", 1.0), "r1", "a")
+            store.checkpoint("r1", "a", key)
         planted = store.root.parent / "planted"  # a valid blob outside blobs/
         planted.write_bytes((store.blob_dir / key.hash).read_bytes())
         target = "../runs/r1.log" if where == "relative" else str(planted)
@@ -232,23 +257,27 @@ class TestAppendOnly:
             real = getattr(type(journal), method)
             monkeypatch.setattr(type(journal), method,
                                 lambda path, real=real: touched.append(path) or real(path))
-        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed: "):
+        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 3 malformed: "):
             store.run_state("r1")
         torn, faults = store.journal_faults("r1")
-        assert torn == 0 and len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 2 malformed: ")
+        assert torn == 0 and len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 3 malformed: ")
         assert touched and all(p == journal or p.parent == store.blob_dir for p in touched)
 
     def test_replay_reproduces_committed_sequence(self, store):
         originals = []
-        for name, value in (("a", 0.5), ("b", 1.5), ("c", 2.5)):
-            d = ds("obs", value)
-            k = store.put(d, "r1", name)
-            store.checkpoint("r1", name, k)
-            originals.append(d)
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            for name, value in (("a", 0.5), ("b", 1.5), ("c", 2.5)):
+                d = ds("obs", value)
+                k = store.put(d, "r1", name)
+                store.checkpoint("r1", name, k)
+                originals.append(d)
+            kept = store.checkpoints("r1")
+        assert store.checkpoints("r1") == kept  # read from disk, once the drive ended
         replayed = [store.get(key) for _, key in store.checkpoints("r1")]
         assert replayed == originals
 
-    def test_reopen_preserves_state(self, store):
+    def test_reopen_preserves_state(self, store, r1):
         k = store.put(ds("x", 1.0), "r1", "a")
         store.checkpoint("r1", "a", k)
         again = ContentStore(store.root)
@@ -277,7 +306,11 @@ def journal_state(text, run_id):
 def _put_worker(root, start, count, out):
     store = ContentStore(root)
     start.wait(timeout=60)
-    out.put([store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(count)])
+    sequences = []
+    for _ in range(count):
+        with store.driving("r1"):  # one put per drive: the processes take turns
+            sequences.append(store.put(ds("x", 1.0), "r1", "a").sequence)
+    out.put(sequences)
 
 
 @pytest.fixture
@@ -297,9 +330,11 @@ def lines_read(store, monkeypatch):
 
 class TestJournals:
     def test_half_written_line_is_not_consumed(self, store):
-        ka = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", ka)
-        kb = store.put(ds("x", 2.0), "r1", "b")
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            ka = store.put(ds("x", 1.0), "r1", "a")
+            store.checkpoint("r1", "a", ka)
+            kb = store.put(ds("x", 2.0), "r1", "b")
         before = store.run_state("r1")
         record = json.dumps(["ckpt", "b", kb.sequence, kb.hash]).encode() + b"\n"
         with open(store.journal("r1"), "ab") as fh:
@@ -311,35 +346,49 @@ class TestJournals:
 
     def test_two_stores_on_one_root_see_each_other(self, store):
         other = ContentStore(store.root)
-        k0 = store.put(ds("x", 1.0), "r1", "a")
-        assert other.run_state("r1").checkpoints == ()
-        store.checkpoint("r1", "a", k0)
-        k1 = other.put(ds("x", 2.0), "r1", "a")
-        assert k1.sequence == k0.sequence + 1
-        assert other.run_state("r1").checkpoints == (("a", k0),)
-        other.checkpoint("r1", "a", k1)
-        assert store.put(ds("x", 3.0), "r1", "a").sequence == k1.sequence + 1
-        assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            k0 = store.put(ds("x", 1.0), "r1", "a")
+            assert other.run_state("r1").checkpoints == ()
+            store.checkpoint("r1", "a", k0)
+        with other.driving("r1"):
+            k1 = other.put(ds("x", 2.0), "r1", "a")
+            assert k1.sequence == k0.sequence + 1
+            assert other.run_state("r1").checkpoints == (("a", k0),)
+            other.checkpoint("r1", "a", k1)
+            assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
+            with pytest.raises(StorageError, match="run r1 is being driven by another process"):
+                with store.driving("r1", wait=False):
+                    pass
+        with store.driving("r1"):
+            assert store.put(ds("x", 3.0), "r1", "a").sequence == k1.sequence + 1
+            assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
         assert other.runs() == store.runs() == ["r1"]
 
-    def test_interleaved_stores_match_a_journal_replay(self, store):
+    def test_interleaved_drives_match_a_journal_replay(self, store):
         rng = random.Random(5)
         stores = [store, ContentStore(store.root)]
-        for _ in range(300):
-            s, run, activity = rng.choice(stores), rng.choice("xyz"), rng.choice("abc")
-            op = rng.random()
-            if op < 0.6:
-                key = s.put(ds("v", float(rng.randrange(4))), run, activity)
-                if rng.random() < 0.7:
-                    s.checkpoint(run, activity, key)
-            elif run in s.runs():
-                names = [name for name, _ in s.run_state(run).checkpoints]
-                if op < 0.75 and names:
-                    s.rollback(run, rng.choice(names))
-                else:
-                    s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)))
-        runs = sorted(p.stem for p in store.runs_dir.iterdir())
-        assert runs == ["x", "y", "z"]
+        runs = ["x", "y", "z"]
+        for run in runs:
+            store.claim({}, run)
+        for _ in range(100):
+            s, run = rng.choice(stores), rng.choice(runs)
+            with s.driving(run):
+                for _ in range(rng.randrange(1, 6)):
+                    activity, op = rng.choice("abc"), rng.random()
+                    if op < 0.6:
+                        key = s.put(ds("v", float(rng.randrange(4))), run, activity)
+                        if rng.random() < 0.7:
+                            s.checkpoint(run, activity, key)
+                    else:
+                        names = [name for name, _ in s.run_state(run).checkpoints]
+                        if op < 0.75 and names:
+                            s.rollback(run, rng.choice(names))
+                        else:
+                            s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)))
+                state = s.run_state(run)  # what the drive keeps
+                text = store.journal(run).read_text(encoding="utf-8")
+                assert (state.checkpoints, state.status) == journal_state(text, run)
         for s in stores:
             assert s.runs() == runs
             for run in runs:
@@ -348,6 +397,7 @@ class TestJournals:
                 assert (state.checkpoints, state.status) == journal_state(text, run)
 
     def test_processes_allocate_distinct_sequences(self, store):
+        store.claim({}, "r1")
         ctx = multiprocessing.get_context("spawn")
         start, out = ctx.Barrier(4), ctx.Queue()
         workers = [
@@ -363,8 +413,7 @@ class TestJournals:
             w.join(timeout=30)
             assert not w.is_alive() and w.exitcode == 0
         assert sorted(sequences) == list(range(100))
-        lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
+        assert [record[:3] for record in records(store, "r1")] == [["put", "a", n] for n in range(100)]
 
     @staticmethod
     def run_threads(work, n=4):
@@ -387,17 +436,16 @@ class TestJournals:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_threads_allocate_distinct_sequences(self, store):
-        # one store instance, no thread lock around appends: each append's
-        # own open file description takes the flock, so threads exclude each other
+    def test_threads_allocate_distinct_sequences(self, store, r1):
+        # threads of one handle inside one drive: the handle's lock makes
+        # them take turns at deciding and appending
         sequences = []
         self.run_threads(lambda t: sequences.extend(
             store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(25)))
         assert sorted(sequences) == list(range(100))
-        lines = store.journal("r1").read_text(encoding="utf-8").splitlines()
-        assert [json.loads(line)[:3] for line in lines] == [["put", "a", n] for n in range(100)]
+        assert [record[:3] for record in records(store, "r1")] == [["put", "a", n] for n in range(100)]
 
-    def test_threads_reading_and_appending_share_what_the_handle_keeps(self, store):
+    def test_threads_reading_and_appending_share_what_the_handle_keeps(self, store, r1):
         keys = []
 
         def work(t):
@@ -416,7 +464,7 @@ class TestJournals:
         assert (store.run_state("r1").checkpoints, ACTIVE) == journal_state(text, "r1")
         assert ContentStore(store.root).run_state("r1") == store.run_state("r1")
 
-    def test_threads_keep_the_held_datasets_within_their_bound(self, store, monkeypatch):
+    def test_threads_keep_the_held_datasets_within_their_bound(self, store, r1, monkeypatch):
         size = len(quantities.canonical_serialize(ds("x", 0.0)))
         monkeypatch.setattr(storage_module, "_HELD_BYTES", 5 * size)
         keys = {}
@@ -431,111 +479,134 @@ class TestJournals:
         for key, value in keys.items():
             assert store.get(key) == ds("x", value)
 
+    def test_a_drive_reads_its_journal_once(self, store, lines_read):
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            for i in range(300):
+                key = store.put(ds("x", float(i % 7)), "r1", "a")
+                store.checkpoint("r1", "a", key)
+                assert store.get(key) == ds("x", float(i % 7))
+            store.rollback("r1", "a")
+            store.set_status("r1", COMPLETED)
+            assert store.run_state("r1").status == COMPLETED
+        assert lines_read == [1]  # the "submitted" line, when the drive began
+        with store.driving("r1"):
+            assert store.run_state("r1").status == COMPLETED
+        assert lines_read == [1, 1 + 600 + 2]
+
     def test_an_op_on_one_run_reads_no_other_journal(self, store, monkeypatch):
-        k2 = store.put(ds("x", 2.0), "r2", "a")
-        store.checkpoint("r2", "a", k2)
+        for run_id in ("r1", "r2"):
+            store.claim({}, run_id)
+        with store.driving("r2"):
+            k2 = store.put(ds("x", 2.0), "r2", "a")
+            store.checkpoint("r2", "a", k2)
         store.journal("r2").write_bytes(b"not a record\n")  # any read of it would raise
         asked = []
         index_lines = store.index_lines
         monkeypatch.setattr(store, "index_lines", lambda run_id: asked.append(run_id) or index_lines(run_id))
-        for i in range(20):
-            key = store.put(ds("x", float(i)), "r1", f"a{i % 3}")
-            store.checkpoint("r1", key.activity_id, key)
-            assert store.get(key) == ds("x", float(i))
-        store.rollback("r1", "a0")
-        store.set_status("r1", COMPLETED)
+        with store.driving("r1"):
+            for i in range(20):
+                key = store.put(ds("x", float(i)), "r1", f"a{i % 3}")
+                store.checkpoint("r1", key.activity_id, key)
+                assert store.get(key) == ds("x", float(i))
+            store.rollback("r1", "a0")
+            store.set_status("r1", COMPLETED)
         assert store.run_state("r1").status == COMPLETED
-        assert set(asked) == {"r1"} and len(asked) == 20 * 3 + 3
+        assert asked == ["r1", "r1"]  # the drive's read, then run_state's
         assert store.runs() == ["r1", "r2"]
 
-    def test_torn_tail_is_cut_before_the_next_append(self, store):
-        # a writer that died mid-line under the lock leaves a fragment
-        store.journal("r1").write_bytes(b'["put","lat')
-        key = store.put(ds("x", 1.0), "r1", "a")
+    def test_torn_tail_is_cut_when_the_next_drive_starts(self, store):
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            k0 = store.put(ds("x", 1.0), "r1", "a")
+        journal = store.journal("r1")
+        whole = journal.read_bytes()
+        with open(journal, "ab") as fh:
+            fh.write(b'["put","lat')  # a drive that died mid-line
         reopened = ContentStore(store.root)
         assert reopened.run_state("r1").checkpoints == ()
-        assert reopened.get(key) == ds("x", 1.0)
-        assert store.journal("r1").read_text(encoding="utf-8") == f'["put","a",0,"{key.hash}"]\n'
+        assert reopened.get(k0) == ds("x", 1.0)
+        with reopened.driving("r1"):
+            assert journal.read_bytes() == whole  # cut before any write
+            k1 = reopened.put(ds("x", 2.0), "r1", "a")
+            reopened.checkpoint("r1", "a", k1)
+        assert k1.sequence == 1
+        assert records(store, "r1") == [["put", "a", 0, k0.hash], ["put", "a", 1, k1.hash],
+                                        ["ckpt", "a", 1, k1.hash]]
 
-    def test_malformed_line_raises_with_its_number_every_time(self, store):
-        store.put(ds("x", 1.0), "r1", "a")
-        with open(store.journal("r1"), "ab") as fh:
-            fh.write(b'["put","a"]\n')
-        for _ in range(2):
-            with pytest.raises(IntegrityError, match=r"runs/r1.log line 2 malformed"):
-                store.run_state("r1")
-
-
-
-class TestKeptJournals:
-    """A handle parses each journal line once, and still sees the disk."""
-
-    def test_each_record_is_read_once(self, store, lines_read):
-        for i in range(300):
-            key = store.put(ds("x", float(i % 7)), "r1", "a")
-            store.checkpoint("r1", "a", key)
-        records = len(store.journal("r1").read_bytes().splitlines())
-        assert records == 600 and sum(lines_read) <= 2 * records + 5
-
-    def test_a_handle_reads_only_what_another_appended(self, store, lines_read):
-        k0 = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k0)
-        other = ContentStore(store.root)
-        k1 = other.put(ds("x", 2.0), "r1", "a")
-        other.checkpoint("r1", "a", k1)
-        other.set_status("r1", COMPLETED)
-        lines_read.clear()
-        state = store.run_state("r1")
-        assert (state.checkpoints, state.status) == ((("a", k0), ("a", k1)), COMPLETED)
-        assert store.put(ds("x", 3.0), "r1", "a").sequence == 2
-        assert lines_read == [1 + 3, 0]  # its own checkpoint, then the other's records
-
-    def test_a_torn_tail_cut_by_another_handle(self, store, lines_read):
-        k0 = store.put(ds("x", 1.0), "r1", "a")
-        with open(store.journal("r1"), "ab") as fh:
-            fh.write(b'["put","lat')  # a writer died mid-line
-        assert store.run_state("r1").checkpoints == ()
-        ContentStore(store.root).checkpoint("r1", "a", k0)  # cuts the tail first
-        lines_read.clear()
-        assert store.run_state("r1").checkpoints == (("a", k0),)
-        assert store.put(ds("x", 2.0), "r1", "a").sequence == 1
-        assert lines_read == [1, 0]
-        assert b"lat" not in store.journal("r1").read_bytes()
-
-    def test_a_line_truncated_outside_gridflow(self, store, lines_read):
-        ka = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", ka)
-        kb = store.put(ds("x", 2.0), "r1", "b")
-        store.checkpoint("r1", "b", kb)
-        assert len(store.run_state("r1").checkpoints) == 2
+    def test_a_line_truncated_outside_gridflow(self, store):
+        # a handle keeps nothing between drives: the next one folds what is left
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            ka = store.put(ds("x", 1.0), "r1", "a")
+            store.checkpoint("r1", "a", ka)
+            kb = store.put(ds("x", 2.0), "r1", "b")
+            store.checkpoint("r1", "b", kb)
         journal = store.journal("r1")
         data = journal.read_bytes()
         os.truncate(journal, data[:-1].rfind(b"\n") + 1)  # drop b's checkpoint
-        lines_read.clear()
         assert store.run_state("r1").checkpoints == (("a", ka),)
-        store.checkpoint("r1", "b", kb)  # b's put is still known
-        assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
-        assert lines_read == [3, 0, 1]
+        with store.driving("r1"):
+            store.checkpoint("r1", "b", kb)  # b's put is still known
+            assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
         assert journal.read_bytes() == data
 
-    def test_audit_reads_a_line_damaged_after_a_handle_read_it(self, store):
-        key = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", key)
-        kept = store.run_state("r1")
+    def test_malformed_line_raises_with_its_number_every_time(self, store):
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            store.put(ds("x", 1.0), "r1", "a")
+        with open(store.journal("r1"), "ab") as fh:
+            fh.write(b'["put","a"]\n')
+        for read in (lambda: store.run_state("r1"), lambda: store.driving("r1").__enter__()):
+            for _ in range(2):
+                with pytest.raises(IntegrityError, match=r"runs/r1.log line 3 malformed"):
+                    read()
+
+    def test_a_write_to_an_undriven_run_raises_and_writes_nothing(self, store):
+        store.claim({}, "r1")
+        other = ContentStore(store.root)
+        key = ResultKey(dataset_id(ds("x", 1.0)), "r1", "a", 0)
+        writes = [
+            lambda run_id: store.put(ds("x", 1.0), run_id, "a"),
+            lambda run_id: store.checkpoint(run_id, "a", key),
+            lambda run_id: store.rollback(run_id, "a"),
+            lambda run_id: store.set_status(run_id, COMPLETED),
+        ]
+        before = {p: p.read_bytes() for p in store.root.rglob("*") if p.is_file()}
+        with other.driving("r1"):  # driven, but by another handle
+            for run_id in ("r1", "ghost"):
+                for write in writes:
+                    with pytest.raises(StorageError, match=f"^run {run_id} is not driven by this store handle$"):
+                        write(run_id)
+        with pytest.raises(UnknownRun):  # only a claim creates a journal
+            with store.driving("ghost"):
+                pass
+        after = {p: p.read_bytes() for p in store.root.rglob("*") if p.is_file()}
+        assert after == {**before, store.runs_dir / "r1.lock": b""}
+
+    def test_a_handle_keeps_nothing_of_a_run_it_does_not_drive(self, store):
+        store.claim({}, "r1")
+        with store.driving("r1"):
+            key = store.put(ds("x", 1.0), "r1", "a")
+            store.checkpoint("r1", "a", key)
+            assert list(store._drives) == ["r1"]
+        assert store._drives == {}
+        assert store.run_state("r1").checkpoints == (("a", key),)
         journal = store.journal("r1")
         journal.write_bytes(journal.read_bytes().replace(b'["ckpt"', b'["ckpX"'))
         line = f'["ckpX","a",0,"{key.hash}"]'
-        assert store.journal_faults("r1") == (0, [f"damaged runs/r1.log line 2 malformed: {line[:80]!r}"])
-        # a rewrite in place of the same length breaks the append-only
-        # contract: the handle keeps what it read, a new one reads the damage
-        assert store.run_state("r1") == kept
-        with pytest.raises(IntegrityError, match="line 2 malformed"):
-            ContentStore(store.root).run_state("r1")
+        damage = f"runs/r1.log line 3 malformed: {line[:80]!r}"
+        assert store.journal_faults("r1") == (0, [f"damaged {damage}"])
+        with pytest.raises(IntegrityError, match=re.escape(damage)):  # read again, in full
+            store.run_state("r1")
+        with pytest.raises(IntegrityError, match=re.escape(damage)):
+            store.get(key)
+        assert store._drives == {}
 
 
 class TestRunIds:
     def test_claim_numbers_runs_and_writes_the_header_first(self, store):
-        store.put(ds("x", 1.0), "run-0007", "a")
+        store.claim({}, "run-0007")
         assert store.claim({"workflow_name": "w"}) == "run-0008"
         assert store.claim({"workflow_name": "v"}) == "run-0009"
         state = store.run_state("run-0008")
@@ -553,6 +624,7 @@ class TestRunIds:
             lambda: store.run_state(run_id),
             lambda: store.claim({}, run_id),
             lambda: store.set_status(run_id, COMPLETED),
+            lambda: store.driving(run_id).__enter__(),
         ):
             with pytest.raises(StorageError, match="bad run id"):
                 call()
