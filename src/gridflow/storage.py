@@ -31,19 +31,17 @@ in the call that creates it exclusively (open mode "x").
 
 One process at a time drives a run, and only a drive writes to it. The
 drive holds an exclusive flock on runs/<run id>.lock (empty, never deleted)
-throughout, and the kernel drops it when its holder dies. Under it the
-drive reads the journal once, cuts a torn tail (the unterminated last line
-of a drive that died), and keeps the journal open and the run's folded
+throughout; the kernel drops it when its holder dies. Under it the drive
+reads the journal once, cuts a torn tail (the unterminated last line of a
+drive that died; none before the first line is whole, as a claim writes
+that without the lock), and keeps the journal open and the run's folded
 state until it ends. Each write (put, checkpoint, rollback, set_status)
 decides on that state, appends one line through the open journal, flushes
 it and folds the record in, all under the handle's lock, so the handle's
 threads take turns. A write to a run the handle does not drive is a
-StorageError.
-
-A read of a run the handle drives (get, run_state) reads the kept state.
-A read of any other run reads its journal in full, skips a torn tail and
-keeps nothing; store audit (journal_faults) reads each journal that way
-too.
+StorageError. A read of a run the handle drives (get, run_state) reads the
+kept state; a read of any other run, and store audit (journal_faults),
+reads its journal in full, skips a torn tail and keeps nothing.
 
 Fsync policy: none. A record is written before its operation returns, so a
 killed process loses nothing it reported done; a power loss can lose what
@@ -208,6 +206,17 @@ class _Journal:
         return RunState(self.run_id, tuple(self.committed), self.status, self.header, self.summary)
 
 
+def _split(data: bytes) -> tuple[list[str], int]:
+    """A journal's complete lines, as latin-1 (one character a byte), and the
+    length of the unterminated tail after them."""
+    end = data.rfind(b"\n") + 1
+    return data[:end].decode("latin-1").split("\n")[:-1], len(data) - end
+
+
+def _records(lines: list[str]) -> list:
+    return [_record(line, n) for n, line in enumerate(lines, 1)]
+
+
 def _fold(run_id: str, lines: list[str], records: list) -> _Journal:
     """The state of a run whose journal holds `lines`, parsed as `records`;
     IntegrityError names the first malformed line or a bad rollback."""
@@ -250,17 +259,15 @@ class ContentStore:
         """Every complete line of a run's journal, torn tail skipped, as
         latin-1 (one character a byte)."""
         try:
-            data = self.journal(run_id).read_bytes()
+            return _split(self.journal(run_id).read_bytes())[0]
         except FileNotFoundError:
             raise UnknownRun(f"unknown run: {run_id}") from None
-        return data[: data.rfind(b"\n") + 1].decode("latin-1").split("\n")[:-1]
 
     def _read(self, run_id: str) -> tuple[int, _Journal]:
         """One read of a run's whole journal: the bytes of its complete lines,
         and the run's state folded from them, every line checked."""
         lines = self.index_lines(run_id)
-        records = [_record(line, n) for n, line in enumerate(lines, 1)]
-        return sum(map(len, lines)) + len(lines), _fold(run_id, lines, records)
+        return sum(map(len, lines)) + len(lines), _fold(run_id, lines, _records(lines))
 
     def _view(self, run_id: str) -> _Journal:
         """The state of a run this handle drives, else of one read of its
@@ -290,9 +297,9 @@ class ContentStore:
             except BlockingIOError:
                 raise StorageError(f"run {run_id} is being driven by another process") from None
             end, kept = self._read(run_id)
-            if journal.seek(0, os.SEEK_END) > end:  # cut a torn tail
+            if end and journal.seek(0, os.SEEK_END) > end:  # a dead drive's torn tail
                 journal.truncate(end)
-                journal.seek(end)
+            journal.seek(0, os.SEEK_END)
             kept.writer = journal
             with self._lock:
                 self._drives[run_id] = kept
@@ -424,9 +431,8 @@ class ContentStore:
         unterminated last line (a drive that died mid-line), and, that tail
         skipped, the first malformed line or bad rollback and each put or ckpt
         of a missing blob."""
-        *lines, tail = self.journal(run_id).read_bytes().decode("latin-1").split("\n")
-        faults = []
-        records = [_record(line, n) for n, line in enumerate(lines, 1)]
+        lines, torn = _split(self.journal(run_id).read_bytes())
+        records, faults = _records(lines), []
         try:
             _fold(run_id, lines, records)
         except IntegrityError as exc:
@@ -434,4 +440,4 @@ class ContentStore:
         for number, record in enumerate(records, 1):
             if record and record[0] in ("put", "ckpt") and not (self.blob_dir / record[3]).is_file():
                 faults.append(f"missing blob {record[3]} (runs/{run_id}.log line {number})")
-        return len(tail), faults
+        return torn, faults

@@ -776,6 +776,18 @@ class TestExitContract:
             assert code == 2
             assert err.splitlines() == [f"error: run {run_id}: journal is empty or incomplete"]
 
+    def test_a_partly_written_claim_is_refused_and_left_alone(self, run, case_file, tmp_path):
+        # a claim still writing its first line: resume takes the lock only to refuse
+        _, out, _ = run("submit", case_file, "--user", "ada")
+        run_id = out.strip()
+        journal = tmp_path / "store" / "runs" / f"{run_id}.log"
+        journal.write_bytes(b'["submitted",{')
+        for command in ("report", "resume"):
+            code, _, err = run(command, run_id)
+            assert code == 2
+            assert err.splitlines() == [f"error: run {run_id}: journal is empty or incomplete"]
+        assert journal.read_bytes() == b'["submitted",{'
+
     def test_claimed_run_without_a_status_record_is_refused(self, run, case_file, tmp_path):
         # the gap between a run's claim and its first status record: a resume
         # must not drive a run whose claiming process may still drive it

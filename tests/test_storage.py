@@ -534,6 +534,24 @@ class TestJournals:
         assert records(store, "r1") == [["put", "a", 0, k0.hash], ["put", "a", 1, k1.hash],
                                         ["ckpt", "a", 1, k1.hash]]
 
+    def test_a_drive_cuts_nothing_of_a_claim_still_writing(self, store, monkeypatch):
+        # a claim creates the journal, then writes its first line without the
+        # lock: here that write lands between a drive's read and its cut
+        journal = store.journal("r1")
+        journal.write_bytes(b'["submitted",{')
+        header = b'["submitted",{"user":"ada"}]\n'
+        index_lines = store.index_lines
+
+        def claim_lands(run_id):
+            lines = index_lines(run_id)
+            journal.write_bytes(header)
+            return lines
+
+        monkeypatch.setattr(store, "index_lines", claim_lands)
+        with store.driving("r1"):
+            assert store.run_state("r1").header is None  # as read: resume refuses it
+        assert journal.read_bytes() == header
+
     def test_a_line_truncated_outside_gridflow(self, store):
         # a handle keeps nothing between drives: the next one folds what is left
         store.claim({}, "r1")
