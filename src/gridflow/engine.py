@@ -451,10 +451,10 @@ class _Execution:
         params["seed"] = str(self._job_seed(activity, firing, [h for _, h in job_inputs]))
         params["attempt"] = str(firing)
         req = JobRequest.build(resource, activity, self.run_id, job_inputs, params)
-        launch = render_launch(
+        command = render_launch(
             descriptor.launch_template, req, f"work/{self.run_id}/{activity}/{firing}"
         )
-        self.trace.append(("launch", activity, launch.command))
+        self.trace.append(("launch", activity, command))
         handle = self.executor.submit(req)
         self.trace.append(("submitted", activity, handle.job_id, str(firing)))
         self.pending[handle] = (activity, firing, self.executor.clock)

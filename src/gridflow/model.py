@@ -454,9 +454,6 @@ class VerificationReport:
     def sound(self) -> bool:
         return not self.findings
 
-    def kinds(self) -> set[str]:
-        return {f.kind for f in self.findings}
-
 
 def _first_cycle(roots, edges) -> list[str]:
     """The first cycle a depth-first search meets, from the node the closing

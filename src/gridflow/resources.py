@@ -24,7 +24,6 @@ __all__ = [
     "License",
     "Calculator",
     "LaunchTemplate",
-    "LaunchPlan",
     "ResourceDescriptor",
     "BindingRequirement",
     "JobRequest",
@@ -145,14 +144,6 @@ class LaunchTemplate:
         return tuple(m.group(1) for m in _PLACEHOLDER_RE.finditer(self.command_pattern))
 
 
-@dataclass(frozen=True)
-class LaunchPlan:
-    command: str
-    staged_inputs: tuple[tuple[str, str, str], ...]  # (slot, dataset hash, file path)
-    output_slot: str
-    workdir: str
-
-
 # a store keeps a registered descriptor as resources/<id>.xml, so an id is
 # one plain file name: no path separator, no leading dot
 _RESOURCE_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9@._-]*")
@@ -234,9 +225,6 @@ class JobRequest:
     def param_map(self) -> dict[str, str]:
         return dict(self.params)
 
-    def input_map(self) -> dict[str, str]:
-        return dict(self.inputs)
-
 
 @dataclass(frozen=True)
 class JobHandle:
@@ -279,17 +267,16 @@ class ResourceRegistry:
         return [d.id for d in hits]
 
 
-def render_launch(t: LaunchTemplate, req: JobRequest, workdir: str) -> LaunchPlan:
-    """Fill a launch template; pure text replacement, nothing is executed."""
-    inputs = req.input_map()
-    staged = []
+def render_launch(t: LaunchTemplate, req: JobRequest, workdir: str) -> str:
+    """The command line of a job: the launch template filled by pure text
+    replacement, each input slot naming its staged file <workdir>/<slot>.dat.
+    Nothing is executed."""
+    inputs = dict(req.inputs)
     mapping = {"workdir": workdir}
     for slot, _spec in t.input_slots:
         if slot not in inputs:
             raise MissingInput(f"request missing input slot: {slot}")
-        path = f"{workdir}/{slot}.dat"
-        staged.append((slot, inputs[slot], path))
-        mapping[slot] = path
+        mapping[slot] = f"{workdir}/{slot}.dat"
     params = req.param_map()
 
     def fill(match: re.Match) -> str:
@@ -302,8 +289,7 @@ def render_launch(t: LaunchTemplate, req: JobRequest, workdir: str) -> LaunchPla
                 return params[key]
         raise UnboundPlaceholder(f"unbound placeholder ${{{name}}}")
 
-    command = _PLACEHOLDER_RE.sub(fill, t.command_pattern)
-    return LaunchPlan(command, tuple(staged), t.output_slot, workdir)
+    return _PLACEHOLDER_RE.sub(fill, t.command_pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ MSD(t) = t and self-diffusivity D = 1/2 via the Einstein relation, which
 gives the analysis stage an analytic oracle. Blocking sites slows the walk,
 so D decreases with loading fraction theta.
 
-SimulatedExecutor runs jobs on a virtual clock: each tick starts up to the
-calculator's max_concurrent queued jobs per resource and finishes them in a
-seeded shuffle. Equal (seed, fault plan) means an identical event order,
-which is what makes whole runs reproducible.
+SimulatedExecutor runs jobs on a virtual clock: each wait_any call is one
+tick, which starts up to the calculator's max_concurrent queued jobs per
+resource and finishes them in a seeded shuffle. Equal (seed, fault plan)
+means an identical event order, which makes whole runs reproducible.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ __all__ = [
     "SimProgram",
     "SimulatedExecutor",
     "PROGRAMS",
-    "msd",
-    "diffusivity",
-    "diffusivity_with_se",
     "standard_descriptors",
     "standard_registry",
 ]
@@ -420,20 +417,6 @@ def _msd_values(tracks: np.ndarray) -> list[float]:
     return list(np.mean(deltas * deltas, axis=0))
 
 
-def msd(traj: Trajectory, cell_length: float = 1.0) -> Dataset:
-    """Mean square displacement over walkers, in squared length units."""
-    if traj.walkers < 2:
-        raise BadParams("MSD needs at least 2 walkers to average over")
-    values = _msd_values(traj.positions * cell_length)
-    return Dataset.build(
-        [
-            Observable.series("msd", [(float(t), v) for t, v in enumerate(values)], ANGSTROM2),
-            Observable.scalar("timestep", traj.timestep, PS),
-            Observable.scalar("n_walkers", float(traj.walkers), ONE),
-        ]
-    )
-
-
 def _fit_second_half(values: list[float]):
     """Least-squares slope over the series' second half plus a regime check.
 
@@ -457,64 +440,41 @@ def _fit_second_half(values: list[float]):
 _FIT_WARN_THRESHOLD = 0.5
 
 
-def diffusivity(msd_ds: Dataset, dimensionality: int = 1) -> Dataset:
-    """Einstein relation: D = slope(MSD) / (2 d), converted to area per time."""
-    if dimensionality < 1:
-        raise BadParams("dimensionality must be >= 1")
-    series = msd_ds.get("msd")
-    values = [v for _, v in series.values]
-    if len(values) < 10:
-        raise BadParams(f"need an MSD series of at least 10 points, got {len(values)}")
-    timestep = msd_ds.get("timestep").magnitude if msd_ds.has("timestep") else _TIMESTEP_PS
-    slope, residual = _fit_second_half(values)
-    d_value = slope / (2.0 * dimensionality) / timestep
-    return Dataset.build(
-        [
-            Observable.scalar("diffusivity", d_value, D_UNIT),
-            Observable.scalar("fit_residual", residual, ONE),
-            Observable.scalar(
-                "fit_warning", 1.0 if residual > _FIT_WARN_THRESHOLD else 0.0, ONE
-            ),
-            Observable.scalar("einstein_dimensionality", float(dimensionality), ONE),
-        ]
-    )
-
-
-def diffusivity_with_se(
-    traj: Trajectory, cell_length: float = 1.0, groups: int = 10, dimensionality: int = 1
-):
-    """Overall D plus its standard error from walker-group resampling."""
-    groups = min(groups, traj.walkers)
-    if groups < 2:
-        raise BadParams("need at least 2 walker groups for a standard error")
-    tracks = traj.positions * cell_length
-    overall, _ = _fit_second_half(_msd_values(tracks))
-    estimates = []
-    for g in range(groups):
-        slope, _ = _fit_second_half(_msd_values(tracks[g::groups]))
-        estimates.append(slope / (2.0 * dimensionality) / traj.timestep)
-    d_value = overall / (2.0 * dimensionality) / traj.timestep
-    se = float(np.std(estimates, ddof=1) / math.sqrt(groups))
-    return d_value, se
-
-
 def analysis_native(inputs: Dataset, params) -> str:
-    """MSD and diffusivity of a trajectory, written as key-value text."""
+    """MSD and diffusivity of a trajectory, written as key-value text.
+
+    Einstein relation: D = slope(MSD) / (2 d), in area per time. Its
+    standard error comes from refitting walker groups (every groups-th
+    walker) on their own.
+    """
     traj = Trajectory.from_dataset(inputs)
     cell_length = inputs.get("cell_length").magnitude if inputs.has("cell_length") else 1.0
     groups = _int_param(params, "groups", "10")
     dim = _int_param(params, "einstein_dimensionality", "1")
-    msd_ds = msd(traj, cell_length)
-    fit = diffusivity(msd_ds, dim)
-    _, se = diffusivity_with_se(traj, cell_length, groups, dim)
-    msd_values = [v for _, v in msd_ds.get("msd").values]
+    if traj.walkers < 2:
+        raise BadParams("MSD needs at least 2 walkers to average over")
+    if dim < 1:
+        raise BadParams("dimensionality must be >= 1")
+    tracks = traj.positions * cell_length
+    msd_values = _msd_values(tracks)
+    if len(msd_values) < 10:
+        raise BadParams(f"need an MSD series of at least 10 points, got {len(msd_values)}")
+    groups = min(groups, traj.walkers)
+    if groups < 2:
+        raise BadParams("need at least 2 walker groups for a standard error")
+    slope, residual = _fit_second_half(msd_values)
+    estimates = [
+        _fit_second_half(_msd_values(tracks[g::groups]))[0] / (2.0 * dim) / traj.timestep
+        for g in range(groups)
+    ]
+    se = float(np.std(estimates, ddof=1) / math.sqrt(groups))
     return _kv_text(
         "tsfit-kv",
         [
-            ("diffusivity", format_number(fit.get("diffusivity").magnitude)),
+            ("diffusivity", format_number(slope / (2.0 * dim) / traj.timestep)),
             ("diffusivity_se", format_number(se)),
-            ("fit_residual", format_number(fit.get("fit_residual").magnitude)),
-            ("fit_warning", format_number(fit.get("fit_warning").magnitude)),
+            ("fit_residual", format_number(residual)),
+            ("fit_warning", format_number(1.0 if residual > _FIT_WARN_THRESHOLD else 0.0)),
             ("msd", ",".join(format_number(v) for v in msd_values)),
         ],
     )
@@ -627,10 +587,11 @@ class _SimJob:
 class SimulatedExecutor:
     """Deterministic virtual-clock job runner over a resource registry.
 
-    Each tick starts up to max_concurrent queued jobs per resource and
-    finishes them within that tick, in seeded-shuffle order. A fault plan of
-    (activity id, firing) pairs fails the submissions of that activity whose
-    `attempt` param is that firing; the engine numbers firings across resumes.
+    Each wait_any call is one tick: it starts up to max_concurrent queued
+    jobs per resource and finishes them within that tick, in seeded-shuffle
+    order. A fault plan of (activity id, firing) pairs fails the submissions
+    of that activity whose `attempt` param is that firing; the engine numbers
+    firings across resumes.
     """
 
     def __init__(self, registry: ResourceRegistry, store, seed: int = 0, fault_plan=()):
@@ -640,19 +601,11 @@ class SimulatedExecutor:
         self.fault_plan = frozenset((a, str(int(n))) for a, n in fault_plan)
         self._jobs: dict[str, _SimJob] = {}
         self._queue: dict[str, list[str]] = {}
-        self._completions: list[JobHandle] = []
-        self._consumed = 0
-        self._clock = 0
-        self._counter = 0
-
-    @property
-    def clock(self) -> int:
-        return self._clock
+        self.clock = 0
 
     def submit(self, req: JobRequest) -> JobHandle:
         self.registry.get(req.resource_id)
-        self._counter += 1
-        job = _SimJob(f"job-{self._counter:04d}", req)
+        job = _SimJob(f"job-{len(self._jobs) + 1:04d}", req)
         self._jobs[job.job_id] = job
         self._queue.setdefault(req.resource_id, []).append(job.job_id)
         return JobHandle(job.job_id, req.resource_id)
@@ -674,31 +627,31 @@ class SimulatedExecutor:
             job.state = WITHDRAWN
         return self.poll(handle)
 
-    def live_jobs(self) -> bool:
-        return any(self._queue.values())
-
-    def tick(self):
-        """Advance one tick: start what fits on each resource, then finish it."""
+    def wait_any(self) -> list[JobHandle]:
+        """One tick: the handles it finishes in completion order, or []
+        when nothing is queued."""
         batch = []
         for rid in sorted(self._queue):
             cap = self.registry.get(rid).calculator.max_concurrent
             queue = self._queue[rid]
-            batch.extend(queue[:cap])
+            batch.extend(JobHandle(job_id, rid) for job_id in queue[:cap])
             del queue[:cap]
-        self._clock += 1
-        random.Random(f"{self.seed}:{self._clock}").shuffle(batch)
-        for job_id in batch:
-            self._finish(self._jobs[job_id])
+        if not batch:
+            return []
+        self.clock += 1
+        random.Random(f"{self.seed}:{self.clock}").shuffle(batch)
+        for handle in batch:
+            self._finish(self._jobs[handle.job_id])
+        return batch
 
     def _finish(self, job: _SimJob):
-        rid = job.req.resource_id
         firing = job.req.param_map().get("attempt")
         if (job.req.activity_id, firing) in self.fault_plan:
             job.state = FAILED
             job.reason = f"injected fault (occurrence {firing})"
         else:
             try:
-                program = self.registry.get(rid).program
+                program = self.registry.get(job.req.resource_id).program
                 sim = PROGRAMS.get(program)
                 if sim is None:
                     raise RuntimeFailure(f"no simulated behavior for program {program!r}")
@@ -708,20 +661,6 @@ class SimulatedExecutor:
             except GridflowError as exc:
                 job.state = FAILED
                 job.reason = str(exc)
-        self._completions.append(JobHandle(job.job_id, rid))
-
-    def wait_any(self) -> list[JobHandle]:
-        """Advance the clock until at least one job reaches a terminal state;
-        returns newly terminal handles in completion order, oldest first.
-        Returns [] when nothing is queued."""
-        while True:
-            fresh = self._completions[self._consumed :]
-            if fresh:
-                self._consumed = len(self._completions)
-                return list(fresh)
-            if not self.live_jobs():
-                return []
-            self.tick()
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def flagged_kinds(text: str) -> set[str]:
         graph = parse(text)
     except StructuralError as exc:
         return {v.split(":", 1)[0] for v in exc.violations}
-    return verify(graph).kinds()
+    return {f.kind for f in verify(graph).findings}
 
 
 class TestInventory:

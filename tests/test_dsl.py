@@ -509,4 +509,4 @@ class TestVerifyIntegration:
         """
         report = verify(parse(text))
         assert not report.sound
-        assert "JoinDeadlock" in report.kinds()
+        assert "JoinDeadlock" in {f.kind for f in report.findings}

@@ -512,7 +512,7 @@ class TestVerify:
     def test_unsound_graphs_flag_expected_kind(self, builder, kind):
         report = verify(builder())
         assert not report.sound
-        assert kind in report.kinds(), [f.text() for f in report.findings]
+        assert kind in {f.kind for f in report.findings}, [f.text() for f in report.findings]
 
     def test_verify_is_deterministic(self):
         g = unbalanced_graph()
@@ -527,17 +527,18 @@ class TestVerify:
         g = builder()
         oracle_kinds = brute_force_findings(g)
         report = verify(g)
-        assert report.kinds() == oracle_kinds
+        assert {f.kind for f in report.findings} == oracle_kinds
         assert report.sound == (not oracle_kinds)
 
     @pytest.mark.parametrize("budget", (0, 1, 2, 3, 100))
     def test_agrees_with_oracle_on_random_graphs(self, budget):
         for g in random_graphs():
-            assert verify(g, budget).kinds() == brute_force_findings(g, budget), g.edges
+            kinds = {f.kind for f in verify(g, budget).findings}
+            assert kinds == brute_force_findings(g, budget), g.edges
 
     def test_adding_unguarded_cycle_never_removes_findings(self):
         # monotonicity: new looping structure adds findings, never subtracts
-        before = verify(fork_join_graph()).kinds()
+        before = {f.kind for f in verify(fork_join_graph()).findings}
         nodes = [
             Node("start", START),
             Node("f", FORK),
@@ -559,7 +560,7 @@ class TestVerify:
             ("f2", "end"),
             ("f2", "f"),
         ]
-        after = verify(build_graph("fork_join_cycle", nodes, edges)).kinds()
+        after = {f.kind for f in verify(build_graph("fork_join_cycle", nodes, edges)).findings}
         assert before <= after
         assert "UnguardedCycle" in after
 
@@ -604,17 +605,17 @@ class TestVerify:
     def test_stopped_search_keeps_what_it_found(self, monkeypatch):
         g = fork_into_loop_graph("deadlock")
         full = verify(g)
-        assert full.kinds() == {"JoinDeadlock"}
+        assert {f.kind for f in full.findings} == {"JoinDeadlock"}
         monkeypatch.setattr(model, "STATE_BUDGET", full.states - 1)
         report = verify(g)
         assert report.mode == BOUNDED
-        assert report.kinds() == {"JoinDeadlock", "TooManyStates"}
+        assert {f.kind for f in report.findings} == {"JoinDeadlock", "TooManyStates"}
 
     @pytest.mark.parametrize("k, states", [(2, 40), (4, 1300)])
     def test_fork_of_loops_agrees_with_oracle(self, k, states):
         g = fork_of_loops_graph(k)
         report = verify(g, 3)
-        assert report.kinds() == brute_force_findings(g, 3) == set()
+        assert {f.kind for f in report.findings} == brute_force_findings(g, 3) == set()
         report = verify(g)
         assert (report.mode, report.states, report.sound) == (EXHAUSTIVE, 0, True)
         assert _TokenGame(g, 100).explore() == (EXHAUSTIVE, set(), states)
@@ -632,9 +633,9 @@ class TestVerify:
     def test_fork_into_loop_agrees_with_oracle(self, variant, kinds, budget):
         g = fork_into_loop_graph(variant)
         report = verify(g, budget)
-        assert report.kinds() == brute_force_findings(g, budget)
+        assert {f.kind for f in report.findings} == brute_force_findings(g, budget)
         if budget == 100:
-            assert report.kinds() == kinds
+            assert {f.kind for f in report.findings} == kinds
 
     @pytest.mark.parametrize(
         "builder", [loop_graph, unguarded_cycle_graph, fork_in_loop_graph],
@@ -647,7 +648,7 @@ class TestVerify:
         states = set()
         for budget in (3, 100, 1000):
             report = verify(g, budget)
-            assert report.kinds() == deep_oracle(g, budget), budget
+            assert {f.kind for f in report.findings} == deep_oracle(g, budget), budget
             states.add(_TokenGame(g, budget).explore()[2])
         assert len(states) == 1, states
 
@@ -685,7 +686,7 @@ class TestVerify:
         assert any(g.back_edges for g in graphs)
         reports = [verify(g) for g in graphs]
         assert any(r.sound for r in reports)
-        assert {"JoinDeadlock", "UnbalancedForkJoin"} <= set().union(*(r.kinds() for r in reports))
+        assert {"JoinDeadlock", "UnbalancedForkJoin"} <= {f.kind for r in reports for f in r.findings}
 
     def test_decision_branch_is_fixed_when_it_first_fires(self):
         game = _TokenGame(loop_graph(), 100)

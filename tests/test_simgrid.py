@@ -32,14 +32,11 @@ from gridflow.simgrid import (
     SimulatedExecutor,
     Trajectory,
     cbmc_native,
-    diffusivity,
-    diffusivity_with_se,
     flip_native,
     gcmc_native,
     lattice_native,
     analysis_native,
     md_native,
-    msd,
     noop_native,
     parse_flip_native,
     parse_analysis_native,
@@ -60,8 +57,13 @@ def mock(program, *args):
     """mock(program, [upstream dataset,] params): one run of PROGRAMS[program],
     its native text then its adapter."""
     *upstream, params = args
+    return stage(program, params, dict(enumerate(upstream)))
+
+
+def stage(program, params, inputs):
+    """One run of PROGRAMS[program] on named input slots, adapted."""
     sim = PROGRAMS[program]
-    return sim.parse(sim.run(params, dict(enumerate(upstream))))
+    return sim.parse(sim.run(params, inputs))
 
 
 def lattice(cells=10, cell_length=1.0):
@@ -396,62 +398,67 @@ class TestTrajectory:
                 Trajectory(positions)
 
 
+def analysed(walks, cell_length=None, **params):
+    """The analysis stage (PROGRAMS["tsfit"], then parse_analysis_native)
+    over walker tracks, one tuple of positions per walker."""
+    columns = ("t",) + tuple(f"w{w}" for w in range(len(walks)))
+    rows = [(float(t),) + tuple(map(float, sample)) for t, sample in enumerate(zip(*walks))]
+    obs = [Observable.table("trajectory", columns, rows, ONE)]
+    if cell_length is not None:
+        obs.append(Observable.scalar("cell_length", cell_length, get_unit("angstrom")))
+    return mock("tsfit", Dataset.build(obs), params)
+
+
+def msd_of(out):
+    return [v for _, v in out.get("msd").values]
+
+
 class TestAnalysis:
     def test_msd_free_ensemble_is_exact(self):
-        # every sign sequence of length 6 once: the ensemble mean square
+        # every sign sequence of length 9 once: the ensemble mean square
         # displacement of the free walk is exactly t
-        walks = []
-        for signs in itertools.product((-1, 1), repeat=6):
-            track = [0]
-            for s in signs:
-                track.append(track[-1] + s)
-            walks.append(tuple(track))
-        ds = msd(Trajectory(tuple(walks)))
-        assert [v for _, v in ds.get("msd").values] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        walks = [tuple(itertools.accumulate(signs, initial=0))
+                 for signs in itertools.product((-1, 1), repeat=9)]
+        assert msd_of(analysed(walks)) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
 
     def test_msd_scales_with_cell_length(self):
-        traj = Trajectory(((0, 1, 2), (0, -1, -2)))
-        values = [v for _, v in msd(traj, cell_length=2.0).get("msd").values]
-        assert values == [0.0, 4.0, 16.0]
+        walks = (tuple(range(10)), tuple(range(0, -10, -1)))
+        assert msd_of(analysed(walks, cell_length=2.0)) == [4.0 * t * t for t in range(10)]
 
     def test_msd_needs_two_walkers(self):
-        with pytest.raises(BadParams):
-            msd(Trajectory(((0, 1),)))
+        with pytest.raises(BadParams, match="at least 2 walkers"):
+            analysed(((0, 1),))
 
     def test_free_walk_diffusivity_near_half(self):
         lat = lattice(50)
         occ = mock("mcsim", lat, {"theta": "0", "seed": "0"})
         gc = mock("gulpgc", occ, {"n_helium": "1000", "seed": "5"})
         tr = mock("mdrun", merge([occ, gc]), {"steps": "200", "seed": "11"})
-        fit = diffusivity(msd(Trajectory.from_dataset(tr)))
+        fit = mock("tsfit", tr, {})
         assert 0.45 <= fit.get("diffusivity").magnitude <= 0.55
         assert fit.get("fit_warning").magnitude == 0.0
 
     def test_ballistic_walk_warns_but_reports(self):
-        traj = Trajectory(tuple(tuple(range(41)) for _ in range(4)))
-        fit = diffusivity(msd(traj))
+        fit = analysed([tuple(range(41))] * 4)
         assert fit.get("fit_warning").magnitude == 1.0
         assert fit.get("diffusivity").magnitude == pytest.approx(30.0)
 
     def test_stationary_walk_is_zero(self):
-        traj = Trajectory(tuple((4,) * 21 for _ in range(3)))
-        fit = diffusivity(msd(traj))
+        fit = analysed([(4,) * 21] * 3)
         assert fit.get("diffusivity").magnitude == 0.0
         assert fit.get("fit_warning").magnitude == 0.0
 
     def test_short_series_rejected(self):
-        traj = Trajectory(((0, 1, 0, 1, 0), (0, -1, 0, -1, 0)))
-        with pytest.raises(BadParams):
-            diffusivity(msd(traj))
+        with pytest.raises(BadParams, match="at least 10 points"):
+            analysed(((0, 1, 0, 1, 0), (0, -1, 0, -1, 0)))
 
     def test_unit_is_area_per_time(self):
-        traj = Trajectory(tuple(((0,) + tuple(1 for _ in range(20))) for _ in range(2)))
-        fit = diffusivity(msd(traj))
+        fit = analysed([(0,) + (1,) * 20] * 2)
         assert fit.get("diffusivity").unit.name == "angstrom^2/ps"
 
     def test_se_needs_two_groups(self):
-        with pytest.raises(BadParams):
-            diffusivity_with_se(Trajectory(((0, 1) * 8,)), groups=10)
+        with pytest.raises(BadParams, match="at least 2 walker groups"):
+            analysed(((0, 1) * 8, (0, -1) * 8), groups="1")
 
     def test_se_shrinks_with_more_walkers(self):
         lat = lattice(30)
@@ -460,7 +467,7 @@ class TestAnalysis:
         def se_at(n):
             gc = mock("gulpgc", occ, {"n_helium": str(n), "seed": "2"})
             tr = mock("mdrun", merge([occ, gc]), {"steps": "40", "seed": "3"})
-            return diffusivity_with_se(Trajectory.from_dataset(tr))[1]
+            return mock("tsfit", tr, {}).get("diffusivity_se").magnitude
 
         assert se_at(2000) < se_at(100)
 
@@ -485,6 +492,24 @@ class TestAnalysis:
         for name in ("diffusivity", "diffusivity_se", "fit_residual", "fit_warning", "msd"):
             assert out.has(name)
         assert out.get("diffusivity").unit.name == "angstrom^2/ps"
+
+    def test_stage_sweep_is_pinned(self):
+        # the chained stages over 90 small studies, then the analysis text
+        # (or its refusal) at three group counts: 270 outputs, 126 refused
+        outs = []
+        for seed, theta in itertools.product(range(30), ("0", "0.3", "0.6")):
+            lat = stage("latgen", {"cells": str(12 + seed), "cell_length": "2.5" if seed % 2 else "1.0"}, {})
+            occ = stage("mcsim", {"theta": theta, "seed": str(seed)}, {"lattice": lat})
+            gc = stage("gulpgc", {"n_helium": str(1 + seed % 7), "seed": str(seed)}, {"occupancy": occ})
+            md = stage("mdrun", {"steps": str(7 + seed), "seed": str(seed)}, {"occ": occ, "gc": gc})
+            for g in ("10", "2", "1"):
+                try:
+                    outs.append(PROGRAMS["tsfit"].run({"groups": g}, {"a": lat, "b": md}))
+                except BadParams as exc:
+                    outs.append(f"{type(exc).__name__}: {exc}")
+        assert sum(o.startswith("BadParams: ") for o in outs) == 126
+        digest = hashlib.sha256("\n".join(outs).encode()).hexdigest()
+        assert digest == "1307f593f3e44d33f9d9b204a0100bd3c379568c536bda14f02adef9e4cb6f8b"
 
 
 class TestProbePrograms:

@@ -2,9 +2,11 @@
 
 Every function, method and class defined in src/gridflow must be referenced
 from src/gridflow or perfbench/: as a name, an attribute, an imported name or
-a string constant equal to it. A module's own `__all__` does not count, and
-dunder methods are called by the language. A name that is reached another
-way goes in ALLOWED with the reason.
+a string constant equal to it. A method counts as called only through an
+attribute or a string constant, since a bare name of the same spelling (a
+local variable, say) cannot reach it. A module's own `__all__` does not
+count, and dunder methods are called by the language. A name that is
+reached another way goes in ALLOWED with the reason.
 """
 
 import ast
@@ -24,19 +26,24 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def defined() -> dict[str, str]:
-    """Name -> 'module:line' of every function, method and class under src/gridflow."""
-    out = {}
+def defined() -> list[tuple[str, str, bool]]:
+    """(name, 'module:line', defined in a class body) of every function, method
+    and class under src/gridflow."""
+    out = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not _DUNDER.fullmatch(node.name):
-                    out.setdefault(node.name, f"{path.name}:{node.lineno}")
+        for parent in ast.walk(_tree(path)):
+            for node in ast.iter_child_nodes(parent):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if not _DUNDER.fullmatch(node.name):
+                        method = isinstance(parent, ast.ClassDef)
+                        out.append((node.name, f"{path.name}:{node.lineno}", method))
     return out
 
 
-def referenced() -> set[str]:
-    names = set()
+def referenced() -> tuple[set[str], set[str]]:
+    """The names referenced outside the tests, and those among them that an
+    attribute or a string constant references."""
+    names, attrs = set(), set()
     for path in CALLERS:
         tree = _tree(path)
         exported = set()
@@ -49,23 +56,27 @@ def referenced() -> set[str]:
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif isinstance(node, ast.Constant) and type(node.value) is str:
                 if id(node) not in exported:
-                    names.add(node.value)
-    return names
+                    attrs.add(node.value)
+    return names | attrs, attrs
+
+
+def _uncalled() -> set[tuple[str, str]]:
+    refs, attrs = referenced()
+    return {(name, where) for name, where, method in defined()
+            if name not in (attrs if method else refs)}
 
 
 def test_every_definition_has_a_caller_outside_the_tests():
-    refs = referenced()
-    unused = sorted(f"{where} {name}" for name, where in defined().items()
-                    if name not in refs and name not in ALLOWED)
+    unused = sorted(f"{where} {name}" for name, where in _uncalled() if name not in ALLOWED)
     assert unused == []
 
 
 def test_allowlist_names_only_definitions_without_callers():
-    refs = referenced()
-    names = defined()
-    assert [n for n in ALLOWED if n not in names or n in refs] == []
+    names = {name for name, _, _ in defined()}
+    uncalled = {name for name, _ in _uncalled()}
+    assert [n for n in ALLOWED if n not in names or n not in uncalled] == []
