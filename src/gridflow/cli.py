@@ -355,11 +355,19 @@ def cmd_mock(args, cfg) -> int:
 
 def _mock_native(name: str, params: dict) -> str:
     """Native output of one stage, fed the adapted results of the stages
-    upstream, each run afresh: the mocks are deterministic."""
-    program, upstream = MOCK_STAGES[name]
-    inputs = {stage: PROGRAMS[MOCK_STAGES[stage][0]].parse(_mock_native(stage, params))
-              for stage in upstream}
-    return PROGRAMS[program].run(params, inputs)
+    upstream. Each stage it needs runs once, in MOCK_STAGES order, which
+    lists every stage after the stages it reads."""
+    needed = {name}
+    for stage in reversed(MOCK_STAGES):
+        if stage in needed:
+            needed.update(MOCK_STAGES[stage][1])
+    results = {}
+    for stage in filter(needed.__contains__, MOCK_STAGES):
+        program, upstream = MOCK_STAGES[stage]
+        text = PROGRAMS[program].run(params, {up: results[up] for up in upstream})
+        if stage == name:
+            return text
+        results[stage] = PROGRAMS[program].parse(text)
 
 
 # -- parser ---------------------------------------------------------------

@@ -8,10 +8,16 @@ stored results, so serialization must be deterministic and the parser must
 reject any non-canonical rendering. A dataset's id is computed once, and a
 parsed dataset takes its id from the bytes it was parsed from. Each distinct
 number of an obs line is rendered, and parsed and checked, once; the parser
-accepts the same bytes as a number-by-number check. Every number is checked
-when the bytes are parsed, but a parsed table keeps its obs line and builds
-its rows from it only on first access to `values`; its `length` (row count)
-needs no rows.
+accepts the same bytes as a number-by-number check.
+
+A table's numbers are one read-only float64 array, `cells`. The factory
+converts and checks the cells once, on the array, and the obs line is
+rendered from it. No table holds row tuples until `values` is first read,
+whether the factory or the parser built it, and its `length` (row count)
+needs none. The parser checks every number when the bytes are parsed,
+splitting a long line a slice at a time so it holds no list of the line's
+tokens; a parsed table keeps its line and reads its cells from it on first
+use.
 
 Units are linear scalings of SI-coherent units over the 7 SI base dimensions.
 Energy-per-mole carries an explicit amount exponent of -1 so per-particle and
@@ -27,6 +33,8 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
+
+import numpy as np
 
 from .errors import UserError
 
@@ -190,6 +198,24 @@ def _rows(flat, width: int) -> tuple:
     return tuple(zip(*[iter(flat)] * width))
 
 
+def _cells(rows, width: int, context: str) -> np.ndarray:
+    """Rows of `width` cells (a sequence of rows or a 2-D array) as one
+    read-only float64 array, checked and converted as _clean does."""
+    arrayed = isinstance(rows, np.ndarray)
+    rows = rows if arrayed else list(rows)
+    if len(rows) and not width:
+        raise QuantityError(f"{context}: a table without columns holds no rows")
+    if len(rows) and (rows.shape[1:] != (width,) if arrayed else set(map(len, rows)) != {width}):
+        raise QuantityError(f"{context}: row width != column count")
+    cells = np.array(rows, dtype=float).reshape(len(rows), width)
+    finite = np.isfinite(cells)
+    if not np.logical_and.reduce(finite, axis=None):  # a ufunc, not ndarray.all's Python wrapper
+        raise QuantityError(f"{context}: non-finite value {float(cells[~finite][0])!r}")
+    cells += 0.0
+    cells.setflags(write=False)
+    return cells
+
+
 @dataclass(frozen=True)
 class Observable:
     """One named physical quantity inside a Dataset.
@@ -199,8 +225,11 @@ class Observable:
       vector3 -- (x, y, z)
       series  -- ((index, value), ...) with strictly increasing indices
       table   -- (row, ...) where each row is a tuple of len(columns) cells
-    `columns` is used by tables only. A table parsed from canonical text has
-    its line checked in full but builds `values` from it on first access.
+    `columns` is used by tables only. A table's numbers are `cells`, one
+    read-only float64 array; a table the factory or the parser built holds
+    no row tuples and builds `values` from its cells on first access. A
+    parsed table has its line checked in full and reads its cells from the
+    line on first access.
     """
 
     name: str
@@ -254,37 +283,53 @@ class Observable:
 
     @staticmethod
     def table(name: str, columns, rows, unit: Unit) -> "Observable":
-        rows, columns = list(rows), tuple(columns)
-        if rows and not columns:
-            raise QuantityError(f"{name}: a table without columns holds no rows")
-        if set(map(len, rows)) - {len(columns)}:
-            raise QuantityError(f"{name}: row width != column count")
-        flat = _clean(chain.from_iterable(rows), name)
-        return Observable(name, "table", unit, _rows(flat, len(columns)), columns)
+        """`rows` is a sequence of rows or a 2-D array of cells."""
+        columns = tuple(columns)
+        cells = _cells(rows, len(columns), name)
+        return _rowless(Observable(name, "table", unit, (), columns), cells=cells, length=len(cells))
 
     @functools.cached_property
     def line(self) -> str:
         """The canonical "obs ..." line, kept out of == and hash like
         Dataset.id. Each distinct number is rendered once, keyed by float
         equality (0.0 == -0.0): sound as no Observable built by a factory or
-        by the parser holds -0.0, for _clean adds 0.0 and the parser refuses -0."""
+        by the parser holds -0.0, for _clean and _cells add 0.0 and the
+        parser refuses -0."""
         head = ["obs", self.name, self.kind, self.unit.name]
-        if self.kind == "series":
+        if self.kind == "table":
+            head.extend((str(self.length), str(len(self.columns)), *self.columns))
+            flat = self.cells.ravel().tolist()
+        elif self.kind == "series":
             head.append(str(len(self.values)))
-        elif self.kind == "table":
-            head.extend((str(len(self.values)), str(len(self.columns)), *self.columns))
-        flat = self.values
-        if self.kind in ("series", "table"):
-            flat = tuple(chain.from_iterable(flat))
+            flat = tuple(chain.from_iterable(self.values))
+        else:
+            flat = self.values
         distinct = set(flat)
         rendered = dict(zip(distinct, map(_FORMAT, distinct)))
         return " ".join(chain(head, map(rendered.__getitem__, flat)))
 
     @functools.cached_property
     def length(self) -> int:
-        """len(values); the parser files a table's row count here, so it
-        builds no rows."""
+        """len(values); the factory and the parser file a table's row count
+        here, so it builds no rows."""
         return len(self.values)
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """A table's numbers as one read-only float64 array, a row per row.
+        The factory files it, a table constructed with its rows converts
+        them, and a parsed table reads its line, checked when parsed, each
+        distinct token through float once."""
+        rows = vars(self).get("values")
+        if rows is not None:
+            return _cells(rows, len(self.columns), self.name)
+        numbers = self.line.split(" ")[6 + len(self.columns):]  # obs name kind unit rows cols
+        distinct = set(numbers)
+        parsed = dict(zip(distinct, map(float, distinct)))
+        cells = np.fromiter(map(parsed.__getitem__, numbers), float, len(numbers))
+        cells = cells.reshape(self.length, len(self.columns))
+        cells.setflags(write=False)
+        return cells
 
     @property
     def magnitude(self) -> float:
@@ -294,23 +339,30 @@ class Observable:
         return self.values[0]
 
 
-class _RowsFromLine:
+class _LazyRows:
     """Observable.values where no instance holds its own: only a table the
-    parser built lacks them, and gets its rows from its line on first access.
-    A non-data descriptor, set after the dataclass took `values` as a field,
-    so the values every other observable holds shadow it."""
+    factory or the parser built lacks them, and builds its rows from its
+    cells on first access. A non-data descriptor, set after the dataclass
+    took `values` as a field, so the values every other observable holds
+    shadow it."""
 
     def __get__(self, obs, owner=None):
         if obs is None:
             return self
-        numbers = obs.line.split(" ")[6 + len(obs.columns):]  # obs name kind unit rows cols
-        distinct = set(numbers)
-        parsed = dict(zip(distinct, map(float, distinct)))
-        rows = vars(obs)["values"] = _rows(tuple(map(parsed.__getitem__, numbers)), len(obs.columns))
+        rows = vars(obs)["values"] = tuple(map(tuple, obs.cells.tolist()))
         return rows
 
 
-Observable.values = _RowsFromLine()
+Observable.values = _LazyRows()
+
+
+def _rowless(obs: Observable, **known) -> Observable:
+    """`obs`, a table checked as one of no rows, with that empty `values`
+    dropped (so _LazyRows serves it) and `known` filed: its cells or its
+    line, and its row count."""
+    del vars(obs)["values"]
+    vars(obs).update(known)
+    return obs
 
 
 @dataclass(frozen=True)
@@ -403,9 +455,7 @@ def convert(q: Observable, target: Unit) -> Observable:
         return Observable.vector3(q.name, tuple(v * factor for v in q.values), target)
     if q.kind == "series":
         return Observable.series(q.name, tuple((i, v * factor) for i, v in q.values), target)
-    return Observable.table(
-        q.name, q.columns, tuple(tuple(c * factor for c in row) for row in q.values), target
-    )
+    return Observable.table(q.name, q.columns, q.cells * factor, target)
 
 
 def project(ds: Dataset, spec: ExtractionSpec) -> Dataset:
@@ -501,7 +551,7 @@ def canonical_deserialize(data: bytes) -> Dataset:
     observables: list[Observable] = []
     seen_obs = False
     for lineno, line in enumerate(lines[1:-1], start=2):
-        if line != line.strip() or "  " in line.split(" ", 1)[0]:
+        if line != line.strip():
             raise ParseError(lineno, "malformed spacing")
         if line.startswith("meta "):
             if seen_obs:
@@ -528,18 +578,40 @@ def canonical_deserialize(data: bytes) -> Dataset:
     return ds
 
 
+_CHUNK = 1 << 16  # characters of an obs line split at a time
+
+
+def _cut(line: str, start: int) -> int:
+    """Where the slice of `line` from `start` ends: at the first space
+    _CHUNK characters on, or at the end of the line."""
+    end = line.find(" ", start + _CHUNK)
+    return len(line) if end < 0 else end
+
+
+def _fill(line: str, tokens: list[str], end: int, n: int) -> int:
+    """Split `line` past `end` into `tokens`, a slice at a time, until they
+    are n or the line ends; return where the split stopped."""
+    while len(tokens) < n and end < len(line):
+        at, end = end + 1, _cut(line, end + 1)
+        tokens.extend(line[at:end].split(" "))
+    return end
+
+
 def _token_fault(lineno: int, tokens, head=()) -> ParseError | None:
     """The error a "" token (a doubled space) or a -0 among `tokens` or
     `head` earns; either is an obs line's first fault, whatever else is wrong."""
     if "" in tokens or "" in head:
         return ParseError(lineno, "malformed spacing in obs line")
-    if _NEGATIVE_ZERO in tokens or _NEGATIVE_ZERO in head:  # _clean writes every zero as +0
+    if _NEGATIVE_ZERO in tokens or _NEGATIVE_ZERO in head:  # _clean and _cells write every zero as +0
         return ParseError(lineno, f"non-canonical number rendering: {_NEGATIVE_ZERO!r}")
     return None
 
 
 def _parse_obs(line: str, lineno: int) -> Observable:
-    tokens = line[len("obs "):].split(" ")
+    found = line.count(" ")  # the tokens after "obs ", each led by a space
+    end = _cut(line, len("obs "))
+    tokens = line[len("obs "):end].split(" ")  # a short line's every token
+    end = _fill(line, tokens, end, 5)  # name, kind, unit and counts of any line
     try:
         if len(tokens) < 3:
             raise ParseError(lineno, "expected name, kind and unit, line ended early")
@@ -561,15 +633,24 @@ def _parse_obs(line: str, lineno: int) -> Observable:
             if rows and not width:
                 raise ParseError(lineno, "a table without columns holds no rows")
             start, count = 5 + width, rows * width
-            columns = tuple(tokens[5:start])
-        if len(tokens) != start + count:
-            raise ParseError(lineno, f"expected {start + count} tokens, found {len(tokens)}")
+        if found != start + count:
+            raise ParseError(lineno, f"expected {start + count} tokens, found {found}")
     except ParseError as exc:
-        raise _token_fault(lineno, tokens) or exc from None
+        raise _token_fault(lineno, line.split(" ")) or exc from None
+    end = _fill(line, tokens, end, start)
+    if kind == "table":
+        columns = tuple(tokens[5:start])
     # each distinct token once: a finite float that format_number renders back;
-    # on a well-formed head, the distinct numbers and the head hold every token
+    # on a well-formed head, the distinct numbers and the head hold every token.
+    # A table keeps no list of the numbers past its first slice.
     numbers = tokens[start:]
     distinct = set(numbers)
+    while end < len(line):
+        at, end = end + 1, _cut(line, end + 1)
+        more = line[at:end].split(" ")
+        distinct.update(more)
+        if kind != "table":
+            numbers.extend(more)
     fault = _token_fault(lineno, distinct, tokens[:start])
     if fault:
         raise fault
@@ -582,7 +663,7 @@ def _parse_obs(line: str, lineno: int) -> Observable:
     ):
         raise ParseError(lineno, "non-canonical or non-finite number rendering")
     if kind == "table":
-        values = ()  # the head is checked as a table of no rows; _RowsFromLine builds them
+        values = ()  # the head is checked as a table of no rows; _LazyRows builds them
     else:
         values = tuple(map(parsed.__getitem__, numbers))
         if width is not None:
@@ -592,7 +673,6 @@ def _parse_obs(line: str, lineno: int) -> Observable:
     except QuantityError as exc:
         raise ParseError(lineno, str(exc)) from None
     if kind == "table":
-        del vars(obs)["values"]
-        vars(obs)["length"] = rows
+        _rowless(obs, length=rows)
     vars(obs)["line"] = line  # only an Observable's own canonical line parses
     return obs

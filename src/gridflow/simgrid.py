@@ -231,9 +231,8 @@ def parse_cbmc_native(text: str) -> Dataset:
 
 
 def _occupied_sites(ds: Dataset) -> tuple[set[int], int]:
-    table = ds.get("occupancy")
-    occupied = {int(site) for site, flag in table.values if flag}
-    return occupied, len(table.values)
+    cells = ds.get("occupancy").cells
+    return {int(site) for site, flag in cells.tolist() if flag}, len(cells)
 
 
 def gcmc_native(occupancy: Dataset, params) -> str:
@@ -328,7 +327,10 @@ def md_native(config: Dataset, params) -> str:
     ]
     cols = ["T"] + [f"W{w}" for w in range(len(walkers))]
     lines = ["".join(f"{c:>{_COL}}" for c in cols)]
-    lines.extend((f"%{_COL}d" * len(cols)) % tuple(row) for row in trail.tolist())
+    rows = trail.tolist()
+    distinct = set(chain.from_iterable(rows))  # each distinct cell is formatted once
+    rendered = dict(zip(distinct, map(f"{{:{_COL}d}}".format, distinct)))
+    lines.extend("".join(map(rendered.__getitem__, row)) for row in rows)
     return "\n".join(header + lines) + "\n"
 
 
@@ -352,7 +354,7 @@ def parse_md_native(text: str) -> Dataset:
             raise RuntimeFailure(f"trajectory output: expected {steps + 1} rows of {walkers + 1} cells")
         # fields sliced by position: each row is walkers + 1 cells of _COL ASCII bytes
         cells = np.frombuffer("".join(rows).encode("ascii"), f"S{_COL}").astype(float)
-        cells = cells.reshape(len(rows), walkers + 1).tolist()
+        cells = cells.reshape(len(rows), walkers + 1)
     except (KeyError, ValueError) as exc:
         raise RuntimeFailure(f"trajectory output: malformed text ({exc!r})") from None
     columns = ("t",) + tuple(f"w{w}" for w in range(walkers))
@@ -403,9 +405,7 @@ class Trajectory:
 
     @staticmethod
     def from_dataset(ds: Dataset) -> "Trajectory":
-        table = ds.get("trajectory")
-        rows = np.fromiter(chain.from_iterable(table.values), float, len(table.values) * len(table.columns))
-        rows = rows.reshape(len(table.values), len(table.columns))
+        rows = ds.get("trajectory").cells
         tracks = rows[np.argsort(rows[:, 0], kind="stable"), 1:].T
         timestep = ds.get("timestep").magnitude if ds.has("timestep") else 1.0
         theta = ds.get("theta").magnitude if ds.has("theta") else 0.0

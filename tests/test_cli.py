@@ -618,6 +618,17 @@ class TestMock:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_each_upstream_stage_runs_once(self, run, monkeypatch):
+        calls = []
+        for name, program in simgrid.PROGRAMS.items():
+            counted = lambda p, i, name=name, real=program.run: calls.append(name) or real(p, i)
+            monkeypatch.setitem(simgrid.PROGRAMS, name, dataclasses.replace(program, run=counted))
+        code, out, err = run("mock", "analysis", "--seed", 7, "--param", "theta=0.6")
+        assert (code, err) == (0, "")
+        assert calls == ["latgen", "mcsim", "gulpgc", "mdrun", "tsfit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "750da017004a843c2acf897632c456e00996881addfa9350acc18aeb0e9787d8")
+
     def test_bad_stage_params(self, run):
         code, _, err = run("mock", "lattice", "--param", "cells=1")
         assert code == 1

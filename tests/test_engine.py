@@ -315,6 +315,33 @@ class TestExecution:
         assert report["results"]["md"]["other"] == {"trajectory": "table[13]"}
         assert report["results"]["lattice"]["other"] == {"sites": "table[6]"}
 
+    def test_no_run_builds_the_trajectory_rows(self, tmp_path, monkeypatch):
+        # md's table goes from the walk to its stored line and into the
+        # analysis as one array: a clean run, a faulted one and its resume
+        # in a new handle build no row tuples of it
+        tables, real_table, real_parse = [], quantities.Observable.table, storage.canonical_deserialize
+
+        def table(*args):
+            tables.append(real_table(*args))
+            return tables[-1]
+
+        def parse(data):
+            ds = real_parse(data)
+            tables.extend(o for o in ds.observables if o.kind == "table")
+            return ds
+
+        monkeypatch.setattr(quantities.Observable, "table", staticmethod(table))
+        monkeypatch.setattr(storage, "canonical_deserialize", parse)
+        engine = make_engine(tmp_path)
+        plan = engine.plan(case_study(cells=6, n_helium=3, steps=12), ADA, seed=1)
+        engine.execute(plan, run_id="run-clean")
+        with pytest.raises(ActivityFailed):
+            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+        make_engine(tmp_path).resume("run-hurt")
+        trajectories = [o for o in tables if o.name == "trajectory"]
+        assert len(trajectories) == 2  # the clean md firing and the resumed one
+        assert not any("values" in vars(o) for o in trajectories)
+
     def test_report_carries_final_scalars(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=20, n_helium=100, steps=40)

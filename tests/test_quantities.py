@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -664,3 +666,115 @@ class TestParsedTableRows:
         with pytest.raises(ParseError, match=reason) as err:
             canonical_deserialize(f"dataset-v1\n{line}\nend\n".encode())
         assert err.value.line == 2
+
+
+# cells of every type a table's rows may hold: floats of any magnitude and
+# both zeros, Python ints past 2**53, numpy int64 and float32 scalars
+TABLE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-300, max_value=1e300).flatmap(lambda x: st.sampled_from((x, -x))),
+    st.sampled_from((0.0, -0.0, 0, -1)),
+    st.integers(2**53 + 1, 2**80).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+)
+
+
+@st.composite
+def table_rows(draw):
+    """(column count, rows): one to four columns, none to six rows."""
+    width = draw(st.integers(1, 4))
+    return width, draw(st.lists(st.tuples(*[TABLE_CELLS] * width), max_size=6))
+
+
+class TestFactoryTables:
+    """A table the factory builds holds one float64 array and renders its
+    line from it; it builds its row tuples only on first access."""
+
+    @staticmethod
+    def build(width, rows):
+        return Observable.table("t", [f"c{i}" for i in range(width)], rows, KJ)
+
+    @settings(max_examples=150)
+    @given(table_rows())
+    def test_line_is_every_cell_formatted_in_row_major_order(self, shape):
+        width, rows = shape
+        head = ["obs", "t", "table", "kJ/mol", str(len(rows)), str(width), *(f"c{i}" for i in range(width))]
+        cells = [format_number(float(c) + 0.0) for row in rows for c in row]
+        assert self.build(width, rows).line == " ".join(head + cells)
+
+    @settings(max_examples=150)
+    @given(table_rows())
+    def test_round_trip_keeps_values_and_id(self, shape):
+        ds = Dataset.build([self.build(*shape)])
+        parsed = canonical_deserialize(canonical_serialize(ds))
+        assert parsed == ds and parsed.id == ds.id
+
+    @settings(max_examples=150)
+    @given(table_rows())
+    def test_values_are_the_cells_as_floats_plus_zero(self, shape):
+        width, rows = shape
+        obs = self.build(width, rows)
+        assert "values" not in vars(obs)
+        want = tuple(tuple(float(c) + 0.0 for c in row) for row in rows)
+        assert obs.values == want and float_bits(obs.values) == float_bits(want)
+        assert obs.length == len(rows) and obs.cells.shape == (len(rows), width)
+
+    @settings(max_examples=150)
+    @given(table_rows(), st.data())
+    def test_a_non_finite_cell_is_refused(self, shape, data):
+        width, rows = shape
+        rows = [list(row) for row in rows] or [[1.0] * width]
+        for _ in range(data.draw(st.integers(1, 3))):
+            r, c = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, width - 1))
+            rows[r][c] = data.draw(st.sampled_from((math.inf, -math.inf, math.nan, np.float32("inf"))))
+        bad = next(float(v) for row in rows for v in row if not math.isfinite(v))
+        with pytest.raises(QuantityError) as err:
+            self.build(width, rows)
+        assert str(err.value) == f"t: non-finite value {bad!r}"
+
+    @pytest.mark.parametrize("columns, rows", [(("a",), []), ((), []), (("a", "b"), [(1, 2)]), (("a",), [(5,)])])
+    def test_edge_shapes_round_trip(self, columns, rows):
+        obs = Observable.table("t", columns, rows, ONE)
+        ds = Dataset.build([obs])
+        assert canonical_deserialize(canonical_serialize(ds)) == ds
+        assert obs.values == tuple(tuple(float(c) for c in row) for row in rows)
+
+    def test_an_array_of_rows_builds_the_same_table(self):
+        rows = [(float(t), t % 7 - 3.0, -0.0) for t in range(40)]
+        from_rows = Observable.table("t", ("a", "b", "c"), rows, ONE)
+        from_array = Observable.table("t", ("a", "b", "c"), np.array(rows), ONE)
+        assert from_array.line == from_rows.line and from_array == from_rows
+        assert not from_array.cells.flags.writeable
+        with pytest.raises(QuantityError, match="row width"):
+            Observable.table("t", ("a", "b"), np.array(rows), ONE)
+
+
+def test_parsing_a_trajectory_blob_holds_no_token_list():
+    # a 501 x 51 table: the parser splits its line a slice at a time and
+    # keeps only the distinct tokens, so its peak stays near the text itself
+    rng = random.Random(1)
+    walkers = [rng.randrange(64) for _ in range(50)]
+    rows = []
+    for t in range(501):
+        rows.append((t, *walkers))
+        walkers = [w + rng.choice((-1, 1)) for w in walkers]
+    columns = ("t", *(f"w{w}" for w in range(50)))
+    ds = Dataset.build([Observable.table("trajectory", columns, rows, ONE)])
+    blob = canonical_serialize(ds)
+    tracemalloc.start()
+    try:
+        parsed = canonical_deserialize(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(blob), (peak, len(blob))
+    assert parsed == ds and parsed.get("trajectory").cells.tolist() == ds.get("trajectory").cells.tolist()
+    # the line spans several slices; a number in the last one is still checked
+    lines = blob.split(b"\n")
+    head, _, last = lines[1].rpartition(b" ")
+    mantissa, _, exponent = last.partition(b"e")
+    lines[1] = head + b" " + mantissa + b"0e" + exponent
+    with pytest.raises(ParseError, match="non-canonical or non-finite") as err:
+        canonical_deserialize(b"\n".join(lines))
+    assert err.value.line == 2
