@@ -464,7 +464,8 @@ class _Execution:
         return int.from_bytes(hashlib.sha256(basis.encode("utf-8")).digest()[:8], "big")
 
     def _stage_inputs(self, activity):
-        """File one projection per incoming object flow; skip producers that
+        """File one projection per incoming object flow, as a derived put
+        when it copies its producer whole (see storage); skip producers that
         never ran (their branch was not taken)."""
         staged = []
         flows = sorted(
@@ -475,7 +476,7 @@ class _Execution:
             if ds is None:
                 continue
             projection = project(ds, spec)
-            pkey = self.engine.store.put(projection, self.run_id, f"{activity}.in")
+            pkey = self.engine.store.put(projection, self.run_id, f"{activity}.in", ds)
             staged.append((producer, pkey.hash, set(projection.names)))
             self.trace.append(("staged", activity, producer, pkey.hash))
         return staged

@@ -6,7 +6,7 @@ every number checked, on every read; a parsed table builds its rows only on
 first use, see quantities) and project out what they need. store audit
 (audit) reads every blob the same way. A handle keeps the datasets it put,
 up to _HELD_BYTES of canonical bytes, oldest dropped first: reading one of
-them back re-hashes the blob's bytes and returns the held object instead of
+them back re-hashes the stored bytes and returns the held object instead of
 parsing them again. A new handle holds nothing, so another process always
 parses. The layout is blobs/<sha-256>, one canonical dataset each, plus
 runs/<run id>.log, one JSON array per line:
@@ -14,6 +14,10 @@ runs/<run id>.log, one JSON array per line:
     ["submitted", header]          first line: workflow name, text and hash,
                                    seed, user, params, max_iterations, bindings
     ["put", activity, seq, hash]   a dataset filed under the run
+    ["put", activity, seq, hash, base]
+                                   a derived put: a dataset filed as blob base
+                                   with the line "meta derived-from <base>"
+                                   spliced in after its dataset-v1 header
     ["ckpt", activity, seq, hash]  a put committed as a checkpoint
     ["rollback", activity]         drop the checkpoints after the activity's last;
                                    status rolled-back until the next ckpt
@@ -23,6 +27,14 @@ runs/<run id>.log, one JSON array per line:
 
 A hash is 64 lowercase hex digits; a put or ckpt line naming anything else
 is malformed, so no journal can point a read outside blobs/.
+
+A put is derived when the dataset is a projection that keeps every
+observable of a dataset with no meta (the same objects, as project leaves
+an observable whose unit it keeps): its canonical bytes are then the base
+blob's plus that one meta line, so no second blob is written. Its hash is
+still the sha-256 of those bytes. Only the run's journal knows the record,
+so get_by_hash reads a derived hash under the drive of its run, get() under
+any handle; a read hashes the spliced bytes as it would a blob's.
 
 Nothing rewrites a stored byte, so a run's history survives rollbacks. A
 run's state is a fold of its own journal's records; no operation reads
@@ -54,6 +66,7 @@ import fcntl
 import hashlib
 import itertools
 import json
+import operator
 import os
 import re
 import threading
@@ -150,7 +163,8 @@ def _record(line: str, number: int) -> list | None:
         return None
     kind, n = record[0], len(record)
     if kind == "put" or kind == "ckpt":
-        ok = n == 4 and type(record[1]) is type(record[3]) is str and _HASH.fullmatch(record[3])
+        ok = n == 4 or n == 5 and kind == "put" and type(record[4]) is str and _HASH.fullmatch(record[4])
+        ok = ok and type(record[1]) is type(record[3]) is str and _HASH.fullmatch(record[3])
         ok = ok and type(record[2]) is int and record[2] >= 0  # not JSON true or false
     elif kind == "rollback":
         ok = n == 2 and type(record[1]) is str
@@ -172,6 +186,7 @@ class _Journal:
     summary: dict | None = None
     next_seq: dict = field(default_factory=dict)  # activity -> 1 + its highest put or ckpt seq
     keys: set = field(default_factory=set)  # (activity, seq, hash) of every put and ckpt
+    derived: dict = field(default_factory=dict)  # hash -> base blob of each derived put
     writer: object = None  # the open journal, while this handle drives the run
 
     def take(self, record):
@@ -179,7 +194,9 @@ class _Journal:
         if kind == "submitted":
             self.header = rec[0]
         elif kind == "put" or kind == "ckpt":
-            self.keys.add(tuple(rec))
+            self.keys.add((rec[0], rec[1], rec[2]))
+            if len(rec) == 4:
+                self.derived[rec[2]] = rec[3]
             if rec[1] >= self.next_seq.get(rec[0], 0):
                 self.next_seq[rec[0]] = rec[1] + 1
             if kind == "ckpt":
@@ -211,6 +228,25 @@ def _split(data: bytes) -> tuple[list[str], int]:
     length of the unterminated tail after them."""
     end = data.rfind(b"\n") + 1
     return data[:end].decode("latin-1").split("\n")[:-1], len(data) - end
+
+
+def _derives(ds: Dataset, base: Dataset | None) -> bool:
+    """Whether ds's canonical bytes are base's with one derived-from line
+    spliced in: base has no meta, and ds holds base's observables, the same
+    objects, and that one meta line."""
+    return (base is not None and not base.meta and ds.meta == (("derived-from", base.id),)
+            and len(ds.observables) == len(base.observables)
+            and all(map(operator.is_, ds.observables, base.observables)))
+
+
+def _spliced_hash(base: bytes, base_hash: str) -> str:
+    """The sha-256 of a derived put's bytes, hashed from its base blob's
+    bytes in place: the header line, the derived-from line, the rest."""
+    cut = base.find(b"\n") + 1
+    digest = hashlib.sha256(memoryview(base)[:cut])
+    digest.update(f"meta derived-from {base_hash}\n".encode("ascii"))
+    digest.update(memoryview(base)[cut:])
+    return digest.hexdigest()
 
 
 def _records(lines: list[str]) -> list:
@@ -329,21 +365,24 @@ class ContentStore:
 
     # -- core operations ----------------------------------------------------
 
-    def put(self, ds: Dataset, run_id: str, activity_id: str) -> ResultKey:
-        """File a dataset under a run this handle drives."""
+    def put(self, ds: Dataset, run_id: str, activity_id: str, base: Dataset | None = None) -> ResultKey:
+        """File a dataset under a run this handle drives; `base`, if given,
+        is the stored dataset `ds` was projected from, and makes the put a
+        derived one when ds keeps all of it (see above)."""
         blob = canonical_serialize(ds)
         hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
+        derived = [base.id] if _derives(ds, base) else []
         with self._lock:
             kept = self._driven(run_id)
             path = self.blob_dir / hash
-            if not path.exists():
+            if not derived and not path.exists():
                 # drives of other runs may put the same blob at the same
                 # time: each writer renames its own temporary file
                 tmp = path.with_name(f"{hash}.{os.getpid()}-{threading.get_ident()}.tmp")
                 tmp.write_bytes(blob)
                 tmp.replace(path)
             seq = kept.next_seq.get(activity_id, 0)
-            kept.append("put", activity_id, seq, hash)
+            kept.append("put", activity_id, seq, hash, *derived)
         with self._held_lock:
             held = self._held.pop(hash, None)
             self._held[hash] = (ds, len(blob))
@@ -354,27 +393,44 @@ class ContentStore:
 
     def get(self, key: ResultKey) -> Dataset:
         with self._lock:
-            known = (key.activity_id, key.sequence, key.hash) in self._view(key.run_id).keys
+            journal = self._view(key.run_id)
+            known = (key.activity_id, key.sequence, key.hash) in journal.keys
+            base = journal.derived.get(key.hash)
         if not known:
             raise UnknownKey(f"no such key: {key}")
-        return self._read_blob(key.hash)
+        return self._read_blob(key.hash, base)
 
     def get_by_hash(self, hash: str) -> Dataset:
-        return self._read_blob(hash)
+        """The dataset stored under a hash: a blob's, or a derived put's of
+        a run this handle drives."""
+        with self._lock:
+            base = next((kept.derived[hash] for kept in self._drives.values()
+                         if hash in kept.derived), None)
+        return self._read_blob(hash, base)
 
-    def _read_blob(self, hash: str) -> Dataset:
+    def _read_blob(self, hash: str, base: str | None = None) -> Dataset:
+        """Read blob `hash`, or the derived put `hash` of blob `base`."""
+        name = base or hash
         try:
-            data = (self.blob_dir / hash).read_bytes()
+            data = (self.blob_dir / name).read_bytes()
         except FileNotFoundError:  # a journal names it, or get() has refused the key
-            raise IntegrityError(f"blob {hash} missing") from None
+            raise IntegrityError(f"blob {name} missing") from None
+        if base is not None:
+            digest = _spliced_hash(data, base)
+            if digest != hash:
+                raise IntegrityError(
+                    f"derived put {hash} corrupted: blob {base} with its derived-from line hashes to {digest}")
         held = self._held.get(hash)
-        if held is not None and hashlib.sha256(data).hexdigest() == hash:
+        if held is not None and (base is not None or hashlib.sha256(data).hexdigest() == hash):
             return held[0]  # the bytes this handle wrote, still intact
         try:
             ds = canonical_deserialize(data)
         except ParseError as exc:
-            raise IntegrityError(f"blob {hash} unparseable: {exc}") from None
-        if ds.id != hash:  # the sha-256 of the bytes just parsed
+            raise IntegrityError(f"blob {name} unparseable: {exc}") from None
+        if base is not None:  # the spliced bytes parse as the base's plus their derived-from line
+            ds = Dataset((("derived-from", base), *ds.meta), ds.observables)
+            vars(ds)["id"] = hash
+        elif ds.id != hash:  # the sha-256 of the bytes just parsed
             raise IntegrityError(f"blob {hash} corrupted: bytes hash to {ds.id}")
         return ds
 
@@ -429,8 +485,9 @@ class ContentStore:
     def journal_faults(self, run_id: str) -> tuple[int, list[str]]:
         """A lock-free fold of one read of a run's journal: the length of an
         unterminated last line (a drive that died mid-line), and, that tail
-        skipped, the first malformed line or bad rollback and each put or ckpt
-        of a missing blob."""
+        skipped, the first malformed line or bad rollback, each put or ckpt
+        of a missing blob, and each derived put whose spliced bytes do not
+        hash to its hash."""
         lines, torn = _split(self.journal(run_id).read_bytes())
         records, faults = _records(lines), []
         try:
@@ -438,6 +495,12 @@ class ContentStore:
         except IntegrityError as exc:
             faults.append(f"damaged {exc}")
         for number, record in enumerate(records, 1):
-            if record and record[0] in ("put", "ckpt") and not (self.blob_dir / record[3]).is_file():
-                faults.append(f"missing blob {record[3]} (runs/{run_id}.log line {number})")
+            if not record or record[0] not in ("put", "ckpt"):
+                continue
+            name, where = record[-1], f"runs/{run_id}.log line {number}"  # a derived put names its base
+            path = self.blob_dir / name
+            if not path.is_file():
+                faults.append(f"missing blob {name} ({where})")
+            elif len(record) == 5 and (digest := _spliced_hash(path.read_bytes(), name)) != record[3]:
+                faults.append(f"damaged {where}: derived put {record[3]} of blob {name} hashes to {digest}")
         return torn, faults

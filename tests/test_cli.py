@@ -387,7 +387,9 @@ class TestStoreAudit:
 
     def test_corrupt_blob(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada")
-        blob = sorted((tmp_path / "store" / "blobs").iterdir())[2]
+        journal = (tmp_path / "store" / "runs" / "run-0001.log").read_text(encoding="ascii")
+        digest = [r for r in map(json.loads, journal.splitlines()) if r[:2] == ["ckpt", "cbmc"]][-1][3]
+        blob = tmp_path / "store" / "blobs" / digest  # six lines, from which no put derives
         data = bytearray(blob.read_bytes())
         data[-5] ^= 1
         blob.write_bytes(bytes(data))
@@ -494,6 +496,35 @@ class TestStoreAudit:
         assert len(out.splitlines()) >= 2  # its put and its ckpt
         code, _, err = run("report", "run-0001")
         assert (code, err) == (2, f"error: blob {digest} missing\n")
+
+    def test_missing_base_of_a_derived_put(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada")
+        journal = tmp_path / "store" / "runs" / "run-0001.log"
+        records = [json.loads(line) for line in journal.read_text(encoding="ascii").splitlines()]
+        lattice = [r for r in records if r[:2] == ["ckpt", "lattice"]][-1][3]
+        (tmp_path / "store" / "blobs" / lattice).unlink()
+        code, out, _ = run("store", "audit")
+        named = [(n, r) for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[-1] == lattice]
+        assert [r[1] for _, r in named] == ["lattice", "lattice", "cbmc.in"]  # cbmc.in derives from it
+        assert (code, out.splitlines()) == (2, [
+            f"missing blob {lattice} (runs/run-0001.log line {n})" for n, _ in named])
+
+    def test_derived_put_whose_spliced_bytes_hash_to_another_id(self, run, case_file, tmp_path):
+        run("submit", case_file, "--user", "ada")
+        store = tmp_path / "store"
+        journal = store / "runs" / "run-0001.log"
+        lines = journal.read_text(encoding="ascii").splitlines()
+        n = next(i for i, line in enumerate(lines) if line.startswith('["put","cbmc.in"'))
+        record = json.loads(lines[n])
+        gcmc = [r for r in map(json.loads, lines) if r[:2] == ["ckpt", "gcmc"]][-1][3]
+        record[4] = gcmc  # a blob that exists, but not the one this put derives from
+        lines[n] = json.dumps(record, separators=(",", ":"))
+        journal.write_text("\n".join(lines) + "\n", encoding="ascii")
+        data = (store / "blobs" / gcmc).read_bytes()
+        cut = data.index(b"\n") + 1
+        digest = hashlib.sha256(data[:cut] + f"meta derived-from {gcmc}\n".encode() + data[cut:]).hexdigest()
+        assert run("store", "audit") == (2, f"damaged runs/run-0001.log line {n + 1}: derived put "
+                                            f"{record[3]} of blob {gcmc} hashes to {digest}\n", "")
 
     @pytest.mark.parametrize("where", ["relative", "absolute"])
     def test_checkpoint_hash_that_is_not_a_sha256(self, run, case_file, tmp_path, where):

@@ -697,29 +697,104 @@ WIDE_FORK = "\n".join([
 ])
 
 
+def spliced(store, base):
+    """A derived put's canonical bytes: blob `base` with its derived-from
+    line after the dataset-v1 header."""
+    data = (store.blob_dir / base).read_bytes()
+    cut = data.index(b"\n") + 1
+    return data[:cut] + f"meta derived-from {base}\n".encode() + data[cut:]
+
+
+def derived_puts(store, run_id):
+    """(activity, hash, base) of each derived put in a run's journal."""
+    records = map(json.loads, store.index_lines(run_id))
+    return [(r[1], r[3], r[4]) for r in records if r[0] == "put" and len(r) == 5]
+
+
 class TestHeldDatasets:
     """A handle returns the datasets it put instead of parsing their blobs,
-    so each held object must be what parsing its blob would give."""
+    so each held object must be what parsing its stored bytes would give."""
 
-    @pytest.mark.parametrize("graph", [case_study, lambda: parse(WIDE_FORK)],
+    @pytest.mark.parametrize("graph, derived", [(case_study, 2), (lambda: parse(WIDE_FORK), 0)],
                              ids=["case-study", "fork13"])
-    def test_held_datasets_equal_their_parsed_blobs(self, tmp_path, monkeypatch, graph):
+    def test_held_datasets_equal_their_parsed_blobs(self, tmp_path, monkeypatch, graph, derived):
         held = []
         real_put = ContentStore.put
         monkeypatch.setattr(ContentStore, "put",
                             lambda store, ds, *args: held.append(ds) or real_put(store, ds, *args))
         engine = make_engine(tmp_path)
-        engine.execute(engine.plan(graph(), ADA, seed=1))
+        run_id = engine.execute(engine.plan(graph(), ADA, seed=1))
         assert len(held) > 10
         put_ids = set(map(id, held))
-        for ds in held:
-            blob = (engine.store.blob_dir / ds.id).read_bytes()
-            assert quantities.canonical_deserialize(blob) == ds
-            assert quantities.canonical_serialize(ds) == blob
-            for obs in ds.observables:
-                flat = obs.values if obs.kind in ("scalar", "vector3") else sum(obs.values, ())
-                assert all(type(v) is float for v in flat), (ds.id, obs.name)
-            assert id(engine.store.get_by_hash(ds.id)) in put_ids  # held, not parsed
+        bases = {digest: base for _, digest, base in derived_puts(engine.store, run_id)}
+        assert len(bases) == derived
+        with engine.store.driving(run_id):  # the drive knows the run's derived puts
+            for ds in held:
+                if ds.id in bases:
+                    blob = spliced(engine.store, bases[ds.id])
+                else:
+                    blob = (engine.store.blob_dir / ds.id).read_bytes()
+                assert quantities.canonical_deserialize(blob) == ds
+                assert quantities.canonical_serialize(ds) == blob
+                for obs in ds.observables:
+                    flat = obs.values if obs.kind in ("scalar", "vector3") else sum(obs.values, ())
+                    assert all(type(v) is float for v in flat), (ds.id, obs.name)
+                assert id(engine.store.get_by_hash(ds.id)) in put_ids  # held, not parsed
+
+
+class TestDerivedPuts:
+    """A staged input that keeps its producer's every observable is filed
+    as a journal record naming the producer's blob, not as a second blob."""
+
+    def test_a_case_study_stores_no_copy_of_a_producer(self, tmp_path):
+        engine = make_engine(tmp_path)
+        run_id = engine.execute(engine.plan(case_study(), ADA, seed=1))
+        checkpoints = dict(engine.store.checkpoints(run_id))
+        derived = derived_puts(engine.store, run_id)
+        assert [(activity, base) for activity, _, base in derived] == [
+            ("cbmc.in", checkpoints["lattice"].hash), ("analysis.in", checkpoints["md"].hash)]
+        assert len(list(engine.store.blob_dir.iterdir())) == 9  # 11 when each put wrote a blob
+        staged = {ev[3] for ev in engine.report(run_id)["trace"] if ev[0] == "staged"}
+        assert {digest for _, digest, _ in derived} <= staged
+
+    def test_a_fresh_drive_parses_a_derived_input_and_a_resume_files_the_same_records(
+        self, tmp_path, monkeypatch
+    ):
+        held = {}
+        real_put = ContentStore.put
+
+        def put(store, ds, *args):
+            key = real_put(store, ds, *args)
+            held.setdefault(key.hash, ds)
+            return key
+
+        monkeypatch.setattr(ContentStore, "put", put)
+        engine = make_engine(tmp_path)
+        plan = engine.plan(case_study(), ADA, seed=1)
+        engine.execute(plan, run_id="run-ref")
+        with pytest.raises(ActivityFailed):
+            engine.execute(plan, run_id="run-hurt", fault_plan=[("analysis", 1)])
+        (_, digest, base), = [d for d in derived_puts(engine.store, "run-hurt") if d[0] == "analysis.in"]
+
+        parsed = []
+        real_parse = storage.canonical_deserialize
+        monkeypatch.setattr(storage, "canonical_deserialize",
+                            lambda data: parsed.append(data) or real_parse(data))
+        fresh = make_engine(tmp_path)  # a new handle holds nothing
+        with fresh.store.driving("run-hurt"):
+            ds = fresh.store.get_by_hash(digest)
+        assert len(parsed) == 1 and ds is not held[digest]
+        assert ds == held[digest] and ds.id == digest and ds.meta == (("derived-from", base),)
+        assert quantities.canonical_serialize(ds) == spliced(fresh.store, base)
+
+        def puts(run_id):
+            records = map(json.loads, fresh.store.index_lines(run_id))
+            return sorted((r[1], *r[3:]) for r in records if r[0] == "put")
+
+        fresh.resume("run-hurt")  # md is replayed: a parsed producer, staged whole
+        assert derived_puts(fresh.store, "run-hurt")[-1] == ("analysis.in", digest, base)
+        assert sorted(set(puts("run-hurt"))) == puts("run-ref")
+        assert checkpoint_hashes(fresh, "run-hurt") == checkpoint_hashes(fresh, "run-ref")
 
 
 class TestDeterminism:

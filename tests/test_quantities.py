@@ -635,6 +635,18 @@ class TestParsedTableRows:
         with pytest.raises(AttributeError, match="no attribute 'rows'"):
             first.get("t").rows
 
+    def test_comparing_and_hashing_tables_builds_no_rows(self):
+        blob = canonical_serialize(wide_table())
+        first, second, eager = canonical_deserialize(blob), canonical_deserialize(blob), wide_table()
+        lines = blob.decode().split("\n")
+        lines[1] = lines[1][: lines[1].rindex(" ")] + " " + format_number(8.0)  # the last cell
+        changed = canonical_deserialize("\n".join(lines).encode())
+        assert first == second and hash(first) == hash(second)  # from their lines
+        assert first == eager and hash(first) == hash(eager)  # from their cells
+        assert changed != first and changed != eager and changed == changed
+        for ds in (first, second, eager, changed):
+            assert not any("values" in vars(o) for o in ds.observables if o.kind == "table")
+
     @pytest.mark.parametrize("mutation", sorted(NUMBER_MUTATIONS))
     def test_every_number_is_still_checked_when_parsed(self, mutation):
         # the last cell of the last row, which nothing reads before the rows are built

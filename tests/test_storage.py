@@ -12,7 +12,7 @@ import pytest
 
 from gridflow import quantities
 from gridflow import storage as storage_module
-from gridflow.quantities import Dataset, Observable, dataset_id, get_unit
+from gridflow.quantities import Dataset, ExtractionSpec, Observable, dataset_id, get_unit, project
 from gridflow.storage import (
     ACTIVE,
     COMPLETED,
@@ -116,6 +116,65 @@ class TestPutGet:
         for i, key in enumerate(keys):
             assert store.get(key) == ds("x", float(i))
         assert len(parsed) == 7
+
+
+class TestDerivedPuts:
+    """A projection that keeps its base's every observable, from a base with
+    no meta, is filed as a record naming the base's blob."""
+
+    def base(self, **meta):
+        return Dataset.build([Observable.scalar("x", 1.5, ONE),
+                              Observable.scalar("y", 2.0, get_unit("nm"))], meta=meta)
+
+    def test_a_whole_projection_writes_no_blob(self, store, r1):
+        base = self.base()
+        bkey = store.put(base, "r1", "a")
+        whole = project(base, ExtractionSpec.of(("x", "1"), ("y", "nm")))
+        key = store.put(whole, "r1", "b.in", base)
+        assert key.hash == dataset_id(whole)  # the id of the bytes a blob would have held
+        assert records(store, "r1")[-1] == ["put", "b.in", 0, key.hash, bkey.hash]
+        assert sorted(p.name for p in store.blob_dir.iterdir()) == [bkey.hash]
+        assert store.get_by_hash(key.hash) is whole  # held
+        other = ContentStore(store.root)  # holds nothing, so parses
+        assert other.get(key) == whole and other.get(key).id == key.hash
+        assert quantities.canonical_serialize(other.get(key)) == quantities.canonical_serialize(whole)
+        # only a drive of the run, or get(), knows a derived hash
+        with pytest.raises(IntegrityError, match=f"^blob {key.hash} missing$"):
+            other.get_by_hash(key.hash)
+
+    @pytest.mark.parametrize("case", ["dropped", "converted", "base-meta", "no-base"])
+    def test_any_other_put_writes_its_blob(self, store, r1, case):
+        base = self.base(**({"source": "elsewhere"} if case == "base-meta" else {}))
+        store.put(base, "r1", "a")
+        wanted = {"dropped": [("x", "1")],
+                  "converted": [("x", "1"), ("y", "angstrom")]}
+        staged = project(base, ExtractionSpec.of(*wanted.get(case, [("x", "1"), ("y", "nm")])))
+        key = store.put(staged, "r1", "b.in", None if case == "no-base" else base)
+        assert records(store, "r1")[-1] == ["put", "b.in", 0, key.hash]
+        assert (store.blob_dir / key.hash).read_bytes() == quantities.canonical_serialize(staged)
+
+    def test_a_changed_base_fails_the_derived_read(self, store, r1):
+        base = self.base()
+        bkey = store.put(base, "r1", "a")
+        key = store.put(project(base, ExtractionSpec.of(("x", "1"), ("y", "nm"))), "r1", "b.in", base)
+        path = store.blob_dir / bkey.hash
+        path.write_bytes(path.read_bytes().replace(b"obs y", b"obs z"))
+        fault = f"^derived put {key.hash} corrupted: blob {bkey.hash} with its derived-from line hashes to "
+        with pytest.raises(IntegrityError, match=fault):
+            store.get_by_hash(key.hash)  # held, but the stored bytes are hashed first
+        with pytest.raises(IntegrityError, match=fault):
+            ContentStore(store.root).get(key)
+
+    @pytest.mark.parametrize("line", [
+        '["put","a",0,"{h}","../blobs/{h}"]', '["put","a",0,"{h}",1]',
+        '["put","a",0,"{h}","{h}","{h}"]', '["ckpt","a",0,"{h}","{h}"]',
+    ])
+    def test_a_base_must_be_a_sha256_on_a_put(self, store, line):
+        store.claim({}, "r1")
+        with open(store.journal("r1"), "ab") as fh:
+            fh.write(line.replace("{h}", "ab" * 32).encode() + b"\n")
+        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed"):
+            store.run_state("r1")
 
 
 class TestCheckpoints:
