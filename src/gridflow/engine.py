@@ -7,9 +7,10 @@ seed, and checkpointing every completed result. Each projection is cut from
 the producer's latest result as the engine holds it (the completed dataset,
 or the checkpoint a resume read back), and each job reads its staged inputs
 back from the store. A failed activity aborts the run but keeps its committed
-checkpoints, so resume() can replay them in the original completion order and
-continue with live jobs from the frontier. Its queued peers are withdrawn, and
-peers finished in the same tick are discarded uncommitted, to be rerun.
+checkpoints; its queued peers are withdrawn, and peers finished in the same
+tick are discarded uncommitted. resume() plays the run again from the start,
+and a firing an earlier drive committed keeps its place in the tick but ends
+with its checkpoint, so each tick and decision is an uninterrupted run's.
 
 Whole runs are reproducible: the job seed is a digest of the run seed, the
 activity, its firing number, and its staged input hashes, so a resumed or
@@ -19,11 +20,11 @@ Run state lives only in the store, in the run's journal (see storage):
 execute() claims the run with its header (workflow text, bindings, params,
 seed), and each drive appends a status record carrying the run's summary
 (entries, trace, timestamps, failure) when it starts, and again when it fails
-or completes. Each entry is one executed or replayed firing: [activity,
-firing, resource, job id, result hash, submitted tick, finished tick,
-replayed]. report() is the one view of a run, and it and resume() each derive
-from one replay of that journal: per-activity counters are counted from the
-entries, and the touched resources are read off the trace.
+or completes. Each entry is one firing: [activity, firing, resource, job id,
+result hash, submitted tick, finished tick, replayed (an earlier drive
+committed it)]. report() is the one view of a run, and it and resume() each
+derive from one read of that journal: per-activity counters are counted from
+the entries, and the touched resources are read off the trace.
 
 One process at a time drives a run: each drive holds the run's lock (see
 storage). resume() takes it before it reads the status and fails at once if
@@ -40,7 +41,7 @@ from datetime import datetime, timezone
 
 from .dsl import UnsoundWorkflow, emit_dsl, parse
 from .errors import GridflowError, IterationLimit, RuntimeFailure, UserError
-from .model import DECISION, FINAL, FORK, JOIN, WorkflowGraph, verify
+from .model import ACTIVITY, DECISION, FINAL, FORK, JOIN, WorkflowGraph, verify
 from .quantities import Dataset, merge_with, project
 from .resources import (
     SUCCEEDED,
@@ -169,7 +170,7 @@ class Engine:
         run_id = self.store.claim(_header(plan), run_id)
         # waits out a resume that holds the lock to refuse a run with no status
         with self.store.driving(run_id):
-            return _Execution(self, plan, run_id, fault_plan, replay=()).drive()
+            return _Execution(self, plan, run_id, fault_plan, checkpoints=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> str:
         with self.store.driving(run_id, wait=False):
@@ -178,7 +179,7 @@ class Engine:
                 raise NothingToResume(f"run {run_id} already completed")
             plan = self._plan_from_header(state.header)
             _check_fault_plan(plan.graph, fault_plan)
-            return _Execution(self, plan, run_id, fault_plan, replay=state.checkpoints).drive()
+            return _Execution(self, plan, run_id, fault_plan, state.checkpoints).drive()
 
     def _plan_from_header(self, header) -> ExecutionPlan:
         graph = parse(header["workflow_text"])
@@ -288,18 +289,25 @@ class _Execution:
 
     Tokens live on edges. Control nodes fire deterministically (sorted by
     node id) until quiescent; enabled activities then launch as jobs, and a
-    batch of completions is absorbed before the next round. On a resumed run
-    the committed checkpoints are replayed first, in commit order, which
-    reproduces the original blackboard merge order exactly.
+    batch of completions is absorbed before the next round. A resume plays
+    the same game; a firing an earlier drive committed is a job that ends
+    with its checkpoint, so each batch and merge is an uninterrupted run's.
     """
 
-    def __init__(self, engine: Engine, plan: ExecutionPlan, run_id, fault_plan, replay):
+    def __init__(self, engine: Engine, plan: ExecutionPlan, run_id, fault_plan, checkpoints):
         self.engine = engine
         self.plan = plan
         self.g = plan.graph
         self.run_id = run_id
         self.executor = SimulatedExecutor(engine.registry, engine.store, plan.seed, fault_plan)
-        self.replay = list(replay)  # ordered (activity id, ResultKey)
+        self.committed: dict[tuple[str, int], str] = {}  # (activity, firing) -> checkpoint hash
+        fired = Counter()  # firings are numbered across drives: the n-th checkpoint is firing n
+        for activity, key in checkpoints:
+            fired[activity] += 1
+            self.committed[activity, fired[activity]] = key.hash
+        nodes = sorted(self.g.nodes, key=lambda n: n.id)
+        self.controls = [n for n in nodes if n.kind in (DECISION, FORK, JOIN, FINAL)]
+        self.activities = [n for n in nodes if n.kind == ACTIVITY]
         self.bindings = plan.binding_map()
         self.overrides = dict(plan.params)
         self.tokens: dict[tuple[str, str], int] = {}
@@ -309,7 +317,7 @@ class _Execution:
         self.blackboard = Dataset.build([])
         self.trace: list[tuple[str, ...]] = []
         self.entries: list[list] = []  # the summary's entries, in completion order
-        self.pending: dict = {}  # JobHandle -> (activity, firing, submit tick)
+        self.pending: dict = {}  # JobHandle -> (activity, firing, submit tick, committed hash)
         self.final_reached = False
         self.failure: str | None = None
         self.started_at = _now()
@@ -333,18 +341,18 @@ class _Execution:
             self._put_token(edge)
         while True:
             self._settle_controls()
-            if self.replay:
-                head, _ = self.replay[0]
-                raise RuntimeFailure(
-                    f"checkpoint for {head!r} does not fit the workflow state; "
-                    f"was the workflow text changed?"
-                )
-            for node in sorted(self.g.activities(), key=lambda n: n.id):
+            for node in self.activities:
                 if self._has_token(node.id):
                     self._launch(node)
             if not self.pending:
                 break
             self._absorb_batch()
+        if self.committed:
+            head = next(iter(self.committed))[0]
+            raise RuntimeFailure(
+                f"checkpoint for {head!r} does not fit the workflow state; "
+                f"was the workflow text changed?"
+            )
         leftovers = sum(self.tokens.values())
         if not self.final_reached or leftovers:
             raise RuntimeFailure(
@@ -379,22 +387,11 @@ class _Execution:
             self._put_token(edge)
 
     def _settle_controls(self):
-        """Fire replays and control nodes until nothing changes."""
-        controls = sorted(
-            (n for n in self.g.nodes if n.kind in (DECISION, FORK, JOIN, FINAL)),
-            key=lambda n: n.id,
-        )
+        """Fire control nodes until nothing changes."""
         progressed = True
         while progressed:
             progressed = False
-            if self.replay:
-                activity, key = self.replay[0]
-                if self.g.has_node(activity) and self._has_token(activity):
-                    self.replay.pop(0)
-                    self._replay_one(activity, key)
-                    progressed = True
-                    continue
-            for node in controls:
+            for node in self.controls:
                 if node.kind == JOIN:
                     waits = self.g.in_edges(node.id)  # never a back edge into a join
                     if waits and all(self.tokens.get(e, 0) for e in waits):
@@ -423,25 +420,19 @@ class _Execution:
 
     # -- activity firings ----------------------------------------------------
 
-    def _replay_one(self, activity, key):
-        self._consume_one(activity)
-        firing = self.firings.get(activity, 0) + 1
-        self.firings[activity] = firing
-        ds = self.latest[activity] = self.engine.store.get_by_hash(key.hash)  # a run_state key
-        self.entries.append(
-            [activity, firing, self.bindings[activity], "(replayed)", key.hash, 0, 0, True]
-        )
-        self.trace.append(("replayed", activity, key.hash))
-        self._merge(activity, ds)
-        self._emit(activity)
-
     def _launch(self, node):
         activity = node.id
         self._consume_one(activity)
         firing = self.firings.get(activity, 0) + 1
         self.firings[activity] = firing
-        staged = self._stage_inputs(activity)
         resource = self.bindings[activity]
+        committed = self.committed.pop((activity, firing), None)
+        if committed is not None:  # its job finishes with the checkpoint, a run_state key
+            req = JobRequest.build(resource, activity, self.run_id)
+            handle = self.executor.submit(req, self.engine.store.get_by_hash(committed))
+            self.pending[handle] = (activity, firing, self.executor.clock, committed)
+            return
+        staged = self._stage_inputs(activity)
         descriptor = self.engine.registry.get(resource)
         job_inputs = self._match_slots(activity, descriptor.launch_template, staged)
         params = dict(node.params)
@@ -457,7 +448,7 @@ class _Execution:
         self.trace.append(("launch", activity, command))
         handle = self.executor.submit(req)
         self.trace.append(("submitted", activity, handle.job_id, str(firing)))
-        self.pending[handle] = (activity, firing, self.executor.clock)
+        self.pending[handle] = (activity, firing, self.executor.clock, None)
 
     def _job_seed(self, activity, firing, input_hashes) -> int:
         basis = "|".join([str(self.plan.seed), activity, str(firing), *input_hashes])
@@ -500,17 +491,21 @@ class _Execution:
         if not completions:
             raise RuntimeFailure("executor went idle with jobs outstanding")
         for handle in completions:
-            activity, firing, submitted = self.pending.pop(handle)
+            activity, firing, submitted, committed = self.pending.pop(handle)
             status = self.executor.poll(handle)
             if status.state == SUCCEEDED:
-                key = self.engine.store.put(status.result, self.run_id, activity)
-                self.engine.store.checkpoint(self.run_id, activity, key)
+                if committed is None:
+                    key = self.engine.store.put(status.result, self.run_id, activity)
+                    self.engine.store.checkpoint(self.run_id, activity, key)
+                    event = ("completed", activity, handle.job_id, key.hash)
+                else:
+                    event = ("replayed", activity, committed)
+                self.trace.append(event)
                 self.latest[activity] = status.result
                 self.entries.append(
-                    [activity, firing, self.bindings[activity], handle.job_id, key.hash,
-                     submitted, self.executor.clock, False]
+                    [activity, firing, self.bindings[activity], handle.job_id, event[-1],
+                     submitted, self.executor.clock, committed is not None]
                 )
-                self.trace.append(("completed", activity, handle.job_id, key.hash))
                 self._merge(activity, status.result)
                 self._emit(activity)
             else:

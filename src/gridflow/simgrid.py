@@ -591,7 +591,9 @@ class SimulatedExecutor:
     jobs per resource and finishes them within that tick, in seeded-shuffle
     order. A fault plan of (activity id, firing) pairs fails the submissions
     of that activity whose `attempt` param is that firing; the engine numbers
-    firings across resumes.
+    firings across resumes. submit(req, result) queues a job that has its
+    result already (a committed firing): it keeps its slot, job id and place
+    in the shuffle, and finishes with that result, past the fault plan.
     """
 
     def __init__(self, registry: ResourceRegistry, store, seed: int = 0, fault_plan=()):
@@ -603,9 +605,9 @@ class SimulatedExecutor:
         self._queue: dict[str, list[str]] = {}
         self.clock = 0
 
-    def submit(self, req: JobRequest) -> JobHandle:
+    def submit(self, req: JobRequest, result=None) -> JobHandle:
         self.registry.get(req.resource_id)
-        job = _SimJob(f"job-{len(self._jobs) + 1:04d}", req)
+        job = _SimJob(f"job-{len(self._jobs) + 1:04d}", req, result=result)
         self._jobs[job.job_id] = job
         self._queue.setdefault(req.resource_id, []).append(job.job_id)
         return JobHandle(job.job_id, req.resource_id)
@@ -646,7 +648,9 @@ class SimulatedExecutor:
 
     def _finish(self, job: _SimJob):
         firing = job.req.param_map().get("attempt")
-        if (job.req.activity_id, firing) in self.fault_plan:
+        if job.result is not None:
+            job.state = SUCCEEDED
+        elif (job.req.activity_id, firing) in self.fault_plan:
             job.state = FAILED
             job.reason = f"injected fault (occurrence {firing})"
         else:

@@ -7,12 +7,17 @@ point: right after the 2nd checkpoint, or halfway through writing the 3rd
 checkpoint's journal record (a torn tail). A child can also park right
 after a checkpoint until the test lets it go, which pins a resume of the
 run it drives to that point. Neither depends on timing.
+
+In process, without a kill, a resume from every prefix of a journal (whole
+lines, and whole lines plus half the next) and from every fault point gives
+the uninterrupted run's status, checkpoints, results and counters.
 """
 
 import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -159,6 +164,26 @@ def test_resume_of_a_run_another_process_drives_exits_1(flow, reference, tmp_pat
 LOOP = Path(__file__).resolve().parent.parent / "corpus" / "sound" / "loop_converge.flow"
 
 
+def collapsed(trace, replayed):
+    """An uninterrupted run's trace as a re-drive writes it when the firings
+    `replayed` were committed: each one's staged, launch and submitted
+    events go, and its completed event becomes one replayed event."""
+    out, launching, firing_of = [], [], {}
+    for event in trace:
+        if event[0] in ("staged", "launch"):  # a launch's events run up to its submitted one
+            launching.append(event)
+        elif event[0] == "submitted":
+            firing_of[event[2]] = (event[1], int(event[3]))
+            if firing_of[event[2]] not in replayed:
+                out += launching + [event]
+            launching = []
+        elif event[0] == "completed" and firing_of[event[2]] in replayed:
+            out.append(["replayed", event[1], event[3]])
+        else:
+            out.append(event)
+    return out
+
+
 def test_a_long_loop_resumes_to_the_uninterrupted_result(tmp_path):
     # 500 firings make a journal of over 1,000 lines; every command reads it
     # in a new process, and resume after a fault at firing 400
@@ -173,12 +198,82 @@ def test_a_long_loop_resumes_to_the_uninterrupted_result(tmp_path):
     expected = outcome(tmp_path / "whole", "run-0001")
     assert outcome(tmp_path / "store", "run-0001") == expected
     assert expected[0] == "completed" and len(expected[1]) == 500
-    digests = []
+    digests, reports = [], []
     for store in ("whole", "store"):
         proc = gridflow("report", "run-0001", "--store", tmp_path / store, "--json", "--deterministic")
         digests.append(hashlib.sha256(proc.stdout.encode()).hexdigest())
+        reports.append(json.loads(proc.stdout))
     assert digests == [  # the resumed report differs only in its replayed entries and trace
         "d10a757a28a796461294ace251345b43e892839f62ba7a0a5feefa23be7eeabf",
-        "99fb450b91fe41a52ec43bca642e8a0206def30c08a3ab9439868ccaff60aa87",
+        "01f877b1fad2a37b06ff969c7eb9d96d894c06132999a938d6af305d1c0447c6",
     ]
+    whole, resumed = reports
+    # the re-drive gives each firing the uninterrupted run's job id and ticks
+    assert [e[:7] for e in resumed["entries"]] == [e[:7] for e in whole["entries"]]
+    assert [e[7] for e in resumed["entries"]] == [e[1] < 400 for e in whole["entries"]]
+    assert resumed["trace"] == collapsed(whole["trace"], {("work", n) for n in range(1, 400)})
     assert gridflow("store", "audit", "--store", tmp_path / "store").stdout == "clean\n"
+
+
+FORK = Path(__file__).resolve().parent.parent / "corpus" / "sound" / "fork_of_loops.flow"
+
+
+def cli(capsys, *argv):
+    """One CLI call in this process: (exit code, stdout, stderr)."""
+    code = run_cli([str(arg) for arg in argv])
+    return (code, *capsys.readouterr())
+
+
+def result(capsys, store):
+    """What a resume must reproduce: status, checkpoints, results and counters."""
+    code, out, err = cli(capsys, "report", "run-0001", "--store", store, "--json", "--deterministic")
+    assert code == 0, err
+    data = json.loads(out)
+    return data["status"], data["checkpoints"], data["results"], data["counters"]
+
+
+def submitted(capsys, flow, store, *argv):
+    code, out, err = cli(capsys, "submit", flow, "--store", store, "--user", "ada", "--seed", "3", *argv)
+    assert out == "run-0001\n", err
+    return code
+
+
+@pytest.mark.parametrize("which", ["fork_of_loops", "case_study"])
+def test_a_resume_from_every_journal_prefix_reproduces_the_run(which, flow, tmp_path, capsys):
+    path = FORK if which == "fork_of_loops" else flow
+    reference = tmp_path / "reference"
+    assert submitted(capsys, path, reference) == 0
+    expected = result(capsys, reference)
+    lines = (reference / "runs" / "run-0001.log").read_bytes().splitlines(keepends=True)
+    refused, matched = [], 0
+    for k in range(1, len(lines)):
+        for tail in (b"", lines[k][: len(lines[k]) // 2]):
+            store = tmp_path / "cut"
+            shutil.copytree(reference, store)
+            (store / "runs" / "run-0001.log").write_bytes(b"".join(lines[:k]) + tail)
+            code, out, err = cli(capsys, "resume", "run-0001", "--store", store)
+            if err == "error: run run-0001: journal is empty or incomplete\n":
+                # no status record: the submitter that claimed the run may still drive it
+                assert (code, out) == (2, "")
+                refused.append((k, bool(tail)))
+            else:
+                assert (code, out, err) == (0, "run-0001\n", ""), (k, tail)
+                assert result(capsys, store) == expected, (k, tail)
+                matched += 1
+            shutil.rmtree(store)
+    assert refused == [(1, False), (1, True)]
+    assert matched == 2 * len(lines) - 4
+
+
+def test_a_resume_after_every_fault_point_reproduces_the_run(tmp_path, capsys):
+    reference = tmp_path / "reference"
+    assert submitted(capsys, FORK, reference) == 0
+    expected = result(capsys, reference)
+    out = cli(capsys, "report", "run-0001", "--store", reference, "--json")[1]
+    firings = [(e[0], e[1]) for e in json.loads(out)["entries"]]
+    assert len(firings) == 25
+    for activity, firing in firings:
+        store = tmp_path / f"{activity}-{firing}"
+        assert submitted(capsys, FORK, store, "--fail-at", f"{activity}:{firing}") == 2
+        assert cli(capsys, "resume", "run-0001", "--store", store)[:2] == (0, "run-0001\n")
+        assert result(capsys, store) == expected, (activity, firing)

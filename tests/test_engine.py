@@ -20,7 +20,7 @@ from gridflow.engine import (
     UserProfile,
     workflow_hash,
 )
-from gridflow.errors import IterationLimit, UserError
+from gridflow.errors import IterationLimit, RuntimeFailure, UserError
 from gridflow.model import (
     ACTIVITY,
     FINAL,
@@ -641,6 +641,18 @@ class TestResume:
         assert dict(report["counters"]) == {"work": 3}
         firings = [(e["activity"], e["firing"], e["replayed"]) for e in entries(report)]
         assert firings == [("work", 1, True), ("work", 2, False), ("work", 3, False)]
+
+    def test_a_checkpoint_no_firing_of_the_re_drive_takes_fails_the_resume(self, tmp_path):
+        engine = make_engine(tmp_path)
+        plan = engine.plan(parse(LOOP), ADA)
+        with pytest.raises(ActivityFailed):
+            engine.execute(plan, run_id="run-loop", fault_plan=[("work", 2)])
+        [(_, key)] = engine.store.checkpoints("run-loop")
+        with engine.store.driving("run-loop"):  # filed under an activity the workflow lacks
+            engine.store.checkpoint("run-loop", "ghost", key)
+        with pytest.raises(RuntimeFailure, match="checkpoint for 'ghost' does not fit"):
+            engine.resume("run-loop")
+        assert engine.report("run-loop")["status"] == "failed"
 
 
 class TestSummary:
