@@ -144,7 +144,7 @@ class Engine:
             raise UnsoundWorkflow(report)
         bindings = []
         for node in sorted(graph.activities(), key=lambda n: n.id):
-            hits = self.registry.discover(node.binding.requirement(node.id))
+            hits = self.registry.discover(node.binding)
             if not hits:
                 raise NoResource(f"no resource admits activity {node.id!r}")
             if user.affiliation == COMMERCIAL:
@@ -308,6 +308,10 @@ class _Execution:
         nodes = sorted(self.g.nodes, key=lambda n: n.id)
         self.controls = [n for n in nodes if n.kind in (DECISION, FORK, JOIN, FINAL)]
         self.activities = [n for n in nodes if n.kind == ACTIVITY]
+        self.in_edges = {n.id: sorted(self.g.in_edges(n.id)) for n in nodes}
+        self.inflows: dict[str, list] = {}  # activity -> its object flows, by producer
+        for flow in sorted(self.g.object_flows, key=lambda f: f[0]):
+            self.inflows.setdefault(flow[1], []).append(flow)
         self.bindings = plan.binding_map()
         self.overrides = dict(plan.params)
         self.tokens: dict[tuple[str, str], int] = {}
@@ -376,7 +380,7 @@ class _Execution:
         return any(self.tokens.get(e, 0) for e in self.g.in_edges(node_id))
 
     def _consume_one(self, node_id):
-        for edge in sorted(self.g.in_edges(node_id)):
+        for edge in self.in_edges[node_id]:
             if self.tokens.get(edge, 0):
                 self.tokens[edge] -= 1
                 return
@@ -459,10 +463,7 @@ class _Execution:
         when it copies its producer whole (see storage); skip producers that
         never ran (their branch was not taken)."""
         staged = []
-        flows = sorted(
-            (f for f in self.g.object_flows if f[1] == activity), key=lambda f: f[0]
-        )
-        for producer, _, spec in flows:
+        for producer, _, spec in self.inflows.get(activity, ()):
             ds = self.latest.get(producer)
             if ds is None:
                 continue
@@ -495,8 +496,7 @@ class _Execution:
             status = self.executor.poll(handle)
             if status.state == SUCCEEDED:
                 if committed is None:
-                    key = self.engine.store.put(status.result, self.run_id, activity)
-                    self.engine.store.checkpoint(self.run_id, activity, key)
+                    key = self.engine.store.checkpoint(self.run_id, activity, status.result)
                     event = ("completed", activity, handle.job_id, key.hash)
                 else:
                     event = ("replayed", activity, committed)

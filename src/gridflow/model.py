@@ -60,7 +60,6 @@ from .quantities import (
     Unit,
     convert,
 )
-from .resources import BindingRequirement
 
 __all__ = [
     "START",
@@ -203,8 +202,14 @@ class Binding:
         else:
             raise StructuralError([f"unknown binding variant: {self.variant!r}"])
 
-    def requirement(self, activity_id: str) -> BindingRequirement:
-        return BindingRequirement(activity_id, self.program, self.actuator, self.capabilities)
+    def admits(self, d) -> bool:
+        """Whether resource descriptor d may run the activity: its id and
+        program match what is pinned, and it has every capability tag."""
+        if self.actuator is not None and d.id != self.actuator:
+            return False
+        if self.program is not None and d.program != self.program:
+            return False
+        return self.capabilities <= d.capabilities
 
 
 @dataclass(frozen=True)

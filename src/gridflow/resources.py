@@ -25,7 +25,6 @@ __all__ = [
     "Calculator",
     "LaunchTemplate",
     "ResourceDescriptor",
-    "BindingRequirement",
     "JobRequest",
     "JobHandle",
     "JobStatus",
@@ -45,7 +44,6 @@ __all__ = [
     "SUCCEEDED",
     "FAILED",
     "WITHDRAWN",
-    "TERMINAL_STATES",
 ]
 
 
@@ -85,9 +83,7 @@ QUEUED = "queued"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
 WITHDRAWN = "withdrawn"
-TERMINAL_STATES = frozenset({SUCCEEDED, FAILED, WITHDRAWN})
-
-_STATES = TERMINAL_STATES | {QUEUED}
+_STATES = frozenset({QUEUED, SUCCEEDED, FAILED, WITHDRAWN})
 
 
 @dataclass(frozen=True)
@@ -179,23 +175,6 @@ class ResourceDescriptor:
         return f"{self.program}-{self.version}" if self.version else self.program
 
 
-@dataclass(frozen=True)
-class BindingRequirement:
-    """What an activity demands of a resource before it can run there."""
-
-    activity_id: str
-    program: str | None = None
-    actuator: str | None = None
-    capabilities: frozenset[str] = frozenset()
-
-    def admits(self, d: ResourceDescriptor) -> bool:
-        if self.actuator is not None and d.id != self.actuator:
-            return False
-        if self.program is not None and d.program != self.program:
-            return False
-        return self.capabilities <= d.capabilities
-
-
 def _freeze_params(params) -> tuple[tuple[str, str], ...]:
     if hasattr(params, "items"):
         params = params.items()
@@ -244,7 +223,7 @@ class JobStatus:
 
 
 class ResourceRegistry:
-    """Registered descriptors, looked up by id or discovered by requirement."""
+    """Registered descriptors, looked up by id or discovered by binding."""
 
     def __init__(self):
         self._descriptors: dict[str, ResourceDescriptor] = {}
@@ -261,8 +240,9 @@ class ResourceRegistry:
         except KeyError:
             raise UnknownResource(f"unknown resource: {resource_id}") from None
 
-    def discover(self, req: BindingRequirement) -> list[str]:
-        hits = [d for d in self._descriptors.values() if req.admits(d)]
+    def discover(self, binding) -> list[str]:
+        """The ids of the resources a model.Binding admits, by cost, then id."""
+        hits = [d for d in self._descriptors.values() if binding.admits(d)]
         hits.sort(key=lambda d: (d.cost_weight, d.id))
         return [d.id for d in hits]
 

@@ -1,10 +1,10 @@
 """Content-addressed dataset store with one append-only journal per run.
 
-All services exchange data through here: producers put whole datasets,
+All services exchange data through here: producers file whole datasets,
 consumers read them back (verified against the content hash and parsed,
 every number checked, on every read; a parsed table builds its rows only on
 first use, see quantities) and project out what they need. store audit
-(audit) reads every blob the same way. A handle keeps the datasets it put,
+(audit) reads every blob the same way. A handle keeps the datasets it filed,
 up to _HELD_BYTES of canonical bytes, oldest dropped first: reading one of
 them back re-hashes the stored bytes and returns the held object instead of
 parsing them again. A new handle holds nothing, so another process always
@@ -13,17 +13,19 @@ runs/<run id>.log, one JSON array per line:
 
     ["submitted", header]          first line: workflow name, text and hash,
                                    seed, user, params, max_iterations, bindings
-    ["put", activity, seq, hash]   a dataset filed under the run
+    ["put", activity, seq, hash]   a staged input, filed under the run
     ["put", activity, seq, hash, base]
-                                   a derived put: a dataset filed as blob base
-                                   with the line "meta derived-from <base>"
+                                   a derived put: a staged input filed as blob
+                                   base with the line "meta derived-from <base>"
                                    spliced in after its dataset-v1 header
-    ["ckpt", activity, seq, hash]  a put committed as a checkpoint
+    ["ckpt", activity, seq, hash]  a job's result, filed and committed
     ["rollback", activity]         drop the checkpoints after the activity's last;
                                    status rolled-back until the next ckpt
-    ["status", status, summary]    status, plus null or the run's summary
-                                   (entries, trace, started_at,
-                                   finished_at, failure)
+    ["status", status, summary]    status, plus the run's summary (entries,
+                                   trace, started_at, finished_at, failure)
+
+Journals from before ckpt filed its own dataset hold a put of the same
+(activity, seq, hash) before each ckpt; they read unchanged.
 
 A hash is 64 lowercase hex digits; a put or ckpt line naming anything else
 is malformed, so no journal can point a read outside blobs/.
@@ -143,7 +145,7 @@ class RunState:
     checkpoints: tuple[tuple[str, ResultKey], ...]
     status: str
     header: dict | None = None  # the "submitted" record; None until its line is complete
-    summary: dict | None = None  # from the last status record that carried one
+    summary: dict | None = None  # from the last status record; None until there is one
 
 
 def _line(record) -> bytes:
@@ -169,7 +171,7 @@ def _record(line: str, number: int) -> list | None:
     elif kind == "rollback":
         ok = n == 2 and type(record[1]) is str
     elif kind == "status":
-        ok = n == 3 and record[1] in _RUN_STATUSES and type(record[2]) in (dict, type(None))
+        ok = n == 3 and record[1] in _RUN_STATUSES and type(record[2]) is dict
     else:
         ok = kind == "submitted" and number == 1 and n == 2 and type(record[1]) is dict
     return record if ok else None
@@ -210,8 +212,7 @@ class _Journal:
             del self.committed[cuts[-1] + 1 :]
             self.status = ROLLED_BACK
         else:  # status
-            self.status = rec[0]
-            self.summary = rec[1] if rec[1] is not None else self.summary
+            self.status, self.summary = rec
 
     def append(self, *record):
         """Write a record through the open journal, flushed, and fold it in."""
@@ -366,9 +367,19 @@ class ContentStore:
     # -- core operations ----------------------------------------------------
 
     def put(self, ds: Dataset, run_id: str, activity_id: str, base: Dataset | None = None) -> ResultKey:
-        """File a dataset under a run this handle drives; `base`, if given,
-        is the stored dataset `ds` was projected from, and makes the put a
-        derived one when ds keeps all of it (see above)."""
+        """File a staged input under a run this handle drives; `base`, if
+        given, is the stored dataset `ds` was projected from, and makes the
+        put a derived one when ds keeps all of it (see above)."""
+        return self._file("put", ds, run_id, activity_id, base)
+
+    def checkpoint(self, run_id: str, activity_id: str, ds: Dataset) -> ResultKey:
+        """File a job's result under a run this handle drives, committed as
+        the activity's latest checkpoint."""
+        return self._file("ckpt", ds, run_id, activity_id)
+
+    def _file(self, kind: str, ds: Dataset, run_id: str, activity_id: str, base=None) -> ResultKey:
+        """Write ds's blob, unless it is derived or stored, then append one
+        `kind` record for it and hold ds for reads back."""
         blob = canonical_serialize(ds)
         hash = vars(ds)["id"] = hashlib.sha256(blob).hexdigest()  # primes ds.id
         derived = [base.id] if _derives(ds, base) else []
@@ -382,7 +393,7 @@ class ContentStore:
                 tmp.write_bytes(blob)
                 tmp.replace(path)
             seq = kept.next_seq.get(activity_id, 0)
-            kept.append("put", activity_id, seq, hash, *derived)
+            kept.append(kind, activity_id, seq, hash, *derived)
         with self._held_lock:
             held = self._held.pop(hash, None)
             self._held[hash] = (ds, len(blob))
@@ -434,13 +445,6 @@ class ContentStore:
             raise IntegrityError(f"blob {hash} corrupted: bytes hash to {ds.id}")
         return ds
 
-    def checkpoint(self, run_id: str, activity_id: str, key: ResultKey):
-        with self._lock:
-            kept = self._driven(run_id)
-            if key.run_id != run_id or (key.activity_id, key.sequence, key.hash) not in kept.keys:
-                raise UnknownKey(f"cannot checkpoint unknown key: {key}")
-            kept.append("ckpt", activity_id, key.sequence, key.hash)
-
     def rollback(self, run_id: str, to_activity_id: str):
         with self._lock:
             kept = self._driven(run_id)
@@ -450,8 +454,8 @@ class ContentStore:
                 )
             kept.append("rollback", to_activity_id)
 
-    def set_status(self, run_id: str, status: str, summary: dict | None = None):
-        """Append a status record; a summary, when given, replaces the last."""
+    def set_status(self, run_id: str, status: str, summary: dict):
+        """Append a status record carrying the run's summary."""
         if status not in _RUN_STATUSES:
             raise StorageError(f"unknown run status: {status}")
         with self._lock:

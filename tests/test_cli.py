@@ -368,13 +368,13 @@ class TestStoreLs:
 
 def repoint_checkpoint(store, run_id, activity, blob):
     """File `blob` under its own sha-256 and point the activity's last
-    checkpoint in the run's journal, and the put it commits, at it."""
+    checkpoint in the run's journal at it."""
     digest = hashlib.sha256(blob).hexdigest()
     (store / "blobs" / digest).write_bytes(blob)
     journal = store / "runs" / f"{run_id}.log"
     records = [json.loads(line) for line in journal.read_text(encoding="ascii").splitlines()]
     old = [r for r in records if r[0] == "ckpt" and r[1] == activity][-1][3]
-    lines = [json.dumps(r[:3] + [digest] if r[0] in ("put", "ckpt") and r[3] == old else r,
+    lines = [json.dumps(r[:3] + [digest] if r[0] == "ckpt" and r[3] == old else r,
                         separators=(",", ":")) for r in records]
     journal.write_text("\n".join(lines) + "\n", encoding="ascii")
     return digest
@@ -456,7 +456,7 @@ class TestStoreAudit:
         runs = tmp_path / "store" / "runs"
         journal = (runs / "run-0001.log").read_text(encoding="ascii")
         records = [json.loads(line) for line in journal.splitlines()]
-        digest = [r for r in records if r[0] == "ckpt"][-1][3]
+        digest = [r for r in records if r[:2] == ["ckpt", "md"]][-1][3]
         (tmp_path / "store" / "blobs" / digest).unlink()
         with open(runs / "run-0002.log", "ab") as fh:
             fh.write(b'["put","lat')
@@ -465,9 +465,9 @@ class TestStoreAudit:
         assert out == "".join([
             "torn runs/run-0002.log tail: 11 bytes after the last newline\n",
             *(f"missing blob {digest} (runs/run-0001.log line {n})\n"
-              for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[3] == digest),
+              for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[-1] == digest),
         ])
-        assert out.count("missing blob") >= 2  # its put and its ckpt
+        assert out.count("missing blob") >= 2  # md's ckpt and analysis.in's derived put
 
     def test_malformed_journal_line(self, run, case_file, tmp_path):
         run("submit", case_file, "--user", "ada")
@@ -485,15 +485,15 @@ class TestStoreAudit:
         run("submit", case_file, "--user", "ada")
         journal = tmp_path / "store" / "runs" / "run-0001.log"
         records = [json.loads(line) for line in journal.read_text(encoding="ascii").splitlines()]
-        digest = [r for r in records if r[0] == "ckpt"][-1][3]
+        digest = [r for r in records if r[:2] == ["ckpt", "md"]][-1][3]
         (tmp_path / "store" / "blobs" / digest).unlink()
         code, out, _ = run("store", "audit")
         assert code == 2
         assert out.splitlines() == [
             f"missing blob {digest} (runs/run-0001.log line {n})"
-            for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[3] == digest
+            for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[-1] == digest
         ]
-        assert len(out.splitlines()) >= 2  # its put and its ckpt
+        assert len(out.splitlines()) >= 2  # md's ckpt and analysis.in's derived put
         code, _, err = run("report", "run-0001")
         assert (code, err) == (2, f"error: blob {digest} missing\n")
 
@@ -505,7 +505,7 @@ class TestStoreAudit:
         (tmp_path / "store" / "blobs" / lattice).unlink()
         code, out, _ = run("store", "audit")
         named = [(n, r) for n, r in enumerate(records, 1) if r[0] in ("put", "ckpt") and r[-1] == lattice]
-        assert [r[1] for _, r in named] == ["lattice", "lattice", "cbmc.in"]  # cbmc.in derives from it
+        assert [r[1] for _, r in named] == ["lattice", "cbmc.in"]  # cbmc.in derives from it
         assert (code, out.splitlines()) == (2, [
             f"missing blob {lattice} (runs/run-0001.log line {n})" for n, _ in named])
 

@@ -41,13 +41,14 @@ from gridflow.cli import run_cli
 mode, at = sys.argv[1], int(sys.argv[2])
 real, done = storage.ContentStore.checkpoint, []
 
-def checkpoint(self, run_id, activity_id, key):
+def checkpoint(self, run_id, activity_id, ds):
     if mode == "torn" and len(done) + 1 == at:
-        record = json.dumps(["ckpt", activity_id, key.sequence, key.hash]).encode()
+        seq = self._drives[run_id].next_seq.get(activity_id, 0)
+        record = json.dumps(["ckpt", activity_id, seq, ds.id]).encode()
         with open(self.journal(run_id), "ab") as fh:
             fh.write(record[: len(record) // 2])
         os.kill(os.getpid(), signal.SIGKILL)
-    state = real(self, run_id, activity_id, key)
+    key = real(self, run_id, activity_id, ds)
     done.append(key)
     if mode == "after" and len(done) == at:
         os.kill(os.getpid(), signal.SIGKILL)
@@ -56,7 +57,7 @@ def checkpoint(self, run_id, activity_id, key):
         deadline = time.monotonic() + 120
         while not (self.root.parent / "go").exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-    return state
+    return key
 
 storage.ContentStore.checkpoint = checkpoint
 sys.exit(run_cli(sys.argv[3:]))
@@ -185,7 +186,7 @@ def collapsed(trace, replayed):
 
 
 def test_a_long_loop_resumes_to_the_uninterrupted_result(tmp_path):
-    # 500 firings make a journal of over 1,000 lines; every command reads it
+    # 500 firings make a journal of over 500 lines; every command reads it
     # in a new process, and resume after a fault at firing 400
     argv = ("submit", LOOP, "--user", "ci", "--seed", "1",
             "--param", "converge_after=500", "--max-iterations", "1000")
@@ -277,3 +278,31 @@ def test_a_resume_after_every_fault_point_reproduces_the_run(tmp_path, capsys):
         assert submitted(capsys, FORK, store, "--fail-at", f"{activity}:{firing}") == 2
         assert cli(capsys, "resume", "run-0001", "--store", store)[:2] == (0, "run-0001\n")
         assert result(capsys, store) == expected, (activity, firing)
+
+
+def test_a_journal_with_a_put_before_each_ckpt_reads_and_resumes(flow, tmp_path, capsys):
+    # journals written before a ckpt filed its own dataset hold a put of the
+    # same (activity, seq, hash) right before each ckpt
+    whole, store = tmp_path / "whole", tmp_path / "store"
+    assert submitted(capsys, flow, whole) == 0
+    expected = result(capsys, whole)
+    assert submitted(capsys, flow, store, "--fail-at", "md:1") == 2
+    journal = store / "runs" / "run-0001.log"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    reports = [cli(capsys, "report", "run-0001", "--store", store, *argv) for argv in ((), ("--json",))]
+    old, twins = [], []
+    for line in lines:
+        record = json.loads(line)
+        if record[0] == "ckpt":
+            twins.append(json.dumps(["put", *record[1:]], separators=(",", ":")).encode() + b"\n")
+            old.append(twins[-1])
+        old.append(line)
+    assert len(twins) == 3 and not set(twins) & set(lines)  # lattice, cbmc, gcmc
+    journal.write_bytes(b"".join(old))
+    assert [cli(capsys, "report", "run-0001", "--store", store, *argv)
+            for argv in ((), ("--json",))] == reports
+    assert cli(capsys, "store", "audit", "--store", store) == (0, "clean\n", "")
+    assert cli(capsys, "resume", "run-0001", "--store", store) == (0, "run-0001\n", "")
+    assert journal.read_bytes().startswith(b"".join(old))
+    assert result(capsys, store) == expected
+    assert cli(capsys, "store", "audit", "--store", store) == (0, "clean\n", "")

@@ -516,7 +516,7 @@ class TestResume:
         assert final_d("run-hurt") == final_d("run-ref")
 
     def test_each_put_serializes_once_and_each_run_emits_once(self, tmp_path, monkeypatch):
-        serialized, puts, emitted = [], [], []
+        serialized, puts, ckpts, emitted = [], [], [], []
 
         def counting(fn, calls):
             return lambda *args: calls.append(args) or fn(*args)
@@ -525,14 +525,17 @@ class TestResume:
             monkeypatch.setattr(module, "canonical_serialize",
                                 counting(module.canonical_serialize, serialized))
         monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
+        monkeypatch.setattr(ContentStore, "checkpoint", counting(ContentStore.checkpoint, ckpts))
         monkeypatch.setattr(engine_module, "emit_dsl", counting(engine_module.emit_dsl, emitted))
         engine, plan = self.build(tmp_path)
         engine.execute(plan, run_id="run-ref")
         with pytest.raises(ActivityFailed):
             engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
         engine.resume("run-hurt")
-        assert len(puts) == 11 + 7 + 6  # clean run, up to the fault, resume
-        assert len(serialized) == len(puts)
+        # clean run, up to the fault, resume (11 + 7 + 6 in all): a put per
+        # staged input, a checkpoint per fresh result
+        assert (len(puts), len(ckpts)) == (6 + 4 + 4, 5 + 3 + 2)
+        assert len(serialized) == len(puts) + len(ckpts)
         assert len(emitted) == 2  # once per claimed run; resume reads the header
 
     def test_jobs_read_staged_inputs_by_hash_and_a_fresh_resume_parses_each_checkpoint(
@@ -541,7 +544,7 @@ class TestResume:
         # every staged input and replayed checkpoint is read through
         # get_by_hash; the handle that put a dataset returns the one it holds,
         # so only a resume through a fresh handle parses, once per checkpoint
-        asked, parsed, serialized, puts = [], [], [], []
+        asked, parsed, serialized, filed = [], [], [], []
         real_parse, real_by_hash = storage.canonical_deserialize, ContentStore.get_by_hash
 
         def counting(fn, calls):
@@ -554,7 +557,8 @@ class TestResume:
                             lambda store, digest: asked.append(digest) or real_by_hash(store, digest))
         monkeypatch.setattr(storage, "canonical_serialize",
                             counting(storage.canonical_serialize, serialized))
-        monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
+        monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, filed))
+        monkeypatch.setattr(ContentStore, "checkpoint", counting(ContentStore.checkpoint, filed))
         engine, plan = self.build(tmp_path)
 
         run_id = engine.execute(plan, run_id="run-ref")
@@ -579,7 +583,7 @@ class TestResume:
         assert len(replayed) == 3
         assert read == sorted(staged + replayed)
         assert parsed_by_resume == sorted(replayed)
-        assert len(serialized) == len(puts) == 11 + 7 + 6
+        assert len(serialized) == len(filed) == 11 + 7 + 6  # each put and checkpoint
 
     def test_resume_completed_run_is_refused(self, tmp_path):
         engine, plan = self.build(tmp_path)
@@ -649,7 +653,7 @@ class TestResume:
             engine.execute(plan, run_id="run-loop", fault_plan=[("work", 2)])
         [(_, key)] = engine.store.checkpoints("run-loop")
         with engine.store.driving("run-loop"):  # filed under an activity the workflow lacks
-            engine.store.checkpoint("run-loop", "ghost", key)
+            engine.store.checkpoint("run-loop", "ghost", engine.store.get(key))
         with pytest.raises(RuntimeFailure, match="checkpoint for 'ghost' does not fit"):
             engine.resume("run-loop")
         assert engine.report("run-loop")["status"] == "failed"
@@ -724,16 +728,19 @@ def derived_puts(store, run_id):
 
 
 class TestHeldDatasets:
-    """A handle returns the datasets it put instead of parsing their blobs,
-    so each held object must be what parsing its stored bytes would give."""
+    """A handle returns the datasets it filed (put or checkpointed) instead
+    of parsing their blobs, so each held object must be what parsing its
+    stored bytes would give."""
 
     @pytest.mark.parametrize("graph, derived", [(case_study, 2), (lambda: parse(WIDE_FORK), 0)],
                              ids=["case-study", "fork13"])
     def test_held_datasets_equal_their_parsed_blobs(self, tmp_path, monkeypatch, graph, derived):
         held = []
-        real_put = ContentStore.put
+        real_put, real_checkpoint = ContentStore.put, ContentStore.checkpoint
         monkeypatch.setattr(ContentStore, "put",
                             lambda store, ds, *args: held.append(ds) or real_put(store, ds, *args))
+        monkeypatch.setattr(ContentStore, "checkpoint", lambda store, run_id, activity, ds:
+                            held.append(ds) or real_checkpoint(store, run_id, activity, ds))
         engine = make_engine(tmp_path)
         run_id = engine.execute(engine.plan(graph(), ADA, seed=1))
         assert len(held) > 10
@@ -807,6 +814,22 @@ class TestDerivedPuts:
         assert derived_puts(fresh.store, "run-hurt")[-1] == ("analysis.in", digest, base)
         assert sorted(set(puts("run-hurt"))) == puts("run-ref")
         assert checkpoint_hashes(fresh, "run-hurt") == checkpoint_hashes(fresh, "run-ref")
+
+
+class TestOneRecordPerResult:
+    """A job's result is one ckpt record, which files its dataset; put
+    records file only staged inputs."""
+
+    def test_a_case_study_journal_has_no_put_twin_of_a_checkpoint(self, tmp_path):
+        engine = make_engine(tmp_path)
+        run_id = engine.execute(engine.plan(case_study(), ADA, seed=1))
+        records = [json.loads(line) for line in engine.store.index_lines(run_id)]
+        ckpts = [tuple(r[1:]) for r in records if r[0] == "ckpt"]
+        puts = [tuple(r[1:4]) for r in records if r[0] == "put"]
+        assert (len(records), len(ckpts), len(puts)) == (14, 5, 6)
+        assert not set(ckpts) & set(puts)
+        assert all(activity.endswith(".in") for activity, _, _ in puts)  # staged inputs
+        assert len(list(engine.store.blob_dir.iterdir())) == 9
 
 
 class TestDeterminism:

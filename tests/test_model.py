@@ -46,7 +46,7 @@ from gridflow.errors import UserError
 from gridflow.quantities import Dataset, Observable, get_unit
 from tokenoracle import brute_force_findings
 
-from gridflow.resources import BindingRequirement
+from test_resources import descriptor
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ONE = get_unit("dimensionless")
@@ -804,11 +804,14 @@ class TestBindingRequirements:
         ]
         edges = [("start", "p1"), ("p1", "p2"), ("p2", "p3"), ("p3", "end")]
         g = build_graph("w", nodes, edges)
-        reqs = {n.id: n.binding.requirement(n.id) for n in g.activities()}
-        assert all(isinstance(r, BindingRequirement) for r in reqs.values())
-        assert reqs["p1"].actuator == "gulp@c1" and reqs["p1"].program == "gulp"
-        assert reqs["p2"].program == "dlpoly" and reqs["p2"].actuator is None
-        assert reqs["p3"].capabilities == {"analysis"}
+        admits = {n.id: n.binding.admits for n in g.activities()}
+        assert admits["p1"](descriptor("gulp@c1", "gulp"))
+        assert not admits["p1"](descriptor("gulp@c2", "gulp"))  # pinned actuator
+        assert not admits["p1"](descriptor("gulp@c1", "gulpx"))  # pinned program
+        assert admits["p2"](descriptor("dlpoly@any", "dlpoly", ("md", "nve")))
+        assert not admits["p2"](descriptor("gulp@c1", "gulp", ("md",)))
+        assert admits["p3"](descriptor("tsfit@d", "tsfit", ("analysis", "fit")))
+        assert not admits["p3"](descriptor("tsfit@d", "tsfit", ("fit",)))
 
     def test_binding_variant_validation(self):
         with pytest.raises(StructuralError):

@@ -2,9 +2,9 @@
 
 import pytest
 
+from gridflow.model import FREE, PINNED_BOTH, PINNED_PROGRAM, Binding
 from gridflow.quantities import ExtractionSpec
 from gridflow.resources import (
-    BindingRequirement,
     Calculator,
     DuplicateResource,
     InvalidDescriptor,
@@ -96,29 +96,29 @@ class TestDiscover:
         self.reg.register(descriptor("gulp@cluster1", "gulp", ("mc-gcmc",), cost=1.0))
 
     def test_pinned_both(self):
-        req = BindingRequirement("a", program="gulp", actuator="gulp@cluster1")
-        assert self.reg.discover(req) == ["gulp@cluster1"]
+        binding = Binding(PINNED_BOTH, program="gulp", actuator="gulp@cluster1")
+        assert self.reg.discover(binding) == ["gulp@cluster1"]
 
     def test_pinned_program_orders_by_cost_then_id(self):
-        req = BindingRequirement("a", program="dlpoly")
-        assert self.reg.discover(req) == ["dlpoly@cluster2", "dlpoly@cluster1"]
+        binding = Binding(PINNED_PROGRAM, program="dlpoly")
+        assert self.reg.discover(binding) == ["dlpoly@cluster2", "dlpoly@cluster1"]
 
     def test_capability_only(self):
-        req = BindingRequirement("a", capabilities=frozenset({"md"}))
-        assert self.reg.discover(req) == ["dlpoly@cluster2", "dlpoly@cluster1"]
+        binding = Binding(FREE, capabilities=frozenset({"md"}))
+        assert self.reg.discover(binding) == ["dlpoly@cluster2", "dlpoly@cluster1"]
 
     def test_no_provider_is_empty_not_error(self):
-        req = BindingRequirement("a", capabilities=frozenset({"cbmc"}))
-        assert self.reg.discover(req) == []
+        binding = Binding(FREE, capabilities=frozenset({"cbmc"}))
+        assert self.reg.discover(binding) == []
 
     def test_ties_break_lexicographically(self):
         self.reg.register(descriptor("aaa@x", "dlpoly", ("md",), cost=1.0))
-        req = BindingRequirement("a", program="dlpoly")
-        assert self.reg.discover(req) == ["aaa@x", "dlpoly@cluster2", "dlpoly@cluster1"]
+        binding = Binding(PINNED_PROGRAM, program="dlpoly")
+        assert self.reg.discover(binding) == ["aaa@x", "dlpoly@cluster2", "dlpoly@cluster1"]
 
     def test_deterministic(self):
-        req = BindingRequirement("a", capabilities=frozenset({"md"}))
-        assert self.reg.discover(req) == self.reg.discover(req)
+        binding = Binding(FREE, capabilities=frozenset({"md"}))
+        assert self.reg.discover(binding) == self.reg.discover(binding)
 
 
 class TestRenderLaunch:

@@ -688,7 +688,7 @@ class TestStandardPool:
             "analysis": "tsfit@desk-01",
         }
         for activity, resource in expected.items():
-            hits = registry.discover(g.node(activity).binding.requirement(activity))
+            hits = registry.discover(g.node(activity).binding)
             assert hits[0] == resource, activity
 
     def test_probe_programs_have_open_licenses(self):

@@ -176,11 +176,26 @@ class TestDerivedPuts:
         with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed"):
             store.run_state("r1")
 
+    @pytest.mark.parametrize("line", [
+        '["status","completed",null]', '["status","completed"]', '["status","completed",[]]',
+    ])
+    def test_a_status_record_carries_a_summary(self, store, line):
+        store.claim({}, "r1")
+        with open(store.journal("r1"), "ab") as fh:
+            fh.write(line.encode() + b"\n")
+        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed"):
+            store.run_state("r1")
+
 
 class TestCheckpoints:
     def test_checkpoint_and_state(self, store, r1):
-        k = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k)
+        d = ds("x", 1.0)
+        k = store.checkpoint("r1", "a", d)
+        assert k == ResultKey(d.id, "r1", "a", 0)
+        assert records(store, "r1") == [["ckpt", "a", 0, k.hash]]  # one record, no put
+        assert (store.blob_dir / k.hash).read_bytes() == quantities.canonical_serialize(d)
+        assert store.get(k) is d  # held
+        assert ContentStore(store.root).get(k) == d  # parsed from its blob
         state = store.run_state("r1")
         assert state.checkpoints == (("a", k),)
         assert state.status == ACTIVE
@@ -189,8 +204,7 @@ class TestCheckpoints:
     def test_rollback_truncates_strictly_after_target(self, store, r1):
         keys = {}
         for name, value in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
-            keys[name] = store.put(ds("x", value), "r1", name)
-            store.checkpoint("r1", name, keys[name])
+            keys[name] = store.checkpoint("r1", name, ds("x", value))
         store.rollback("r1", "a")
         state = store.run_state("r1")
         assert state.checkpoints == (("a", keys["a"]),)
@@ -200,24 +214,20 @@ class TestCheckpoints:
     def test_truncated_history_stays_readable(self, store, r1):
         kb = None
         for name, value in (("a", 1.0), ("b", 2.0)):
-            k = store.put(ds("x", value), "r1", name)
-            store.checkpoint("r1", name, k)
+            k = store.checkpoint("r1", name, ds("x", value))
             if name == "b":
                 kb = k
         store.rollback("r1", "a")
         assert store.get(kb).get("x").magnitude == 2.0
 
     def test_next_checkpoint_clears_rolled_back(self, store, r1):
-        ka = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", ka)
+        store.checkpoint("r1", "a", ds("x", 1.0))
         store.rollback("r1", "a")
-        kb = store.put(ds("x", 2.0), "r1", "b")
-        store.checkpoint("r1", "b", kb)
+        store.checkpoint("r1", "b", ds("x", 2.0))
         assert store.run_state("r1").status == ACTIVE
 
     def test_rollback_unknown_activity(self, store, r1):
-        k = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k)
+        store.checkpoint("r1", "a", ds("x", 1.0))
         with pytest.raises(UnknownCheckpoint):
             store.rollback("r1", "zz")
 
@@ -226,15 +236,11 @@ class TestCheckpoints:
             store.run_state("ghost")
 
     def test_status_records(self, store, r1):
-        k = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k)
-        store.set_status("r1", COMPLETED)
-        assert store.run_state("r1").status == COMPLETED
-
-    def test_checkpoint_requires_known_key(self, store, r1):
-        store.put(ds("x", 1.0), "r1", "a")
-        with pytest.raises(UnknownKey):
-            store.checkpoint("r1", "a", ResultKey("f" * 64, "r1", "a", 0))
+        store.checkpoint("r1", "a", ds("x", 1.0))
+        store.set_status("r1", ACTIVE, {"failure": None})
+        store.set_status("r1", COMPLETED, {"failure": "none"})
+        state = store.run_state("r1")
+        assert (state.status, state.summary) == (COMPLETED, {"failure": "none"})  # the last one's
 
 
 class TestAppendOnly:
@@ -242,15 +248,14 @@ class TestAppendOnly:
         return {p: p.read_bytes() for d in (store.runs_dir, store.blob_dir) for p in d.iterdir()}
 
     def test_no_operation_rewrites_existing_bytes(self, store, r1):
-        k = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k)
+        k = store.checkpoint("r1", "a", ds("x", 1.0))
         before = self.read_everything(store)
 
-        k2 = store.put(ds("x", 2.0), "r1", "b")
-        store.checkpoint("r1", "b", k2)
+        store.put(ds("x", 1.0), "r1", "b.in")
+        store.checkpoint("r1", "b", ds("x", 2.0))
         store.rollback("r1", "a")
         store.get(k)
-        store.set_status("r1", COMPLETED)
+        store.set_status("r1", COMPLETED, {})
 
         after = self.read_everything(store)
         for path, blob in before.items():
@@ -278,8 +283,8 @@ class TestAppendOnly:
         for run_id in ("r1", "r2"):
             store.claim({}, run_id)
         with store.driving("r1"):
-            k1 = store.put(ds("x", 1.0), "r1", "a")
-            store.checkpoint("r1", "a", k1)
+            k1 = store.checkpoint("r1", "a", ds("x", 1.0))
+            store.put(ds("x", 1.0), "r1", "b.in")  # a second record of the same blob
         with store.driving("r2"):
             store.put(ds("x", 2.0), "r2", "b")
         assert store.journal_faults("r1") == store.journal_faults("r2") == (0, [])
@@ -302,8 +307,7 @@ class TestAppendOnly:
     def test_a_hash_that_is_not_a_sha256_names_no_file(self, store, monkeypatch, where):
         store.claim({}, "r1")
         with store.driving("r1"):
-            key = store.put(ds("x", 1.0), "r1", "a")
-            store.checkpoint("r1", "a", key)
+            key = store.checkpoint("r1", "a", ds("x", 1.0))
         planted = store.root.parent / "planted"  # a valid blob outside blobs/
         planted.write_bytes((store.blob_dir / key.hash).read_bytes())
         target = "../runs/r1.log" if where == "relative" else str(planted)
@@ -316,10 +320,10 @@ class TestAppendOnly:
             real = getattr(type(journal), method)
             monkeypatch.setattr(type(journal), method,
                                 lambda path, real=real: touched.append(path) or real(path))
-        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 3 malformed: "):
+        with pytest.raises(IntegrityError, match=r"^runs/r1.log line 2 malformed: "):
             store.run_state("r1")
         torn, faults = store.journal_faults("r1")
-        assert torn == 0 and len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 3 malformed: ")
+        assert torn == 0 and len(faults) == 1 and faults[0].startswith("damaged runs/r1.log line 2 malformed: ")
         assert touched and all(p == journal or p.parent == store.blob_dir for p in touched)
 
     def test_replay_reproduces_committed_sequence(self, store):
@@ -328,8 +332,7 @@ class TestAppendOnly:
         with store.driving("r1"):
             for name, value in (("a", 0.5), ("b", 1.5), ("c", 2.5)):
                 d = ds("obs", value)
-                k = store.put(d, "r1", name)
-                store.checkpoint("r1", name, k)
+                store.checkpoint("r1", name, d)
                 originals.append(d)
             kept = store.checkpoints("r1")
         assert store.checkpoints("r1") == kept  # read from disk, once the drive ended
@@ -337,8 +340,7 @@ class TestAppendOnly:
         assert replayed == originals
 
     def test_reopen_preserves_state(self, store, r1):
-        k = store.put(ds("x", 1.0), "r1", "a")
-        store.checkpoint("r1", "a", k)
+        k = store.checkpoint("r1", "a", ds("x", 1.0))
         again = ContentStore(store.root)
         assert again.run_state("r1").checkpoints == (("a", k),)
         assert again.get(k).get("x").magnitude == 1.0
@@ -391,8 +393,7 @@ class TestJournals:
     def test_half_written_line_is_not_consumed(self, store):
         store.claim({}, "r1")
         with store.driving("r1"):
-            ka = store.put(ds("x", 1.0), "r1", "a")
-            store.checkpoint("r1", "a", ka)
+            ka = store.checkpoint("r1", "a", ds("x", 1.0))
             kb = store.put(ds("x", 2.0), "r1", "b")
         before = store.run_state("r1")
         record = json.dumps(["ckpt", "b", kb.sequence, kb.hash]).encode() + b"\n"
@@ -407,14 +408,13 @@ class TestJournals:
         other = ContentStore(store.root)
         store.claim({}, "r1")
         with store.driving("r1"):
-            k0 = store.put(ds("x", 1.0), "r1", "a")
             assert other.run_state("r1").checkpoints == ()
-            store.checkpoint("r1", "a", k0)
-        with other.driving("r1"):
-            k1 = other.put(ds("x", 2.0), "r1", "a")
-            assert k1.sequence == k0.sequence + 1
+            k0 = store.checkpoint("r1", "a", ds("x", 1.0))
             assert other.run_state("r1").checkpoints == (("a", k0),)
-            other.checkpoint("r1", "a", k1)
+        with other.driving("r1"):
+            assert other.run_state("r1").checkpoints == (("a", k0),)
+            k1 = other.checkpoint("r1", "a", ds("x", 2.0))
+            assert k1.sequence == k0.sequence + 1
             assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
             with pytest.raises(StorageError, match="run r1 is being driven by another process"):
                 with store.driving("r1", wait=False):
@@ -436,15 +436,17 @@ class TestJournals:
                 for _ in range(rng.randrange(1, 6)):
                     activity, op = rng.choice("abc"), rng.random()
                     if op < 0.6:
-                        key = s.put(ds("v", float(rng.randrange(4))), run, activity)
+                        d = ds("v", float(rng.randrange(4)))
                         if rng.random() < 0.7:
-                            s.checkpoint(run, activity, key)
+                            s.checkpoint(run, activity, d)
+                        else:
+                            s.put(d, run, activity)
                     else:
                         names = [name for name, _ in s.run_state(run).checkpoints]
                         if op < 0.75 and names:
                             s.rollback(run, rng.choice(names))
                         else:
-                            s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)))
+                            s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)), {})
                 state = s.run_state(run)  # what the drive keeps
                 text = store.journal(run).read_text(encoding="utf-8")
                 assert (state.checkpoints, state.status) == journal_state(text, run)
@@ -509,10 +511,9 @@ class TestJournals:
 
         def work(t):
             for _ in range(20):
-                key = store.put(ds("x", float(t)), "r1", f"a{t % 2}")
+                d, activity = ds("x", float(t)), f"a{t % 2}"
+                key = store.checkpoint("r1", activity, d) if t % 2 else store.put(d, "r1", activity)
                 keys.append(key)
-                if t % 2:
-                    store.checkpoint("r1", key.activity_id, key)
                 assert store.get(key) == ds("x", float(t))
                 store.run_state("r1")
 
@@ -542,34 +543,31 @@ class TestJournals:
         store.claim({}, "r1")
         with store.driving("r1"):
             for i in range(300):
-                key = store.put(ds("x", float(i % 7)), "r1", "a")
-                store.checkpoint("r1", "a", key)
+                key = store.checkpoint("r1", "a", ds("x", float(i % 7)))
                 assert store.get(key) == ds("x", float(i % 7))
             store.rollback("r1", "a")
-            store.set_status("r1", COMPLETED)
+            store.set_status("r1", COMPLETED, {})
             assert store.run_state("r1").status == COMPLETED
         assert lines_read == [1]  # the "submitted" line, when the drive began
         with store.driving("r1"):
             assert store.run_state("r1").status == COMPLETED
-        assert lines_read == [1, 1 + 600 + 2]
+        assert lines_read == [1, 1 + 300 + 2]
 
     def test_an_op_on_one_run_reads_no_other_journal(self, store, monkeypatch):
         for run_id in ("r1", "r2"):
             store.claim({}, run_id)
         with store.driving("r2"):
-            k2 = store.put(ds("x", 2.0), "r2", "a")
-            store.checkpoint("r2", "a", k2)
+            store.checkpoint("r2", "a", ds("x", 2.0))
         store.journal("r2").write_bytes(b"not a record\n")  # any read of it would raise
         asked = []
         index_lines = store.index_lines
         monkeypatch.setattr(store, "index_lines", lambda run_id: asked.append(run_id) or index_lines(run_id))
         with store.driving("r1"):
             for i in range(20):
-                key = store.put(ds("x", float(i)), "r1", f"a{i % 3}")
-                store.checkpoint("r1", key.activity_id, key)
+                key = store.checkpoint("r1", f"a{i % 3}", ds("x", float(i)))
                 assert store.get(key) == ds("x", float(i))
             store.rollback("r1", "a0")
-            store.set_status("r1", COMPLETED)
+            store.set_status("r1", COMPLETED, {})
         assert store.run_state("r1").status == COMPLETED
         assert asked == ["r1", "r1"]  # the drive's read, then run_state's
         assert store.runs() == ["r1", "r2"]
@@ -587,11 +585,9 @@ class TestJournals:
         assert reopened.get(k0) == ds("x", 1.0)
         with reopened.driving("r1"):
             assert journal.read_bytes() == whole  # cut before any write
-            k1 = reopened.put(ds("x", 2.0), "r1", "a")
-            reopened.checkpoint("r1", "a", k1)
+            k1 = reopened.checkpoint("r1", "a", ds("x", 2.0))
         assert k1.sequence == 1
-        assert records(store, "r1") == [["put", "a", 0, k0.hash], ["put", "a", 1, k1.hash],
-                                        ["ckpt", "a", 1, k1.hash]]
+        assert records(store, "r1") == [["put", "a", 0, k0.hash], ["ckpt", "a", 1, k1.hash]]
 
     def test_a_drive_cuts_nothing_of_a_claim_still_writing(self, store, monkeypatch):
         # a claim creates the journal, then writes its first line without the
@@ -615,16 +611,14 @@ class TestJournals:
         # a handle keeps nothing between drives: the next one folds what is left
         store.claim({}, "r1")
         with store.driving("r1"):
-            ka = store.put(ds("x", 1.0), "r1", "a")
-            store.checkpoint("r1", "a", ka)
-            kb = store.put(ds("x", 2.0), "r1", "b")
-            store.checkpoint("r1", "b", kb)
+            ka = store.checkpoint("r1", "a", ds("x", 1.0))
+            kb = store.checkpoint("r1", "b", ds("x", 2.0))
         journal = store.journal("r1")
         data = journal.read_bytes()
         os.truncate(journal, data[:-1].rfind(b"\n") + 1)  # drop b's checkpoint
         assert store.run_state("r1").checkpoints == (("a", ka),)
         with store.driving("r1"):
-            store.checkpoint("r1", "b", kb)  # b's put is still known
+            assert store.checkpoint("r1", "b", ds("x", 2.0)) == kb  # b's dataset, filed again
             assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
         assert journal.read_bytes() == data
 
@@ -642,12 +636,11 @@ class TestJournals:
     def test_a_write_to_an_undriven_run_raises_and_writes_nothing(self, store):
         store.claim({}, "r1")
         other = ContentStore(store.root)
-        key = ResultKey(dataset_id(ds("x", 1.0)), "r1", "a", 0)
         writes = [
             lambda run_id: store.put(ds("x", 1.0), run_id, "a"),
-            lambda run_id: store.checkpoint(run_id, "a", key),
+            lambda run_id: store.checkpoint(run_id, "a", ds("x", 1.0)),
             lambda run_id: store.rollback(run_id, "a"),
-            lambda run_id: store.set_status(run_id, COMPLETED),
+            lambda run_id: store.set_status(run_id, COMPLETED, {}),
         ]
         before = {p: p.read_bytes() for p in store.root.rglob("*") if p.is_file()}
         with other.driving("r1"):  # driven, but by another handle
@@ -664,15 +657,14 @@ class TestJournals:
     def test_a_handle_keeps_nothing_of_a_run_it_does_not_drive(self, store):
         store.claim({}, "r1")
         with store.driving("r1"):
-            key = store.put(ds("x", 1.0), "r1", "a")
-            store.checkpoint("r1", "a", key)
+            key = store.checkpoint("r1", "a", ds("x", 1.0))
             assert list(store._drives) == ["r1"]
         assert store._drives == {}
         assert store.run_state("r1").checkpoints == (("a", key),)
         journal = store.journal("r1")
         journal.write_bytes(journal.read_bytes().replace(b'["ckpt"', b'["ckpX"'))
         line = f'["ckpX","a",0,"{key.hash}"]'
-        damage = f"runs/r1.log line 3 malformed: {line[:80]!r}"
+        damage = f"runs/r1.log line 2 malformed: {line[:80]!r}"
         assert store.journal_faults("r1") == (0, [f"damaged {damage}"])
         with pytest.raises(IntegrityError, match=re.escape(damage)):  # read again, in full
             store.run_state("r1")
@@ -698,9 +690,10 @@ class TestRunIds:
     def test_bad_run_ids_name_no_file(self, store, run_id):
         for call in (
             lambda: store.put(ds("x", 1.0), run_id, "a"),
+            lambda: store.checkpoint(run_id, "a", ds("x", 1.0)),
             lambda: store.run_state(run_id),
             lambda: store.claim({}, run_id),
-            lambda: store.set_status(run_id, COMPLETED),
+            lambda: store.set_status(run_id, COMPLETED, {}),
             lambda: store.driving(run_id).__enter__(),
         ):
             with pytest.raises(StorageError, match="bad run id"):
