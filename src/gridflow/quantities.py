@@ -19,6 +19,11 @@ splitting a long line a slice at a time so it holds no list of the line's
 tokens; a parsed table keeps its line and reads its cells from it on first
 use.
 
+numpy is imported only where a table's array is computed with: `_cells`,
+`Observable.cells` and the comparison of two tables' cells. Parsing,
+rendering and hashing need none of it, so a CLI call that reads no table's
+cells (verify, export, report, store ls and audit) never loads numpy.
+
 Units are linear scalings of SI-coherent units over the 7 SI base dimensions.
 Energy-per-mole carries an explicit amount exponent of -1 so per-particle and
 per-mole energies can never be silently conflated.
@@ -33,10 +38,12 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import UserError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Unit",
@@ -201,6 +208,8 @@ def _rows(flat, width: int) -> tuple:
 def _cells(rows, width: int, context: str) -> np.ndarray:
     """Rows of `width` cells (a sequence of rows or a 2-D array) as one
     read-only float64 array, checked and converted as _clean does."""
+    import numpy as np
+
     arrayed = isinstance(rows, np.ndarray)
     rows = rows if arrayed else list(rows)
     if len(rows) and not width:
@@ -277,6 +286,8 @@ class Observable:
         mine, theirs = vars(self).get("line"), vars(other).get("line")
         if mine is not None and theirs is not None:
             return mine == theirs
+        import numpy as np
+
         return self.length == other.length and np.array_equal(self.cells, other.cells)
 
     def __hash__(self):
@@ -340,6 +351,8 @@ class Observable:
         The factory files it, a table constructed with its rows converts
         them, and a parsed table reads its line, checked when parsed, each
         distinct token through float once."""
+        import numpy as np
+
         rows = vars(self).get("values")
         if rows is not None:
             return _cells(rows, len(self.columns), self.name)

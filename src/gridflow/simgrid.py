@@ -22,6 +22,11 @@ SimulatedExecutor runs jobs on a virtual clock: each wait_any call is one
 tick, which starts up to the calculator's max_concurrent queued jobs per
 resource and finishes them in a seeded shuffle. Equal (seed, fault plan)
 means an identical event order, which makes whole runs reproducible.
+
+numpy is imported only in the program code that computes with arrays: md's
+walk and its adapter, the Trajectory and the analysis fit. A CLI call loads
+it when a job first runs one of them, or builds or reads a table (see
+quantities), not when it imports this module.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GridflowError, RuntimeFailure, UserError
 from .quantities import Dataset, Observable, format_number, get_unit, merge
@@ -50,6 +54,9 @@ from .resources import (
     UnknownJob,
     read_descriptors,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BadParams",
@@ -283,6 +290,8 @@ _TIMESTEP_PS = 1.0
 
 def _moves(rng: random.Random, n: int) -> np.ndarray:
     """The next n results of rng.choice((-1, 1)), drawn in blocks (see md_native)."""
+    import numpy as np
+
     top = np.empty(0, dtype=np.uint32)
     while len(top) < n:
         k = 2 * (n - len(top)) + 64
@@ -299,6 +308,8 @@ def md_native(config: Dataset, params) -> str:
     step together. rng.choice((-1, 1)) keeps the top two bits of one MT19937
     word and redraws values >= 2, and getrandbits(32 * k) returns the next k
     words in order, so _moves draws the same moves in blocks."""
+    import numpy as np
+
     steps = _int_param(params, "steps")
     if steps < 1:
         raise BadParams(f"steps must be >= 1, got {steps}")
@@ -335,6 +346,8 @@ def md_native(config: Dataset, params) -> str:
 
 
 def parse_md_native(text: str) -> Dataset:
+    import numpy as np
+
     lines = text.splitlines()
     if not lines or lines[0] != "MDRUN TRAJECTORY 1":
         raise RuntimeFailure("trajectory output: bad banner")
@@ -383,6 +396,8 @@ class Trajectory:
     theta: float = 0.0
 
     def __post_init__(self):
+        import numpy as np
+
         if len(self.positions) < 1:
             raise BadParams("trajectory needs at least one walker")
         if len({len(p) for p in self.positions}) != 1 or len(self.positions[0]) < 2:
@@ -405,6 +420,8 @@ class Trajectory:
 
     @staticmethod
     def from_dataset(ds: Dataset) -> "Trajectory":
+        import numpy as np
+
         rows = ds.get("trajectory").cells
         tracks = rows[np.argsort(rows[:, 0], kind="stable"), 1:].T
         timestep = ds.get("timestep").magnitude if ds.has("timestep") else 1.0
@@ -413,6 +430,8 @@ class Trajectory:
 
 
 def _msd_values(tracks: np.ndarray) -> list[float]:
+    import numpy as np
+
     deltas = tracks - tracks[:, :1]
     return list(np.mean(deltas * deltas, axis=0))
 
@@ -425,6 +444,8 @@ def _fit_second_half(values: list[float]):
     confinement saturates the walk. The residual is the exponent's distance
     from 1, so a linear fit far outside the diffusive regime gets flagged.
     """
+    import numpy as np
+
     n = len(values)
     xs = np.arange(n // 2, n, dtype=float)
     ys = np.asarray(values[n // 2 :], dtype=float)
@@ -447,6 +468,8 @@ def analysis_native(inputs: Dataset, params) -> str:
     standard error comes from refitting walker groups (every groups-th
     walker) on their own.
     """
+    import numpy as np
+
     traj = Trajectory.from_dataset(inputs)
     cell_length = inputs.get("cell_length").magnitude if inputs.has("cell_length") else 1.0
     groups = _int_param(params, "groups", "10")

@@ -36,7 +36,8 @@ an observable whose unit it keeps): its canonical bytes are then the base
 blob's plus that one meta line, so no second blob is written. Its hash is
 still the sha-256 of those bytes. Only the run's journal knows the record,
 so get_by_hash reads a derived hash under the drive of its run, get() under
-any handle; a read hashes the spliced bytes as it would a blob's.
+any handle; a read splices the line in and hashes and parses the bytes as it
+would a blob's, each once.
 
 Nothing rewrites a stored byte, so a run's history survives rollbacks. A
 run's state is a fold of its own journal's records; no operation reads
@@ -240,14 +241,20 @@ def _derives(ds: Dataset, base: Dataset | None) -> bool:
             and all(map(operator.is_, ds.observables, base.observables)))
 
 
-def _spliced_hash(base: bytes, base_hash: str) -> str:
-    """The sha-256 of a derived put's bytes, hashed from its base blob's
-    bytes in place: the header line, the derived-from line, the rest."""
+def _spliced(base: bytes, base_hash: str) -> bytes:
+    """A derived put's bytes, from its base blob's: the header line, the
+    derived-from line, the rest."""
     cut = base.find(b"\n") + 1
-    digest = hashlib.sha256(memoryview(base)[:cut])
-    digest.update(f"meta derived-from {base_hash}\n".encode("ascii"))
-    digest.update(memoryview(base)[cut:])
-    return digest.hexdigest()
+    view = memoryview(base)
+    return b"".join((view[:cut], f"meta derived-from {base_hash}\n".encode("ascii"), view[cut:]))
+
+
+def _corrupted(hash: str, base: str | None, digest: str) -> IntegrityError:
+    """The error of a read whose bytes hash to `digest`, not `hash`."""
+    if base is None:
+        return IntegrityError(f"blob {hash} corrupted: bytes hash to {digest}")
+    return IntegrityError(
+        f"derived put {hash} corrupted: blob {base} with its derived-from line hashes to {digest}")
 
 
 def _records(lines: list[str]) -> list:
@@ -420,29 +427,26 @@ class ContentStore:
         return self._read_blob(hash, base)
 
     def _read_blob(self, hash: str, base: str | None = None) -> Dataset:
-        """Read blob `hash`, or the derived put `hash` of blob `base`."""
+        """Read blob `hash`, or the derived put `hash` of blob `base`, its
+        bytes hashed once: by the parse, which primes the id, unless held."""
         name = base or hash
         try:
             data = (self.blob_dir / name).read_bytes()
         except FileNotFoundError:  # a journal names it, or get() has refused the key
             raise IntegrityError(f"blob {name} missing") from None
         if base is not None:
-            digest = _spliced_hash(data, base)
-            if digest != hash:
-                raise IntegrityError(
-                    f"derived put {hash} corrupted: blob {base} with its derived-from line hashes to {digest}")
+            data = _spliced(data, base)
         held = self._held.get(hash)
-        if held is not None and (base is not None or hashlib.sha256(data).hexdigest() == hash):
+        if held is not None and hashlib.sha256(data).hexdigest() == hash:
             return held[0]  # the bytes this handle wrote, still intact
         try:
             ds = canonical_deserialize(data)
         except ParseError as exc:
+            if base is not None:  # a derived put's bytes were canonical when filed
+                raise _corrupted(hash, base, hashlib.sha256(data).hexdigest()) from None
             raise IntegrityError(f"blob {name} unparseable: {exc}") from None
-        if base is not None:  # the spliced bytes parse as the base's plus their derived-from line
-            ds = Dataset((("derived-from", base), *ds.meta), ds.observables)
-            vars(ds)["id"] = hash
-        elif ds.id != hash:  # the sha-256 of the bytes just parsed
-            raise IntegrityError(f"blob {hash} corrupted: bytes hash to {ds.id}")
+        if ds.id != hash:  # the sha-256 of the bytes just parsed
+            raise _corrupted(hash, base, ds.id)
         return ds
 
     def rollback(self, run_id: str, to_activity_id: str):
@@ -505,6 +509,7 @@ class ContentStore:
             path = self.blob_dir / name
             if not path.is_file():
                 faults.append(f"missing blob {name} ({where})")
-            elif len(record) == 5 and (digest := _spliced_hash(path.read_bytes(), name)) != record[3]:
+            elif len(record) == 5 and (
+                    digest := hashlib.sha256(_spliced(path.read_bytes(), name)).hexdigest()) != record[3]:
                 faults.append(f"damaged {where}: derived put {record[3]} of blob {name} hashes to {digest}")
         return torn, faults

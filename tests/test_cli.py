@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -707,6 +711,52 @@ class TestConfigAndStore:
         code, _, err = run("submit", case_file, "--config", "absent.cfg")
         assert code == 1
         assert "config" in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CASE_STUDY = CORPUS / "sound" / "case_study.flow"
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from gridflow.cli import main; main()"
+
+
+def gridflow_process(cwd, *argv, numpy=True):
+    """A CLI call in a new process; without `numpy` every import of it fails."""
+    prefix = ["-m", "gridflow.cli"] if numpy else ["-c", NO_NUMPY]
+    return subprocess.run([sys.executable, *prefix, *map(str, argv)], cwd=cwd, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+
+
+class TestWithoutNumpy:
+    """Only a table's cells and the simulated programs import numpy, so a
+    read-only command prints the same bytes in a process that cannot."""
+
+    REPORT = ("report", "run-0001", "--store", "store", "--json", "--deterministic")
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        """A directory whose store holds a seed-1 case study, submitted in a new process."""
+        cwd = tmp_path_factory.mktemp("study")
+        proc = gridflow_process(cwd, "submit", CASE_STUDY, "--store", "store", "--user", "ci", "--seed", "1")
+        assert (proc.returncode, proc.stdout) == (0, b"run-0001\n"), proc.stderr
+        return cwd
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", CASE_STUDY, "--json"),
+        ("export", CASE_STUDY, "--to", "xml"),
+        REPORT,
+        ("store", "ls", "run-0001", "--store", "store"),
+        ("store", "audit", "--store", "store"),
+    ], ids=["verify", "export", "report", "store-ls", "store-audit"])
+    def test_a_read_only_command_runs_without_numpy(self, study, argv):
+        real = gridflow_process(study, *argv)
+        assert real.returncode == 0 and real.stdout, real.stderr
+        blocked = gridflow_process(study, *argv, numpy=False)
+        assert (blocked.returncode, blocked.stdout) == (real.returncode, real.stdout), blocked.stderr
+
+    def test_a_submit_in_a_new_process_is_unchanged(self, study, run):
+        code, out, _ = run("submit", CASE_STUDY, "--store", "store", "--user", "ci", "--seed", "1")
+        assert (code, out) == (0, "run-0001\n")
+        code, report, _ = run(*self.REPORT)
+        assert code == 0 and gridflow_process(study, *self.REPORT).stdout.decode() == report
 
 
 class TestExitContract:

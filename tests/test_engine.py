@@ -776,6 +776,31 @@ class TestDerivedPuts:
         staged = {ev[3] for ev in engine.report(run_id)["trace"] if ev[0] == "staged"}
         assert {digest for _, digest, _ in derived} <= staged
 
+    def test_a_fresh_read_of_a_derived_put_hashes_its_base_once(self, tmp_path, monkeypatch):
+        engine = make_engine(tmp_path)
+        run_id = engine.execute(engine.plan(case_study(), ADA, seed=1))
+        records = map(json.loads, engine.store.index_lines(run_id))
+        (_, _, seq, digest, base), = [r for r in records if r[:2] == ["put", "analysis.in"] and len(r) == 5]
+        assert base == dict(engine.store.checkpoints(run_id))["md"].hash
+        hashed, real = [], hashlib.sha256
+
+        class Counted:
+            def __init__(self, data=b""):
+                self.digest = real()
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(len(data))
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counted)
+        ds = ContentStore(engine.store.root).get(storage.ResultKey(digest, run_id, "analysis.in", seq))
+        assert ds.id == digest and ds.meta == (("derived-from", base),)
+        assert sum(hashed) == len(spliced(engine.store, base))  # md's bytes and one meta line, once
+
     def test_a_fresh_drive_parses_a_derived_input_and_a_resume_files_the_same_records(
         self, tmp_path, monkeypatch
     ):

@@ -193,7 +193,9 @@ def test_job_dependencies_match_networkx_reduction():
 
 
 def test_cli_import_leaves_networkx_out():
-    code = "import sys, gridflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    # numpy too: only a table's cells and the simulated programs import it
+    code = ("import sys, gridflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'numpy')))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),

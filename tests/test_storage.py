@@ -165,6 +165,16 @@ class TestDerivedPuts:
         with pytest.raises(IntegrityError, match=fault):
             ContentStore(store.root).get(key)
 
+    def test_a_base_that_no_longer_parses_fails_the_derived_read_as_changed(self, store, r1):
+        base = self.base()
+        bkey = store.put(base, "r1", "a")
+        key = store.put(project(base, ExtractionSpec.of(("x", "1"), ("y", "nm"))), "r1", "b.in", base)
+        path = store.blob_dir / bkey.hash
+        path.write_bytes(path.read_bytes()[:-len(b"end\n")])
+        fault = f"^derived put {key.hash} corrupted: blob {bkey.hash} with its derived-from line hashes to "
+        with pytest.raises(IntegrityError, match=fault):
+            ContentStore(store.root).get(key)  # holds nothing, so the parse meets the fault first
+
     @pytest.mark.parametrize("line", [
         '["put","a",0,"{h}","../blobs/{h}"]', '["put","a",0,"{h}",1]',
         '["put","a",0,"{h}","{h}","{h}"]', '["ckpt","a",0,"{h}","{h}"]',
