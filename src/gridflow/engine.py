@@ -233,7 +233,7 @@ class Engine:
         for activity, key in sorted(dict(state.checkpoints).items()):  # each one's latest
             ds = self.store.get_by_hash(key.hash)  # a key of the journal just read
             scalars = {o.name: o.values[0] for o in ds.observables if o.kind == "scalar"}
-            others = {o.name: f"{o.kind}[{o.length}]"  # builds no parsed table's rows
+            others = {o.name: f"{o.kind}[{o.length}]"  # reads no parsed table's cells
                       for o in ds.observables if o.kind != "scalar"}
             results[activity] = {"hash": key.hash, "scalars": scalars, "other": others}
         data = {

@@ -10,14 +10,13 @@ parsed dataset takes its id from the bytes it was parsed from. Each distinct
 number of an obs line is rendered, and parsed and checked, once; the parser
 accepts the same bytes as a number-by-number check.
 
-A table's numbers are one read-only float64 array, `cells`. The factory
-converts and checks the cells once, on the array, and the obs line is
-rendered from it. No table holds row tuples until `values` is first read,
-whether the factory or the parser built it, and its `length` (row count)
-needs none. The parser checks every number when the bytes are parsed,
-splitting a long line a slice at a time so it holds no list of the line's
-tokens; a parsed table keeps its line and reads its cells from it on first
-use.
+A table's numbers are one read-only float64 array, `cells`, and nothing
+else: its `values` is always (). The factory converts and checks the cells
+once, on the array, and the obs line is rendered from it. The parser checks
+every number when the bytes are parsed, splitting a long line a slice at a
+time so it holds no list of the line's tokens; a parsed table keeps its line
+and reads its cells from it on first use. Either files the row count,
+`length`.
 
 numpy is imported only where a table's array is computed with: `_cells`,
 `Observable.cells` and the comparison of two tables' cells. Parsing,
@@ -233,12 +232,12 @@ class Observable:
       scalar  -- (x,)
       vector3 -- (x, y, z)
       series  -- ((index, value), ...) with strictly increasing indices
-      table   -- (row, ...) where each row is a tuple of len(columns) cells
+      table   -- () always
     `columns` is used by tables only. A table's numbers are `cells`, one
-    read-only float64 array; a table the factory or the parser built holds
-    no row tuples and builds `values` from its cells on first access. A
-    parsed table has its line checked in full and reads its cells from the
-    line on first access.
+    read-only float64 array of `length` rows of len(columns) cells, which
+    the factory files. A parsed table has its line checked in full and
+    reads its cells from the line on first access. The constructor builds
+    only a table of no rows.
     """
 
     name: str
@@ -266,17 +265,15 @@ class Observable:
             for col in self.columns:
                 if not _NAME_RE.match(col):
                     raise QuantityError(f"{self.name}: invalid column name {col!r}")
-            if self.values and not self.columns:
-                raise QuantityError(f"{self.name}: a table without columns holds no rows")
-            if set(map(len, self.values)) - {len(self.columns)}:
-                raise QuantityError(f"{self.name}: row width != column count")
+            if self.values:
+                raise QuantityError(f"{self.name}: a table's numbers are its cells, not its values")
         else:
             raise QuantityError(f"unknown observable kind: {self.kind!r}")
 
     def __eq__(self, other):
         """Equal name, kind, unit and columns, and equal numbers: a table's
-        lines when both hold one, else its cells, so no table builds its
-        rows to be compared."""
+        lines when both hold one, else its cells. The dataclass's hash of
+        the fields agrees, as a table's values is ()."""
         if type(other) is not Observable:
             return NotImplemented
         if (self.name, self.kind, self.unit, self.columns) != (other.name, other.kind, other.unit, other.columns):
@@ -289,11 +286,6 @@ class Observable:
         import numpy as np
 
         return self.length == other.length and np.array_equal(self.cells, other.cells)
-
-    def __hash__(self):
-        # a table's cells are left out, so hashing one reads none of them
-        numbers = self.length if self.kind == "table" else self.values
-        return hash((self.name, self.kind, self.unit, self.columns, numbers))
 
     @staticmethod
     def scalar(name: str, value: float, unit: Unit) -> "Observable":
@@ -317,7 +309,9 @@ class Observable:
         """`rows` is a sequence of rows or a 2-D array of cells."""
         columns = tuple(columns)
         cells = _cells(rows, len(columns), name)
-        return _rowless(Observable(name, "table", unit, (), columns), cells=cells, length=len(cells))
+        obs = Observable(name, "table", unit, (), columns)
+        vars(obs).update(cells=cells, length=len(cells))
+        return obs
 
     @functools.cached_property
     def line(self) -> str:
@@ -329,7 +323,7 @@ class Observable:
         head = ["obs", self.name, self.kind, self.unit.name]
         if self.kind == "table":
             head.extend((str(self.length), str(len(self.columns)), *self.columns))
-            flat = self.cells.ravel().tolist()
+            flat = self.cells.ravel().tolist() if self.length else ()  # unfiled cells read this line
         elif self.kind == "series":
             head.append(str(len(self.values)))
             flat = tuple(chain.from_iterable(self.values))
@@ -341,21 +335,19 @@ class Observable:
 
     @functools.cached_property
     def length(self) -> int:
-        """len(values); the factory and the parser file a table's row count
-        here, so it builds no rows."""
+        """len(values), or a table's row count, which the factory and the
+        parser file here."""
         return len(self.values)
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
         """A table's numbers as one read-only float64 array, a row per row.
-        The factory files it, a table constructed with its rows converts
-        them, and a parsed table reads its line, checked when parsed, each
-        distinct token through float once."""
+        The factory files it; any other table reads its line, checked when
+        parsed, each distinct token through float once."""
+        if self.kind != "table":
+            raise QuantityError(f"{self.name}: cells are only defined for tables")
         import numpy as np
 
-        rows = vars(self).get("values")
-        if rows is not None:
-            return _cells(rows, len(self.columns), self.name)
         numbers = self.line.split(" ")[6 + len(self.columns):]  # obs name kind unit rows cols
         distinct = set(numbers)
         parsed = dict(zip(distinct, map(float, distinct)))
@@ -370,32 +362,6 @@ class Observable:
         if self.kind != "scalar":
             raise QuantityError(f"{self.name}: magnitude is only defined for scalars")
         return self.values[0]
-
-
-class _LazyRows:
-    """Observable.values where no instance holds its own: only a table the
-    factory or the parser built lacks them, and builds its rows from its
-    cells on first access. A non-data descriptor, set after the dataclass
-    took `values` as a field, so the values every other observable holds
-    shadow it."""
-
-    def __get__(self, obs, owner=None):
-        if obs is None:
-            return self
-        rows = vars(obs)["values"] = tuple(map(tuple, obs.cells.tolist()))
-        return rows
-
-
-Observable.values = _LazyRows()
-
-
-def _rowless(obs: Observable, **known) -> Observable:
-    """`obs`, a table checked as one of no rows, with that empty `values`
-    dropped (so _LazyRows serves it) and `known` filed: its cells or its
-    line, and its row count."""
-    del vars(obs)["values"]
-    vars(obs).update(known)
-    return obs
 
 
 @dataclass(frozen=True)
@@ -696,7 +662,7 @@ def _parse_obs(line: str, lineno: int) -> Observable:
     ):
         raise ParseError(lineno, "non-canonical or non-finite number rendering")
     if kind == "table":
-        values = ()  # the head is checked as a table of no rows; _LazyRows builds them
+        values = ()  # its numbers are its cells, read from the line
     else:
         values = tuple(map(parsed.__getitem__, numbers))
         if width is not None:
@@ -706,6 +672,6 @@ def _parse_obs(line: str, lineno: int) -> Observable:
     except QuantityError as exc:
         raise ParseError(lineno, str(exc)) from None
     if kind == "table":
-        _rowless(obs, length=rows)
+        vars(obs)["length"] = rows
     vars(obs)["line"] = line  # only an Observable's own canonical line parses
     return obs

@@ -513,6 +513,13 @@ class TestBulkParserAgainstReference:
         assert err.value.line == 2
 
 
+def numbers_of(obs):
+    """An observable's numbers in line order: a table's are its cells."""
+    if obs.kind == "table":
+        return obs.cells.ravel().tolist()
+    return list(obs.values if obs.kind in ("scalar", "vector3") else itertools.chain.from_iterable(obs.values))
+
+
 def repeat_heavy():
     """A trajectory-like table: 800 cells, 25 distinct values, -0.0 among the input."""
     rows = [(float(t), t % 3 - 1.0, -0.0 * t, (t // 50) * 0.25) for t in range(200)]
@@ -541,7 +548,7 @@ class TestDistinctValueCodec:
     def test_round_trip_is_pinned(self, build, distinct, size, digest):
         ds = build()
         (obs,) = ds.observables
-        assert len(set(itertools.chain.from_iterable(obs.values))) == distinct
+        assert len(set(numbers_of(obs))) == distinct
         blob = canonical_serialize(ds)
         assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)
         parsed = canonical_deserialize(blob)
@@ -581,9 +588,8 @@ class TestDistinctValueCodec:
     def test_factories_leave_no_negative_zero(self, make):
         # the writer keys its renderings by float equality, under which
         # 0.0 == -0.0: sound only while no observable holds -0.0
-        obs = make()
-        flat = obs.values if obs.kind in ("scalar", "vector3") else itertools.chain.from_iterable(obs.values)
-        assert all(math.copysign(1.0, v) == 1.0 for v in flat if v == 0.0)
+        zeros = [v for v in numbers_of(make()) if v == 0.0]
+        assert zeros and all(math.copysign(1.0, v) == 1.0 for v in zeros)
 
     def test_parser_leaves_no_negative_zero(self):
         zero, neg = format_number(0.0), format_number(-0.0)
@@ -610,21 +616,21 @@ def float_bits(rows):
 
 
 class TestParsedTableRows:
-    """A parsed table checks its whole line when it is parsed and builds its
-    rows from that line only on first access."""
+    """A parsed table checks its whole line when it is parsed and reads its
+    cells from that line only on first access; it holds no row tuples."""
 
     @pytest.mark.parametrize("build", [repeat_heavy, wide_table])
-    def test_rows_are_built_on_first_access_float_for_float(self, build):
+    def test_cells_are_read_on_first_access_float_for_float(self, build):
         eager = build()
         parsed = canonical_deserialize(canonical_serialize(eager))
         for got, want in zip(parsed.observables, eager.observables, strict=True):
             if got.kind != "table":
-                assert "values" in vars(got)
+                assert got.values == want.values
                 continue
-            assert "values" not in vars(got)
-            assert got.length == len(want.values) and "values" not in vars(got)
-            assert float_bits(got.values) == float_bits(want.values)
-            assert "values" in vars(got) and got.values is got.values  # built once
+            assert got.values == () and "cells" not in vars(got)
+            assert got.length == want.length and "cells" not in vars(got)
+            assert got.cells.dtype == np.float64 and not got.cells.flags.writeable
+            assert float_bits(got.cells.tolist()) == float_bits(want.cells.tolist())
         assert parsed == eager and hash(parsed) == hash(eager)
 
     def test_an_unbuilt_table_compares_and_renders_as_a_built_one(self):
@@ -642,10 +648,12 @@ class TestParsedTableRows:
         lines[1] = lines[1][: lines[1].rindex(" ")] + " " + format_number(8.0)  # the last cell
         changed = canonical_deserialize("\n".join(lines).encode())
         assert first == second and hash(first) == hash(second)  # from their lines
+        for ds in (first, second):
+            assert not any("cells" in vars(o) for o in ds.observables if o.kind == "table")
         assert first == eager and hash(first) == hash(eager)  # from their cells
         assert changed != first and changed != eager and changed == changed
         for ds in (first, second, eager, changed):
-            assert not any("values" in vars(o) for o in ds.observables if o.kind == "table")
+            assert all(o.values == () for o in ds.observables if o.kind == "table")
 
     @pytest.mark.parametrize("mutation", sorted(NUMBER_MUTATIONS))
     def test_every_number_is_still_checked_when_parsed(self, mutation):
@@ -701,7 +709,7 @@ def table_rows(draw):
 
 class TestFactoryTables:
     """A table the factory builds holds one float64 array and renders its
-    line from it; it builds its row tuples only on first access."""
+    line from it; its `values` is ()."""
 
     @staticmethod
     def build(width, rows):
@@ -724,12 +732,12 @@ class TestFactoryTables:
 
     @settings(max_examples=150)
     @given(table_rows())
-    def test_values_are_the_cells_as_floats_plus_zero(self, shape):
+    def test_cells_are_the_rows_as_floats_plus_zero(self, shape):
         width, rows = shape
         obs = self.build(width, rows)
-        assert "values" not in vars(obs)
-        want = tuple(tuple(float(c) + 0.0 for c in row) for row in rows)
-        assert obs.values == want and float_bits(obs.values) == float_bits(want)
+        assert obs.values == () and obs.cells.dtype == np.float64
+        want = [[float(c) + 0.0 for c in row] for row in rows]
+        assert float_bits(obs.cells.tolist()) == float_bits(want)
         assert obs.length == len(rows) and obs.cells.shape == (len(rows), width)
 
     @settings(max_examples=150)
@@ -750,7 +758,26 @@ class TestFactoryTables:
         obs = Observable.table("t", columns, rows, ONE)
         ds = Dataset.build([obs])
         assert canonical_deserialize(canonical_serialize(ds)) == ds
-        assert obs.values == tuple(tuple(float(c) for c in row) for row in rows)
+        assert obs.values == () and obs.cells.tolist() == [[float(c) for c in row] for row in rows]
+
+    def test_a_constructed_empty_table_is_the_factory_one(self):
+        def direct():
+            return Observable("t", "table", KJ, (), ("a", "b"))
+
+        built = Observable.table("t", ("a", "b"), [], KJ)
+        assert direct() == built and hash(direct()) == hash(built)  # neither holds a line yet
+        assert direct().cells.shape == (0, 2) and direct().line == built.line == "obs t table kJ/mol 0 2 a b"
+        parsed = canonical_deserialize(canonical_serialize(Dataset.build([direct()]))).get("t")
+        assert parsed == direct() == built and hash(parsed) == hash(built)
+
+    def test_the_constructor_refuses_a_table_of_rows(self):
+        with pytest.raises(QuantityError, match="its cells, not its values"):
+            Observable("t", "table", ONE, ((1.0,),), ("a",))
+
+    def test_only_a_table_has_cells(self):
+        for obs in sample_dataset().observables:
+            with pytest.raises(QuantityError, match="only defined for tables"):
+                obs.cells
 
     def test_an_array_of_rows_builds_the_same_table(self):
         rows = [(float(t), t % 7 - 3.0, -0.0) for t in range(40)]

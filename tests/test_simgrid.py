@@ -89,8 +89,7 @@ class TestLattice:
     def test_sites_and_spacing(self):
         ds = lattice(5, 2.0)
         assert ds.get("n_sites").magnitude == 5.0
-        xs = [x for (x,) in ds.get("sites").values]
-        assert xs == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert ds.get("sites").cells.tolist() == [[0.0], [2.0], [4.0], [6.0], [8.0]]
         assert ds.get("cell_length").magnitude == 2.0
         assert ds.get("sites").unit.name == "angstrom"
 
@@ -121,8 +120,8 @@ class TestCbmc:
     def test_occupies_exact_fraction(self):
         ds = mock("mcsim", lattice(10), {"theta": "0.5", "seed": "3"})
         assert ds.get("n_occupied").magnitude == 5.0
-        flags = [f for _, f in ds.get("occupancy").values]
-        assert sum(flags) == 5.0 and set(flags) <= {0.0, 1.0}
+        flags = ds.get("occupancy").cells[:, 1].tolist()
+        assert len(flags) == 10 and sum(flags) == 5.0 and set(flags) <= {0.0, 1.0}
 
     def test_floor_rule(self):
         ds = mock("mcsim", lattice(7), {"theta": "0.5", "seed": "0"})
@@ -155,7 +154,8 @@ class TestCbmc:
 class TestGcmc:
     def test_walkers_on_free_sites_only(self):
         occ = mock("mcsim", lattice(12), {"theta": "0.5", "seed": "2"})
-        blocked = {int(s) for s, f in occ.get("occupancy").values if f}
+        blocked = {int(s) for s, f in occ.get("occupancy").cells.tolist() if f}
+        assert len(blocked) == 6
         for seed in range(100):
             gc = mock("gulpgc", occ, {"n_helium": "8", "seed": str(seed)})
             drops = {int(p) for _, p in gc.get("helium_positions").values}
@@ -217,7 +217,9 @@ class TestMd:
         ds = mock("mdrun", config(set(), 4, [0, 1]), {"steps": "60", "seed": "11"})
         text = md_native(config(set(), 4, [0, 1]), {"steps": "60", "seed": "11"})
         again = parse_md_native(text)
-        assert ds.get("trajectory").values == again.get("trajectory").values
+        cells = ds.get("trajectory").cells
+        assert cells.shape == (61, 3) and cells.min() < 0
+        assert cells.tobytes() == again.get("trajectory").cells.tobytes()
 
     def test_rejects_bad_steps(self):
         with pytest.raises(BadParams):
@@ -314,7 +316,7 @@ class TestBlockDraw:
     def test_walk_matches_reference(self, cells, theta, walkers, steps, seed):
         occ, gc = study_inputs(cells, theta, walkers, seed)
         ds = mock("mdrun", merge([gc, occ]), {"steps": str(steps), "seed": str(seed)})
-        occupied = {int(s) for s, flag in occ.get("occupancy").values if flag}
+        occupied = {int(s) for s, flag in occ.get("occupancy").cells.tolist() if flag}
         starts = [int(p) for _, p in gc.get("helium_positions").values]
         expected = reference_walk(starts, occupied, cells, steps, seed)
         assert Trajectory.from_dataset(ds).positions.tolist() == list(map(list, expected))
