@@ -18,13 +18,15 @@ rolled-back run re-derives exactly the seeds of an uninterrupted one.
 
 Run state lives only in the store, in the run's journal (see storage):
 execute() claims the run with its header (workflow text, bindings, params,
-seed), and each drive appends a status record carrying the run's summary
-(entries, trace, timestamps, failure) when it starts, and again when it fails
-or completes. Each entry is one firing: [activity, firing, resource, job id,
-result hash, submitted tick, finished tick, replayed (an earlier drive
-committed it)]. report() is the one view of a run, and it and resume() each
-derive from one read of that journal: per-activity counters are counted from
-the entries, and the touched resources are read off the trace.
+seed, loop budget), and every drive, execute()'s or resume()'s, reads the
+seed, loop budget, bindings and overrides from that header alone. Each drive
+appends a status record carrying the run's summary (entries, trace,
+timestamps, failure) when it starts, and again when it fails or completes.
+Each entry is one firing: [activity, firing, resource, job id, result hash,
+submitted tick, finished tick, replayed (an earlier drive committed it)].
+report() is the one view of a run, and it and resume() each derive from one
+read of that journal: per-activity counters are counted from the entries, and
+the touched resources are read off the trace.
 
 One process at a time drives a run: each drive holds the run's lock (see
 storage). resume() takes it before it reads the status and fails at once if
@@ -167,33 +169,22 @@ class Engine:
 
     def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> str:
         _check_fault_plan(plan.graph, fault_plan)
-        run_id = self.store.claim(_header(plan), run_id)
+        header = _header(plan)
+        run_id = self.store.claim(header, run_id)
         # waits out a resume that holds the lock to refuse a run with no status
         with self.store.driving(run_id):
-            return _Execution(self, plan, run_id, fault_plan, checkpoints=()).drive()
+            return _Execution(self, plan.graph, header, run_id, fault_plan, checkpoints=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> str:
         with self.store.driving(run_id, wait=False):
             state = self._state(run_id)
             if state.status == COMPLETED:
                 raise NothingToResume(f"run {run_id} already completed")
-            plan = self._plan_from_header(state.header)
-            _check_fault_plan(plan.graph, fault_plan)
-            return _Execution(self, plan, run_id, fault_plan, state.checkpoints).drive()
-
-    def _plan_from_header(self, header) -> ExecutionPlan:
-        graph = parse(header["workflow_text"])
-        bindings = tuple((a, r) for a, r in header["bindings"])
-        for _, resource in bindings:
-            self.registry.get(resource)  # must still be registered
-        return ExecutionPlan(
-            graph,
-            bindings,
-            tuple((k, v) for k, v in header["params"]),
-            UserProfile(**header["user"]),
-            header["max_iterations"],
-            header["seed"],
-        )
+            graph = parse(state.header["workflow_text"])
+            for _, resource in state.header["bindings"]:
+                self.registry.get(resource)  # must still be registered
+            _check_fault_plan(graph, fault_plan)
+            return _Execution(self, graph, state.header, run_id, fault_plan, state.checkpoints).drive()
 
     # -- inspection ----------------------------------------------------------
 
@@ -294,12 +285,12 @@ class _Execution:
     with its checkpoint, so each batch and merge is an uninterrupted run's.
     """
 
-    def __init__(self, engine: Engine, plan: ExecutionPlan, run_id, fault_plan, checkpoints):
+    def __init__(self, engine: Engine, graph: WorkflowGraph, header, run_id, fault_plan, checkpoints):
         self.engine = engine
-        self.plan = plan
-        self.g = plan.graph
+        self.g = graph
         self.run_id = run_id
-        self.executor = SimulatedExecutor(engine.registry, engine.store, plan.seed, fault_plan)
+        self.header = header  # the run's claimed header: seed, loop budget, bindings, params
+        self.executor = SimulatedExecutor(engine.registry, engine.store, header["seed"], fault_plan)
         self.committed: dict[tuple[str, int], str] = {}  # (activity, firing) -> checkpoint hash
         fired = Counter()  # firings are numbered across drives: the n-th checkpoint is firing n
         for activity, key in checkpoints:
@@ -312,8 +303,8 @@ class _Execution:
         self.inflows: dict[str, list] = {}  # activity -> its object flows, by producer
         for flow in sorted(self.g.object_flows, key=lambda f: f[0]):
             self.inflows.setdefault(flow[1], []).append(flow)
-        self.bindings = plan.binding_map()
-        self.overrides = dict(plan.params)
+        self.bindings = dict(header["bindings"])
+        self.overrides = dict(header["params"])
         self.tokens: dict[tuple[str, str], int] = {}
         self.back_counts: dict[tuple[str, str], int] = {}
         self.firings: dict[str, int] = {}
@@ -346,7 +337,7 @@ class _Execution:
         while True:
             self._settle_controls()
             for node in self.activities:
-                if self._has_token(node.id):
+                if self._take(node.id):
                     self._launch(node)
             if not self.pending:
                 break
@@ -370,21 +361,19 @@ class _Execution:
         if self.g.is_back_edge(edge):
             count = self.back_counts.get(edge, 0) + 1
             self.back_counts[edge] = count
-            if count > self.plan.max_iterations:
+            budget = self.header["max_iterations"]
+            if count > budget:
                 raise IterationLimit(
-                    f"cycle through {edge[0]} -> {edge[1]} exceeded "
-                    f"{self.plan.max_iterations} iterations"
+                    f"cycle through {edge[0]} -> {edge[1]} exceeded {budget} iterations"
                 )
 
-    def _has_token(self, node_id) -> bool:
-        return any(self.tokens.get(e, 0) for e in self.g.in_edges(node_id))
-
-    def _consume_one(self, node_id):
+    def _take(self, node_id) -> bool:
+        """Consume a token from the first of the node's edges that holds one."""
         for edge in self.in_edges[node_id]:
             if self.tokens.get(edge, 0):
                 self.tokens[edge] -= 1
-                return
-        raise RuntimeFailure(f"no token to consume at {node_id}")
+                return True
+        return False
 
     def _emit(self, node_id):
         for edge in self.g.out_edges(node_id):
@@ -403,8 +392,7 @@ class _Execution:
                             self.tokens[edge] -= 1
                         self._emit(node.id)
                         progressed = True
-                elif self._has_token(node.id):
-                    self._consume_one(node.id)
+                elif self._take(node.id):
                     if node.kind == FORK:
                         self._emit(node.id)
                     elif node.kind == DECISION:
@@ -426,7 +414,6 @@ class _Execution:
 
     def _launch(self, node):
         activity = node.id
-        self._consume_one(activity)
         firing = self.firings.get(activity, 0) + 1
         self.firings[activity] = firing
         resource = self.bindings[activity]
@@ -439,10 +426,7 @@ class _Execution:
         staged = self._stage_inputs(activity)
         descriptor = self.engine.registry.get(resource)
         job_inputs = self._match_slots(activity, descriptor.launch_template, staged)
-        params = dict(node.params)
-        for key in params:
-            if key in self.overrides:
-                params[key] = self.overrides[key]
+        params = {key: self.overrides.get(key, value) for key, value in node.params}
         params["seed"] = str(self._job_seed(activity, firing, [h for _, h in job_inputs]))
         params["attempt"] = str(firing)
         req = JobRequest.build(resource, activity, self.run_id, job_inputs, params)
@@ -455,7 +439,7 @@ class _Execution:
         self.pending[handle] = (activity, firing, self.executor.clock, None)
 
     def _job_seed(self, activity, firing, input_hashes) -> int:
-        basis = "|".join([str(self.plan.seed), activity, str(firing), *input_hashes])
+        basis = "|".join([str(self.header["seed"]), activity, str(firing), *input_hashes])
         return int.from_bytes(hashlib.sha256(basis.encode("utf-8")).digest()[:8], "big")
 
     def _stage_inputs(self, activity):

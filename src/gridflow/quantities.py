@@ -64,9 +64,6 @@ __all__ = [
     "format_number",
 ]
 
-# SI base dimension order used in every exponent vector.
-DIMENSION_LABELS = ("length", "mass", "time", "current", "temperature", "amount", "luminosity")
-
 KINDS = ("scalar", "vector3", "series", "table")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
@@ -132,7 +129,7 @@ def _register(name: str, dimension, scale: float, *aliases: str) -> Unit:
 
 # Fixed registry covering the case study. Scales are exact definitions where
 # one exists (Å, calorie, bar, eV per SI 2019, amu per CODATA 2018).
-DIMENSIONLESS = _register("dimensionless", _dim(), 1.0, "1")
+_register("dimensionless", _dim(), 1.0, "1")
 
 _register("m", _dim(length=1), 1.0)
 _register("cm", _dim(length=1), 1e-2)

@@ -2,14 +2,14 @@
 
 All services exchange data through here: producers file whole datasets,
 consumers read them back (verified against the content hash and parsed,
-every number checked, on every read; a parsed table builds its rows only on
-first use, see quantities) and project out what they need. store audit
-(audit) reads every blob the same way. A handle keeps the datasets it filed,
-up to _HELD_BYTES of canonical bytes, oldest dropped first: reading one of
-them back re-hashes the stored bytes and returns the held object instead of
-parsing them again. A new handle holds nothing, so another process always
-parses. The layout is blobs/<sha-256>, one canonical dataset each, plus
-runs/<run id>.log, one JSON array per line:
+every number checked, on every read; a parsed table reads its cells from its
+line only on first use, see quantities) and project out what they need.
+store audit (audit) reads every blob the same way. A handle keeps the
+datasets it filed, up to _HELD_BYTES of canonical bytes, oldest dropped
+first: reading one of them back re-hashes the stored bytes and returns the
+held object instead of parsing them again. A new handle holds nothing, so
+another process always parses. The layout is blobs/<sha-256>, one canonical
+dataset each, plus runs/<run id>.log, one JSON array per line:
 
     ["submitted", header]          first line: workflow name, text and hash,
                                    seed, user, params, max_iterations, bindings

@@ -794,6 +794,40 @@ class TestExitContract:
             assert (code, out) == (1, "")
             assert err.startswith(f"error: {bad}: {problem}")
 
+    @pytest.fixture
+    def failed_run(self, run, case_file, tmp_path):
+        """The journal of a run that failed at md's first firing."""
+        code, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
+        assert code == 2
+        return tmp_path / "store" / "runs" / f"{out.strip()}.log"
+
+    def test_submit_with_a_fault_at_no_activity_claims_no_run(self, run, case_file, tmp_path):
+        code, out, err = run("submit", case_file, "--user", "ada", "--fail-at", "ghost:1")
+        assert (code, out) == (1, "")
+        assert err == ("error: fault plan names 'ghost', not an activity of "
+                       "workflow 'helium-diffusion-study'\n")
+        assert not list((tmp_path / "store" / "runs").glob("*.log"))
+
+    def test_resume_with_a_fault_at_no_activity_writes_nothing(self, run, failed_run):
+        before = failed_run.read_bytes()
+        code, out, err = run("resume", failed_run.stem, "--fail-at", "ghost:2")
+        assert (code, out) == (1, "")
+        assert "fault plan names 'ghost'" in err
+        assert failed_run.read_bytes() == before
+
+    def test_resume_of_a_run_bound_to_an_unregistered_resource_writes_nothing(
+            self, run, failed_run):
+        lines = failed_run.read_text(encoding="ascii").splitlines(keepends=True)
+        kind, header = json.loads(lines[0])
+        header["bindings"][0][1] = "gone@nowhere"
+        lines[0] = json.dumps([kind, header], separators=(",", ":")) + "\n"
+        failed_run.write_text("".join(lines), encoding="ascii")
+        before = failed_run.read_bytes()
+        code, out, err = run("resume", failed_run.stem)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown resource: gone@nowhere\n"
+        assert failed_run.read_bytes() == before
+
     def test_no_arguments_is_usage_error(self, run):
         assert run()[0] == 1
 
