@@ -20,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from .dsl import parse, plan_text, to_dot, to_functional_plan, to_job_xml
-from .engine import Engine, UserProfile
+from .engine import ACADEMIC, Engine
 from .errors import GridflowError, RuntimeFailure, UserError
 from .model import StructuralError, verify
 from .quantities import format_number
@@ -112,14 +112,15 @@ def _read_text(path: str, what: str = "file") -> str:
         raise UserError(f"{path}: {exc}") from None
 
 
-def _user_profile(args, cfg) -> UserProfile:
+def _user_profile(args, cfg) -> tuple[str, str]:
+    """(name, affiliation) of --user NAME[:AFFILIATION] or the config's user."""
     raw = args.user or cfg.get("user")
     if not raw:
         raise UserError("no user profile: pass --user NAME[:AFFILIATION]")
     name, sep, affiliation = raw.partition(":")
     if not name:
         raise UserError(f"bad user profile: {raw!r}")
-    return UserProfile(name, affiliation) if sep else UserProfile(name)
+    return (name, affiliation) if sep else (name, ACADEMIC)
 
 
 def _param_pairs(raw: list[str]) -> tuple[tuple[str, str], ...]:
@@ -228,14 +229,9 @@ def cmd_export(args, cfg) -> int:
 def cmd_submit(args, cfg) -> int:
     graph = parse(_read_text(args.file))
     engine = _open_engine(args, cfg)
-    plan = engine.plan(
-        graph,
-        _user_profile(args, cfg),
-        params=_param_pairs(args.param),
-        max_iterations=args.max_iterations,
-        seed=_seed(args, cfg),
-    )
-    print(_run(engine.execute, plan, fault_plan=_fault_plan(args.fail_at)))
+    print(_run(engine.execute, graph, *_user_profile(args, cfg), params=_param_pairs(args.param),
+               max_iterations=args.max_iterations, seed=_seed(args, cfg),
+               fault_plan=_fault_plan(args.fail_at)))
     return OK
 
 

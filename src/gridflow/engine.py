@@ -1,32 +1,35 @@
 """Planning and execution of workflows over a resource pool and a store.
 
-plan() binds every activity to the cheapest admissible resource and applies
-the license gate; execute() plays a token game over the graph, staging each
-activity's declared input projections through the store, deriving a per-job
-seed, and checkpointing every completed result. Each projection is cut from
-the producer's latest result as the engine holds it (the completed dataset,
-or the checkpoint a resume read back), and each job reads its staged inputs
-back from the store. A failed activity aborts the run but keeps its committed
-checkpoints; its queued peers are withdrawn, and peers finished in the same
-tick are discarded uncommitted. resume() plays the run again from the start,
-and a firing an earlier drive committed keeps its place in the tick but ends
-with its checkpoint, so each tick and decision is an uninterrupted run's.
+plan() binds every activity to the cheapest admissible resource, applies
+the license gate, and returns the header the run is claimed with (workflow
+text, bindings, params, seed, loop budget, user). execute() plans, checks the
+fault plan, claims the run with that header, and drives it: a token game
+over the graph, staging each activity's declared input projections through
+the store, deriving a per-job seed, and checkpointing every completed result.
+Each projection is cut from the producer's latest result as the engine holds
+it (the completed dataset, or the checkpoint a resume read back), and each
+job reads its staged inputs back from the store. A failed activity aborts
+the run but keeps its committed checkpoints; its queued peers are withdrawn,
+and peers finished in the same tick are discarded uncommitted. resume() plays
+the run again from the start, and a firing an earlier drive committed keeps
+its place in the tick but ends with its checkpoint, so each tick and decision
+is an uninterrupted run's.
 
 Whole runs are reproducible: the job seed is a digest of the run seed, the
 activity, its firing number, and its staged input hashes, so a resumed or
 rolled-back run re-derives exactly the seeds of an uninterrupted one.
 
-Run state lives only in the store, in the run's journal (see storage):
-execute() claims the run with its header (workflow text, bindings, params,
-seed, loop budget), and every drive, execute()'s or resume()'s, reads the
-seed, loop budget, bindings and overrides from that header alone. Each drive
-appends a status record carrying the run's summary (entries, trace,
-timestamps, failure) when it starts, and again when it fails or completes.
-Each entry is one firing: [activity, firing, resource, job id, result hash,
-submitted tick, finished tick, replayed (an earlier drive committed it)].
-report() is the one view of a run, and it and resume() each derive from one
-read of that journal: per-activity counters are counted from the entries, and
-the touched resources are read off the trace.
+Run state lives only in the store, in the run's journal (see storage): its
+first record is plan()'s header, and every drive, execute()'s or resume()'s,
+reads the seed, loop budget, bindings and overrides from that header alone.
+Each drive appends a status record carrying the run's summary (entries,
+trace, timestamps, failure) when it starts, and again when it fails or
+completes. Each entry is one firing: [activity, firing, resource, job id,
+result hash, submitted tick, finished tick, replayed (an earlier drive
+committed it)]. report() is the one view of a run, and it and resume() each
+derive from one read of that journal: per-activity counters are counted from
+the entries, and the touched resources are those of the committed activities
+and of the ones the trace shows submitted or replayed.
 
 One process at a time drives a run: each drive holds the run's lock (see
 storage). resume() takes it before it reads the status and fails at once if
@@ -38,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .dsl import UnsoundWorkflow, emit_dsl, parse
@@ -64,8 +66,6 @@ __all__ = [
     "LicenseViolation",
     "ActivityFailed",
     "NothingToResume",
-    "UserProfile",
-    "ExecutionPlan",
     "Engine",
 ]
 
@@ -87,31 +87,6 @@ class ActivityFailed(RuntimeFailure):
 
 class NothingToResume(UserError):
     pass
-
-
-@dataclass(frozen=True)
-class UserProfile:
-    user: str
-    affiliation: str = ACADEMIC
-
-    def __post_init__(self):
-        if self.affiliation not in (ACADEMIC, COMMERCIAL):
-            raise UserError(f"unknown affiliation: {self.affiliation!r}")
-
-
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """A verified workflow with every activity bound to one resource."""
-
-    graph: WorkflowGraph
-    bindings: tuple[tuple[str, str], ...]  # (activity id, resource id)
-    params: tuple[tuple[str, str], ...]  # run-level overrides
-    user: UserProfile
-    max_iterations: int = 100
-    seed: int = 0
-
-    def binding_map(self) -> dict[str, str]:
-        return dict(self.bindings)
 
 
 def _now() -> str:
@@ -140,7 +115,12 @@ class Engine:
 
     # -- planning ------------------------------------------------------------
 
-    def plan(self, graph, user, params=(), max_iterations=100, seed=0) -> ExecutionPlan:
+    def plan(self, graph, user, affiliation=ACADEMIC, params=(), max_iterations=100, seed=0) -> dict:
+        """The header a run of the graph is claimed with: the workflow, the
+        run settings, and each activity bound to its cheapest admissible
+        resource that the user's affiliation may use."""
+        if affiliation not in (ACADEMIC, COMMERCIAL):
+            raise UserError(f"unknown affiliation: {affiliation!r}")
         report = verify(graph, max_iterations)
         if not report.sound:
             raise UnsoundWorkflow(report)
@@ -149,7 +129,7 @@ class Engine:
             hits = self.registry.discover(node.binding)
             if not hits:
                 raise NoResource(f"no resource admits activity {node.id!r}")
-            if user.affiliation == COMMERCIAL:
+            if affiliation == COMMERCIAL:
                 open_hits = [
                     r for r in hits if self.registry.get(r).license.kind != ACADEMIC
                 ]
@@ -160,20 +140,29 @@ class Engine:
                         f"academically licensed resources"
                     )
                 hits = open_hits
-            bindings.append((node.id, hits[0]))
-        return ExecutionPlan(
-            graph, tuple(bindings), _freeze_params(params), user, max_iterations, seed
-        )
+            bindings.append([node.id, hits[0]])
+        text = emit_dsl(graph)
+        return {
+            "workflow_name": graph.name,
+            "workflow_text": text,
+            "workflow_hash": workflow_hash(text),
+            "seed": seed,
+            "user": {"user": user, "affiliation": affiliation},
+            "params": [list(p) for p in _freeze_params(params)],
+            "max_iterations": max_iterations,
+            "bindings": bindings,
+        }
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, plan: ExecutionPlan, run_id=None, fault_plan=()) -> str:
-        _check_fault_plan(plan.graph, fault_plan)
-        header = _header(plan)
+    def execute(self, graph, user, affiliation=ACADEMIC, params=(), max_iterations=100, seed=0,
+                fault_plan=(), run_id=None) -> str:
+        header = self.plan(graph, user, affiliation, params, max_iterations, seed)
+        _check_fault_plan(graph, fault_plan)
         run_id = self.store.claim(header, run_id)
         # waits out a resume that holds the lock to refuse a run with no status
         with self.store.driving(run_id):
-            return _Execution(self, plan.graph, header, run_id, fault_plan, checkpoints=()).drive()
+            return _Execution(self, graph, header, run_id, fault_plan, checkpoints=()).drive()
 
     def resume(self, run_id: str, fault_plan=()) -> str:
         with self.store.driving(run_id, wait=False):
@@ -209,6 +198,7 @@ class Engine:
             for key, value in node.params
         )
         touched = {ev[1] for ev in summary["trace"] if ev[0] in ("submitted", "replayed")}
+        touched |= {activity for activity, _ in state.checkpoints}  # a killed drive traced none
         resources = []
         credit: dict[str, str] = {}
         for activity, resource in header["bindings"]:
@@ -258,21 +248,6 @@ class Engine:
             text = json.dumps(data).replace(run_id, "<run>")
             data = json.loads(text)
         return data
-
-
-def _header(plan: ExecutionPlan) -> dict:
-    """The static half of a run's record, written when the run is claimed."""
-    text = emit_dsl(plan.graph)
-    return {
-        "workflow_name": plan.graph.name,
-        "workflow_text": text,
-        "workflow_hash": workflow_hash(text),
-        "seed": plan.seed,
-        "user": {"user": plan.user.user, "affiliation": plan.user.affiliation},
-        "params": [list(p) for p in plan.params],
-        "max_iterations": plan.max_iterations,
-        "bindings": sorted([a, r] for a, r in plan.binding_map().items()),
-    }
 
 
 class _Execution:

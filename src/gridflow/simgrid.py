@@ -142,7 +142,7 @@ def lattice_native(params) -> str:
 def parse_lattice_native(text: str) -> Dataset:
     cell_length = None
     rows = []
-    saw_header = False
+    header_seen = False
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -152,10 +152,10 @@ def parse_lattice_native(text: str) -> Dataset:
             if body.startswith("cell_length"):
                 cell_length = float(body.split("=", 1)[1])
             continue
-        if not saw_header:
+        if not header_seen:
             if line != "x":
                 raise RuntimeFailure(f"lattice output: expected column header 'x', got {line!r}")
-            saw_header = True
+            header_seen = True
             continue
         rows.append((float(line),))
     if cell_length is None or not rows:

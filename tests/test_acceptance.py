@@ -32,7 +32,7 @@ from gridflow.dsl import (
     to_functional_plan,
     to_job_xml,
 )
-from gridflow.engine import Engine, UserProfile
+from gridflow.engine import Engine
 from gridflow.model import (
     ACTIVITY,
     DECISION,
@@ -156,7 +156,7 @@ def test_criterion_02_loading_suppresses_diffusivity(tmp_path):
     est = {}
     for theta in (0.0, 0.3, 0.6):
         g = case_study(cells=400, theta=theta, n_helium=8000, steps=10)
-        run = eng.execute(eng.plan(g, UserProfile("alice"), seed=LOADING_SEED))
+        run = eng.execute(g, "alice", seed=LOADING_SEED)
         scalars = eng.report(run)["results"]["analysis"]["scalars"]
         est[theta] = (scalars["diffusivity"], scalars["diffusivity_se"])
     for theta, (d, _) in est.items():
@@ -270,7 +270,7 @@ def test_criterion_06_round_trips(tmp_path):
 
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
-    run = eng.execute(eng.plan(case_study(**CASE_KW), UserProfile("alice"), seed=1))
+    run = eng.execute(case_study(**CASE_KW), "alice", seed=1)
     keys = store.checkpoints(run)
     assert len(keys) == 5
     for activity, key in keys:
@@ -325,7 +325,6 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
         assert got == set(nx.transitive_reduction(prec).edges), path.name
 
     eng = Engine(standard_registry(), ContentStore(tmp_path / "store"))
-    user = UserProfile("alice")
     compared = 0
     for path in SOUND:
         g = parse(path.read_text(encoding="utf-8"))
@@ -337,7 +336,7 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
             assert path.name == "crossing.flow"
             continue
         want = Counter(_plan_runs(plan, {}))
-        run = eng.execute(eng.plan(g, user, seed=0))
+        run = eng.execute(g, "alice", seed=0)
         assert Counter(_completed(eng, run)) == want, path.name
         compared += 1
     assert compared >= 4
@@ -346,7 +345,7 @@ def test_criterion_07_exports_agree_with_execution(tmp_path):
     plan = to_functional_plan(g)
     for outcome, params in ((True, ()), (False, (("flag", "-2"),))):
         want = Counter(_plan_runs(plan, {"route": outcome}))
-        run = eng.execute(eng.plan(g, user, params=params, seed=0))
+        run = eng.execute(g, "alice", params=params, seed=0)
         assert Counter(_completed(eng, run)) == want, outcome
     _ok(7, f"dependency reductions on {len(SOUND)} graphs, plan/engine multisets on {compared} + 2 guard assignments")
 
@@ -405,7 +404,7 @@ def test_criterion_08_licensing_and_credit(tmp_path):
     flows = [("lattice", "c1", lattice_wants), ("lattice", "c2", lattice_wants)]
     doubled = build_graph("double-mcsim", nodes, edges, flows)
     eng = Engine(standard_registry(), ContentStore(tmp_path / "dedup"))
-    run = eng.execute(eng.plan(doubled, UserProfile("alice"), seed=0))
+    run = eng.execute(doubled, "alice", seed=0)
     ledger = eng.report(run)["provenance"]["ledger"]
     assert len(ledger) == 1 and ledger[0][1] == "mcsim"
     _ok(8, f"commercial refused, ledger of {len(expected)} deduplicated entries, double use credited once")
@@ -419,7 +418,7 @@ def test_criterion_09_fork_schedules(tmp_path):
     eng = Engine(standard_registry(), ContentStore(tmp_path / "store"))
     orders = Counter()
     for seed in range(50):
-        run = eng.execute(eng.plan(g, UserProfile("alice"), seed=seed))
+        run = eng.execute(g, "alice", seed=seed)
         done = _completed(eng, run)
         assert Counter(done) == Counter({"a": 1, "b": 1, "c": 1})
         position = {act: i for i, act in enumerate(done)}
@@ -437,7 +436,7 @@ def test_criterion_10_integrity_and_append_only(tmp_path):
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
     g = case_study()
-    run1 = eng.execute(eng.plan(g, UserProfile("alice"), seed=1))
+    run1 = eng.execute(g, "alice", seed=1)
 
     blobs = sorted(store.blob_dir.iterdir())
     assert len(blobs) >= 5
@@ -457,7 +456,7 @@ def test_criterion_10_integrity_and_append_only(tmp_path):
 
     snapshot = {p.name: p.read_bytes() for p in store.blob_dir.iterdir()}
     journal_before = store.journal(run1).read_bytes()
-    run2 = eng.execute(eng.plan(g, UserProfile("alice"), seed=2))
+    run2 = eng.execute(g, "alice", seed=2)
     assert run2 != run1
     for name, data in snapshot.items():
         assert (store.blob_dir / name).read_bytes() == data, name

@@ -268,11 +268,20 @@ class TestSubmit:
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
         }
 
-    def test_fault_at_an_unknown_activity_is_a_user_error(self, run, case_file, tmp_path):
-        code, out, err = run("submit", case_file, "--user", "ada", "--fail-at", "zzz:1")
+    @pytest.mark.parametrize("flow, argv, says", [
+        ("case", ["--user", "ada", "--fail-at", "zzz:1"], "'zzz'"),
+        ("unreachable", ["--user", "ada"], "is not sound"),
+        ("case", ["--user", "bob:commercial"], "admits only academically licensed"),
+        ("case", ["--user", "ada:imperial"], "unknown affiliation: 'imperial'"),
+    ], ids=["unknown-fault", "unsound", "commercial", "imperial"])
+    def test_a_refused_submit_claims_no_run(self, run, case_file, tmp_path, flow, argv, says):
+        path = case_file if flow == "case" else CORPUS / "unsound" / f"{flow}.flow"
+        code, out, err = run("submit", path, *argv)
         assert (code, out) == (1, "")
-        assert "'zzz'" in err
+        assert says in err
         assert not list((tmp_path / "store" / "runs").glob("*.log"))  # no run claimed
+
+    def test_fault_at_an_unknown_activity_is_a_user_error(self, run, case_file, tmp_path):
         _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
         journal = tmp_path / "store" / "runs" / f"{out.strip()}.log"
         before = journal.read_bytes()
@@ -307,6 +316,22 @@ class TestSubmit:
         code, _, err = run("resume", out.strip())
         assert code == 1
         assert "already completed" in err
+
+    def test_a_killed_drive_credits_the_programs_it_committed(self, run, tmp_path):
+        # the drive died after cbmc's checkpoint: its status record still
+        # holds the empty trace it started with
+        _, out, _ = run("submit", CORPUS / "sound" / "case_study.flow", "--user", "ada", "--seed", 1)
+        journal = tmp_path / "store" / "runs" / f"{out.strip()}.log"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join(lines[:6]))
+        code, out, _ = run("report", out.strip(), "--json")
+        report = json.loads(out)
+        assert (code, report["status"], report["trace"]) == (0, "active", [])
+        assert [activity for activity, _, _ in report["provenance"]["resources"]] == ["cbmc", "lattice"]
+        assert report["provenance"]["ledger"] == [
+            ["MCSIM configurational-bias Monte Carlo package, v2.1", "mcsim"],
+            ["Helium diffusion in loaded zeolite frameworks: simulation protocol", "workflow-source"],
+        ]
 
     def test_param_override_lands_in_report(self, run, case_file):
         _, out, _ = run(

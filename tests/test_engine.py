@@ -1,5 +1,6 @@
 """Planning, token-game execution, resume, and provenance."""
 
+import functools
 import gc
 import hashlib
 import json
@@ -17,7 +18,6 @@ from gridflow.engine import (
     LicenseViolation,
     NoResource,
     NothingToResume,
-    UserProfile,
     workflow_hash,
 )
 from gridflow.errors import IterationLimit, RuntimeFailure, UserError
@@ -44,10 +44,6 @@ from gridflow.resources import (
 from gridflow.simgrid import standard_registry
 from gridflow.storage import ContentStore, StorageError, UnknownRun
 from structure import case_study
-
-ADA = UserProfile("ada")
-MEGACORP = UserProfile("bob", "commercial")
-
 
 def make_engine(tmp_path):
     return Engine(standard_registry(), ContentStore(tmp_path / "store"))
@@ -99,6 +95,16 @@ def fork_graph():
     return build_graph("forked", nodes, edges)
 
 
+def lost_graph():
+    """One activity pinned to a program no resource runs."""
+    nodes = [
+        Node("start", START),
+        Node("a", ACTIVITY, binding=Binding(PINNED_PROGRAM, "imaginary", None, frozenset())),
+        Node("end", FINAL),
+    ]
+    return build_graph("lost", nodes, [("start", "a"), ("a", "end")])
+
+
 DIAMOND = """
 workflow "diamond" {
   start -> probe;
@@ -128,16 +134,15 @@ workflow "converge" {
 
 def _submit_worker(root, start, count, out):
     engine = Engine(standard_registry(), ContentStore(root))
-    plan = engine.plan(parse(DIAMOND), ADA)
+    submit = functools.partial(engine.execute, parse(DIAMOND), "ada")
     start.wait(timeout=60)
-    out.put([engine.execute(plan) for _ in range(count)])
+    out.put([submit() for _ in range(count)])
 
 
 class TestPlanning:
     def test_binds_case_study_to_expected_pool(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(), ADA)
-        assert plan.binding_map() == {
+        assert dict(engine.plan(case_study(), "ada")["bindings"]) == {
             "lattice": "latgen@struct-01",
             "cbmc": "mcsim@mc-farm-01",
             "gcmc": "gulpgc@mc-farm-02",
@@ -149,14 +154,14 @@ class TestPlanning:
         from test_model import unreachable_graph
 
         with pytest.raises(UnsoundWorkflow):
-            make_engine(tmp_path).plan(unreachable_graph(), ADA)
+            make_engine(tmp_path).plan(unreachable_graph(), "ada")
 
     def test_graph_over_the_decision_limit_is_refused(self, tmp_path):
         from test_corpus import CORPUS
 
         text = (CORPUS / "unsound" / "decision_limit_deadlock.flow").read_text(encoding="utf-8")
         with pytest.raises(UnsoundWorkflow, match=r"JoinDeadlock\(j\)"):
-            make_engine(tmp_path).plan(parse(text), ADA)
+            make_engine(tmp_path).plan(parse(text), "ada")
 
     def test_fork_of_loops_is_planned_and_runs(self, tmp_path):
         # sound, and decided by the block reduction: no token game, no budget
@@ -164,9 +169,8 @@ class TestPlanning:
 
         engine = make_engine(tmp_path)
         text = (CORPUS / "sound" / "fork_of_loops.flow").read_text(encoding="utf-8")
-        plan = engine.plan(parse(text), ADA)
-        assert len(plan.bindings) == 17
-        report = engine.report(engine.execute(plan))
+        assert len(engine.plan(parse(text), "ada")["bindings"]) == 17
+        report = engine.report(engine.execute(parse(text), "ada"))
         assert report["status"] == "completed"
         assert dict(report["counters"]) == {
             **{f"w{i}": 2 for i in range(1, 9)}, **{f"x{i}": 1 for i in range(1, 9)}, "d": 1
@@ -177,7 +181,7 @@ class TestPlanning:
 
         monkeypatch.setattr(model, "STATE_BUDGET", 100)
         with pytest.raises(UnsoundWorkflow) as caught:
-            make_engine(tmp_path).plan(crossed_fork_of_loops_graph(8), ADA)
+            make_engine(tmp_path).plan(crossed_fork_of_loops_graph(8), "ada")
         report = caught.value.report
         assert (report.mode, report.states) == ("bounded", 100)
         assert [f.text() for f in report.findings] == [
@@ -185,23 +189,13 @@ class TestPlanning:
         ]
 
     def test_no_resource(self, tmp_path):
-        nodes = [
-            Node("start", START),
-            Node(
-                "a",
-                ACTIVITY,
-                binding=Binding(PINNED_PROGRAM, "imaginary", None, frozenset()),
-            ),
-            Node("end", FINAL),
-        ]
-        g = build_graph("lost", nodes, [("start", "a"), ("a", "end")])
         with pytest.raises(NoResource):
-            make_engine(tmp_path).plan(g, ADA)
+            make_engine(tmp_path).plan(lost_graph(), "ada")
 
     def test_commercial_user_refused_academic_program(self, tmp_path):
         engine = make_engine(tmp_path)
         with pytest.raises(LicenseViolation) as err:
-            engine.plan(case_study(), MEGACORP)
+            engine.plan(case_study(), "bob", "commercial")
         message = str(err.value)
         assert "cbmc" in message and "mcsim" in message
 
@@ -211,8 +205,8 @@ class TestPlanning:
             [Node("start", START), noop_activity("a"), Node("end", FINAL)],
             [("start", "a"), ("a", "end")],
         )
-        plan = make_engine(tmp_path).plan(g, MEGACORP)
-        assert plan.binding_map() == {"a": "noop@sandbox-01"}
+        plan = make_engine(tmp_path).plan(g, "bob", "commercial")
+        assert dict(plan["bindings"]) == {"a": "noop@sandbox-01"}
 
     def test_commercial_user_skips_cheaper_academic_resource(self, tmp_path):
         template = LaunchTemplate("noop -o ${workdir}/out.dat", (), "out")
@@ -236,25 +230,74 @@ class TestPlanning:
             [("start", "a"), ("a", "end")],
         )
         engine = Engine(registry, ContentStore(tmp_path / "s"))
-        assert engine.plan(g, ADA).binding_map() == {"a": "paid@lab"}
-        assert engine.plan(g, MEGACORP).binding_map() == {"a": "free@lab"}
+        assert dict(engine.plan(g, "ada")["bindings"]) == {"a": "paid@lab"}
+        assert dict(engine.plan(g, "bob", "commercial")["bindings"]) == {"a": "free@lab"}
 
-    def test_rejects_unknown_affiliation(self):
-        with pytest.raises(UserError):
-            UserProfile("eve", "imperial")
+    def test_rejects_unknown_affiliation(self, tmp_path):
+        from test_model import unreachable_graph
+
+        for graph in (case_study(), unreachable_graph()):  # checked before verification
+            with pytest.raises(UserError, match="^unknown affiliation: 'imperial'$"):
+                make_engine(tmp_path).plan(graph, "eve", "imperial")
 
     def test_run_params_are_frozen_sorted(self, tmp_path):
         plan = make_engine(tmp_path).plan(
-            case_study(), ADA, params={"theta": "0.3", "steps": "8"}
+            case_study(), "ada", params={"theta": "0.3", "steps": "8"}
         )
-        assert plan.params == (("steps", "8"), ("theta", "0.3"))
+        assert plan["params"] == [["steps", "8"], ["theta", "0.3"]]
+
+
+class TestClaimedHeader:
+    """A run is claimed with the header plan() returns, after every check."""
+
+    @pytest.mark.parametrize("graph, args, kw, error", [
+        ("unreachable", ("ada",), {}, UnsoundWorkflow),
+        ("lost", ("ada",), {}, NoResource),
+        ("case", ("bob", "commercial"), {}, LicenseViolation),
+        ("case", ("eve", "imperial"), {}, UserError),
+        ("case", ("ada",), dict(fault_plan=[("ghost", 1)]), UserError),
+    ], ids=["unsound", "no-resource", "license", "affiliation", "fault-at-no-activity"])
+    def test_a_refused_execute_claims_no_run(self, tmp_path, graph, args, kw, error):
+        from test_model import unreachable_graph
+
+        graphs = {"unreachable": unreachable_graph, "lost": lost_graph, "case": case_study}
+        engine = make_engine(tmp_path)
+        with pytest.raises(error):
+            engine.execute(graphs[graph](), *args, **kw)
+        assert engine.store.runs() == []
+
+    @pytest.mark.parametrize("graph, args, kw, fault_plan", [
+        (case_study, ("ada",), dict(seed=1), ()),
+        (case_study, ("ada", "academic"), dict(params={"theta": "0.3", "steps": "12"},
+                                                max_iterations=7, seed=42), ()),
+        (fork_graph, ("bob", "commercial"), dict(params=[("flag", "2")]), ()),
+        (lambda: parse(LOOP), ("ada",), {}, [("work", 2)]),
+    ], ids=["case-study", "settings", "commercial", "failed"])
+    def test_the_claimed_header_is_the_plan(self, tmp_path, graph, args, kw, fault_plan):
+        engine = make_engine(tmp_path)
+        submit = functools.partial(engine.execute, graph(), *args, **kw, run_id="run-a")
+        if fault_plan:
+            with pytest.raises(ActivityFailed):
+                submit(fault_plan=fault_plan)
+        else:
+            submit()
+        assert engine.store.run_state("run-a").header == engine.plan(graph(), *args, **kw)
+
+    def test_a_seed_1_case_study_header_line_is_pinned(self, tmp_path):
+        from test_corpus import CORPUS
+
+        engine = make_engine(tmp_path)
+        graph = parse((CORPUS / "sound" / "case_study.flow").read_text(encoding="utf-8"))
+        run_id = engine.execute(graph, "ci", seed=1)
+        line = engine.store.journal(run_id).read_bytes().split(b"\n")[0]
+        assert hashlib.sha256(line).hexdigest() == (
+            "5e16f9f8e9b3a6ab57c964ec4909ae91ddbb6e9d5400cbae42f029a18bb6f177")
 
 
 class TestExecution:
     def test_case_study_completes(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(), ADA, seed=42)
-        report = engine.report(engine.execute(plan))
+        report = engine.report(engine.execute(case_study(), "ada", seed=42))
         assert report["status"] == "completed"
         assert dict(report["counters"]) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1, "md": 1, "analysis": 1,
@@ -268,7 +311,7 @@ class TestExecution:
         gc.disable()
         try:
             engine = make_engine(tmp_path)
-            engine.execute(engine.plan(fork_graph(), ADA))
+            engine.execute(fork_graph(), "ada")
             refs = weakref.ref(engine), weakref.ref(engine.store)
             del engine
             assert [ref() for ref in refs] == [None, None]
@@ -296,15 +339,14 @@ class TestExecution:
 
     def test_trace_covers_lifecycle(self, tmp_path):
         engine = make_engine(tmp_path)
-        events = trace(engine.report(engine.execute(engine.plan(case_study(), ADA))))
+        events = trace(engine.report(engine.execute(case_study(), "ada")))
         kinds = {ev[0] for ev in events}
         assert {"staged", "launch", "submitted", "completed"} <= kinds
         launches = [ev for ev in events if ev[0] == "launch"]
         assert any("mcsim" in ev[2] for ev in launches)
 
     def test_report_builds_no_table(self, tmp_path, monkeypatch):
-        run_id = make_engine(tmp_path).execute(make_engine(tmp_path).plan(
-            case_study(cells=6, n_helium=3, steps=12), ADA))
+        run_id = make_engine(tmp_path).execute(case_study(cells=6, n_helium=3, steps=12), "ada")
         parsed, real = [], storage.canonical_deserialize
         monkeypatch.setattr(storage, "canonical_deserialize",
                             lambda data: parsed.append(real(data)) or parsed[-1])
@@ -333,10 +375,11 @@ class TestExecution:
         monkeypatch.setattr(quantities.Observable, "table", staticmethod(table))
         monkeypatch.setattr(storage, "canonical_deserialize", parse)
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(cells=6, n_helium=3, steps=12), ADA, seed=1)
-        engine.execute(plan, run_id="run-clean")
+        submit = functools.partial(engine.execute, case_study(cells=6, n_helium=3, steps=12), "ada",
+                                   seed=1)
+        submit(run_id="run-clean")
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+            submit(run_id="run-hurt", fault_plan=[("md", 1)])
         make_engine(tmp_path).resume("run-hurt")
         trajectories = [o for o in tables if o.name == "trajectory"]
         assert len(trajectories) == 2  # the clean md firing and the resumed one
@@ -345,7 +388,7 @@ class TestExecution:
     def test_report_carries_final_scalars(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=20, n_helium=100, steps=40)
-        report = engine.report(engine.execute(engine.plan(g, ADA, seed=3)))
+        report = engine.report(engine.execute(g, "ada", seed=3))
         scalars = report["results"]["analysis"]["scalars"]
         assert "diffusivity" in scalars and "diffusivity_se" in scalars
         assert report["workflow_hash"] == workflow_hash(emit_dsl(g))
@@ -353,8 +396,7 @@ class TestExecution:
     def test_overrides_only_touch_declared_params(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=12, n_helium=10, steps=20)
-        plan = engine.plan(g, ADA, params={"cells": "6", "bogus": "9"}, seed=1)
-        report = engine.report(engine.execute(plan))
+        report = engine.report(engine.execute(g, "ada", params={"cells": "6", "bogus": "9"}, seed=1))
         assert report["results"]["lattice"]["scalars"]["n_sites"] == 6.0
         params = dict(report["provenance"]["parameters"])
         assert params["lattice.cells"] == "6"
@@ -362,28 +404,26 @@ class TestExecution:
 
     def test_decision_routes_and_skips_branch(self, tmp_path):
         engine = make_engine(tmp_path)
-        report = engine.report(engine.execute(engine.plan(parse(DIAMOND), ADA)))
+        report = engine.report(engine.execute(parse(DIAMOND), "ada"))
         assert dict(report["counters"]) == {"probe": 1, "high": 1}
         routed = [ev for ev in trace(report) if ev[0] == "decision"]
         assert routed == [("decision", "route", "high", "flag > 0 dimensionless")]
 
     def test_decision_else_branch(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(parse(DIAMOND), ADA, params={"flag": "-2"})
-        report = engine.report(engine.execute(plan))
+        report = engine.report(engine.execute(parse(DIAMOND), "ada", params={"flag": "-2"}))
         assert dict(report["counters"]) == {"probe": 1, "low": 1}
 
     def test_guard_without_observable_fails_run(self, tmp_path):
         text = DIAMOND.replace("when flag > 0", "when missing > 0")
         engine = make_engine(tmp_path)
-        plan = engine.plan(parse(text), ADA)
         with pytest.raises(GuardEvaluationError):
-            engine.execute(plan, run_id="run-guard")
+            engine.execute(parse(text), "ada", run_id="run-guard")
         assert engine.report("run-guard")["status"] == "failed"
 
     def test_fork_runs_both_then_join(self, tmp_path):
         engine = make_engine(tmp_path)
-        report = engine.report(engine.execute(engine.plan(fork_graph(), ADA, seed=5)))
+        report = engine.report(engine.execute(fork_graph(), "ada", seed=5))
         assert dict(report["counters"]) == {"a": 1, "b": 1, "c": 1}
         by_activity = {e["activity"]: e for e in entries(report)}
         assert by_activity["c"]["submitted"] >= by_activity["a"]["finished"]
@@ -393,7 +433,7 @@ class TestExecution:
         orders = set()
         for seed in range(12):
             engine = make_engine(tmp_path / f"s{seed}")
-            report = engine.report(engine.execute(engine.plan(fork_graph(), ADA, seed=seed)))
+            report = engine.report(engine.execute(fork_graph(), "ada", seed=seed))
             completed = [ev[1] for ev in report["trace"] if ev[0] == "completed"]
             assert completed[-1] == "c"
             orders.add(tuple(completed[:2]))
@@ -401,7 +441,7 @@ class TestExecution:
 
     def test_loop_fires_until_converged(self, tmp_path):
         engine = make_engine(tmp_path)
-        report = engine.report(engine.execute(engine.plan(parse(LOOP), ADA)))
+        report = engine.report(engine.execute(parse(LOOP), "ada"))
         assert dict(report["counters"]) == {"work": 3}
         attempts = [e["firing"] for e in entries(report)]
         assert attempts == [1, 2, 3]
@@ -409,9 +449,8 @@ class TestExecution:
     def test_loop_hits_iteration_limit(self, tmp_path):
         engine = make_engine(tmp_path)
         text = LOOP.replace('converge_after = "3"', 'converge_after = "99"')
-        plan = engine.plan(parse(text), ADA, max_iterations=3)
         with pytest.raises(IterationLimit):
-            engine.execute(plan, run_id="run-spin")
+            engine.execute(parse(text), "ada", max_iterations=3, run_id="run-spin")
         report = engine.report("run-spin")
         assert report["status"] == "failed"
         assert dict(report["counters"]) == {"work": 4}
@@ -431,9 +470,8 @@ class TestExecution:
             + [("f", name) for name in branches]
             + [(name, "j") for name in branches],
         )
-        plan = engine.plan(g, ADA)
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-abort", fault_plan=[("a", 1)])
+            engine.execute(g, "ada", fault_plan=[("a", 1)], run_id="run-abort")
         report = engine.report("run-abort")
         assert report["status"] == "failed"
         events = trace(report)
@@ -459,7 +497,7 @@ class TestExecution:
         g = build_graph("starved", nodes, [("start", "cbmc"), ("cbmc", "end")])
         engine = make_engine(tmp_path)
         with pytest.raises(MissingInput):
-            engine.execute(engine.plan(g, ADA), run_id="run-starved")
+            engine.execute(g, "ada", run_id="run-starved")
 
     def test_clash_logged_when_values_differ(self, tmp_path):
         text = """
@@ -472,7 +510,7 @@ class TestExecution:
         }
         """
         engine = make_engine(tmp_path)
-        events = trace(engine.report(engine.execute(engine.plan(parse(text), ADA))))
+        events = trace(engine.report(engine.execute(parse(text), "ada")))
         assert ("clash", "b", "flag") in events
         # "done" carries the same value from both, so it is not a clash
         assert ("clash", "b", "done") not in events
@@ -482,13 +520,13 @@ class TestResume:
     def build(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=20, n_helium=50, steps=40)
-        return engine, engine.plan(g, ADA, seed=7)
+        return engine, functools.partial(engine.execute, g, "ada", seed=7)
 
     def test_resume_reruns_only_the_frontier(self, tmp_path):
-        engine, plan = self.build(tmp_path)
-        engine.execute(plan, run_id="run-ref")
+        engine, submit = self.build(tmp_path)
+        submit(run_id="run-ref")
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+            submit(run_id="run-hurt", fault_plan=[("md", 1)])
         assert dict(engine.report("run-hurt")["counters"]) == {
             "lattice": 1, "cbmc": 1, "gcmc": 1,
         }
@@ -503,10 +541,10 @@ class TestResume:
         assert replayed == ["lattice", "cbmc", "gcmc"]
 
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
-        engine, plan = self.build(tmp_path)
-        engine.execute(plan, run_id="run-ref")
+        engine, submit = self.build(tmp_path)
+        submit(run_id="run-ref")
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+            submit(run_id="run-hurt", fault_plan=[("md", 1)])
         engine.resume("run-hurt")
         assert checkpoint_hashes(engine, "run-hurt") == checkpoint_hashes(engine, "run-ref")
 
@@ -527,10 +565,10 @@ class TestResume:
         monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, puts))
         monkeypatch.setattr(ContentStore, "checkpoint", counting(ContentStore.checkpoint, ckpts))
         monkeypatch.setattr(engine_module, "emit_dsl", counting(engine_module.emit_dsl, emitted))
-        engine, plan = self.build(tmp_path)
-        engine.execute(plan, run_id="run-ref")
+        engine, submit = self.build(tmp_path)
+        submit(run_id="run-ref")
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+            submit(run_id="run-hurt", fault_plan=[("md", 1)])
         engine.resume("run-hurt")
         # clean run, up to the fault, resume (11 + 7 + 6 in all): a put per
         # staged input, a checkpoint per fresh result
@@ -559,9 +597,9 @@ class TestResume:
                             counting(storage.canonical_serialize, serialized))
         monkeypatch.setattr(ContentStore, "put", counting(ContentStore.put, filed))
         monkeypatch.setattr(ContentStore, "checkpoint", counting(ContentStore.checkpoint, filed))
-        engine, plan = self.build(tmp_path)
+        engine, submit = self.build(tmp_path)
 
-        run_id = engine.execute(plan, run_id="run-ref")
+        run_id = submit(run_id="run-ref")
         read = sorted(asked)
         assert parsed == []
         staged = sorted(ev[3] for ev in engine.report(run_id)["trace"] if ev[0] == "staged")
@@ -570,7 +608,7 @@ class TestResume:
 
         del asked[:]
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-hurt", fault_plan=[("md", 1)])
+            submit(run_id="run-hurt", fault_plan=[("md", 1)])
         assert len(asked) == 2 and parsed == []  # cbmc's and gcmc's inputs
 
         del asked[:]
@@ -586,24 +624,24 @@ class TestResume:
         assert len(serialized) == len(filed) == 11 + 7 + 6  # each put and checkpoint
 
     def test_resume_completed_run_is_refused(self, tmp_path):
-        engine, plan = self.build(tmp_path)
-        engine.execute(plan, run_id="run-done")
+        engine, submit = self.build(tmp_path)
+        submit(run_id="run-done")
         with pytest.raises(NothingToResume):
             engine.resume("run-done")
 
     def test_execute_checks_the_run_id(self, tmp_path):
-        engine, plan = self.build(tmp_path)
+        engine, submit = self.build(tmp_path)
         for run_id in ("..", "../run-a", "a/b"):
             with pytest.raises(StorageError, match="bad run id"):
-                engine.execute(plan, run_id=run_id)
+                submit(run_id=run_id)
         assert engine.store.runs() == [] and list(engine.store.blob_dir.iterdir()) == []
 
     def test_execute_refuses_a_taken_run_id(self, tmp_path):
-        engine, plan = self.build(tmp_path)
-        engine.execute(plan, run_id="run-a")
+        engine, submit = self.build(tmp_path)
+        submit(run_id="run-a")
         journal = engine.store.journal("run-a").read_bytes()
         with pytest.raises(StorageError, match="already exists"):
-            engine.execute(plan, run_id="run-a")
+            submit(run_id="run-a")
         assert engine.store.journal("run-a").read_bytes() == journal
 
     def test_resume_unknown_run(self, tmp_path):
@@ -612,8 +650,8 @@ class TestResume:
             engine.resume("run-nope")
 
     def test_rollback_then_resume_rebuilds_the_same_hashes(self, tmp_path):
-        engine, plan = self.build(tmp_path)
-        engine.execute(plan, run_id="run-a")
+        engine, submit = self.build(tmp_path)
+        submit(run_id="run-a")
         reference = checkpoint_hashes(engine, "run-a")
         with engine.store.driving("run-a"):  # only a drive writes to a run
             engine.store.rollback("run-a", "cbmc")
@@ -626,9 +664,9 @@ class TestResume:
         assert checkpoint_hashes(engine, "run-a") == reference
 
     def test_resume_after_first_activity_failure(self, tmp_path):
-        engine, plan = self.build(tmp_path)
+        engine, submit = self.build(tmp_path)
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-cold", fault_plan=[("lattice", 1)])
+            submit(run_id="run-cold", fault_plan=[("lattice", 1)])
         assert checkpoint_hashes(engine, "run-cold") == []
         report = engine.report(engine.resume("run-cold"))
         assert report["status"] == "completed"
@@ -636,9 +674,8 @@ class TestResume:
 
     def test_resume_inside_loop_keeps_attempt_counter(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(parse(LOOP), ADA)
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-loop", fault_plan=[("work", 2)])
+            engine.execute(parse(LOOP), "ada", fault_plan=[("work", 2)], run_id="run-loop")
         assert dict(engine.report("run-loop")["counters"]) == {"work": 1}
         report = engine.report(engine.resume("run-loop"))
         assert report["status"] == "completed"
@@ -648,9 +685,8 @@ class TestResume:
 
     def test_a_checkpoint_no_firing_of_the_re_drive_takes_fails_the_resume(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(parse(LOOP), ADA)
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-loop", fault_plan=[("work", 2)])
+            engine.execute(parse(LOOP), "ada", fault_plan=[("work", 2)], run_id="run-loop")
         [(_, key)] = engine.store.checkpoints("run-loop")
         with engine.store.driving("run-loop"):  # filed under an activity the workflow lacks
             engine.store.checkpoint("run-loop", "ghost", engine.store.get(key))
@@ -665,7 +701,7 @@ class TestSummary:
 
     def test_final_summary_keys(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(fork_graph(), ADA, seed=1))
+        run_id = engine.execute(fork_graph(), "ada", seed=1)
         summary = engine.store.run_state(run_id).summary
         assert sorted(summary) == ["entries", "failure", "finished_at", "started_at", "trace"]
 
@@ -673,9 +709,9 @@ class TestSummary:
         # journals written before the report derived them carry counters and
         # touched in every summary, both counted from its entries and trace
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(cells=20, n_helium=50, steps=40), ADA, seed=7)
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-old", fault_plan=[("md", 1)])
+            engine.execute(case_study(cells=20, n_helium=50, steps=40), "ada", seed=7,
+                           fault_plan=[("md", 1)], run_id="run-old")
         engine.resume("run-old")
         before = json.dumps(engine.report("run-old", deterministic=True))
         journal = engine.store.journal("run-old")
@@ -742,7 +778,7 @@ class TestHeldDatasets:
         monkeypatch.setattr(ContentStore, "checkpoint", lambda store, run_id, activity, ds:
                             held.append(ds) or real_checkpoint(store, run_id, activity, ds))
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(graph(), ADA, seed=1))
+        run_id = engine.execute(graph(), "ada", seed=1)
         assert len(held) > 10
         put_ids = set(map(id, held))
         bases = {digest: base for _, digest, base in derived_puts(engine.store, run_id)}
@@ -770,7 +806,7 @@ class TestDerivedPuts:
 
     def test_a_case_study_stores_no_copy_of_a_producer(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(case_study(), ADA, seed=1))
+        run_id = engine.execute(case_study(), "ada", seed=1)
         checkpoints = dict(engine.store.checkpoints(run_id))
         derived = derived_puts(engine.store, run_id)
         assert [(activity, base) for activity, _, base in derived] == [
@@ -781,7 +817,7 @@ class TestDerivedPuts:
 
     def test_a_fresh_read_of_a_derived_put_hashes_its_base_once(self, tmp_path, monkeypatch):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(case_study(), ADA, seed=1))
+        run_id = engine.execute(case_study(), "ada", seed=1)
         records = map(json.loads, engine.store.index_lines(run_id))
         (_, _, seq, digest, base), = [r for r in records if r[:2] == ["put", "analysis.in"] and len(r) == 5]
         assert base == dict(engine.store.checkpoints(run_id))["md"].hash
@@ -817,10 +853,10 @@ class TestDerivedPuts:
 
         monkeypatch.setattr(ContentStore, "put", put)
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(), ADA, seed=1)
-        engine.execute(plan, run_id="run-ref")
+        submit = functools.partial(engine.execute, case_study(), "ada", seed=1)
+        submit(run_id="run-ref")
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-hurt", fault_plan=[("analysis", 1)])
+            submit(run_id="run-hurt", fault_plan=[("analysis", 1)])
         (_, digest, base), = [d for d in derived_puts(engine.store, "run-hurt") if d[0] == "analysis.in"]
 
         parsed = []
@@ -850,7 +886,7 @@ class TestOneRecordPerResult:
 
     def test_a_case_study_journal_has_no_put_twin_of_a_checkpoint(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(case_study(), ADA, seed=1))
+        run_id = engine.execute(case_study(), "ada", seed=1)
         records = [json.loads(line) for line in engine.store.index_lines(run_id)]
         ckpts = [tuple(r[1:]) for r in records if r[0] == "ckpt"]
         puts = [tuple(r[1:4]) for r in records if r[0] == "put"]
@@ -864,18 +900,18 @@ class TestDeterminism:
     def test_equal_seeds_equal_hash_sequences(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=16, n_helium=30, steps=30)
-        plan = engine.plan(g, ADA, seed=11)
-        first = engine.execute(plan)
-        second = engine.execute(plan)
+        submit = functools.partial(engine.execute, g, "ada", seed=11)
+        first = submit()
+        second = submit()
         assert first != second
         assert checkpoint_hashes(engine, first) == checkpoint_hashes(engine, second)
 
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=16, n_helium=30, steps=30)
-        plan = engine.plan(g, ADA, seed=11)
-        a = engine.execute(plan)
-        b = engine.execute(plan)
+        submit = functools.partial(engine.execute, g, "ada", seed=11)
+        a = submit()
+        b = submit()
         ra = json.dumps(engine.report(a, deterministic=True), sort_keys=True)
         rb = json.dumps(engine.report(b, deterministic=True), sort_keys=True)
         assert ra == rb
@@ -884,22 +920,23 @@ class TestDeterminism:
     def test_seed_changes_results(self, tmp_path):
         engine = make_engine(tmp_path)
         g = case_study(cells=16, n_helium=30, steps=30)
-        a = engine.execute(engine.plan(g, ADA, seed=1))
-        b = engine.execute(engine.plan(g, ADA, seed=2))
+        a = engine.execute(g, "ada", seed=1)
+        b = engine.execute(g, "ada", seed=2)
         assert checkpoint_hashes(engine, a) != checkpoint_hashes(engine, b)
 
     def test_provenance_equal_across_equal_seed_runs(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(cells=12, n_helium=10, steps=20), ADA, seed=4)
-        a = engine.execute(plan)
-        b = engine.execute(plan)
+        submit = functools.partial(engine.execute, case_study(cells=12, n_helium=10, steps=20), "ada",
+                                   seed=4)
+        a = submit()
+        b = submit()
         assert engine.report(a)["provenance"] == engine.report(b)["provenance"]
 
 
 class TestProvenance:
     def test_case_study_ledger(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(case_study(), ADA))
+        run_id = engine.execute(case_study(), "ada")
         ledger = engine.report(run_id)["provenance"]["ledger"]
         assert ledger == [
             ["GULPGC grand-canonical lattice sampler, v1.4", "gulpgc"],
@@ -934,16 +971,16 @@ class TestProvenance:
         }
         """
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(parse(text), ADA))
+        run_id = engine.execute(parse(text), "ada")
         citations = [c for c, origin in engine.report(run_id)["provenance"]["ledger"]
                      if origin != "workflow-source"]
         assert citations == ["MCSIM configurational-bias Monte Carlo package, v2.1"]
 
     def test_untouched_activities_claim_no_resources(self, tmp_path):
         engine = make_engine(tmp_path)
-        plan = engine.plan(case_study(cells=12, n_helium=10, steps=20), ADA)
         with pytest.raises(ActivityFailed):
-            engine.execute(plan, run_id="run-x", fault_plan=[("cbmc", 1)])
+            engine.execute(case_study(cells=12, n_helium=10, steps=20), "ada",
+                           fault_plan=[("cbmc", 1)], run_id="run-x")
         prov = engine.report("run-x")["provenance"]
         touched = {activity for activity, _, _ in prov["resources"]}
         assert touched == {"lattice", "cbmc"}
@@ -951,7 +988,7 @@ class TestProvenance:
 
     def test_analysis_constants_recorded(self, tmp_path):
         engine = make_engine(tmp_path)
-        run_id = engine.execute(engine.plan(case_study(), ADA))
+        run_id = engine.execute(case_study(), "ada")
         params = dict(engine.report(run_id)["provenance"]["parameters"])
         assert params["analysis.fit_window"] == "second-half"
         assert params["analysis.einstein_dimensionality"] == "1"
