@@ -287,7 +287,7 @@ class _Execution:
         self.blackboard = Dataset.build([])
         self.trace: list[tuple[str, ...]] = []
         self.entries: list[list] = []  # the summary's entries, in completion order
-        self.pending: dict = {}  # JobHandle -> (activity, firing, submit tick, committed hash)
+        self.pending: dict = {}  # job id -> (activity, firing, submit tick, committed hash)
         self.final_reached = False
         self.failure: str | None = None
         self.started_at = _now()
@@ -394,9 +394,9 @@ class _Execution:
         resource = self.bindings[activity]
         committed = self.committed.pop((activity, firing), None)
         if committed is not None:  # its job finishes with the checkpoint, a run_state key
-            req = JobRequest.build(resource, activity, self.run_id)
-            handle = self.executor.submit(req, self.engine.store.get_by_hash(committed))
-            self.pending[handle] = (activity, firing, self.executor.clock, committed)
+            req = JobRequest(resource, activity, (), {})
+            job_id = self.executor.submit(req, self.engine.store.get_by_hash(committed))
+            self.pending[job_id] = (activity, firing, self.executor.clock, committed)
             return
         staged = self._stage_inputs(activity)
         descriptor = self.engine.registry.get(resource)
@@ -404,14 +404,14 @@ class _Execution:
         params = {key: self.overrides.get(key, value) for key, value in node.params}
         params["seed"] = str(self._job_seed(activity, firing, [h for _, h in job_inputs]))
         params["attempt"] = str(firing)
-        req = JobRequest.build(resource, activity, self.run_id, job_inputs, params)
+        req = JobRequest(resource, activity, job_inputs, params)
         command = render_launch(
             descriptor.launch_template, req, f"work/{self.run_id}/{activity}/{firing}"
         )
         self.trace.append(("launch", activity, command))
-        handle = self.executor.submit(req)
-        self.trace.append(("submitted", activity, handle.job_id, str(firing)))
-        self.pending[handle] = (activity, firing, self.executor.clock, None)
+        job_id = self.executor.submit(req)
+        self.trace.append(("submitted", activity, job_id, str(firing)))
+        self.pending[job_id] = (activity, firing, self.executor.clock, None)
 
     def _job_seed(self, activity, firing, input_hashes) -> int:
         basis = "|".join([str(self.header["seed"]), activity, str(firing), *input_hashes])
@@ -428,48 +428,48 @@ class _Execution:
                 continue
             projection = project(ds, spec)
             pkey = self.engine.store.put(projection, self.run_id, f"{activity}.in", ds)
-            staged.append((producer, pkey.hash, set(projection.names)))
+            staged.append((pkey.hash, {(o.name, o.unit) for o in projection.observables}))
             self.trace.append(("staged", activity, producer, pkey.hash))
         return staged
 
-    def _match_slots(self, activity, template, staged):
-        """Pair template slots with staged projections by observable names."""
+    def _match_slots(self, activity, template, staged) -> tuple[tuple[str, str], ...]:
+        """Pair each template slot with the first staged projection that holds
+        every observable the slot wants, in the unit it wants."""
         inputs = []
         for slot, spec in template.input_slots:
-            want = {name for name, _ in spec.wanted}
-            hit = next((h for _, h, names in staged if want <= names), None)
+            hit = next((h for h, held in staged if held.issuperset(spec.wanted)), None)
             if hit is None:
+                wants = sorted(f"{name} {unit.name}" for name, unit in spec.wanted)
                 raise MissingInput(
-                    f"activity {activity!r}: no staged input covers slot {slot!r} "
-                    f"(wants {sorted(want)})"
+                    f"activity {activity!r}: no staged input covers slot {slot!r} (wants {wants})"
                 )
             inputs.append((slot, hit))
-        return inputs
+        return tuple(inputs)
 
     def _absorb_batch(self):
         completions = self.executor.wait_any()
         if not completions:
             raise RuntimeFailure("executor went idle with jobs outstanding")
-        for handle in completions:
-            activity, firing, submitted, committed = self.pending.pop(handle)
-            status = self.executor.poll(handle)
+        for job_id in completions:
+            activity, firing, submitted, committed = self.pending.pop(job_id)
+            status = self.executor.poll(job_id)
             if status.state == SUCCEEDED:
                 if committed is None:
                     key = self.engine.store.checkpoint(self.run_id, activity, status.result)
-                    event = ("completed", activity, handle.job_id, key.hash)
+                    event = ("completed", activity, job_id, key.hash)
                 else:
                     event = ("replayed", activity, committed)
                 self.trace.append(event)
                 self.latest[activity] = status.result
                 self.entries.append(
-                    [activity, firing, self.bindings[activity], handle.job_id, event[-1],
+                    [activity, firing, self.bindings[activity], job_id, event[-1],
                      submitted, self.executor.clock, committed is not None]
                 )
                 self._merge(activity, status.result)
                 self._emit(activity)
             else:
                 reason = status.reason or "job failed"
-                self.trace.append(("failed", activity, handle.job_id, reason))
+                self.trace.append(("failed", activity, job_id, reason))
                 # queued peers are withdrawn; finished ones are discarded
                 # uncommitted, which keeps the checkpoints a prefix of an
                 # uninterrupted run's completion order

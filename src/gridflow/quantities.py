@@ -413,10 +413,6 @@ class Dataset:
         obs = tuple(sorted(observables, key=lambda o: o.name))
         return Dataset(meta, obs)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(o.name for o in self.observables)
-
     def get(self, name: str) -> Observable:
         for o in self.observables:
             if o.name == name:

@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import RuntimeFailure, UserError
+from .errors import UserError
 from .quantities import ExtractionSpec, get_unit
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "LaunchTemplate",
     "ResourceDescriptor",
     "JobRequest",
-    "JobHandle",
     "JobStatus",
     "ResourceRegistry",
     "render_launch",
@@ -83,7 +82,6 @@ QUEUED = "queued"
 SUCCEEDED = "succeeded"
 FAILED = "failed"
 WITHDRAWN = "withdrawn"
-_STATES = frozenset({QUEUED, SUCCEEDED, FAILED, WITHDRAWN})
 
 
 @dataclass(frozen=True)
@@ -116,9 +114,11 @@ _PLACEHOLDER_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_.\-]*)\}")
 class LaunchTemplate:
     """Command pattern plus the dataset slots it consumes and produces.
 
-    Each input slot names a staged file and the extraction spec applied to
-    the upstream dataset before staging. Valid placeholders are the declared
-    slot names, ``workdir``, and ``params.<key>``.
+    Each input slot names a staged file and the observables it wants, each
+    in a unit. A job's slot is filled by a staged input that holds every
+    wanted observable in the wanted unit; nothing is converted to fit it.
+    Valid placeholders are the declared slot names, ``workdir``, and
+    ``params.<key>``.
     """
 
     command_pattern: str
@@ -185,41 +185,15 @@ def _freeze_params(params) -> tuple[tuple[str, str], ...]:
 class JobRequest:
     resource_id: str
     activity_id: str
-    run_id: str
     inputs: tuple[tuple[str, str], ...]  # (slot name, dataset hash)
-    params: tuple[tuple[str, str], ...] = ()
-
-    @staticmethod
-    def build(resource_id, activity_id, run_id, inputs=(), params=()) -> "JobRequest":
-        if hasattr(inputs, "items"):
-            inputs = inputs.items()
-        return JobRequest(
-            resource_id,
-            activity_id,
-            run_id,
-            tuple((str(s), str(h)) for s, h in inputs),
-            _freeze_params(params),
-        )
-
-    def param_map(self) -> dict[str, str]:
-        return dict(self.params)
-
-
-@dataclass(frozen=True)
-class JobHandle:
-    job_id: str
-    resource_id: str
+    params: dict[str, str]
 
 
 @dataclass(frozen=True)
 class JobStatus:
-    state: str
+    state: str  # QUEUED, SUCCEEDED, FAILED or WITHDRAWN
     result: object | None = None  # the produced Dataset, once succeeded
     reason: str | None = None
-
-    def __post_init__(self):
-        if self.state not in _STATES:
-            raise RuntimeFailure(f"unknown job state: {self.state!r}")
 
 
 class ResourceRegistry:
@@ -257,7 +231,7 @@ def render_launch(t: LaunchTemplate, req: JobRequest, workdir: str) -> str:
         if slot not in inputs:
             raise MissingInput(f"request missing input slot: {slot}")
         mapping[slot] = f"{workdir}/{slot}.dat"
-    params = req.param_map()
+    params = req.params
 
     def fill(match: re.Match) -> str:
         name = match.group(1)

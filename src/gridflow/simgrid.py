@@ -18,10 +18,11 @@ MSD(t) = t and self-diffusivity D = 1/2 via the Einstein relation, which
 gives the analysis stage an analytic oracle. Blocking sites slows the walk,
 so D decreases with loading fraction theta.
 
-SimulatedExecutor runs jobs on a virtual clock: each wait_any call is one
-tick, which starts up to the calculator's max_concurrent queued jobs per
-resource and finishes them in a seeded shuffle. Equal (seed, fault plan)
-means an identical event order, which makes whole runs reproducible.
+SimulatedExecutor runs jobs on a virtual clock. A job is its id: submit
+returns it, and each wait_any call is one tick, which starts up to the
+calculator's max_concurrent queued jobs per resource, finishes them in a
+seeded shuffle and returns their ids in that order. Equal (seed, fault
+plan) means an identical event order, which makes whole runs reproducible.
 
 numpy is imported only in the program code that computes with arrays: md's
 walk and its adapter, the Trajectory and the analysis fit. A CLI call loads
@@ -46,7 +47,6 @@ from .resources import (
     QUEUED,
     SUCCEEDED,
     WITHDRAWN,
-    JobHandle,
     JobRequest,
     JobStatus,
     ResourceDescriptor,
@@ -598,25 +598,19 @@ PROGRAMS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SimJob:
-    job_id: str
-    req: JobRequest
-    state: str = QUEUED
-    result: object = None
-    reason: str | None = None
-
-
 class SimulatedExecutor:
     """Deterministic virtual-clock job runner over a resource registry.
 
-    Each wait_any call is one tick: it starts up to max_concurrent queued
-    jobs per resource and finishes them within that tick, in seeded-shuffle
-    order. A fault plan of (activity id, firing) pairs fails the submissions
-    of that activity whose `attempt` param is that firing; the engine numbers
-    firings across resumes. submit(req, result) queues a job that has its
-    result already (a committed firing): it keeps its slot, job id and place
-    in the shuffle, and finishes with that result, past the fault plan.
+    A job is its id (job-0001, job-0002, ... in submission order): submit
+    returns it, poll and withdraw take it, and wait_any returns the ids it
+    finished. Each wait_any call is one tick: it starts up to max_concurrent
+    queued jobs per resource and finishes them within that tick, in
+    seeded-shuffle order. A fault plan of (activity id, firing) pairs fails
+    the submissions of that activity whose `attempt` param is that firing;
+    the engine numbers firings across resumes. submit(req, result) queues a
+    job that has its result already (a committed firing): it keeps its slot,
+    job id and place in the shuffle, and finishes with that result, past the
+    fault plan.
     """
 
     def __init__(self, registry: ResourceRegistry, store, seed: int = 0, fault_plan=()):
@@ -624,70 +618,66 @@ class SimulatedExecutor:
         self.store = store
         self.seed = seed
         self.fault_plan = frozenset((a, str(int(n))) for a, n in fault_plan)
-        self._jobs: dict[str, _SimJob] = {}
+        self._jobs: dict[str, tuple[JobRequest, JobStatus]] = {}  # job id -> request, status
         self._queue: dict[str, list[str]] = {}
         self.clock = 0
 
-    def submit(self, req: JobRequest, result=None) -> JobHandle:
+    def submit(self, req: JobRequest, result=None) -> str:
         self.registry.get(req.resource_id)
-        job = _SimJob(f"job-{len(self._jobs) + 1:04d}", req, result=result)
-        self._jobs[job.job_id] = job
-        self._queue.setdefault(req.resource_id, []).append(job.job_id)
-        return JobHandle(job.job_id, req.resource_id)
+        job_id = f"job-{len(self._jobs) + 1:04d}"
+        self._jobs[job_id] = (req, JobStatus(QUEUED, result))
+        self._queue.setdefault(req.resource_id, []).append(job_id)
+        return job_id
 
-    def _job(self, handle: JobHandle) -> _SimJob:
+    def poll(self, job_id: str) -> JobStatus:
         try:
-            return self._jobs[handle.job_id]
+            return self._jobs[job_id][1]
         except KeyError:
-            raise UnknownJob(f"unknown job: {handle.job_id}") from None
+            raise UnknownJob(f"unknown job: {job_id}") from None
 
-    def poll(self, handle: JobHandle) -> JobStatus:
-        job = self._job(handle)
-        return JobStatus(job.state, job.result, job.reason)
+    def withdraw(self, job_id: str) -> JobStatus:
+        status = self.poll(job_id)
+        if status.state == QUEUED:
+            req = self._jobs[job_id][0]
+            self._queue[req.resource_id].remove(job_id)
+            status = JobStatus(WITHDRAWN)
+            self._jobs[job_id] = (req, status)
+        return status
 
-    def withdraw(self, handle: JobHandle) -> JobStatus:
-        job = self._job(handle)
-        if job.state == QUEUED:
-            self._queue[job.req.resource_id].remove(job.job_id)
-            job.state = WITHDRAWN
-        return self.poll(handle)
-
-    def wait_any(self) -> list[JobHandle]:
-        """One tick: the handles it finishes in completion order, or []
-        when nothing is queued."""
+    def wait_any(self) -> list[str]:
+        """One tick: the ids of the jobs it finishes in completion order, or
+        [] when nothing is queued."""
         batch = []
         for rid in sorted(self._queue):
             cap = self.registry.get(rid).calculator.max_concurrent
             queue = self._queue[rid]
-            batch.extend(JobHandle(job_id, rid) for job_id in queue[:cap])
+            batch.extend(queue[:cap])
             del queue[:cap]
         if not batch:
             return []
         self.clock += 1
         random.Random(f"{self.seed}:{self.clock}").shuffle(batch)
-        for handle in batch:
-            self._finish(self._jobs[handle.job_id])
+        for job_id in batch:
+            req, status = self._jobs[job_id]
+            self._jobs[job_id] = (req, self._finish(req, status.result))
         return batch
 
-    def _finish(self, job: _SimJob):
-        firing = job.req.param_map().get("attempt")
-        if job.result is not None:
-            job.state = SUCCEEDED
-        elif (job.req.activity_id, firing) in self.fault_plan:
-            job.state = FAILED
-            job.reason = f"injected fault (occurrence {firing})"
-        else:
-            try:
-                program = self.registry.get(job.req.resource_id).program
-                sim = PROGRAMS.get(program)
-                if sim is None:
-                    raise RuntimeFailure(f"no simulated behavior for program {program!r}")
-                inputs = {slot: self.store.get_by_hash(h) for slot, h in job.req.inputs}
-                job.result = sim.parse(sim.run(job.req.param_map(), inputs))
-                job.state = SUCCEEDED
-            except GridflowError as exc:
-                job.state = FAILED
-                job.reason = str(exc)
+    def _finish(self, req: JobRequest, result) -> JobStatus:
+        """The status a job ends its tick with; a `result` is a committed firing's."""
+        if result is not None:
+            return JobStatus(SUCCEEDED, result)
+        firing = req.params.get("attempt")
+        if (req.activity_id, firing) in self.fault_plan:
+            return JobStatus(FAILED, reason=f"injected fault (occurrence {firing})")
+        try:
+            program = self.registry.get(req.resource_id).program
+            sim = PROGRAMS.get(program)
+            if sim is None:
+                raise RuntimeFailure(f"no simulated behavior for program {program!r}")
+            inputs = {slot: self.store.get_by_hash(h) for slot, h in req.inputs}
+            return JobStatus(SUCCEEDED, sim.parse(sim.run(req.params, inputs)))
+        except GridflowError as exc:
+            return JobStatus(FAILED, reason=str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -269,26 +269,20 @@ class TestSubmit:
         }
 
     @pytest.mark.parametrize("flow, argv, says", [
-        ("case", ["--user", "ada", "--fail-at", "zzz:1"], "'zzz'"),
-        ("unreachable", ["--user", "ada"], "is not sound"),
-        ("case", ["--user", "bob:commercial"], "admits only academically licensed"),
+        ("case", ["--user", "ada", "--fail-at", "zzz:1"],
+         "fault plan names 'zzz', not an activity of workflow 'helium-diffusion-study'"),
+        ("unreachable", ["--user", "ada"],
+         "workflow 'unreachable-island' is not sound: Unreachable(d): no path from start, "
+         "Unreachable(x): no path from start"),
+        ("case", ["--user", "bob:commercial"],
+         "activity 'cbmc': program 'mcsim' admits only academically licensed resources"),
         ("case", ["--user", "ada:imperial"], "unknown affiliation: 'imperial'"),
     ], ids=["unknown-fault", "unsound", "commercial", "imperial"])
     def test_a_refused_submit_claims_no_run(self, run, case_file, tmp_path, flow, argv, says):
         path = case_file if flow == "case" else CORPUS / "unsound" / f"{flow}.flow"
         code, out, err = run("submit", path, *argv)
-        assert (code, out) == (1, "")
-        assert says in err
+        assert (code, out, err) == (1, "", f"error: {says}\n")
         assert not list((tmp_path / "store" / "runs").glob("*.log"))  # no run claimed
-
-    def test_fault_at_an_unknown_activity_is_a_user_error(self, run, case_file, tmp_path):
-        _, out, _ = run("submit", case_file, "--user", "ada", "--fail-at", "md:1")
-        journal = tmp_path / "store" / "runs" / f"{out.strip()}.log"
-        before = journal.read_bytes()
-        code, out, err = run("resume", out.strip(), "--fail-at", "md:2", "--fail-at", "zzz:1")
-        assert (code, out) == (1, "")
-        assert "'zzz'" in err
-        assert journal.read_bytes() == before
 
     def test_fault_plan_counts_firings_across_a_resume(self, run):
         path = CORPUS / "sound" / "loop_converge.flow"
@@ -631,6 +625,26 @@ class TestRegister:
         assert code == 1
         assert "already registered" in err
 
+    def test_a_slot_in_other_units_fails_the_firing(self, run, tmp_path, case_file):
+        # a cheaper mcsim copy wants the lattice in nm; the flow stages angstrom
+        pool_xml = (simgrid._POOL / "mcsim@mc-farm-01.xml").read_text()
+        xml = tmp_path / "mcsim-nm.xml"
+        xml.write_text(
+            pool_xml.replace('id="mcsim@mc-farm-01" cost-weight="1.0"',
+                             'id="mcsim@nm-01" cost-weight="0.1"')
+            .replace('<want name="sites" unit="angstrom" />', '<want name="sites" unit="nm" />')
+            .replace('<want name="cell_length" unit="angstrom" />',
+                     '<want name="cell_length" unit="nm" />'),
+            encoding="utf-8")
+        assert run("register", xml)[:2] == (0, "mcsim@nm-01\n")
+        code, out, err = run("submit", case_file, "--user", "ada", "--seed", 1)
+        assert (code, out) == (1, "run-0001\n")  # claimed, then failed at cbmc
+        assert err == ("error: activity 'cbmc': no staged input covers slot 'lattice' "
+                       "(wants ['cell_length nm', 'n_sites dimensionless', 'sites nm'])\n")
+        code, out, _ = run("report", "run-0001", "--json")
+        report = json.loads(out)
+        assert (report["status"], report["bindings"]["cbmc"]) == ("failed", "mcsim@nm-01")
+
     def test_an_empty_standard_pool_is_a_runtime_failure(self, run, tmp_path, case_file, monkeypatch):
         xml = tmp_path / "md.xml"
         xml.write_text(render_descriptor_xml(standard_registry().get("mdrun@hpc-01")), encoding="utf-8")
@@ -826,18 +840,13 @@ class TestExitContract:
         assert code == 2
         return tmp_path / "store" / "runs" / f"{out.strip()}.log"
 
-    def test_submit_with_a_fault_at_no_activity_claims_no_run(self, run, case_file, tmp_path):
-        code, out, err = run("submit", case_file, "--user", "ada", "--fail-at", "ghost:1")
-        assert (code, out) == (1, "")
-        assert err == ("error: fault plan names 'ghost', not an activity of "
-                       "workflow 'helium-diffusion-study'\n")
-        assert not list((tmp_path / "store" / "runs").glob("*.log"))
-
     def test_resume_with_a_fault_at_no_activity_writes_nothing(self, run, failed_run):
+        # md:2 would fire; zzz names no activity, so the whole plan is refused
         before = failed_run.read_bytes()
-        code, out, err = run("resume", failed_run.stem, "--fail-at", "ghost:2")
+        code, out, err = run("resume", failed_run.stem, "--fail-at", "md:2", "--fail-at", "zzz:1")
         assert (code, out) == (1, "")
-        assert "fault plan names 'ghost'" in err
+        assert err == ("error: fault plan names 'zzz', not an activity of "
+                       "workflow 'helium-diffusion-study'\n")
         assert failed_run.read_bytes() == before
 
     def test_resume_of_a_run_bound_to_an_unregistered_resource_writes_nothing(

@@ -1,5 +1,6 @@
 """Planning, token-game execution, resume, and provenance."""
 
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -33,6 +34,7 @@ from gridflow.model import (
     Node,
     build_graph,
 )
+from gridflow.quantities import ExtractionSpec
 from gridflow.resources import (
     Calculator,
     LaunchTemplate,
@@ -498,6 +500,27 @@ class TestExecution:
         engine = make_engine(tmp_path)
         with pytest.raises(MissingInput):
             engine.execute(g, "ada", run_id="run-starved")
+
+    def test_a_slot_is_covered_only_in_the_units_it_wants(self, tmp_path):
+        # a cheaper mcsim that wants the lattice in nm: the flow stages it in
+        # angstrom, so cbmc has no input for its slot and the run fails
+        engine = make_engine(tmp_path)
+        mcsim = engine.registry.get("mcsim@mc-farm-01")
+        nm = ExtractionSpec.of(("sites", "nm"), ("cell_length", "nm"), ("n_sites", "dimensionless"))
+        template = dataclasses.replace(mcsim.launch_template, input_slots=(("lattice", nm),))
+        engine.registry.register(
+            dataclasses.replace(mcsim, id="mcsim@nm-01", cost_weight=0.1, launch_template=template)
+        )
+        with pytest.raises(MissingInput) as info:
+            engine.execute(case_study(cells=6, n_helium=3, steps=12), "ada", run_id="run-nm")
+        assert str(info.value) == (
+            "activity 'cbmc': no staged input covers slot 'lattice' "
+            "(wants ['cell_length nm', 'n_sites dimensionless', 'sites nm'])"
+        )
+        report = engine.report("run-nm")
+        assert report["status"] == "failed"
+        assert report["bindings"]["cbmc"] == "mcsim@nm-01"
+        assert [a for a, _ in engine.store.checkpoints("run-nm")] == ["lattice"]
 
     def test_clash_logged_when_values_differ(self, tmp_path):
         text = """

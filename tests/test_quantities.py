@@ -194,7 +194,7 @@ class TestDataset:
     def test_project_converts_and_records_origin(self):
         ds = sample_dataset()
         out = project(ds, ExtractionSpec.of(("temperature", "K"), ("box", "nm")))
-        assert out.names == ("box", "temperature")
+        assert [o.name for o in out.observables] == ["box", "temperature"]
         assert out.get("box").values[2] == pytest.approx(1.42, rel=1e-15)
         assert dict(out.meta)["derived-from"] == ds.id
 

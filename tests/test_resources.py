@@ -130,11 +130,7 @@ class TestRenderLaunch:
         )
 
     def request(self, **params):
-        return JobRequest.build(
-            "dlpoly@cluster1", "md", "r1",
-            inputs={"conf": "c" * 64, "field": "f" * 64},
-            params=params,
-        )
+        return JobRequest("dlpoly@cluster1", "md", (("conf", "c" * 64), ("field", "f" * 64)), params)
 
     def test_substitutes_everything(self):
         command = render_launch(self.template(), self.request(nsteps="200"), "/w")
@@ -148,7 +144,7 @@ class TestRenderLaunch:
         assert len(set(paths)) == len(paths) == 2
 
     def test_missing_slot(self):
-        req = JobRequest.build("r", "md", "r1", inputs={"conf": "c" * 64}, params={"nsteps": "1"})
+        req = JobRequest("r", "md", (("conf", "c" * 64),), {"nsteps": "1"})
         with pytest.raises(MissingInput):
             render_launch(self.template(), req, "/w")
 
@@ -158,7 +154,7 @@ class TestRenderLaunch:
 
     def test_substitution_is_textual_not_shell(self):
         t = LaunchTemplate("echo ${conf}", (("conf", ExtractionSpec.of()),), "out")
-        req = JobRequest.build("r", "a", "r1", inputs={"conf": "h" * 64})
+        req = JobRequest("r", "a", (("conf", "h" * 64),), {})
         assert render_launch(t, req, "/w; rm -rf /") == "echo /w; rm -rf //conf.dat"
 
 

@@ -12,7 +12,6 @@ from gridflow.resources import (
     FAILED,
     SUCCEEDED,
     WITHDRAWN,
-    JobHandle,
     JobRequest,
     UnknownJob,
 )
@@ -30,13 +29,11 @@ class ComputeUnderTest:
         self.service = SimulatedExecutor(standard_registry(), self.store, seed=7)
 
     def good_request(self, n=0):
-        return JobRequest.build(
-            self.resource_id, f"probe{n}", "run-c", (), {"x": str(float(n))}
-        )
+        return JobRequest(self.resource_id, f"probe{n}", (), {"x": str(float(n))})
 
     def bad_request(self):
         # latgen refuses a 1-cell lattice; same service, failing job
-        return JobRequest.build("latgen@struct-01", "bad", "run-c", (), {"cells": "1"})
+        return JobRequest("latgen@struct-01", "bad", (), {"cells": "1"})
 
     def settle(self):
         while self.service.wait_any():
@@ -50,31 +47,31 @@ def harness(tmp_path):
 
 class TestSharedSurface:
     def test_successful_job_completes(self, harness):
-        handle = harness.service.submit(harness.good_request())
-        assert handle.resource_id == harness.resource_id
+        job = harness.service.submit(harness.good_request())
+        assert job == "job-0001"
         harness.settle()
-        status = harness.service.poll(handle)
+        status = harness.service.poll(job)
         assert status.state == SUCCEEDED
         assert status.result is not None
         assert status.reason is None
 
     def test_poll_is_stable_once_terminal(self, harness):
-        handle = harness.service.submit(harness.good_request())
+        job = harness.service.submit(harness.good_request())
         harness.settle()
-        first = harness.service.poll(handle)
-        second = harness.service.poll(handle)
+        first = harness.service.poll(job)
+        second = harness.service.poll(job)
         assert first.state == second.state == SUCCEEDED
 
     def test_failure_is_a_status_not_an_exception(self, harness):
-        handle = harness.service.submit(harness.bad_request())
+        job = harness.service.submit(harness.bad_request())
         harness.settle()
-        status = harness.service.poll(handle)
+        status = harness.service.poll(job)
         assert status.state == FAILED
         assert status.reason
 
     def test_unknown_job_rejected(self, harness):
         with pytest.raises(UnknownJob):
-            harness.service.poll(JobHandle("no-such-job", harness.resource_id))
+            harness.service.poll("no-such-job")
 
 
 class TestWithdrawSemantics:

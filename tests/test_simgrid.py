@@ -18,7 +18,6 @@ from gridflow.resources import (
     QUEUED,
     SUCCEEDED,
     WITHDRAWN,
-    JobHandle,
     JobRequest,
     UnknownJob,
     parse_descriptor_xml,
@@ -550,7 +549,7 @@ class TestProbePrograms:
             sim = PROGRAMS[name]
             ds = sim.parse(sim.run(params, inputs))
             assert isinstance(ds, Dataset)
-            assert ds.names
+            assert ds.observables
 
 
 def make_executor(tmp_path, **kw):
@@ -559,17 +558,17 @@ def make_executor(tmp_path, **kw):
 
 
 def probe(activity, params=(), resource="noop@sandbox-01"):
-    return JobRequest.build(resource, activity, "run-x", (), params)
+    return JobRequest(resource, activity, (), dict(params))
 
 
 class TestExecutor:
     def test_runs_a_job_to_completion(self, tmp_path):
         ex, _ = make_executor(tmp_path)
-        handle = ex.submit(probe("a", {"k": "2.0"}))
-        assert ex.poll(handle).state == QUEUED
+        job = ex.submit(probe("a", {"k": "2.0"}))
+        assert ex.poll(job).state == QUEUED
         done = ex.wait_any()
-        assert done == [handle]
-        status = ex.poll(handle)
+        assert done == [job]
+        status = ex.poll(job)
         assert status.state == SUCCEEDED
         assert status.result.get("k").magnitude == 2.0
 
@@ -579,26 +578,25 @@ class TestExecutor:
         store.claim({}, "run-x")
         with store.driving("run-x"):
             key = store.put(lat, "run-x", "lattice")
-        req = JobRequest.build(
-            "mcsim@mc-farm-01", "cbmc", "run-x",
-            {"lattice": key.hash}, {"theta": "0.5", "seed": "1"},
+        req = JobRequest(
+            "mcsim@mc-farm-01", "cbmc", (("lattice", key.hash),), {"theta": "0.5", "seed": "1"}
         )
-        handle = ex.submit(req)
+        job = ex.submit(req)
         ex.wait_any()
-        assert ex.poll(handle).result.get("n_occupied").magnitude == 3.0
+        assert ex.poll(job).result.get("n_occupied").magnitude == 3.0
 
     def test_equal_seed_means_equal_order(self, tmp_path):
         def completion_order(seed):
             ex, _ = make_executor(tmp_path / f"s{seed}", seed=seed)
-            by_handle = {}
+            by_job = {}
             for i in range(8):
-                by_handle[ex.submit(probe(f"a{i}"))] = f"a{i}"
+                by_job[ex.submit(probe(f"a{i}"))] = f"a{i}"
             order = []
             while True:
                 done = ex.wait_any()
                 if not done:
                     return order
-                order.extend(by_handle[h] for h in done)
+                order.extend(by_job[j] for j in done)
 
         assert completion_order(7) == completion_order(7)
 
@@ -606,8 +604,8 @@ class TestExecutor:
         orders = set()
         for seed in range(10):
             ex, _ = make_executor(tmp_path / f"s{seed}", seed=seed)
-            handles = {ex.submit(probe(f"a{i}")): f"a{i}" for i in range(4)}
-            orders.add(tuple(handles[h] for h in ex.wait_any()))
+            jobs = {ex.submit(probe(f"a{i}")): f"a{i}" for i in range(4)}
+            orders.add(tuple(jobs[j] for j in ex.wait_any()))
         assert len(orders) > 1
 
     def test_capacity_batches_completions(self, tmp_path):
@@ -634,11 +632,9 @@ class TestExecutor:
 
     def test_bad_params_fail_the_job(self, tmp_path):
         ex, _ = make_executor(tmp_path)
-        handle = ex.submit(
-            JobRequest.build("latgen@struct-01", "lattice", "run-x", (), {"cells": "1"})
-        )
+        job = ex.submit(JobRequest("latgen@struct-01", "lattice", (), {"cells": "1"}))
         ex.wait_any()
-        status = ex.poll(handle)
+        status = ex.poll(job)
         assert status.state == FAILED
         assert "2 sites" in status.reason
 
@@ -661,8 +657,15 @@ class TestExecutor:
 
     def test_unknown_job(self, tmp_path):
         ex, _ = make_executor(tmp_path)
-        with pytest.raises(UnknownJob):
-            ex.poll(JobHandle("job-9999", "noop@sandbox-01"))
+        with pytest.raises(UnknownJob, match="^unknown job: job-9999$"):
+            ex.poll("job-9999")
+
+    def test_withdraw_of_an_unknown_job(self, tmp_path):
+        ex, _ = make_executor(tmp_path)
+        ex.submit(probe("known"))
+        with pytest.raises(UnknownJob, match="^unknown job: job-9999$"):
+            ex.withdraw("job-9999")
+        assert ex.poll("job-0001").state == QUEUED
 
     def test_idle_wait_returns_nothing(self, tmp_path):
         ex, _ = make_executor(tmp_path)
