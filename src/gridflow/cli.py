@@ -317,15 +317,12 @@ def cmd_store_ls(args, cfg) -> int:
     store = _open_store(args, cfg)
     rows = store.checkpoints(args.run_id)
     if args.json:
-        payload = [
-            {"run": key.run_id, "activity": activity,
-             "sequence": key.sequence, "hash": key.hash}
-            for activity, key in rows
-        ]
+        payload = [{"run": args.run_id, "activity": activity, "sequence": seq, "hash": hash}
+                   for activity, seq, hash in rows]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for activity, key in rows:
-            print(f"ckpt {key.run_id} {activity} {key.sequence} {key.hash}")
+        for activity, seq, hash in rows:
+            print(f"ckpt {args.run_id} {activity} {seq} {hash}")
     return OK
 
 

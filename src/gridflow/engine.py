@@ -1,19 +1,20 @@
 """Planning and execution of workflows over a resource pool and a store.
 
-plan() binds every activity to the cheapest admissible resource, applies
-the license gate, and returns the header the run is claimed with (workflow
-text, bindings, params, seed, loop budget, user). execute() plans, checks the
-fault plan, claims the run with that header, and drives it: a token game
-over the graph, staging each activity's declared input projections through
-the store, deriving a per-job seed, and checkpointing every completed result.
-Each projection is cut from the producer's latest result as the engine holds
-it (the completed dataset, or the checkpoint a resume read back), and each
-job reads its staged inputs back from the store. A failed activity aborts
-the run but keeps its committed checkpoints; its queued peers are withdrawn,
-and peers finished in the same tick are discarded uncommitted. resume() plays
-the run again from the start, and a firing an earlier drive committed keeps
-its place in the tick but ends with its checkpoint, so each tick and decision
-is an uninterrupted run's.
+plan() binds every activity to the cheapest admissible resource the license
+gate allows, preferring one whose every template slot an object flow into the
+activity covers in the units the slot wants, and returns the header the run
+is claimed with (workflow text, bindings, params, seed, loop budget, user).
+execute() plans, checks the fault plan, claims the run with that header, and
+drives it: a token game over the graph, staging each activity's declared
+input projections through the store, deriving a per-job seed, and
+checkpointing every completed result. Each projection is cut from the
+producer's latest result as the engine holds it (the completed dataset, or
+the checkpoint a resume read back), and each job reads its staged inputs back
+from the store. A failed activity aborts the run but keeps its committed
+checkpoints; its queued peers are withdrawn, and peers finished in the same
+tick are discarded uncommitted. resume() plays the run again from the start,
+and a firing an earlier drive committed keeps its place in the tick but ends
+with its checkpoint, so each tick and decision is an uninterrupted run's.
 
 Whole runs are reproducible: the job seed is a digest of the run seed, the
 activity, its firing number, and its staged input hashes, so a resumed or
@@ -98,6 +99,11 @@ def workflow_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _cover(spec, offers):
+    """The key of the first (key, {(name, unit)}) offer holding all the slot spec wants."""
+    return next((key for key, held in offers if held.issuperset(spec.wanted)), None)
+
+
 def _check_fault_plan(graph: WorkflowGraph, fault_plan):
     """Refuse a fault aimed at an activity the workflow lacks: it would never fire."""
     activities = {node.id for node in graph.activities()}
@@ -118,7 +124,8 @@ class Engine:
     def plan(self, graph, user, affiliation=ACADEMIC, params=(), max_iterations=100, seed=0) -> dict:
         """The header a run of the graph is claimed with: the workflow, the
         run settings, and each activity bound to its cheapest admissible
-        resource that the user's affiliation may use."""
+        resource that the user's affiliation may use and, if any does,
+        whose every template slot an object flow of the activity covers."""
         if affiliation not in (ACADEMIC, COMMERCIAL):
             raise UserError(f"unknown affiliation: {affiliation!r}")
         report = verify(graph, max_iterations)
@@ -140,7 +147,10 @@ class Engine:
                         f"academically licensed resources"
                     )
                 hits = open_hits
-            bindings.append([node.id, hits[0]])
+            offers = [(p, set(spec.wanted)) for p, c, spec in graph.object_flows if c == node.id]
+            fed = (r for r in hits if all(
+                _cover(spec, offers) for _, spec in self.registry.get(r).launch_template.input_slots))
+            bindings.append([node.id, next(fed, hits[0])])
         text = emit_dsl(graph)
         return {
             "workflow_name": graph.name,
@@ -198,7 +208,7 @@ class Engine:
             for key, value in node.params
         )
         touched = {ev[1] for ev in summary["trace"] if ev[0] in ("submitted", "replayed")}
-        touched |= {activity for activity, _ in state.checkpoints}  # a killed drive traced none
+        touched |= {activity for activity, _, _ in state.checkpoints}  # a killed drive traced none
         resources = []
         credit: dict[str, str] = {}
         for activity, resource in header["bindings"]:
@@ -211,12 +221,12 @@ class Engine:
         ledger = [[c, credit[c]] for c in sorted(credit)]
         ledger.extend([ref, "workflow-source"] for ref in graph.source_refs)
         results = {}
-        for activity, key in sorted(dict(state.checkpoints).items()):  # each one's latest
-            ds = self.store.get_by_hash(key.hash)  # a key of the journal just read
+        for activity, hash in sorted({a: h for a, _, h in state.checkpoints}.items()):  # each one's latest
+            ds = self.store.get_by_hash(hash)  # a hash of the journal just read
             scalars = {o.name: o.values[0] for o in ds.observables if o.kind == "scalar"}
             others = {o.name: f"{o.kind}[{o.length}]"  # reads no parsed table's cells
                       for o in ds.observables if o.kind != "scalar"}
-            results[activity] = {"hash": key.hash, "scalars": scalars, "other": others}
+            results[activity] = {"hash": hash, "scalars": scalars, "other": others}
         data = {
             "run": run_id,
             "workflow": header["workflow_name"],
@@ -230,7 +240,7 @@ class Engine:
             "counters": sorted(
                 [a, n] for a, n in Counter(e[0] for e in summary["entries"]).items()
             ),
-            "checkpoints": [key.hash for _, key in state.checkpoints],
+            "checkpoints": [hash for _, _, hash in state.checkpoints],
             "entries": summary["entries"],
             "trace": summary["trace"],
             "results": results,
@@ -268,9 +278,9 @@ class _Execution:
         self.executor = SimulatedExecutor(engine.registry, engine.store, header["seed"], fault_plan)
         self.committed: dict[tuple[str, int], str] = {}  # (activity, firing) -> checkpoint hash
         fired = Counter()  # firings are numbered across drives: the n-th checkpoint is firing n
-        for activity, key in checkpoints:
+        for activity, _, hash in checkpoints:
             fired[activity] += 1
-            self.committed[activity, fired[activity]] = key.hash
+            self.committed[activity, fired[activity]] = hash
         nodes = sorted(self.g.nodes, key=lambda n: n.id)
         self.controls = [n for n in nodes if n.kind in (DECISION, FORK, JOIN, FINAL)]
         self.activities = [n for n in nodes if n.kind == ACTIVITY]
@@ -393,7 +403,7 @@ class _Execution:
         self.firings[activity] = firing
         resource = self.bindings[activity]
         committed = self.committed.pop((activity, firing), None)
-        if committed is not None:  # its job finishes with the checkpoint, a run_state key
+        if committed is not None:  # its job finishes with the checkpoint, a run_state hash
             req = JobRequest(resource, activity, (), {})
             job_id = self.executor.submit(req, self.engine.store.get_by_hash(committed))
             self.pending[job_id] = (activity, firing, self.executor.clock, committed)
@@ -427,9 +437,9 @@ class _Execution:
             if ds is None:
                 continue
             projection = project(ds, spec)
-            pkey = self.engine.store.put(projection, self.run_id, f"{activity}.in", ds)
-            staged.append((pkey.hash, {(o.name, o.unit) for o in projection.observables}))
-            self.trace.append(("staged", activity, producer, pkey.hash))
+            hash = self.engine.store.put(projection, self.run_id, f"{activity}.in", ds)
+            staged.append((hash, {(o.name, o.unit) for o in projection.observables}))
+            self.trace.append(("staged", activity, producer, hash))
         return staged
 
     def _match_slots(self, activity, template, staged) -> tuple[tuple[str, str], ...]:
@@ -437,7 +447,7 @@ class _Execution:
         every observable the slot wants, in the unit it wants."""
         inputs = []
         for slot, spec in template.input_slots:
-            hit = next((h for h, held in staged if held.issuperset(spec.wanted)), None)
+            hit = _cover(spec, staged)
             if hit is None:
                 wants = sorted(f"{name} {unit.name}" for name, unit in spec.wanted)
                 raise MissingInput(
@@ -455,8 +465,8 @@ class _Execution:
             status = self.executor.poll(job_id)
             if status.state == SUCCEEDED:
                 if committed is None:
-                    key = self.engine.store.checkpoint(self.run_id, activity, status.result)
-                    event = ("completed", activity, job_id, key.hash)
+                    hash = self.engine.store.checkpoint(self.run_id, activity, status.result)
+                    event = ("completed", activity, job_id, hash)
                 else:
                     event = ("replayed", activity, committed)
                 self.trace.append(event)

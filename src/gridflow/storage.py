@@ -27,8 +27,11 @@ dataset each, plus runs/<run id>.log, one JSON array per line:
 Journals from before ckpt filed its own dataset hold a put of the same
 (activity, seq, hash) before each ckpt; they read unchanged.
 
-A hash is 64 lowercase hex digits; a put or ckpt line naming anything else
-is malformed, so no journal can point a read outside blobs/.
+A dataset is named by its hash, 64 lowercase hex digits: put and checkpoint
+return it, get(run_id, hash) reads back one the run filed, and a run's
+checkpoints are its live ckpt records' (activity, seq, hash), in journal
+order. A put or ckpt line naming anything but a hash is malformed, so
+no journal can point a read outside blobs/.
 
 A put is derived when the dataset is a projection that keeps every
 observable of a dataset with no meta (the same objects, as project leaves
@@ -81,7 +84,6 @@ from .errors import RuntimeFailure, UserError
 from .quantities import Dataset, ParseError, canonical_deserialize, canonical_serialize
 
 __all__ = [
-    "ResultKey",
     "RunState",
     "ContentStore",
     "StorageError",
@@ -113,7 +115,7 @@ class UnknownCheckpoint(StorageError):
 
 
 class IntegrityError(RuntimeFailure):
-    """Stored bytes no longer hash to the key they were filed under."""
+    """Stored bytes no longer hash to the name they were filed under."""
 
 
 ACTIVE = "active"
@@ -129,21 +131,9 @@ _HELD_BYTES = 32 << 20  # canonical bytes of the datasets a handle keeps
 
 
 @dataclass(frozen=True)
-class ResultKey:
-    hash: str
-    run_id: str
-    activity_id: str
-    sequence: int
-
-    def __post_init__(self):
-        if self.sequence < 0:
-            raise StorageError("sequence must be nonnegative")
-
-
-@dataclass(frozen=True)
 class RunState:
     run_id: str
-    checkpoints: tuple[tuple[str, ResultKey], ...]
+    checkpoints: tuple[tuple[str, int, str], ...]  # (activity, seq, hash) of each live ckpt
     status: str
     header: dict | None = None  # the "submitted" record; None until its line is complete
     summary: dict | None = None  # from the last status record; None until there is one
@@ -184,11 +174,11 @@ class _Journal:
 
     run_id: str
     header: dict | None = None
-    committed: list = field(default_factory=list)  # (activity, ResultKey) of each live ckpt
+    committed: list = field(default_factory=list)  # (activity, seq, hash) of each live ckpt
     status: str = ACTIVE
     summary: dict | None = None
     next_seq: dict = field(default_factory=dict)  # activity -> 1 + its highest put or ckpt seq
-    keys: set = field(default_factory=set)  # (activity, seq, hash) of every put and ckpt
+    keys: set = field(default_factory=set)  # hash of every put and ckpt
     derived: dict = field(default_factory=dict)  # hash -> base blob of each derived put
     writer: object = None  # the open journal, while this handle drives the run
 
@@ -197,17 +187,17 @@ class _Journal:
         if kind == "submitted":
             self.header = rec[0]
         elif kind == "put" or kind == "ckpt":
-            self.keys.add((rec[0], rec[1], rec[2]))
+            self.keys.add(rec[2])
             if len(rec) == 4:
                 self.derived[rec[2]] = rec[3]
             if rec[1] >= self.next_seq.get(rec[0], 0):
                 self.next_seq[rec[0]] = rec[1] + 1
             if kind == "ckpt":
-                self.committed.append((rec[0], ResultKey(rec[2], self.run_id, rec[0], rec[1])))
+                self.committed.append(tuple(rec))
                 if self.status == ROLLED_BACK:
                     self.status = ACTIVE
         elif kind == "rollback":
-            cuts = [i for i, (name, _) in enumerate(self.committed) if name == rec[0]]
+            cuts = [i for i, (name, _, _) in enumerate(self.committed) if name == rec[0]]
             if not cuts:
                 raise IntegrityError(f"runs/{self.run_id}.log: rollback to {rec[0]!r}, never committed")
             del self.committed[cuts[-1] + 1 :]
@@ -373,18 +363,19 @@ class ContentStore:
 
     # -- core operations ----------------------------------------------------
 
-    def put(self, ds: Dataset, run_id: str, activity_id: str, base: Dataset | None = None) -> ResultKey:
-        """File a staged input under a run this handle drives; `base`, if
-        given, is the stored dataset `ds` was projected from, and makes the
-        put a derived one when ds keeps all of it (see above)."""
+    def put(self, ds: Dataset, run_id: str, activity_id: str, base: Dataset | None = None) -> str:
+        """File a staged input under a run this handle drives and return its
+        hash; `base`, if given, is the stored dataset `ds` was projected
+        from, and makes the put a derived one when ds keeps all of it (see
+        above)."""
         return self._file("put", ds, run_id, activity_id, base)
 
-    def checkpoint(self, run_id: str, activity_id: str, ds: Dataset) -> ResultKey:
+    def checkpoint(self, run_id: str, activity_id: str, ds: Dataset) -> str:
         """File a job's result under a run this handle drives, committed as
-        the activity's latest checkpoint."""
+        the activity's latest checkpoint, and return its hash."""
         return self._file("ckpt", ds, run_id, activity_id)
 
-    def _file(self, kind: str, ds: Dataset, run_id: str, activity_id: str, base=None) -> ResultKey:
+    def _file(self, kind: str, ds: Dataset, run_id: str, activity_id: str, base=None) -> str:
         """Write ds's blob, unless it is derived or stored, then append one
         `kind` record for it and hold ds for reads back."""
         blob = canonical_serialize(ds)
@@ -399,24 +390,24 @@ class ContentStore:
                 tmp = path.with_name(f"{hash}.{os.getpid()}-{threading.get_ident()}.tmp")
                 tmp.write_bytes(blob)
                 tmp.replace(path)
-            seq = kept.next_seq.get(activity_id, 0)
-            kept.append(kind, activity_id, seq, hash, *derived)
+            kept.append(kind, activity_id, kept.next_seq.get(activity_id, 0), hash, *derived)
         with self._held_lock:
             held = self._held.pop(hash, None)
             self._held[hash] = (ds, len(blob))
             self._held_bytes += len(blob) - (held[1] if held else 0)
             while self._held_bytes > _HELD_BYTES:
                 self._held_bytes -= self._held.pop(next(iter(self._held)))[1]
-        return ResultKey(hash, run_id, activity_id, seq)
+        return hash
 
-    def get(self, key: ResultKey) -> Dataset:
+    def get(self, run_id: str, hash: str) -> Dataset:
+        """The dataset a run filed under a hash."""
         with self._lock:
-            journal = self._view(key.run_id)
-            known = (key.activity_id, key.sequence, key.hash) in journal.keys
-            base = journal.derived.get(key.hash)
+            journal = self._view(run_id)
+            known = hash in journal.keys
+            base = journal.derived.get(hash)
         if not known:
-            raise UnknownKey(f"no such key: {key}")
-        return self._read_blob(key.hash, base)
+            raise UnknownKey(f"run {run_id} filed no dataset {hash}")
+        return self._read_blob(hash, base)
 
     def get_by_hash(self, hash: str) -> Dataset:
         """The dataset stored under a hash: a blob's, or a derived put's of
@@ -432,7 +423,7 @@ class ContentStore:
         name = base or hash
         try:
             data = (self.blob_dir / name).read_bytes()
-        except FileNotFoundError:  # a journal names it, or get() has refused the key
+        except FileNotFoundError:  # a journal names it, or get() has refused the hash
             raise IntegrityError(f"blob {name} missing") from None
         if base is not None:
             data = _spliced(data, base)
@@ -452,7 +443,7 @@ class ContentStore:
     def rollback(self, run_id: str, to_activity_id: str):
         with self._lock:
             kept = self._driven(run_id)
-            if not any(name == to_activity_id for name, _ in kept.committed):
+            if not any(name == to_activity_id for name, _, _ in kept.committed):
                 raise UnknownCheckpoint(
                     f"run {run_id} has no committed checkpoint for {to_activity_id}"
                 )
@@ -471,7 +462,7 @@ class ContentStore:
         with self._lock:
             return self._view(run_id).state()
 
-    def checkpoints(self, run_id: str) -> tuple[tuple[str, ResultKey], ...]:
+    def checkpoints(self, run_id: str) -> tuple[tuple[str, int, str], ...]:
         return self.run_state(run_id).checkpoints
 
     def runs(self) -> list[str]:

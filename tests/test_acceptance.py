@@ -271,10 +271,10 @@ def test_criterion_06_round_trips(tmp_path):
     store = ContentStore(tmp_path / "store")
     eng = Engine(standard_registry(), store)
     run = eng.execute(case_study(**CASE_KW), "alice", seed=1)
-    keys = store.checkpoints(run)
-    assert len(keys) == 5
-    for activity, key in keys:
-        ds = store.get(key)
+    checkpoints = store.checkpoints(run)
+    assert len(checkpoints) == 5
+    for activity, _, digest in checkpoints:
+        ds = store.get(run, digest)
         assert canonical_deserialize(canonical_serialize(ds)) == ds, activity
     crafted = Dataset.build(
         [
@@ -451,8 +451,8 @@ def test_criterion_10_integrity_and_append_only(tmp_path):
             pass
         finally:
             path.write_bytes(original)
-    for _, key in store.checkpoints(run1):
-        store.get(key)  # intact again after restoration
+    for _, _, digest in store.checkpoints(run1):
+        store.get(run1, digest)  # intact again after restoration
 
     snapshot = {p.name: p.read_bytes() for p in store.blob_dir.iterdir()}
     journal_before = store.journal(run1).read_bytes()

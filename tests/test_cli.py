@@ -383,6 +383,18 @@ class TestStoreLs:
         assert len(rows) == 5
         assert {"run", "activity", "sequence", "hash"} == set(rows[0])
 
+    @pytest.mark.parametrize("fault", [(), ("--fail-at", "md:1")], ids=["clean", "resumed"])
+    def test_listing_bytes_are_pinned(self, run, case_file, fault):
+        # a seed-1 case study, and the same study failed at md's first firing
+        # and resumed, which lists what the uninterrupted run does
+        run_id = run("submit", case_file, "--user", "ada", "--seed", 1, *fault)[1].strip()
+        if fault:
+            assert run("resume", run_id)[0] == 0
+        for flags, digest in (((), "e31a3fb70e600398560e2d3080b70d7ed80cc2e3378796f96a5e5696dd23735f"),
+                              (("--json",), "001955100406aebe2293289cc90115904e5047f3aae066a6f8f88d28fcb8a9ba")):
+            code, out, _ = run("store", "ls", run_id, *flags)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
     def test_unknown_run(self, run):
         code, _, err = run("store", "ls", "run-9999")
         assert code == 1
@@ -625,8 +637,9 @@ class TestRegister:
         assert code == 1
         assert "already registered" in err
 
-    def test_a_slot_in_other_units_fails_the_firing(self, run, tmp_path, case_file):
-        # a cheaper mcsim copy wants the lattice in nm; the flow stages angstrom
+    def test_a_slot_in_other_units_binds_the_copy_the_flow_feeds(self, run, tmp_path, case_file):
+        # a cheaper mcsim copy wants the lattice in nm; the flow stages
+        # angstrom, so cbmc binds the dearer copy the flow feeds
         pool_xml = (simgrid._POOL / "mcsim@mc-farm-01.xml").read_text()
         xml = tmp_path / "mcsim-nm.xml"
         xml.write_text(
@@ -637,13 +650,10 @@ class TestRegister:
                      '<want name="cell_length" unit="nm" />'),
             encoding="utf-8")
         assert run("register", xml)[:2] == (0, "mcsim@nm-01\n")
-        code, out, err = run("submit", case_file, "--user", "ada", "--seed", 1)
-        assert (code, out) == (1, "run-0001\n")  # claimed, then failed at cbmc
-        assert err == ("error: activity 'cbmc': no staged input covers slot 'lattice' "
-                       "(wants ['cell_length nm', 'n_sites dimensionless', 'sites nm'])\n")
+        assert run("submit", case_file, "--user", "ada", "--seed", 1) == (0, "run-0001\n", "")
         code, out, _ = run("report", "run-0001", "--json")
         report = json.loads(out)
-        assert (report["status"], report["bindings"]["cbmc"]) == ("failed", "mcsim@nm-01")
+        assert (report["status"], report["bindings"]["cbmc"]) == ("completed", "mcsim@mc-farm-01")
 
     def test_an_empty_standard_pool_is_a_runtime_failure(self, run, tmp_path, case_file, monkeypatch):
         xml = tmp_path / "md.xml"

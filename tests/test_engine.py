@@ -43,7 +43,7 @@ from gridflow.resources import (
     ResourceDescriptor,
     ResourceRegistry,
 )
-from gridflow.simgrid import standard_registry
+from gridflow.simgrid import standard_descriptors, standard_registry
 from gridflow.storage import ContentStore, StorageError, UnknownRun
 from structure import case_study
 
@@ -51,9 +51,18 @@ def make_engine(tmp_path):
     return Engine(standard_registry(), ContentStore(tmp_path / "store"))
 
 
+def nm_mcsim(cost):
+    """The pool's mcsim, as a copy whose lattice slot wants sites and
+    cell_length in nm."""
+    mcsim = standard_registry().get("mcsim@mc-farm-01")
+    nm = ExtractionSpec.of(("sites", "nm"), ("cell_length", "nm"), ("n_sites", "dimensionless"))
+    template = dataclasses.replace(mcsim.launch_template, input_slots=(("lattice", nm),))
+    return dataclasses.replace(mcsim, id="mcsim@nm-01", cost_weight=cost, launch_template=template)
+
+
 def checkpoint_hashes(engine, run_id):
     """Committed checkpoint hashes in commit order."""
-    return [key.hash for _, key in engine.store.checkpoints(run_id)]
+    return [digest for _, _, digest in engine.store.checkpoints(run_id)]
 
 
 ENTRY_FIELDS = (
@@ -481,7 +490,7 @@ class TestExecution:
         assert ("withdrawn", "b") not in events
         assert not any(ev[0] == "completed" and ev[1] in "be" for ev in events)
         # a discarded result is not checkpointed, so a resume reruns b
-        assert [a for a, _ in engine.store.checkpoints("run-abort")] == ["d", "c"]
+        assert [a for a, _, _ in engine.store.checkpoints("run-abort")] == ["d", "c"]
         resumed = entries(engine.report(engine.resume("run-abort")))
         assert {e["activity"] for e in resumed if not e["replayed"]} == {"a", "b", "e"}
 
@@ -502,15 +511,12 @@ class TestExecution:
             engine.execute(g, "ada", run_id="run-starved")
 
     def test_a_slot_is_covered_only_in_the_units_it_wants(self, tmp_path):
-        # a cheaper mcsim that wants the lattice in nm: the flow stages it in
-        # angstrom, so cbmc has no input for its slot and the run fails
-        engine = make_engine(tmp_path)
-        mcsim = engine.registry.get("mcsim@mc-farm-01")
-        nm = ExtractionSpec.of(("sites", "nm"), ("cell_length", "nm"), ("n_sites", "dimensionless"))
-        template = dataclasses.replace(mcsim.launch_template, input_slots=(("lattice", nm),))
-        engine.registry.register(
-            dataclasses.replace(mcsim, id="mcsim@nm-01", cost_weight=0.1, launch_template=template)
-        )
+        # mcsim only as a copy that wants the lattice in nm: the flow stages
+        # it in angstrom, so cbmc has no input for its slot and the run fails
+        registry = ResourceRegistry()
+        for descriptor in standard_descriptors():
+            registry.register(nm_mcsim(1.0) if descriptor.id == "mcsim@mc-farm-01" else descriptor)
+        engine = Engine(registry, ContentStore(tmp_path / "store"))
         with pytest.raises(MissingInput) as info:
             engine.execute(case_study(cells=6, n_helium=3, steps=12), "ada", run_id="run-nm")
         assert str(info.value) == (
@@ -520,7 +526,30 @@ class TestExecution:
         report = engine.report("run-nm")
         assert report["status"] == "failed"
         assert report["bindings"]["cbmc"] == "mcsim@nm-01"
-        assert [a for a, _ in engine.store.checkpoints("run-nm")] == ["lattice"]
+        assert [a for a, _, _ in engine.store.checkpoints("run-nm")] == ["lattice"]
+
+    @pytest.mark.parametrize("unit, cost, bound, scale", [
+        ("angstrom", 0.1, "mcsim@mc-farm-01", 1.0),  # the cheaper nm copy is fed by no flow
+        ("nm", 2.0, "mcsim@nm-01", 0.1),  # only the dearer nm copy is fed
+    ])
+    def test_cbmc_binds_the_cheapest_mcsim_its_flow_feeds(self, tmp_path, unit, cost, bound, scale):
+        engine = make_engine(tmp_path)
+        engine.registry.register(nm_mcsim(cost))
+        text = emit_dsl(case_study(cells=6, n_helium=3, steps=12)).replace(
+            'lattice.sites "angstrom", lattice.cell_length "angstrom"',
+            f'lattice.sites "{unit}", lattice.cell_length "{unit}"')
+        run_id = engine.execute(parse(text), "ada", seed=1)
+        report = engine.report(run_id)
+        assert (report["status"], report["bindings"]["cbmc"]) == ("completed", bound)
+        lattice = checkpoint_hashes(engine, run_id)[0]
+        [put] = [r for r in map(json.loads, engine.store.index_lines(run_id)) if r[:2] == ["put", "cbmc.in"]]
+        if unit == "angstrom":
+            assert put[4:] == [lattice]  # a derived put: it copies lattice whole
+        else:
+            assert len(put) == 4 and (engine.store.blob_dir / put[3]).is_file()  # converted: a full blob
+        held, staged = (engine.store.get(run_id, digest).get("sites") for digest in (lattice, put[3]))
+        assert (held.unit.name, staged.unit.name) == ("angstrom", unit)
+        assert staged.cells == pytest.approx(held.cells * scale)
 
     def test_clash_logged_when_values_differ(self, tmp_path):
         text = """
@@ -710,9 +739,9 @@ class TestResume:
         engine = make_engine(tmp_path)
         with pytest.raises(ActivityFailed):
             engine.execute(parse(LOOP), "ada", fault_plan=[("work", 2)], run_id="run-loop")
-        [(_, key)] = engine.store.checkpoints("run-loop")
+        [(_, _, digest)] = engine.store.checkpoints("run-loop")
         with engine.store.driving("run-loop"):  # filed under an activity the workflow lacks
-            engine.store.checkpoint("run-loop", "ghost", engine.store.get(key))
+            engine.store.checkpoint("run-loop", "ghost", engine.store.get("run-loop", digest))
         with pytest.raises(RuntimeFailure, match="checkpoint for 'ghost' does not fit"):
             engine.resume("run-loop")
         assert engine.report("run-loop")["status"] == "failed"
@@ -830,10 +859,10 @@ class TestDerivedPuts:
     def test_a_case_study_stores_no_copy_of_a_producer(self, tmp_path):
         engine = make_engine(tmp_path)
         run_id = engine.execute(case_study(), "ada", seed=1)
-        checkpoints = dict(engine.store.checkpoints(run_id))
+        checkpoints = {activity: digest for activity, _, digest in engine.store.checkpoints(run_id)}
         derived = derived_puts(engine.store, run_id)
         assert [(activity, base) for activity, _, base in derived] == [
-            ("cbmc.in", checkpoints["lattice"].hash), ("analysis.in", checkpoints["md"].hash)]
+            ("cbmc.in", checkpoints["lattice"]), ("analysis.in", checkpoints["md"])]
         assert len(list(engine.store.blob_dir.iterdir())) == 9  # 11 when each put wrote a blob
         staged = {ev[3] for ev in engine.report(run_id)["trace"] if ev[0] == "staged"}
         assert {digest for _, digest, _ in derived} <= staged
@@ -842,8 +871,8 @@ class TestDerivedPuts:
         engine = make_engine(tmp_path)
         run_id = engine.execute(case_study(), "ada", seed=1)
         records = map(json.loads, engine.store.index_lines(run_id))
-        (_, _, seq, digest, base), = [r for r in records if r[:2] == ["put", "analysis.in"] and len(r) == 5]
-        assert base == dict(engine.store.checkpoints(run_id))["md"].hash
+        (_, _, _, digest, base), = [r for r in records if r[:2] == ["put", "analysis.in"] and len(r) == 5]
+        assert base == {activity: h for activity, _, h in engine.store.checkpoints(run_id)}["md"]
         hashed, real = [], hashlib.sha256
 
         class Counted:
@@ -859,7 +888,7 @@ class TestDerivedPuts:
                 return self.digest.hexdigest()
 
         monkeypatch.setattr(hashlib, "sha256", Counted)
-        ds = ContentStore(engine.store.root).get(storage.ResultKey(digest, run_id, "analysis.in", seq))
+        ds = ContentStore(engine.store.root).get(run_id, digest)
         assert ds.id == digest and ds.meta == (("derived-from", base),)
         assert sum(hashed) == len(spliced(engine.store, base))  # md's bytes and one meta line, once
 
@@ -870,9 +899,9 @@ class TestDerivedPuts:
         real_put = ContentStore.put
 
         def put(store, ds, *args):
-            key = real_put(store, ds, *args)
-            held.setdefault(key.hash, ds)
-            return key
+            digest = real_put(store, ds, *args)
+            held.setdefault(digest, ds)
+            return digest
 
         monkeypatch.setattr(ContentStore, "put", put)
         engine = make_engine(tmp_path)

@@ -577,10 +577,8 @@ class TestExecutor:
         lat = lattice(6)
         store.claim({}, "run-x")
         with store.driving("run-x"):
-            key = store.put(lat, "run-x", "lattice")
-        req = JobRequest(
-            "mcsim@mc-farm-01", "cbmc", (("lattice", key.hash),), {"theta": "0.5", "seed": "1"}
-        )
+            digest = store.put(lat, "run-x", "lattice")
+        req = JobRequest("mcsim@mc-farm-01", "cbmc", (("lattice", digest),), {"theta": "0.5", "seed": "1"})
         job = ex.submit(req)
         ex.wait_any()
         assert ex.poll(job).result.get("n_occupied").magnitude == 3.0

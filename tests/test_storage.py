@@ -20,7 +20,6 @@ from gridflow.storage import (
     ROLLED_BACK,
     ContentStore,
     IntegrityError,
-    ResultKey,
     StorageError,
     UnknownCheckpoint,
     UnknownKey,
@@ -56,9 +55,9 @@ def records(store, run_id):
 class TestPutGet:
     def test_put_then_get_round_trips(self, store, r1):
         d = ds("x", 1.5)
-        key = store.put(d, "r1", "a")
-        assert store.get(key) == d
-        assert key.hash == d.id
+        h = store.put(d, "r1", "a")
+        assert store.get("r1", h) == d
+        assert h == d.id
 
     def test_put_serializes_once(self, store, r1, monkeypatch):
         calls = []
@@ -67,41 +66,40 @@ class TestPutGet:
             monkeypatch.setattr(module, "canonical_serialize",
                                 lambda d, real=real: calls.append(d) or real(d))
         d = ds("x", 1.5)
-        key = store.put(d, "r1", "a")
+        h = store.put(d, "r1", "a")
         assert len(calls) == 1
-        read = store.get(key)
+        read = store.get("r1", h)
         store.put(read, "r1", "b")
         assert len(calls) == 2
-        assert read.id == key.hash == dataset_id(d)
+        assert read.id == h == dataset_id(d)
 
     def test_same_content_twice_distinct_sequences(self, store, r1):
         d = ds("x", 1.5)
-        k1 = store.put(d, "r1", "a")
-        k2 = store.put(d, "r1", "a")
-        assert k1.hash == k2.hash
-        assert k1.sequence != k2.sequence
+        h1 = store.put(d, "r1", "a")
+        h2 = store.put(d, "r1", "a")
+        assert h1 == h2
+        assert records(store, "r1") == [["put", "a", 0, h1], ["put", "a", 1, h1]]
 
     def test_different_content_different_hashes(self, store, r1):
-        k1 = store.put(ds("x", 1.0), "r1", "a")
-        k2 = store.put(ds("x", 2.0), "r1", "a")
-        assert k1.hash != k2.hash
+        h1 = store.put(ds("x", 1.0), "r1", "a")
+        h2 = store.put(ds("x", 2.0), "r1", "a")
+        assert h1 != h2
 
     def test_fabricated_key_rejected(self, store, r1):
         store.put(ds("x", 1.0), "r1", "a")
-        fake = ResultKey("0" * 64, "r1", "a", 0)
-        with pytest.raises(UnknownKey):
-            store.get(fake)
+        with pytest.raises(UnknownKey, match=f"^run r1 filed no dataset {'0' * 64}$"):
+            store.get("r1", "0" * 64)
 
     def test_corrupted_blob_detected_on_read(self, store):
         store.claim({}, "r1")
         with store.driving("r1"):
-            key = store.put(ds("x", 1.0), "r1", "a")
-        path = store.blob_dir / key.hash
+            h = store.put(ds("x", 1.0), "r1", "a")
+        path = store.blob_dir / h
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(IntegrityError):
-            store.get(key)
+            store.get("r1", h)
 
     def test_puts_past_the_held_bound_still_read_back(self, store, r1, monkeypatch):
         # a handle keeps at most _HELD_BYTES of what it put, oldest dropped
@@ -111,10 +109,10 @@ class TestPutGet:
         parsed, real = [], storage_module.canonical_deserialize
         monkeypatch.setattr(storage_module, "canonical_deserialize",
                             lambda data: parsed.append(data) or real(data))
-        keys = [store.put(ds("x", float(i)), "r1", "a") for i in range(10)]
-        assert list(store._held) == [key.hash for key in keys[-3:]]
-        for i, key in enumerate(keys):
-            assert store.get(key) == ds("x", float(i))
+        hashes = [store.put(ds("x", float(i)), "r1", "a") for i in range(10)]
+        assert list(store._held) == hashes[-3:]
+        for i, h in enumerate(hashes):
+            assert store.get("r1", h) == ds("x", float(i))
         assert len(parsed) == 7
 
 
@@ -128,19 +126,19 @@ class TestDerivedPuts:
 
     def test_a_whole_projection_writes_no_blob(self, store, r1):
         base = self.base()
-        bkey = store.put(base, "r1", "a")
+        bh = store.put(base, "r1", "a")
         whole = project(base, ExtractionSpec.of(("x", "1"), ("y", "nm")))
-        key = store.put(whole, "r1", "b.in", base)
-        assert key.hash == dataset_id(whole)  # the id of the bytes a blob would have held
-        assert records(store, "r1")[-1] == ["put", "b.in", 0, key.hash, bkey.hash]
-        assert sorted(p.name for p in store.blob_dir.iterdir()) == [bkey.hash]
-        assert store.get_by_hash(key.hash) is whole  # held
+        h = store.put(whole, "r1", "b.in", base)
+        assert h == dataset_id(whole)  # the id of the bytes a blob would have held
+        assert records(store, "r1")[-1] == ["put", "b.in", 0, h, bh]
+        assert sorted(p.name for p in store.blob_dir.iterdir()) == [bh]
+        assert store.get_by_hash(h) is whole  # held
         other = ContentStore(store.root)  # holds nothing, so parses
-        assert other.get(key) == whole and other.get(key).id == key.hash
-        assert quantities.canonical_serialize(other.get(key)) == quantities.canonical_serialize(whole)
+        assert other.get("r1", h) == whole and other.get("r1", h).id == h
+        assert quantities.canonical_serialize(other.get("r1", h)) == quantities.canonical_serialize(whole)
         # only a drive of the run, or get(), knows a derived hash
-        with pytest.raises(IntegrityError, match=f"^blob {key.hash} missing$"):
-            other.get_by_hash(key.hash)
+        with pytest.raises(IntegrityError, match=f"^blob {h} missing$"):
+            other.get_by_hash(h)
 
     @pytest.mark.parametrize("case", ["dropped", "converted", "base-meta", "no-base"])
     def test_any_other_put_writes_its_blob(self, store, r1, case):
@@ -149,31 +147,31 @@ class TestDerivedPuts:
         wanted = {"dropped": [("x", "1")],
                   "converted": [("x", "1"), ("y", "angstrom")]}
         staged = project(base, ExtractionSpec.of(*wanted.get(case, [("x", "1"), ("y", "nm")])))
-        key = store.put(staged, "r1", "b.in", None if case == "no-base" else base)
-        assert records(store, "r1")[-1] == ["put", "b.in", 0, key.hash]
-        assert (store.blob_dir / key.hash).read_bytes() == quantities.canonical_serialize(staged)
+        h = store.put(staged, "r1", "b.in", None if case == "no-base" else base)
+        assert records(store, "r1")[-1] == ["put", "b.in", 0, h]
+        assert (store.blob_dir / h).read_bytes() == quantities.canonical_serialize(staged)
 
     def test_a_changed_base_fails_the_derived_read(self, store, r1):
         base = self.base()
-        bkey = store.put(base, "r1", "a")
-        key = store.put(project(base, ExtractionSpec.of(("x", "1"), ("y", "nm"))), "r1", "b.in", base)
-        path = store.blob_dir / bkey.hash
+        bh = store.put(base, "r1", "a")
+        h = store.put(project(base, ExtractionSpec.of(("x", "1"), ("y", "nm"))), "r1", "b.in", base)
+        path = store.blob_dir / bh
         path.write_bytes(path.read_bytes().replace(b"obs y", b"obs z"))
-        fault = f"^derived put {key.hash} corrupted: blob {bkey.hash} with its derived-from line hashes to "
+        fault = f"^derived put {h} corrupted: blob {bh} with its derived-from line hashes to "
         with pytest.raises(IntegrityError, match=fault):
-            store.get_by_hash(key.hash)  # held, but the stored bytes are hashed first
+            store.get_by_hash(h)  # held, but the stored bytes are hashed first
         with pytest.raises(IntegrityError, match=fault):
-            ContentStore(store.root).get(key)
+            ContentStore(store.root).get("r1", h)
 
     def test_a_base_that_no_longer_parses_fails_the_derived_read_as_changed(self, store, r1):
         base = self.base()
-        bkey = store.put(base, "r1", "a")
-        key = store.put(project(base, ExtractionSpec.of(("x", "1"), ("y", "nm"))), "r1", "b.in", base)
-        path = store.blob_dir / bkey.hash
+        bh = store.put(base, "r1", "a")
+        h = store.put(project(base, ExtractionSpec.of(("x", "1"), ("y", "nm"))), "r1", "b.in", base)
+        path = store.blob_dir / bh
         path.write_bytes(path.read_bytes()[:-len(b"end\n")])
-        fault = f"^derived put {key.hash} corrupted: blob {bkey.hash} with its derived-from line hashes to "
+        fault = f"^derived put {h} corrupted: blob {bh} with its derived-from line hashes to "
         with pytest.raises(IntegrityError, match=fault):
-            ContentStore(store.root).get(key)  # holds nothing, so the parse meets the fault first
+            ContentStore(store.root).get("r1", h)  # holds nothing, so the parse meets the fault first
 
     @pytest.mark.parametrize("line", [
         '["put","a",0,"{h}","../blobs/{h}"]', '["put","a",0,"{h}",1]',
@@ -200,14 +198,14 @@ class TestDerivedPuts:
 class TestCheckpoints:
     def test_checkpoint_and_state(self, store, r1):
         d = ds("x", 1.0)
-        k = store.checkpoint("r1", "a", d)
-        assert k == ResultKey(d.id, "r1", "a", 0)
-        assert records(store, "r1") == [["ckpt", "a", 0, k.hash]]  # one record, no put
-        assert (store.blob_dir / k.hash).read_bytes() == quantities.canonical_serialize(d)
-        assert store.get(k) is d  # held
-        assert ContentStore(store.root).get(k) == d  # parsed from its blob
+        h = store.checkpoint("r1", "a", d)
+        assert h == d.id
+        assert records(store, "r1") == [["ckpt", "a", 0, h]]  # one record, no put
+        assert (store.blob_dir / h).read_bytes() == quantities.canonical_serialize(d)
+        assert store.get("r1", h) is d  # held
+        assert ContentStore(store.root).get("r1", h) == d  # parsed from its blob
         state = store.run_state("r1")
-        assert state.checkpoints == (("a", k),)
+        assert state.checkpoints == (("a", 0, h),)
         assert state.status == ACTIVE
         assert ContentStore(store.root).run_state("r1") == state  # read from disk
 
@@ -217,18 +215,18 @@ class TestCheckpoints:
             keys[name] = store.checkpoint("r1", name, ds("x", value))
         store.rollback("r1", "a")
         state = store.run_state("r1")
-        assert state.checkpoints == (("a", keys["a"]),)
+        assert state.checkpoints == (("a", 0, keys["a"]),)
         assert state.status == ROLLED_BACK
         assert ContentStore(store.root).run_state("r1") == state
 
     def test_truncated_history_stays_readable(self, store, r1):
-        kb = None
+        hb = None
         for name, value in (("a", 1.0), ("b", 2.0)):
-            k = store.checkpoint("r1", name, ds("x", value))
+            h = store.checkpoint("r1", name, ds("x", value))
             if name == "b":
-                kb = k
+                hb = h
         store.rollback("r1", "a")
-        assert store.get(kb).get("x").magnitude == 2.0
+        assert store.get("r1", hb).get("x").magnitude == 2.0
 
     def test_next_checkpoint_clears_rolled_back(self, store, r1):
         store.checkpoint("r1", "a", ds("x", 1.0))
@@ -258,13 +256,13 @@ class TestAppendOnly:
         return {p: p.read_bytes() for d in (store.runs_dir, store.blob_dir) for p in d.iterdir()}
 
     def test_no_operation_rewrites_existing_bytes(self, store, r1):
-        k = store.checkpoint("r1", "a", ds("x", 1.0))
+        h = store.checkpoint("r1", "a", ds("x", 1.0))
         before = self.read_everything(store)
 
         store.put(ds("x", 1.0), "r1", "b.in")
         store.checkpoint("r1", "b", ds("x", 2.0))
         store.rollback("r1", "a")
-        store.get(k)
+        store.get("r1", h)
         store.set_status("r1", COMPLETED, {})
 
         after = self.read_everything(store)
@@ -275,30 +273,31 @@ class TestAppendOnly:
                 assert after[path] == blob, f"blob {path.name} was rewritten"
 
     def test_audit_flags_corrupted_blob(self, store, r1):
-        key = store.put(ds("x", 1.0), "r1", "a")
+        h = store.put(ds("x", 1.0), "r1", "a")
         assert store.audit() == []
-        path = store.blob_dir / key.hash
+        path = store.blob_dir / h
         path.write_bytes(path.read_bytes() + b"junk\n")
-        assert store.audit() == [f"blob {key.hash} unparseable: line 4: missing 'end' trailer"]
+        assert store.audit() == [f"blob {h} unparseable: line 4: missing 'end' trailer"]
 
     def test_missing_blob_is_damage_and_an_unknown_key_is_not(self, store, r1):
-        key = store.put(ds("x", 1.0), "r1", "a")
-        (store.blob_dir / key.hash).unlink()
-        with pytest.raises(UnknownKey):
-            store.get(ResultKey(key.hash, "r1", "a", 1))
-        with pytest.raises(IntegrityError, match=f"blob {key.hash} missing"):
-            store.get(key)
+        h = store.put(ds("x", 1.0), "r1", "a")
+        (store.blob_dir / h).unlink()
+        never = ds("x", 2.0).id  # no blob either
+        with pytest.raises(UnknownKey, match=f"^run r1 filed no dataset {never}$"):
+            store.get("r1", never)
+        with pytest.raises(IntegrityError, match=f"blob {h} missing"):
+            store.get("r1", h)
 
     def test_journal_faults_replay_from_disk(self, store):
         for run_id in ("r1", "r2"):
             store.claim({}, run_id)
         with store.driving("r1"):
-            k1 = store.checkpoint("r1", "a", ds("x", 1.0))
+            h1 = store.checkpoint("r1", "a", ds("x", 1.0))
             store.put(ds("x", 1.0), "r1", "b.in")  # a second record of the same blob
         with store.driving("r2"):
             store.put(ds("x", 2.0), "r2", "b")
         assert store.journal_faults("r1") == store.journal_faults("r2") == (0, [])
-        (store.blob_dir / k1.hash).unlink()
+        (store.blob_dir / h1).unlink()
         with open(store.journal("r1"), "ab") as fh:
             fh.write(b'["put","a"]\n["bogus"]\n["put","lat')  # torn tail skipped
         with open(store.journal("r2"), "ab") as fh:
@@ -306,8 +305,8 @@ class TestAppendOnly:
         before = store.journal("r1").read_bytes()
         assert store.journal_faults("r1") == (len(b'["put","lat'), [
             """damaged runs/r1.log line 4 malformed: '["put","a"]'""",
-            f"missing blob {k1.hash} (runs/r1.log line 2)",
-            f"missing blob {k1.hash} (runs/r1.log line 3)",
+            f"missing blob {h1} (runs/r1.log line 2)",
+            f"missing blob {h1} (runs/r1.log line 3)",
         ])
         assert store.journal_faults("r2") == (
             0, ["damaged runs/r2.log: rollback to 'b', never committed"])
@@ -317,9 +316,9 @@ class TestAppendOnly:
     def test_a_hash_that_is_not_a_sha256_names_no_file(self, store, monkeypatch, where):
         store.claim({}, "r1")
         with store.driving("r1"):
-            key = store.checkpoint("r1", "a", ds("x", 1.0))
+            h = store.checkpoint("r1", "a", ds("x", 1.0))
         planted = store.root.parent / "planted"  # a valid blob outside blobs/
-        planted.write_bytes((store.blob_dir / key.hash).read_bytes())
+        planted.write_bytes((store.blob_dir / h).read_bytes())
         target = "../runs/r1.log" if where == "relative" else str(planted)
         journal = store.journal("r1")
         lines = journal.read_text(encoding="ascii").splitlines()
@@ -346,27 +345,28 @@ class TestAppendOnly:
                 originals.append(d)
             kept = store.checkpoints("r1")
         assert store.checkpoints("r1") == kept  # read from disk, once the drive ended
-        replayed = [store.get(key) for _, key in store.checkpoints("r1")]
+        replayed = [store.get("r1", h) for _, _, h in store.checkpoints("r1")]
         assert replayed == originals
 
     def test_reopen_preserves_state(self, store, r1):
-        k = store.checkpoint("r1", "a", ds("x", 1.0))
+        h = store.checkpoint("r1", "a", ds("x", 1.0))
         again = ContentStore(store.root)
-        assert again.run_state("r1").checkpoints == (("a", k),)
-        assert again.get(k).get("x").magnitude == 1.0
+        assert again.run_state("r1").checkpoints == (("a", 0, h),)
+        assert again.get("r1", h).get("x").magnitude == 1.0
 
 
-def journal_state(text, run_id):
+def journal_state(text):
     """Replay of one run's journal text: the reference for run_state."""
     committed, status = [], ACTIVE
     for line in text.splitlines():
         kind, *rest = json.loads(line)
         if kind == "ckpt":
-            committed.append((rest[0], ResultKey(rest[2], run_id, rest[0], rest[1])))
+            activity, seq, digest = rest
+            committed.append((activity, seq, digest))
             if status == ROLLED_BACK:
                 status = ACTIVE
         elif kind == "rollback":
-            cut = max(i for i, (name, _) in enumerate(committed) if name == rest[0])
+            cut = max(i for i, (name, _, _) in enumerate(committed) if name == rest[0])
             committed = committed[: cut + 1]
             status = ROLLED_BACK
         elif kind == "status":
@@ -374,13 +374,14 @@ def journal_state(text, run_id):
     return tuple(committed), status
 
 
-def _put_worker(root, start, count, out):
+def _checkpoint_worker(root, start, count, out):
     store = ContentStore(root)
     start.wait(timeout=60)
     sequences = []
     for _ in range(count):
-        with store.driving("r1"):  # one put per drive: the processes take turns
-            sequences.append(store.put(ds("x", 1.0), "r1", "a").sequence)
+        with store.driving("r1"):  # one checkpoint per drive: the processes take turns
+            store.checkpoint("r1", "a", ds("x", 1.0))
+            sequences.append(store.checkpoints("r1")[-1][1])  # its own, as the drive keeps it
     out.put(sequences)
 
 
@@ -403,35 +404,35 @@ class TestJournals:
     def test_half_written_line_is_not_consumed(self, store):
         store.claim({}, "r1")
         with store.driving("r1"):
-            ka = store.checkpoint("r1", "a", ds("x", 1.0))
-            kb = store.put(ds("x", 2.0), "r1", "b")
+            ha = store.checkpoint("r1", "a", ds("x", 1.0))
+            hb = store.put(ds("x", 2.0), "r1", "b")
         before = store.run_state("r1")
-        record = json.dumps(["ckpt", "b", kb.sequence, kb.hash]).encode() + b"\n"
+        record = json.dumps(["ckpt", "b", 0, hb]).encode() + b"\n"
         with open(store.journal("r1"), "ab") as fh:
             fh.write(record[:9])
         assert store.run_state("r1") == before
         with open(store.journal("r1"), "ab") as fh:
             fh.write(record[9:])
-        assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
+        assert store.run_state("r1").checkpoints == (("a", 0, ha), ("b", 0, hb))
 
     def test_two_stores_on_one_root_see_each_other(self, store):
         other = ContentStore(store.root)
         store.claim({}, "r1")
         with store.driving("r1"):
             assert other.run_state("r1").checkpoints == ()
-            k0 = store.checkpoint("r1", "a", ds("x", 1.0))
-            assert other.run_state("r1").checkpoints == (("a", k0),)
+            h0 = store.checkpoint("r1", "a", ds("x", 1.0))
+            assert other.run_state("r1").checkpoints == (("a", 0, h0),)
         with other.driving("r1"):
-            assert other.run_state("r1").checkpoints == (("a", k0),)
-            k1 = other.checkpoint("r1", "a", ds("x", 2.0))
-            assert k1.sequence == k0.sequence + 1
-            assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
+            assert other.run_state("r1").checkpoints == (("a", 0, h0),)
+            h1 = other.checkpoint("r1", "a", ds("x", 2.0))
+            assert store.run_state("r1").checkpoints == (("a", 0, h0), ("a", 1, h1))
             with pytest.raises(StorageError, match="run r1 is being driven by another process"):
                 with store.driving("r1", wait=False):
                     pass
         with store.driving("r1"):
-            assert store.put(ds("x", 3.0), "r1", "a").sequence == k1.sequence + 1
-            assert store.run_state("r1").checkpoints == (("a", k0), ("a", k1))
+            h2 = store.put(ds("x", 3.0), "r1", "a")
+            assert records(store, "r1")[-1] == ["put", "a", 2, h2]
+            assert store.run_state("r1").checkpoints == (("a", 0, h0), ("a", 1, h1))
         assert other.runs() == store.runs() == ["r1"]
 
     def test_interleaved_drives_match_a_journal_replay(self, store):
@@ -452,27 +453,27 @@ class TestJournals:
                         else:
                             s.put(d, run, activity)
                     else:
-                        names = [name for name, _ in s.run_state(run).checkpoints]
+                        names = [name for name, _, _ in s.run_state(run).checkpoints]
                         if op < 0.75 and names:
                             s.rollback(run, rng.choice(names))
                         else:
                             s.set_status(run, rng.choice((COMPLETED, FAILED_RUN)), {})
                 state = s.run_state(run)  # what the drive keeps
                 text = store.journal(run).read_text(encoding="utf-8")
-                assert (state.checkpoints, state.status) == journal_state(text, run)
+                assert (state.checkpoints, state.status) == journal_state(text)
         for s in stores:
             assert s.runs() == runs
             for run in runs:
                 text = store.journal(run).read_text(encoding="utf-8")
                 state = s.run_state(run)
-                assert (state.checkpoints, state.status) == journal_state(text, run)
+                assert (state.checkpoints, state.status) == journal_state(text)
 
     def test_processes_allocate_distinct_sequences(self, store):
         store.claim({}, "r1")
         ctx = multiprocessing.get_context("spawn")
         start, out = ctx.Barrier(4), ctx.Queue()
         workers = [
-            ctx.Process(target=_put_worker, args=(store.root, start, 25, out))
+            ctx.Process(target=_checkpoint_worker, args=(store.root, start, 25, out))
             for _ in range(4)
         ]
         for w in workers:
@@ -484,7 +485,7 @@ class TestJournals:
             w.join(timeout=30)
             assert not w.is_alive() and w.exitcode == 0
         assert sorted(sequences) == list(range(100))
-        assert [record[:3] for record in records(store, "r1")] == [["put", "a", n] for n in range(100)]
+        assert [record[:3] for record in records(store, "r1")] == [["ckpt", "a", n] for n in range(100)]
 
     @staticmethod
     def run_threads(work, n=4):
@@ -510,51 +511,47 @@ class TestJournals:
     def test_threads_allocate_distinct_sequences(self, store, r1):
         # threads of one handle inside one drive: the handle's lock makes
         # them take turns at deciding and appending
-        sequences = []
-        self.run_threads(lambda t: sequences.extend(
-            store.put(ds("x", 1.0), "r1", "a").sequence for _ in range(25)))
-        assert sorted(sequences) == list(range(100))
+        hashes = []
+        self.run_threads(lambda t: hashes.extend(store.put(ds("x", 1.0), "r1", "a") for _ in range(25)))
+        assert hashes == [ds("x", 1.0).id] * 100
         assert [record[:3] for record in records(store, "r1")] == [["put", "a", n] for n in range(100)]
 
     def test_threads_reading_and_appending_share_what_the_handle_keeps(self, store, r1):
-        keys = []
-
         def work(t):
             for _ in range(20):
                 d, activity = ds("x", float(t)), f"a{t % 2}"
-                key = store.checkpoint("r1", activity, d) if t % 2 else store.put(d, "r1", activity)
-                keys.append(key)
-                assert store.get(key) == ds("x", float(t))
+                h = store.checkpoint("r1", activity, d) if t % 2 else store.put(d, "r1", activity)
+                assert store.get("r1", h) == ds("x", float(t))
                 store.run_state("r1")
 
         self.run_threads(work, n=8)
         for activity in ("a0", "a1"):
-            assert sorted(k.sequence for k in keys if k.activity_id == activity) == list(range(80))
+            assert sorted(r[2] for r in records(store, "r1") if r[1] == activity) == list(range(80))
         text = store.journal("r1").read_text(encoding="utf-8")
-        assert (store.run_state("r1").checkpoints, ACTIVE) == journal_state(text, "r1")
+        assert (store.run_state("r1").checkpoints, ACTIVE) == journal_state(text)
         assert ContentStore(store.root).run_state("r1") == store.run_state("r1")
 
     def test_threads_keep_the_held_datasets_within_their_bound(self, store, r1, monkeypatch):
         size = len(quantities.canonical_serialize(ds("x", 0.0)))
         monkeypatch.setattr(storage_module, "_HELD_BYTES", 5 * size)
-        keys = {}
+        hashes = {}
 
         def work(t):
             for value in map(float, range(100 * t, 100 * t + 25)):
-                keys[store.put(ds("x", value), "r1", "a")] = value
+                hashes[store.put(ds("x", value), "r1", "a")] = value
 
         self.run_threads(work)
         assert len(store._held) == 5
         assert store._held_bytes == sum(n for _, n in store._held.values()) == 5 * size
-        for key, value in keys.items():
-            assert store.get(key) == ds("x", value)
+        for h, value in hashes.items():
+            assert store.get("r1", h) == ds("x", value)
 
     def test_a_drive_reads_its_journal_once(self, store, lines_read):
         store.claim({}, "r1")
         with store.driving("r1"):
             for i in range(300):
-                key = store.checkpoint("r1", "a", ds("x", float(i % 7)))
-                assert store.get(key) == ds("x", float(i % 7))
+                h = store.checkpoint("r1", "a", ds("x", float(i % 7)))
+                assert store.get("r1", h) == ds("x", float(i % 7))
             store.rollback("r1", "a")
             store.set_status("r1", COMPLETED, {})
             assert store.run_state("r1").status == COMPLETED
@@ -574,8 +571,8 @@ class TestJournals:
         monkeypatch.setattr(store, "index_lines", lambda run_id: asked.append(run_id) or index_lines(run_id))
         with store.driving("r1"):
             for i in range(20):
-                key = store.checkpoint("r1", f"a{i % 3}", ds("x", float(i)))
-                assert store.get(key) == ds("x", float(i))
+                h = store.checkpoint("r1", f"a{i % 3}", ds("x", float(i)))
+                assert store.get("r1", h) == ds("x", float(i))
             store.rollback("r1", "a0")
             store.set_status("r1", COMPLETED, {})
         assert store.run_state("r1").status == COMPLETED
@@ -585,19 +582,18 @@ class TestJournals:
     def test_torn_tail_is_cut_when_the_next_drive_starts(self, store):
         store.claim({}, "r1")
         with store.driving("r1"):
-            k0 = store.put(ds("x", 1.0), "r1", "a")
+            h0 = store.put(ds("x", 1.0), "r1", "a")
         journal = store.journal("r1")
         whole = journal.read_bytes()
         with open(journal, "ab") as fh:
             fh.write(b'["put","lat')  # a drive that died mid-line
         reopened = ContentStore(store.root)
         assert reopened.run_state("r1").checkpoints == ()
-        assert reopened.get(k0) == ds("x", 1.0)
+        assert reopened.get("r1", h0) == ds("x", 1.0)
         with reopened.driving("r1"):
             assert journal.read_bytes() == whole  # cut before any write
-            k1 = reopened.checkpoint("r1", "a", ds("x", 2.0))
-        assert k1.sequence == 1
-        assert records(store, "r1") == [["put", "a", 0, k0.hash], ["ckpt", "a", 1, k1.hash]]
+            h1 = reopened.checkpoint("r1", "a", ds("x", 2.0))
+        assert records(store, "r1") == [["put", "a", 0, h0], ["ckpt", "a", 1, h1]]
 
     def test_a_drive_cuts_nothing_of_a_claim_still_writing(self, store, monkeypatch):
         # a claim creates the journal, then writes its first line without the
@@ -621,15 +617,15 @@ class TestJournals:
         # a handle keeps nothing between drives: the next one folds what is left
         store.claim({}, "r1")
         with store.driving("r1"):
-            ka = store.checkpoint("r1", "a", ds("x", 1.0))
-            kb = store.checkpoint("r1", "b", ds("x", 2.0))
+            ha = store.checkpoint("r1", "a", ds("x", 1.0))
+            hb = store.checkpoint("r1", "b", ds("x", 2.0))
         journal = store.journal("r1")
         data = journal.read_bytes()
         os.truncate(journal, data[:-1].rfind(b"\n") + 1)  # drop b's checkpoint
-        assert store.run_state("r1").checkpoints == (("a", ka),)
+        assert store.run_state("r1").checkpoints == (("a", 0, ha),)
         with store.driving("r1"):
-            assert store.checkpoint("r1", "b", ds("x", 2.0)) == kb  # b's dataset, filed again
-            assert store.run_state("r1").checkpoints == (("a", ka), ("b", kb))
+            assert store.checkpoint("r1", "b", ds("x", 2.0)) == hb  # b's dataset, filed again
+            assert store.run_state("r1").checkpoints == (("a", 0, ha), ("b", 0, hb))
         assert journal.read_bytes() == data
 
     def test_malformed_line_raises_with_its_number_every_time(self, store):
@@ -667,19 +663,19 @@ class TestJournals:
     def test_a_handle_keeps_nothing_of_a_run_it_does_not_drive(self, store):
         store.claim({}, "r1")
         with store.driving("r1"):
-            key = store.checkpoint("r1", "a", ds("x", 1.0))
+            h = store.checkpoint("r1", "a", ds("x", 1.0))
             assert list(store._drives) == ["r1"]
         assert store._drives == {}
-        assert store.run_state("r1").checkpoints == (("a", key),)
+        assert store.run_state("r1").checkpoints == (("a", 0, h),)
         journal = store.journal("r1")
         journal.write_bytes(journal.read_bytes().replace(b'["ckpt"', b'["ckpX"'))
-        line = f'["ckpX","a",0,"{key.hash}"]'
+        line = f'["ckpX","a",0,"{h}"]'
         damage = f"runs/r1.log line 2 malformed: {line[:80]!r}"
         assert store.journal_faults("r1") == (0, [f"damaged {damage}"])
         with pytest.raises(IntegrityError, match=re.escape(damage)):  # read again, in full
             store.run_state("r1")
         with pytest.raises(IntegrityError, match=re.escape(damage)):
-            store.get(key)
+            store.get("r1", h)
         assert store._drives == {}
 
 
